@@ -622,7 +622,12 @@ def _run_verify_w(cfg: ExperimentConfig, out: Path, threads: int):
         drift = max(drift, float(np.max(np.abs(s.u[clean] - W[clean]))))
     r_min = _field(cfg.section, "decay_r_min", float, default=4.0) \
         if cfg.section else 4.0
-    C0, slope = bootstrap.decay_fit(traj, r_min=r_min)
+    C0, _ = bootstrap.decay_fit(traj, r_min=r_min)
+    # the slope is fitted to the evolved layers only: sup_t |u| over all of
+    # them would include W itself and could not see a damped profile
+    evolved = traj.states[1:] or traj.states
+    sup_u = np.max([np.abs(s.u) for s in evolved], axis=0)
+    _, slope = bootstrap.profile_decay_fit(cfg.grid, sup_u, r_min=r_min)
     # the exact profile's own window slope: W only tends to sqrt(3)/r, its
     # local log-log slope is -r^2/(3 + r^2), so the window fit is not -1
     _, slope_W = bootstrap.profile_decay_fit(cfg.grid, W, r_min=r_min)

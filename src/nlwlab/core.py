@@ -148,6 +148,16 @@ class RadialState:
         return w
 
 
+def _float_rows(*cols: np.ndarray):
+    """Rows of equal-length columns as tuples of Python floats.
+
+    Columns are converted 512 rows at a time, so the text writers pay no
+    per-element numpy scalar and hold no full-length float lists.
+    """
+    for k in range(0, len(cols[0]), 512):
+        yield from zip(*(c[k:k + 512].tolist() for c in cols))
+
+
 @dataclass(frozen=True, eq=False)
 class StepLog:
     """Per-step scalar diagnostics of an evolution run.
@@ -177,13 +187,8 @@ class StepLog:
     def to_csv(self) -> str:
         """Serialize as CSV with shortest round-trip decimals."""
         lines = ["t,E,z,max_abs_u,support_radius"]
-        for k in range(len(self.t)):
-            lines.append(
-                ",".join(
-                    repr(float(col[k]))
-                    for col in (self.t, self.energy, self.virial, self.max_abs_u, self.support_radius)
-                )
-            )
+        lines += [f"{t!r},{e!r},{z!r},{m!r},{s!r}" for t, e, z, m, s in _float_rows(
+            self.t, self.energy, self.virial, self.max_abs_u, self.support_radius)]
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -319,9 +324,7 @@ def state_to_text(state: RadialState) -> str:
         "t": state.t,
     }
     lines = ["# " + json.dumps(header)]
-    r = state.grid.r
-    for j in range(state.grid.n + 1):
-        lines.append(f"{float(r[j])!r} {float(state.u[j])!r} {float(state.v[j])!r}")
+    lines += [f"{r!r} {u!r} {v!r}" for r, u, v in _float_rows(state.grid.r, state.u, state.v)]
     return "\n".join(lines) + "\n"
 
 
@@ -334,10 +337,11 @@ def state_from_text(text: str) -> RadialState:
         if key not in header:
             raise ValueError(f"header is missing field {key!r}")
     grid = RadialGrid(h=float(header["h"]), n=int(header["n"]))
-    rows = [ln.split() for ln in lines[1:] if ln.strip()]
+    rows = [ln for ln in lines[1:] if ln.strip()]
     if len(rows) != grid.n + 1:
         raise ValueError(f"expected {grid.n + 1} node rows, found {len(rows)}")
-    data = np.array([[float(tok) for tok in row] for row in rows])
+    # loadtxt parses like float() and rejects rows whose column count differs
+    data = np.loadtxt(rows, dtype=float, comments=None, ndmin=2)
     if data.shape[1] != 3:
         raise ValueError("node rows must have three columns: r u v")
     if not np.array_equal(data[:, 0], grid.r):

@@ -27,6 +27,7 @@ __all__ = [
     "smooth_cutoff",
     "smooth_cutoff_gradient",
     "support_and_hardy",
+    "support_radius",
     "virial",
     "virial_rate",
 ]
@@ -52,8 +53,48 @@ def smooth_cutoff_gradient(r, Rc: float):
     return -(30.0 * y * y - 60.0 * y ** 3 + 30.0 * y ** 4) / Rc
 
 
-def _radial_integral(density: np.ndarray, r: np.ndarray, h: float) -> float:
-    return float(4.0 * np.pi * np.trapezoid(density * r * r, dx=h))
+def _radial_integral(density: np.ndarray, r: np.ndarray, h: float):
+    """4 pi * trapezoid(density r^2 dr) over the whole grid r.
+
+    density may cover only a prefix of the grid whose last node is zero; the
+    grid beyond it counts as zero.  The sum runs over the same number of
+    terms either way, so a prefix gives the full-grid value bit for bit.  A
+    stack of densities (integrated along the last axis) gives a list.
+    """
+    m = density.shape[-1]
+    y = density * r[:m] * r[:m]
+    terms = np.zeros(density.shape[:-1] + (len(r) - 1,))
+    head = terms[..., :m - 1]
+    np.add(y[..., 1:], y[..., :-1], out=head)
+    head *= h
+    head /= 2.0
+    return (4.0 * np.pi * terms.sum(axis=-1)).tolist()
+
+
+def _energy_virial(u: np.ndarray, v: np.ndarray, r: np.ndarray, h: float,
+                   p: float, mu: int):
+    """(E, z) of nodal fields, evaluated on the fields' own exact-zero extent.
+
+    u and v may be prefixes of the grid r that hold all their nonzeros.  Two
+    nodes past the last nonzero of u or v the density vanishes (d_r u is
+    centered there and zero), so the densities are formed only up to there;
+    the quadrature then sums over the whole grid.  :func:`energy`,
+    :func:`virial` and the solver's per-step log all go through here, so the
+    logged and recomputed values agree bit for bit.
+    """
+    nz = np.flatnonzero((u != 0.0) | (v != 0.0))
+    m = min(len(u), max(int(nz[-1]) + 3 if nz.size else 0, 3))
+    u, v = u[:m], v[:m]
+    # np.gradient(u, h), same arithmetic without its generic set-up
+    du = np.empty(m)
+    np.subtract(u[2:], u[:-2], out=du[1:-1])
+    du[1:-1] /= 2.0 * h
+    du[0], du[-1] = (u[1] - u[0]) / h, (u[-1] - u[-2]) / h
+    densities = np.empty((2, m))
+    densities[0] = 0.5 * du * du + 0.5 * v * v + mu * np.abs(u) ** (p + 1.0) / (p + 1.0)
+    densities[1] = (u + r[:m] * du) * v
+    E, z = _radial_integral(densities, r, h)
+    return E, z
 
 
 def energy(state: RadialState) -> float:
@@ -65,19 +106,14 @@ def energy(state: RadialState) -> float:
     E is not coercive; conservation still holds and downstream reports label
     the value "non-coercive" so drift checks are not misread as positivity.
     """
-    r, h = state.grid.r, state.grid.h
-    p, mu = state.params.p, state.params.mu
-    du = np.gradient(state.u, h)
-    density = 0.5 * du * du + 0.5 * state.v * state.v \
-        + mu * np.abs(state.u) ** (p + 1.0) / (p + 1.0)
-    return _radial_integral(density, r, h)
+    return _energy_virial(state.u, state.v, state.grid.r, state.grid.h,
+                          state.params.p, state.params.mu)[0]
 
 
 def virial(state: RadialState) -> float:
     """Virial functional z = 4 pi * int (u + r d_r u) v r^2 dr."""
-    r, h = state.grid.r, state.grid.h
-    du = np.gradient(state.u, h)
-    return _radial_integral((state.u + r * du) * state.v, r, h)
+    return _energy_virial(state.u, state.v, state.grid.r, state.grid.h,
+                          state.params.p, state.params.mu)[1]
 
 
 def virial_rate(state: RadialState) -> float:
@@ -151,6 +187,16 @@ def localized_identity_residuals(traj: Trajectory, Rc: float, t: float):
     )
 
 
+def support_radius(u: np.ndarray, v: np.ndarray, r: np.ndarray) -> float:
+    """Largest r_j with max(|u_j|, |v_j|) > SUPPORT_FLOOR, or 0 for a tiny field.
+
+    u and v may be prefixes of the grid r; the solver's step log and
+    :func:`support_and_hardy` both use this.
+    """
+    idx = np.flatnonzero(np.maximum(np.abs(u), np.abs(v)) > SUPPORT_FLOOR)
+    return float(r[idx[-1]]) if idx.size else 0.0
+
+
 def support_and_hardy(state: RadialState):
     """Support radius and the Hardy-weighted mass.
 
@@ -159,11 +205,8 @@ def support_and_hardy(state: RadialState):
     4 pi * int u^2 dr, the radial form of int u^2 / |x|^2.  The 1D Hardy
     inequality bounds the latter by 4 * ||d_r u||_{L^2}^2.
     """
-    r, h = state.grid.r, state.grid.h
-    mask = np.maximum(np.abs(state.u), np.abs(state.v)) > SUPPORT_FLOOR
-    idx = np.nonzero(mask)[0]
-    support = float(r[idx[-1]]) if idx.size else 0.0
-    hardy = float(4.0 * np.pi * np.trapezoid(state.u * state.u, dx=h))
+    support = support_radius(state.u, state.v, state.grid.r)
+    hardy = float(4.0 * np.pi * np.trapezoid(state.u * state.u, dx=state.grid.h))
     return support, hardy
 
 

@@ -22,7 +22,7 @@ data is outside the validated envelope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,9 +48,6 @@ __all__ = [
     "representation_residual",
     "step",
 ]
-
-SUPPORT_FLOOR = 1e-12
-
 
 class SolverError(RuntimeError):
     """Run aborted; ``t`` is the time of the offending layer."""
@@ -144,47 +141,90 @@ def characteristics(state: RadialState) -> CharacteristicFields:
     return CharacteristicFields(z1=dw + rv, z2=dw - rv)
 
 
-def _source(w: np.ndarray, u: np.ndarray, r: np.ndarray, params: EquationParams,
-            origin_band: int, linear: bool) -> np.ndarray:
-    """Discrete source F = -mu |w|^{p-1} w / r^{p-1}, u-form inside origin_band."""
-    F = np.zeros_like(w)
+def _source_term(w: np.ndarray, u: np.ndarray, r: np.ndarray, rp: np.ndarray,
+                 params: EquationParams, h: float, origin_band: int, linear: bool,
+                 m: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """Update term h^2 F on nodes [0, m), F = -mu |w|^{p-1} w / r^{p-1}.
+
+    rp holds r^{p-1}.  Inside origin_band F is evaluated in the u-form
+    -mu r |u|^{p-1} u, which avoids 0/0.  Node 0 is not computed (a fresh
+    ``out`` is zero there).
+    """
+    if out is None:
+        out = np.zeros_like(w)
+    m = len(w) if m is None else m
     if linear:
-        return F
+        out[:m] = 0.0
+        return out
     p, mu = params.p, params.mu
-    b = min(origin_band, len(w) - 1)
-    # near the origin, |w|^{p-1} w / r^{p-1} = r |u|^{p-1} u avoids 0/0
-    F[1:b] = -mu * r[1:b] * np.abs(u[1:b]) ** (p - 1.0) * u[1:b]
-    F[b:] = -mu * np.abs(w[b:]) ** (p - 1.0) * w[b:] / r[b:] ** (p - 1.0)
-    return F
+    b = min(origin_band, len(w) - 1, m)
+    head, tail = out[1:b], out[b:m]
+    np.abs(u[1:b], out=head)
+    np.power(head, p - 1.0, out=head)
+    np.multiply(-mu * r[1:b], head, out=head)
+    np.multiply(head, u[1:b], out=head)
+    np.abs(w[b:m], out=tail)
+    np.power(tail, p - 1.0, out=tail)
+    np.multiply(-mu, tail, out=tail)
+    np.multiply(tail, w[b:m], out=tail)
+    np.divide(tail, rp[b:m], out=tail)
+    np.multiply(out[1:m], h * h, out=out[1:m])
+    return out
 
 
-def _advance(w_prev: np.ndarray, w_cur: np.ndarray, F: np.ndarray, h: float) -> np.ndarray:
-    w_nxt = np.empty_like(w_cur)
-    w_nxt[1:-1] = w_cur[2:] + w_cur[:-2] - w_prev[1:-1] + h * h * F[1:-1]
-    w_nxt[0] = 0.0
-    w_nxt[-1] = w_cur[-2] - w_prev[-1] + h * h * F[-1]  # zero ghost beyond R
-    return w_nxt
+def _advance(w_prev: np.ndarray, w_cur: np.ndarray, hhF: np.ndarray,
+             m: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """Leapfrog layer w_{j+1} + w_{j-1} - w_prev + h^2 F on nodes [0, m)."""
+    n = len(w_cur) - 1
+    m = n + 1 if m is None else m
+    if out is None:
+        out = np.empty_like(w_cur)
+    hi = min(m, n)
+    nxt = out[1:hi]
+    np.add(w_cur[2:hi + 1], w_cur[:hi - 1], out=nxt)
+    np.subtract(nxt, w_prev[1:hi], out=nxt)
+    np.add(nxt, hhF[1:hi], out=nxt)
+    out[0] = 0.0
+    if m > n:
+        out[n] = w_cur[n - 1] - w_prev[n] + hhF[n]  # zero ghost beyond R
+    return out
 
 
-def _u_from_w(w: np.ndarray, r: np.ndarray) -> np.ndarray:
-    u = np.empty_like(w)
-    u[1:] = w[1:] / r[1:]
-    u[0] = even_origin_value(u[1], u[2])
-    return u
+def _u_from_w(w: np.ndarray, r: np.ndarray, m: int | None = None,
+              out: np.ndarray | None = None) -> np.ndarray:
+    m = len(w) if m is None else m
+    if out is None:
+        out = np.empty_like(w)
+    np.divide(w[1:m], r[1:m], out=out[1:m])
+    out[0] = even_origin_value(out[1], out[2])
+    return out
 
 
-def _v_from_layers(w_hi: np.ndarray, w_lo: np.ndarray, r: np.ndarray, h: float) -> np.ndarray:
-    """Centered time derivative v = (w^{n+1} - w^{n-1}) / (2 h r)."""
-    v = np.empty_like(w_hi)
-    v[1:] = (w_hi[1:] - w_lo[1:]) / (2.0 * h * r[1:])
-    v[0] = even_origin_value(v[1], v[2])
-    return v
+def _v_from_layers(w_hi: np.ndarray, w_lo: np.ndarray, two_h_r: np.ndarray,
+                   m: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """Centered time derivative v = (w^{n+1} - w^{n-1}) / (2 h r) on nodes [0, m)."""
+    m = len(w_hi) if m is None else m
+    if out is None:
+        out = np.empty_like(w_hi)
+    np.subtract(w_hi[1:m], w_lo[1:m], out=out[1:m])
+    np.divide(out[1:m], two_h_r[1:m], out=out[1:m])
+    out[0] = even_origin_value(out[1], out[2])
+    return out
 
 
-def _support_radius(u: np.ndarray, v: np.ndarray, r: np.ndarray) -> float:
-    mask = np.maximum(np.abs(u), np.abs(v)) > SUPPORT_FLOOR
-    idx = np.nonzero(mask)[0]
-    return float(r[idx[-1]]) if idx.size else 0.0
+def _active_length(*layers: np.ndarray) -> int:
+    """Length of the node prefix outside which every layer is exactly +0.0.
+
+    Negative zeros count as live, since the stencil can carry their sign; the
+    result is at least 3 (the origin extrapolation reads nodes 1 and 2).  The
+    stencil maps a +0.0 neighbourhood to +0.0, so one step can only extend
+    the prefix by the one node the light cone adds.
+    """
+    live = np.zeros(len(layers[0]), dtype=bool)
+    for x in layers:
+        live |= (x != 0.0) | np.signbit(x)
+    idx = np.flatnonzero(live)
+    return min(len(live), max(int(idx[-1]) + 1 if idx.size else 0, 3))
 
 
 def step(prev: RadialState, curr: RadialState, *, origin_band: int = 2,
@@ -207,8 +247,9 @@ def step(prev: RadialState, curr: RadialState, *, origin_band: int = 2,
         raise ValueError("layers must be one grid spacing apart in time (unit CFL)")
     r = curr.grid.r
     w_prev, w_cur = prev.w, curr.w
-    F = _source(w_cur, curr.u, r, curr.params, origin_band, linear)
-    w_nxt = _advance(w_prev, w_cur, F, h)
+    hhF = _source_term(w_cur, curr.u, r, r ** (curr.params.p - 1.0), curr.params, h,
+                       origin_band, linear)
+    w_nxt = _advance(w_prev, w_cur, hhF)
     u_nxt = _u_from_w(w_nxt, r)
     v_nxt = np.empty_like(w_nxt)
     v_nxt[1:] = (3.0 * w_nxt[1:] - 4.0 * w_cur[1:] + w_prev[1:]) / (2.0 * dt * r[1:])
@@ -246,19 +287,32 @@ def evolve(config: SolverConfig, initial: RadialState,
         Nontrivial field at the outermost two nodes (see SolverConfig.cone_floor).
     BlowupDetected
         max |u| exceeded config.blowup_threshold or became non-finite.
+
+    Notes
+    -----
+    Work is confined to the light-cone prefix: the nodes up to the last one
+    where either starting layer is nonzero (exactly), growing by one node per
+    step up to the full grid.  Beyond it the stencil yields exact zeros, so
+    the result is the same bit for bit as stepping the whole grid.  The
+    layers live in a fixed set of buffers; a RadialState is built only for
+    the stored snapshots.
     """
     grid, params = config.grid, config.params
     if initial.grid != grid:
         raise ValueError("initial state grid does not match the configuration")
     if initial.params != params:
         raise ValueError("initial state parameters do not match the configuration")
-    h, r = grid.h, grid.r
+    h, r, n = grid.h, grid.r, grid.n
     t0 = initial.t
     span = config.t_final - t0
     n_steps = int(round(span / h))
     if n_steps < 0 or abs(span - n_steps * h) > 1e-9 * max(h, abs(span)):
         raise ValueError("t_final must be the initial time plus a whole number of steps")
 
+    rp = r ** (params.p - 1.0)
+    two_h_r = 2.0 * h * r
+    source = lambda w, u, m, out: _source_term(w, u, r, rp, params, h, config.origin_band,
+                                               config.linear, m, out)
     w_cur = initial.w.copy()
     u_cur = initial.u.copy()
     if initial_prev is not None:
@@ -268,65 +322,77 @@ def evolve(config: SolverConfig, initial: RadialState,
             raise ValueError("initial_prev must sit one step before the initial state")
         w_prev = initial_prev.w.copy()
     else:
-        F0 = _source(w_cur, u_cur, r, params, config.origin_band, config.linear)
+        hhF0 = source(w_cur, u_cur, None, None)
         d2 = np.zeros_like(w_cur)
         d2[1:-1] = w_cur[2:] - 2.0 * w_cur[1:-1] + w_cur[:-2]
         d2[-1] = w_cur[-2] - 2.0 * w_cur[-1]  # zero ghost
-        w_prev = w_cur - h * (r * initial.v) + 0.5 * (d2 + h * h * F0)
+        w_prev = w_cur - h * (r * initial.v) + 0.5 * (d2 + hhF0)
         w_prev[0] = 0.0
 
-    def check_layer(u: np.ndarray, t: float) -> None:
-        mx = np.max(np.abs(u))
+    def check_layer(u: np.ndarray, m: int, t: float) -> float:
+        mx = np.abs(u[:m]).max()
         if not np.isfinite(mx) or mx > config.blowup_threshold:
             raise BlowupDetected(f"field magnitude {mx!r} at t = {t!r}", t)
-        if config.cone_floor is not None and np.max(np.abs(u[-2:])) > config.cone_floor:
+        # nodes beyond the prefix hold exact zeros
+        if config.cone_floor is not None and np.abs(u[-2:]).max() > config.cone_floor:
             raise ConeViolation(
                 f"field reached the outer boundary at t = {t!r}; "
                 "enlarge the grid or disable the cone guard", t)
+        return float(mx)
 
-    check_layer(u_cur, t0)
+    # one row per layer: t, E, z, max |u|, support radius
+    log = np.empty((n_steps + 1, 5))
 
+    def log_row(k: int, t: float, u: np.ndarray, v: np.ndarray, max_abs_u: float) -> None:
+        E, z = diagnostics._energy_virial(u, v, r, h, params.p, params.mu)
+        log[k] = t, E, z, max_abs_u, diagnostics.support_radius(u, v, r)
+
+    # u_cur's buffer is recycled as well, so its nonzeros count too
+    m = _active_length(w_cur, w_prev, u_cur)
+    max_u = check_layer(u_cur, n + 1, t0)
     states = [initial]
-    log_rows = [(t0, diagnostics.energy(initial), diagnostics.virial(initial),
-                 float(np.max(np.abs(initial.u))),
-                 _support_radius(initial.u, initial.v, r))]
+    log_row(0, t0, initial.u, initial.v, max_u)
 
+    # w_nxt and u_nxt are overwritten in the prefix only; beyond it every
+    # buffer holds +0.0, as the full-grid stencil would
+    w_nxt, u_nxt = np.zeros(n + 1), np.zeros(n + 1)
+    v, hhF = np.zeros(n + 1), np.zeros(n + 1)
     for k in range(n_steps):
-        F = _source(w_cur, u_cur, r, params, config.origin_band, config.linear)
-        w_nxt = _advance(w_prev, w_cur, F, h)
-        u_nxt = _u_from_w(w_nxt, r)
-        check_layer(u_nxt, t0 + (k + 1) * h)
+        m = min(m + 1, n + 1)
+        source(w_cur, u_cur, m, hhF)
+        _advance(w_prev, w_cur, hhF, m, w_nxt)
+        _u_from_w(w_nxt, r, m, u_nxt)
+        max_nxt = check_layer(u_nxt, m, t0 + (k + 1) * h)
         if k >= 1:
-            # layer k gets its centered v now that layer k+1 exists
-            state_k = RadialState(grid=grid, params=params, t=t0 + k * h,
-                                  u=u_cur, v=_v_from_layers(w_nxt, w_prev, r, h))
-            log_rows.append((state_k.t, diagnostics.energy(state_k),
-                             diagnostics.virial(state_k),
-                             float(np.max(np.abs(state_k.u))),
-                             _support_radius(state_k.u, state_k.v, r)))
+            # layer k gets its centered v now that layer k+1 exists; the
+            # slices hold every nonzero of u and v plus two zero nodes, so the
+            # row equals energy/virial of the full state
+            _v_from_layers(w_nxt, w_prev, two_h_r, m, v)
+            e = min(m + 2, n + 1)
+            t_k = t0 + k * h
+            log_row(k, t_k, u_cur[:e], v[:e], max_u)
             if k % config.snapshot_stride == 0:
-                states.append(state_k)
-        w_prev, w_cur, u_cur = w_cur, w_nxt, u_nxt
+                states.append(RadialState(grid=grid, params=params, t=t_k, u=u_cur, v=v))
+        w_prev, w_cur, w_nxt = w_cur, w_nxt, w_prev
+        u_cur, u_nxt = u_nxt, u_cur
+        max_u = max_nxt
 
     if n_steps >= 1:
         # one auxiliary interior step past t_final feeds the same centered
         # stencil as every other layer; the extra layer is neither stored,
         # logged, nor run through the guards (a one-sided endpoint stencil
         # would amplify grid-scale wavefront oscillation several-fold)
-        F = _source(w_cur, u_cur, r, params, config.origin_band, config.linear)
-        w_aux = _advance(w_prev, w_cur, F, h)
-        v_fin = _v_from_layers(w_aux, w_prev, r, h)
-        final = RadialState(grid=grid, params=params, t=t0 + n_steps * h, u=u_cur, v=v_fin)
-        log_rows.append((final.t, diagnostics.energy(final), diagnostics.virial(final),
-                         float(np.max(np.abs(final.u))),
-                         _support_radius(final.u, final.v, r)))
-        states.append(final)
+        m = min(m + 1, n + 1)
+        source(w_cur, u_cur, m, hhF)
+        _advance(w_prev, w_cur, hhF, m, w_nxt)
+        _v_from_layers(w_nxt, w_prev, two_h_r, m, v)
+        e = min(m + 2, n + 1)
+        t_fin = t0 + n_steps * h
+        log_row(n_steps, t_fin, u_cur[:e], v[:e], max_u)
+        states.append(RadialState(grid=grid, params=params, t=t_fin, u=u_cur, v=v))
 
-    cols = list(zip(*log_rows))
-    log = StepLog(t=np.array(cols[0]), energy=np.array(cols[1]), virial=np.array(cols[2]),
-                  max_abs_u=np.array(cols[3]), support_radius=np.array(cols[4]))
-    return Trajectory(grid=grid, params=params, states=tuple(states), log=log,
-                      linear=config.linear)
+    return Trajectory(grid=grid, params=params, states=tuple(states),
+                      log=StepLog(*log.T), linear=config.linear)
 
 
 def _lattice_index(x: float, h: float, name: str) -> int:

@@ -445,3 +445,37 @@ def test_main_verify_w_exemplar_passes(tmp_path):
     check = next(c for c in manifest["checks"] if c["name"] == "decay_slope")
     assert check["value"] == abs(report["slope"] - report["slope_W"])
     assert -0.95 < report["slope_W"] < -0.93
+
+
+def test_verify_w_decay_slope_catches_damped_profile(tmp_path, monkeypatch):
+    # a solver that damps the profile's tail: sup_t |u| over all layers is W
+    # itself (layer 0), so only a fit over the evolved layers can see it
+    from nlwlab import RadialState, Trajectory
+    from nlwlab.cli import solver
+
+    real_evolve = solver.evolve
+
+    def damped_evolve(config, initial, *args, **kwargs):
+        traj = real_evolve(config, initial, *args, **kwargs)
+        damp = (1.0 + traj.grid.r ** 2 / 3.0) ** -0.05
+        states = [traj.states[0]] + [
+            RadialState(grid=s.grid, params=s.params, t=s.t, u=s.u * damp, v=s.v)
+            for s in traj.states[1:]]
+        return Trajectory(grid=traj.grid, params=traj.params, states=states,
+                          log=traj.log)
+
+    raw = {"scenario": "verify-W", "grid": {"h": 0.05, "n": 400},
+           "run": {"t_final": 0.5, "snapshot_stride": 5},
+           "checks": {"decay_slope": 1e-6}}
+
+    def decay_slope(out):
+        assert main(["verify-W", "--config", _write_config(tmp_path, raw),
+                     "--out", str(out)]) in (0, 1)
+        manifest = json.loads((out / "manifest.json").read_text())
+        return next(c for c in manifest["checks"] if c["name"] == "decay_slope")
+
+    assert decay_slope(tmp_path / "exact")["pass"]
+    monkeypatch.setattr(solver, "evolve", damped_evolve)
+    check = decay_slope(tmp_path / "damped")
+    assert not check["pass"]
+    assert check["value"] > 1e-3

@@ -27,6 +27,7 @@ from nlwlab.diagnostics import (
     smooth_cutoff,
     smooth_cutoff_gradient,
     support_and_hardy,
+    support_radius,
     virial,
     virial_rate,
 )
@@ -221,6 +222,17 @@ def test_support_radius_compact_bump(w_grid):
     # inside r = 2
     assert 1.9 <= support < 2.0
     assert hardy > 0.0
+
+
+def test_support_radius_of_prefix_matches_full_grid(w_grid):
+    # the solver's step log passes prefixes that hold every nonzero
+    u = bump(w_grid.r, radius=2.0)
+    v = 0.5 * bump(w_grid.r, radius=2.3)
+    state = RadialState(grid=w_grid, params=make_params(5.0, 1), t=0.0, u=u, v=v)
+    full = support_radius(u, v, w_grid.r)
+    assert full == support_and_hardy(state)[0]
+    assert 2.2 <= full < 2.3  # set by v, which reaches further than u
+    assert support_radius(u[:240], v[:240], w_grid.r) == full
 
 
 def test_support_zero_for_tiny_field(w_grid):
