@@ -38,6 +38,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -437,11 +438,10 @@ def _run_norms(cfg: ExperimentConfig, out: Path, threads: int):
     if tail_radii:
         _write(out, "tails.csv", norms.tails_to_csv(norms.tail_table(state, tail_radii)))
 
-    import warnings as _w
     if "route_agreement" in cfg.checks:
         worst = 0.0
-        with _w.catch_warnings():
-            _w.simplefilter("ignore")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
             for b in betas:
                 n1 = norms.sobolev_norm(state.u, cfg.grid, b)
                 n2 = norms.sobolev_norm_1d(state.u, cfg.grid, b)
@@ -449,8 +449,8 @@ def _run_norms(cfg: ExperimentConfig, out: Path, threads: int):
         checks.append(_check("route_agreement", worst,
                              _field(cfg.checks, "route_agreement", float)))
     if "l2_match" in cfg.checks:
-        with _w.catch_warnings():
-            _w.simplefilter("ignore")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
             val = norms.sobolev_norm(state.u, cfg.grid, 0.0)
         direct = float(np.sqrt(4.0 * np.pi * np.trapezoid(
             state.u ** 2 * cfg.grid.r ** 2, dx=cfg.grid.h)))

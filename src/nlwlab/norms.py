@@ -9,15 +9,16 @@ Fourier transform is
 with the constant fixed so that Plancherel reads
 ||phi||^2_{L^2} = (2 pi)^{-3} ||phi_hat||^2_{L^2} (calibrated on a Gaussian:
 the squared Hdot^beta norm of e^{-r^2/2} equals 2 pi Gamma(beta + 3/2)).
-T is a sine-transform quadrature on the grid, frequency nodes rho_k = k pi / R;
-in squared-norm form
+T is a trapezoid quadrature on the grid at the frequency nodes rho_k = k pi / R,
+evaluated by a type-I discrete sine transform (O(n log n)); in squared-norm form
 
     ||phi||^2_{Hdot^beta(R^3)} = 8 * int_0^inf rho^{2 beta} T(rho)^2 d rho.
 
-A second, independent route computes the same norm as 2 pi times the 1D
-fractional norm of s * phi(s) extended oddly, via an FFT on the doubled grid;
-the two routes must agree on smooth decayed profiles and their comparison is
-part of the acceptance surface.
+A second route computes the same norm as 2 pi times the 1D fractional norm of
+s * phi(s) extended oddly, via an FFT on the doubled grid.  It is a separate
+code path, not an independent algorithm: the DST-I is itself an FFT of that
+odd extension.  The two routes must agree on smooth decayed profiles and their
+comparison is part of the acceptance surface.
 """
 
 from __future__ import annotations
@@ -50,10 +51,6 @@ __all__ = [
 
 DECAY_WARN_FLOOR = 1e-12
 
-# direct O(n^2) quadrature below this node count; the fast sine transform
-# above it (bit-compatible with the direct sum, which a test enforces)
-_DST_MIN_NODES = 2048
-
 
 def _warn_if_not_decayed(phi: np.ndarray, what: str) -> None:
     edge = float(np.max(np.abs(phi[-2:])))
@@ -63,26 +60,19 @@ def _warn_if_not_decayed(phi: np.ndarray, what: str) -> None:
             "truncation error is uncontrolled", stacklevel=3)
 
 
-def sine_transform(phi, grid: RadialGrid, method: str = "auto") -> np.ndarray:
+def sine_transform(phi, grid: RadialGrid) -> np.ndarray:
     """T(rho_k) = int_0^R sin(rho_k s) s phi(s) ds at rho_k = k pi / R, k = 0..n.
 
     Composite trapezoid on the grid.  Since s phi vanishes at s = 0 and
     sin(rho_k s) vanishes at s = R for every k, the trapezoid sum reduces to
-    an interior sine sum, evaluated directly (method="direct") or by a fast
-    type-I sine transform (method="dst", identical values to rounding);
-    "auto" picks by grid size.
+    the interior sine sum h * sum_j sin(pi k j / n) f_j, which is half a
+    type-I DST of the interior nodes: O(n log n) time, O(n) memory, equal to
+    the explicit sum to rounding (not bit for bit).  T(0) = T(rho_n) = 0.
     """
     f = grid.r * np.asarray(phi, dtype=float)
-    if method == "auto":
-        method = "direct" if grid.n <= _DST_MIN_NODES else "dst"
-    if method == "direct":
-        rho = np.arange(grid.n + 1) * (np.pi / grid.R)
-        return grid.h * (np.sin(np.outer(rho, grid.r[1:-1])) @ f[1:-1])
-    if method == "dst":
-        T = np.zeros(grid.n + 1)
-        T[1:-1] = 0.5 * grid.h * scipy.fft.dst(f[1:-1], type=1)
-        return T
-    raise ValueError(f"unknown sine transform method {method!r}")
+    T = np.zeros(grid.n + 1)
+    T[1:-1] = 0.5 * grid.h * scipy.fft.dst(f[1:-1], type=1)
+    return T
 
 
 def radial_fourier(phi, grid: RadialGrid):
@@ -113,7 +103,7 @@ def sobolev_norm(phi, grid: RadialGrid, beta: float) -> float:
 
     Frequency-side route: sqrt(8 * trapezoid(rho^{2 beta} T^2)).  beta in
     [0, 3/2); beta = 0 reproduces the L^2 norm.  See :func:`sobolev_norm_1d`
-    for the independent cross-validation route.
+    for the cross-validation route.
     """
     beta = _check_beta(beta)
     phi = np.asarray(phi, dtype=float)
@@ -132,8 +122,9 @@ def sobolev_norm_1d(phi, grid: RadialGrid, beta: float) -> float:
 
     ||phi||^2_{Hdot^beta(R^3)} = 2 pi ||s phi||^2_{Hdot^beta(R)}; the 1D norm
     is a Parseval sum over the FFT of the odd extension on the doubled grid.
-    An independent code path from :func:`sobolev_norm`, kept for
-    cross-validation.
+    A separate code path from :func:`sobolev_norm`, kept for cross-validation;
+    not an independent algorithm, since the DST-I behind
+    :func:`sine_transform` is also an FFT of the odd extension.
     """
     beta = _check_beta(beta)
     phi = np.asarray(phi, dtype=float)

@@ -332,7 +332,7 @@ def evolve(config: SolverConfig, initial: RadialState,
     def check_layer(u: np.ndarray, m: int, t: float) -> float:
         mx = np.abs(u[:m]).max()
         if not np.isfinite(mx) or mx > config.blowup_threshold:
-            raise BlowupDetected(f"field magnitude {mx!r} at t = {t!r}", t)
+            raise BlowupDetected(f"field magnitude {float(mx)!r} at t = {t!r}", t)
         # nodes beyond the prefix hold exact zeros
         if config.cone_floor is not None and np.abs(u[-2:]).max() > config.cone_floor:
             raise ConeViolation(

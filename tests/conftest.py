@@ -52,3 +52,35 @@ def w_window_slope(grid, r_min):
     y = -0.5 * np.log(1.0 + r * r / 3.0)
     dx = x - x.mean()
     return float(np.sum(dx * (y - y.mean())) / np.sum(dx * dx))
+
+
+def direct_sine_sum(phi, grid):
+    """T(rho_k) = h * sum_j sin(rho_k r_j) r_j phi_j, rho_k = k pi / R, k = 0..n.
+
+    The composite-trapezoid sine transform as the explicit O(n^2) sum over the
+    interior nodes (the end terms vanish: r_0 = 0 and sin(rho_k R) = 0).  A
+    test oracle built from np.sin and np.outer only, sharing no code with
+    nlwlab.norms, whose DST-I and doubled-grid FFT routes are both FFTs of
+    the odd extension of r phi.
+    """
+    r = grid.r
+    rho = np.arange(grid.n + 1, dtype=float) * (np.pi / (grid.n * grid.h))
+    f = r[1:-1] * np.asarray(phi, dtype=float)[1:-1]
+    return grid.h * (np.sin(np.outer(rho, r[1:-1])) @ f)
+
+
+def norm_corpus(r):
+    """The ten radial profiles of the norm-engine acceptance criterion."""
+    from nlwlab.cli import profile_ode_flat
+    return [
+        np.exp(-r ** 2 / 2.0),
+        np.exp(-2.0 * r ** 2),
+        0.7 * np.exp(-r ** 2 / 4.5),
+        bump(r, radius=1.0),
+        0.5 * bump(r, radius=2.0),
+        1.3 * bump(r, radius=3.0),
+        profile_ode_flat(r, 1.0),
+        (1.0 + r ** 2) ** -2,
+        r ** 2 * np.exp(-r ** 2),
+        np.exp(-r ** 2 / 2.0) * np.cos(r),
+    ]

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import bump, w_window_slope
+from conftest import bump, norm_corpus, w_window_slope
 from nlwlab import (
     RadialGrid,
     RadialState,
@@ -274,20 +274,11 @@ def test_acceptance_07_norm_engine():
         target = 2.0 * math.pi * math.gamma(beta + 1.5)
         gamma_rel = max(gamma_rel, abs(sq - target) / target)
 
-    small = RadialGrid(h=0.05, n=1200)  # direct sine-matrix route engaged
-    r = small.r
-    corpus = [
-        np.exp(-r ** 2 / 2.0),
-        np.exp(-2.0 * r ** 2),
-        0.7 * np.exp(-r ** 2 / 4.5),
-        bump(r, radius=1.0),
-        0.5 * bump(r, radius=2.0),
-        1.3 * bump(r, radius=3.0),
-        cli.profile_ode_flat(r, 1.0),
-        (1.0 + r ** 2) ** -2,
-        r ** 2 * np.exp(-r ** 2),
-        np.exp(-r ** 2 / 2.0) * np.cos(r),
-    ]
+    # the DST-I sine transform against the doubled-grid FFT of the odd
+    # extension: separate code paths, not independent algorithms (the
+    # direct-sum oracle check is in tests/test_norms.py)
+    small = RadialGrid(h=0.05, n=1200)
+    corpus = norm_corpus(small.r)
     route_rel = 0.0
     import warnings
     with warnings.catch_warnings():

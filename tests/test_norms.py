@@ -1,7 +1,9 @@
 """Tests for the frequency-side norms, embeddings, and decay moduli."""
 
+import inspect
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
+from conftest import direct_sine_sum, norm_corpus
 from nlwlab import (
     RadialGrid,
     RadialState,
@@ -46,26 +49,62 @@ def gauss(r):
 # sine transform and radial Fourier transform
 
 
+SMALL_GRID = RadialGrid(h=0.05, n=1200)
+
+
+def _oracle_cases():
+    yield GAUSS_GRID, gauss(GAUSS_GRID.r)
+    for phi in norm_corpus(SMALL_GRID.r):
+        yield SMALL_GRID, phi
+
+
 def test_sine_transform_methods_agree_bitwise_scale():
-    # direct sine sum and type-I DST are mathematically identical
-    phi = gauss(GAUSS_GRID.r)
-    t_direct = sine_transform(phi, GAUSS_GRID, method="direct")
-    t_dst = sine_transform(phi, GAUSS_GRID, method="dst")
-    assert np.max(np.abs(t_direct - t_dst)) <= 1e-12 * np.max(np.abs(t_direct))
+    # the DST-I equals the explicit trapezoid sine sum to rounding
+    for grid, phi in _oracle_cases():
+        t_direct = direct_sine_sum(phi, grid)
+        t_dst = sine_transform(phi, grid)
+        assert np.max(np.abs(t_dst - t_direct)) <= 1e-12 * np.max(np.abs(t_direct))
 
 
 def test_sine_transform_auto_dispatch():
-    small = RadialGrid(h=0.05, n=512)
-    phi = gauss(small.r)
-    assert np.array_equal(sine_transform(phi, small, method="auto"),
-                          sine_transform(phi, small, method="direct"))
-    assert np.array_equal(sine_transform(gauss(GAUSS_GRID.r), GAUSS_GRID, method="auto"),
-                          sine_transform(gauss(GAUSS_GRID.r), GAUSS_GRID, method="dst"))
+    # one code path at every grid size: no method knob, and the default call
+    # matches the direct sum on both sides of the former 2048-node switch
+    assert list(inspect.signature(sine_transform).parameters) == ["phi", "grid"]
+    for n in (512, 2048, 2049):
+        grid = RadialGrid(h=0.01, n=n)
+        phi = gauss(grid.r)
+        t_direct = direct_sine_sum(phi, grid)
+        t_dst = sine_transform(phi, grid)
+        assert np.max(np.abs(t_dst - t_direct)) <= 1e-12 * np.max(np.abs(t_direct))
 
 
-def test_sine_transform_rejects_unknown_method():
-    with pytest.raises(ValueError):
-        sine_transform(gauss(GAUSS_GRID.r), GAUSS_GRID, method="fft")
+def test_sobolev_norm_matches_direct_oracle():
+    # 8 int rho^{2 beta} T^2 with T from the direct sum: a check of
+    # sobolev_norm that goes through no FFT
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # some corpus profiles decay slowly
+        for grid, phi in _oracle_cases():
+            T = direct_sine_sum(phi, grid)
+            drho = np.pi / (grid.n * grid.h)
+            rho = np.arange(grid.n + 1) * drho
+            for beta in (0.0, 0.5, 1.0, 1.4):
+                y = rho ** (2.0 * beta) * T ** 2
+                exact = math.sqrt(8.0 * drho * (np.sum(y) - 0.5 * (y[0] + y[-1])))
+                got = sobolev_norm(phi, grid, beta)
+                assert abs(got - exact) <= 1e-12 * exact
+
+
+def test_sobolev_norm_allocates_no_sine_matrix():
+    # an (n+1) x (n-1) sine matrix at n = 4096 is about 134 MB
+    grid = RadialGrid(h=0.01, n=4096)
+    phi = gauss(grid.r)
+    tracemalloc.start()
+    try:
+        sobolev_norm(phi, grid, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 1024 * 1024
 
 
 def test_radial_fourier_gaussian_analytic():
@@ -106,13 +145,12 @@ def test_l2_norm_matches_physical_side():
 
 
 def test_route_agreement_small_grid():
-    # n <= 2048 engages the direct sine matrix, so the odd-extension FFT
-    # route is genuinely independent code
-    grid = RadialGrid(h=0.05, n=1200)
-    phi = gauss(grid.r)
+    # DST-I against the doubled-grid FFT: separate code paths, not
+    # independent algorithms (the direct-sum oracle tests are above)
+    phi = gauss(SMALL_GRID.r)
     for beta in (0.0, 0.25, 0.5, 1.0, 1.4):
-        a = sobolev_norm(phi, grid, beta)
-        b = sobolev_norm_1d(phi, grid, beta)
+        a = sobolev_norm(phi, SMALL_GRID, beta)
+        b = sobolev_norm_1d(phi, SMALL_GRID, beta)
         assert abs(a - b) <= 1e-9 * a
 
 
