@@ -50,6 +50,7 @@ from nlwlab.core import (
     EquationParams,
     RadialGrid,
     RadialState,
+    _ode_blowup_constant,
     load_state,
     make_params,
     reference_W,
@@ -273,9 +274,7 @@ def profile_ode_flat(r, amplitude: float):
 
 def ode_flat_blowup_time(params: EquationParams, amplitude: float) -> float:
     """T with c_p T^{-a} = amplitude, the blowup time of the plateau data."""
-    a = params.a
-    c_p = (a * (a + 1.0)) ** (1.0 / (params.p - 1.0))
-    return (c_p / amplitude) ** (1.0 / a)
+    return (_ode_blowup_constant(params) / amplitude) ** (1.0 / params.a)
 
 
 def build_initial(desc: dict, grid: RadialGrid, params: EquationParams) -> RadialState:
@@ -751,13 +750,25 @@ _RUNNERS = {
 
 
 def run(config: ExperimentConfig, threads: int = 1) -> int:
-    """Execute a parsed config; write artifacts + manifest; 0 iff checks pass."""
+    """Execute a parsed config; write artifacts + manifest; 0 iff checks pass.
+
+    A solver guard the scenario does not handle (``solver.SolverError``)
+    still leaves a manifest, with status "aborted" and the error's type,
+    message and time; the error is then re-raised.
+    """
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    checks, notes, extra = _RUNNERS[config.scenario](config, out, threads)
+    error = None
+    try:
+        checks, notes, extra = _RUNNERS[config.scenario](config, out, threads)
+    except solver.SolverError as e:
+        error = e
+        checks, notes, status = [], [], "aborted"
+        extra = {"error": {"type": type(e).__name__, "message": str(e), "t": float(e.t)}}
+    else:
+        status = "pass" if all(c["pass"] for c in checks) else "fail"
     walltime = time.perf_counter() - t0
-    status = "pass" if all(c["pass"] for c in checks) else "fail"
     manifest = {
         "scenario": config.scenario,
         "version": __version__,
@@ -769,6 +780,8 @@ def run(config: ExperimentConfig, threads: int = 1) -> int:
         "status": status,
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    if error is not None:
+        raise error
     return 0 if status == "pass" else 1
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -107,6 +108,28 @@ class RadialGrid:
     def R(self) -> float:
         """Outer radius n * h."""
         return self.n * self.h
+
+    @cached_property
+    def _r_text(self) -> tuple:
+        """Coordinate column of the state text, ``f"{r_j!r} "`` per node.
+
+        Built on first use and held by this grid (not a field, so equality and
+        hashing ignore it); every snapshot written on the grid shares it.
+        """
+        return tuple(f"{r!r} " for r in self._r.tolist())
+
+
+def _live_length(*cols: np.ndarray) -> int:
+    """Length of the prefix outside which every column is exactly +0.0.
+
+    +0.0 is the only float64 whose bits are all zero, so -0.0 counts as live
+    (it prints as -0.0, and the solver's stencil carries its sign).
+    """
+    bits = np.zeros(len(cols[0]), dtype=np.uint64)
+    for x in cols:
+        bits |= x.view(np.uint64)
+    idx = np.flatnonzero(bits)
+    return int(idx[-1]) + 1 if idx.size else 0
 
 
 def _readonly(x, n_nodes: int, name: str) -> np.ndarray:
@@ -291,6 +314,12 @@ def reference_W(grid: RadialGrid) -> RadialState:
     )
 
 
+def _ode_blowup_constant(params: EquationParams) -> float:
+    """c_p = (a (a + 1))^{1/(p-1)}, the amplitude of the ODE blowup solution."""
+    a = params.a
+    return (a * (a + 1.0)) ** (1.0 / (params.p - 1.0))
+
+
 def reference_ode_blowup(params: EquationParams, T: float, t):
     """Space-independent focusing blowup u(t) = c_p (T - t)^{-a}.
 
@@ -304,8 +333,7 @@ def reference_ode_blowup(params: EquationParams, T: float, t):
     if np.any(t >= T):
         raise ValueError("the reference blowup is defined for t < T only")
     a = params.a
-    c_p = (a * (a + 1.0)) ** (1.0 / (params.p - 1.0))
-    out = c_p * (T - t) ** (-a)
+    out = _ode_blowup_constant(params) * (T - t) ** (-a)
     return float(out) if out.ndim == 0 else out
 
 
@@ -316,6 +344,12 @@ def reference_ode_blowup(params: EquationParams, T: float, t):
 
 
 def state_to_text(state: RadialState) -> str:
+    """Format a state; only the live prefix of (u, v) is converted to text.
+
+    Rows beyond the prefix hold +0.0 in both columns and are written as the
+    grid's cached coordinate text followed by "0.0 0.0", which is what repr()
+    gives, so the output is the same as formatting every row.
+    """
     header = {
         "p": state.params.p,
         "mu": state.params.mu,
@@ -323,8 +357,12 @@ def state_to_text(state: RadialState) -> str:
         "n": state.grid.n,
         "t": state.t,
     }
+    r_text = state.grid._r_text
+    m = _live_length(state.u, state.v)
     lines = ["# " + json.dumps(header)]
-    lines += [f"{r!r} {u!r} {v!r}" for r, u, v in _float_rows(state.grid.r, state.u, state.v)]
+    lines += [f"{rc}{u!r} {v!r}" for rc, u, v in
+              zip(r_text, state.u[:m].tolist(), state.v[:m].tolist())]
+    lines += [rc + "0.0 0.0" for rc in r_text[m:]]
     return "\n".join(lines) + "\n"
 
 

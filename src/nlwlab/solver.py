@@ -32,6 +32,7 @@ from nlwlab.core import (
     RadialState,
     StepLog,
     Trajectory,
+    _live_length,
     even_origin_value,
 )
 from nlwlab import diagnostics
@@ -213,18 +214,13 @@ def _v_from_layers(w_hi: np.ndarray, w_lo: np.ndarray, two_h_r: np.ndarray,
 
 
 def _active_length(*layers: np.ndarray) -> int:
-    """Length of the node prefix outside which every layer is exactly +0.0.
+    """Live prefix of the layers (:func:`nlwlab.core._live_length`), at least 3 nodes.
 
-    Negative zeros count as live, since the stencil can carry their sign; the
-    result is at least 3 (the origin extrapolation reads nodes 1 and 2).  The
+    The origin extrapolation reads nodes 1 and 2, hence the clamp.  The
     stencil maps a +0.0 neighbourhood to +0.0, so one step can only extend
     the prefix by the one node the light cone adds.
     """
-    live = np.zeros(len(layers[0]), dtype=bool)
-    for x in layers:
-        live |= (x != 0.0) | np.signbit(x)
-    idx = np.flatnonzero(live)
-    return min(len(live), max(int(idx[-1]) + 1 if idx.size else 0, 3))
+    return min(len(layers[0]), max(_live_length(*layers), 3))
 
 
 def step(prev: RadialState, curr: RadialState, *, origin_band: int = 2,

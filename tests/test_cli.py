@@ -302,6 +302,32 @@ def test_main_solver_error_exits_1(tmp_path, capsys):
     assert "solver:" in capsys.readouterr().err
 
 
+def test_main_solver_abort_writes_manifest(tmp_path, capsys):
+    # a p = 7 bump on a grid too short for t_final trips the cone guard; the
+    # run still leaves a manifest saying why and when it stopped
+    out = tmp_path / "out"
+    raw = {
+        "scenario": "evolve",
+        "equation": {"p": 7.0, "mu": 1},
+        "grid": {"h": 0.01, "n": 200},
+        "initial": {"kind": "bump", "radius": 1.0, "amplitude": 1.0},
+        "run": {"t_final": 2.0},
+        "output": {"dir": str(out)},
+    }
+    cfg_path = _write_config(tmp_path, raw)
+    assert main(["evolve", "--config", cfg_path]) == 1
+    err = capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "aborted"
+    assert manifest["scenario"] == "evolve"
+    assert manifest["config"] == raw
+    assert manifest["checks"] == []
+    error = manifest["error"]
+    assert error["type"] == "ConeViolation"
+    assert 0.0 < error["t"] < 2.0
+    assert err == f"solver: {error['message']} (t = {error['t']!r})\n"
+
+
 def test_main_off_lattice_time_exits_2(tmp_path, capsys):
     raw = {
         "scenario": "evolve",

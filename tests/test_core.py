@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,6 +252,126 @@ def test_state_text_rejects_tampered_header():
     bad = "# " + json.dumps(header) + "\n" + "\n".join(text.splitlines()[1:]) + "\n"
     with pytest.raises(ValueError):
         state_from_text(bad)
+
+
+# The state writer before it learned to skip the +0.0 tail, kept verbatim
+# (with the row helper it used) as the byte-level oracle for state_to_text.
+
+
+def _seed_float_rows(*cols: np.ndarray):
+    for k in range(0, len(cols[0]), 512):
+        yield from zip(*(c[k:k + 512].tolist() for c in cols))
+
+
+def _seed_state_to_text(state: RadialState) -> str:
+    header = {
+        "p": state.params.p,
+        "mu": state.params.mu,
+        "h": state.grid.h,
+        "n": state.grid.n,
+        "t": state.t,
+    }
+    lines = ["# " + json.dumps(header)]
+    lines += [f"{r!r} {u!r} {v!r}" for r, u, v in _seed_float_rows(state.grid.r, state.u, state.v)]
+    return "\n".join(lines) + "\n"
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def _assert_writes_like_seed(state):
+    text = state_to_text(state)
+    assert text == _seed_state_to_text(state)
+    back = state_from_text(text)
+    assert np.array_equal(_bits(back.u), _bits(state.u))  # signs of zero too
+    assert np.array_equal(_bits(back.v), _bits(state.v))
+
+
+@pytest.mark.parametrize("name", ["evolve_bump.json", "verify_w.json"])
+def test_state_to_text_matches_seed_on_exemplar_runs(name):
+    from nlwlab import solver
+    from nlwlab.cli import _solver_config, build_initial, parse_config
+
+    raw = json.loads((Path(__file__).resolve().parents[1] / "configs" / name).read_text())
+    cfg = parse_config(raw)
+    traj = solver.evolve(_solver_config(cfg), build_initial(cfg.initial, cfg.grid, cfg.params))
+    assert len(traj.states) > 2
+    for state in traj.states:
+        _assert_writes_like_seed(state)
+
+
+def _edge_states():
+    g = RadialGrid(h=0.125, n=40)
+    p = make_params(5.0, -1)
+    r = g.r
+    tiny = 5e-324  # smallest subnormal
+    zero = np.zeros(41)
+
+    def at(idx, val, base=zero):
+        x = base.copy()
+        x[idx] = val
+        return x
+
+    bump = np.where(r < 2.0, np.cos(0.25 * np.pi * r) ** 2, 0.0)
+    return {
+        "all_zero": (zero, zero),
+        "last_node_only": (at(40, 1e-3), zero),
+        "last_node_only_v": (zero, at(40, -2.5)),
+        "neg_zero_tail_u": (at(35, -0.0, bump), zero),
+        "neg_zero_tail_v": (bump, at(40, -0.0)),
+        "subnormal_edge_u": (at(16, tiny, bump), 0.5 * bump),
+        "subnormal_edge_v": (bump, at(17, -2.2250738585072014e-308, bump)),
+        "subnormal_only": (at(3, -tiny), at(4, 1e-310)),
+        "gaussian_full": (np.exp(-r ** 2), -2.0 * r * np.exp(-r ** 2)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_edge_states()))
+def test_state_to_text_matches_seed_on_edge_cases(case):
+    u, v = _edge_states()[case]
+    g = RadialGrid(h=0.125, n=40)
+    _assert_writes_like_seed(RadialState(grid=g, params=make_params(5.0, -1),
+                                         t=0.375, u=u, v=v))
+
+
+_TEXT_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308]))
+
+
+@given(st.integers(min_value=2, max_value=40), st.data())
+def test_state_to_text_matches_seed_with_zero_tails(n, data):
+    # u and v get independent live lengths; everything past them is +0.0,
+    # and the values (from hypothesis' floats) include -0.0 and subnormals
+    cols = []
+    for _ in range(2):
+        live = data.draw(st.lists(_TEXT_FLOATS, max_size=n + 1))
+        cols.append(np.array(live + [0.0] * (n + 1 - len(live)), dtype=float))
+    h = data.draw(st.sampled_from([0.1, 0.125, 1.0 / 3.0, 7.5]))
+    g = RadialGrid(h=h, n=n)
+    _assert_writes_like_seed(RadialState(grid=g, params=make_params(7.0, 1),
+                                         t=data.draw(st.floats(-1e3, 1e3)),
+                                         u=cols[0], v=cols[1]))
+
+
+def test_state_text_cache_belongs_to_its_grid():
+    # same n, different h: interleaved writes must each use their own grid's
+    # coordinate text
+    p = make_params(5.0, -1)
+    grids = [RadialGrid(h=0.1, n=30), RadialGrid(h=0.3, n=30)]
+    rng = np.random.default_rng(7)
+    for k in range(6):
+        g = grids[k % 2]
+        u = np.zeros(31)
+        u[:10 + k] = rng.standard_normal(10 + k)
+        s = RadialState(grid=g, params=p, t=0.1 * k, u=u, v=np.zeros(31))
+        assert state_to_text(s) == _seed_state_to_text(s)
+    for g in grids:
+        assert "_r_text" in vars(g)  # filled by the writes above
+        fresh = RadialGrid(h=g.h, n=g.n)
+        assert g == fresh and hash(g) == hash(fresh)
+    assert grids[0] != grids[1]
 
 
 def test_step_log_csv_round_trip():
