@@ -302,9 +302,7 @@ def test_state_to_text_matches_seed_on_exemplar_runs(name):
 
 
 def _edge_states():
-    g = RadialGrid(h=0.125, n=40)
-    p = make_params(5.0, -1)
-    r = g.r
+    r = RadialGrid(h=0.125, n=40).r
     tiny = 5e-324  # smallest subnormal
     zero = np.zeros(41)
 
