@@ -241,6 +241,17 @@ def parse_config(raw: dict, scenario: str | None = None,
     for key in cfg.checks:
         if key not in _SCENARIO_CHECKS[name]:
             raise ConfigError(f"checks.{key}: unknown check for scenario {name}")
+    # the solver's lattice rule, applied before any output exists; file data
+    # keeps the solver-side check, since its start time is known only once loaded
+    evolves = name in ("evolve", "diagnose", "verify-W", "linear-check") or (
+        name == "norms" and "sp_interval" in cfg.section)
+    if evolves and kind != "file":
+        try:
+            solver.step_count(0.0, t_final, h)
+        except ValueError:
+            raise ConfigError(
+                f"run.t_final: {t_final!r} is not a whole, nonnegative number of "
+                f"steps of h = {h!r} from t = 0") from None
     return cfg
 
 
@@ -686,7 +697,7 @@ def _run_linear_check(cfg: ExperimentConfig, out: Path, threads: int):
     checks, notes = [], []
     params = cfg.params
     grid = cfg.grid
-    n_steps = int(round(cfg.t_final / grid.h))
+    n_steps = solver.step_count(0.0, cfg.t_final, grid.h)
 
     hat = _hat_state(grid, params)
     traj = solver.evolve(_solver_config(cfg, linear=True,

@@ -10,7 +10,9 @@ with the constant fixed so that Plancherel reads
 ||phi||^2_{L^2} = (2 pi)^{-3} ||phi_hat||^2_{L^2} (calibrated on a Gaussian:
 the squared Hdot^beta norm of e^{-r^2/2} equals 2 pi Gamma(beta + 3/2)).
 T is a trapezoid quadrature on the grid at the frequency nodes rho_k = k pi / R,
-evaluated by a type-I discrete sine transform (O(n log n)); in squared-norm form
+evaluated by a type-I discrete sine transform (O(n log n)), computed as the
+real FFT (numpy.fft.rfft) of the odd extension of s * phi on the doubled grid;
+in squared-norm form
 
     ||phi||^2_{Hdot^beta(R^3)} = 8 * int_0^inf rho^{2 beta} T(rho)^2 d rho.
 
@@ -28,7 +30,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from nlwlab.core import RadialGrid, RadialState, Trajectory
 from nlwlab.solver import characteristics
@@ -60,18 +61,30 @@ def _warn_if_not_decayed(phi: np.ndarray, what: str) -> None:
             "truncation error is uncontrolled", stacklevel=3)
 
 
+def _odd_extension(f: np.ndarray) -> np.ndarray:
+    """[f_0, ..., f_n, -f_{n-1}, ..., -f_1]: f extended oddly onto the doubled grid."""
+    n = len(f) - 1
+    x = np.empty(2 * n)
+    x[: n + 1] = f
+    x[n + 1:] = -f[n - 1:0:-1]
+    return x
+
+
 def sine_transform(phi, grid: RadialGrid) -> np.ndarray:
     """T(rho_k) = int_0^R sin(rho_k s) s phi(s) ds at rho_k = k pi / R, k = 0..n.
 
     Composite trapezoid on the grid.  Since s phi vanishes at s = 0 and
     sin(rho_k s) vanishes at s = R for every k, the trapezoid sum reduces to
     the interior sine sum h * sum_j sin(pi k j / n) f_j, which is half a
-    type-I DST of the interior nodes: O(n log n) time, O(n) memory, equal to
+    type-I DST of the interior nodes.  The DST-I is minus the imaginary part
+    of the real FFT (numpy.fft.rfft) of the odd extension [0, f_1..f_{n-1},
+    0, -f_{n-1}..-f_1] of length 2n: O(n log n) time, O(n) memory, equal to
     the explicit sum to rounding (not bit for bit).  T(0) = T(rho_n) = 0.
     """
-    f = grid.r * np.asarray(phi, dtype=float)
+    x = _odd_extension(grid.r * np.asarray(phi, dtype=float))
+    x[0] = x[grid.n] = 0.0  # the end terms of the trapezoid vanish
     T = np.zeros(grid.n + 1)
-    T[1:-1] = 0.5 * grid.h * scipy.fft.dst(f[1:-1], type=1)
+    T[1:-1] = -0.5 * grid.h * np.fft.rfft(x).imag[1:-1]
     return T
 
 
@@ -129,12 +142,8 @@ def sobolev_norm_1d(phi, grid: RadialGrid, beta: float) -> float:
     beta = _check_beta(beta)
     phi = np.asarray(phi, dtype=float)
     _warn_if_not_decayed(phi, "radial profile")
-    f = grid.r * phi
     n = grid.n
-    x = np.empty(2 * n)
-    x[: n + 1] = f
-    x[n + 1:] = -f[n - 1:0:-1]
-    X = np.fft.fft(x)
+    X = np.fft.fft(_odd_extension(grid.r * phi))
     xi = 2.0 * np.pi * np.fft.fftfreq(2 * n, d=grid.h)
     weight = np.empty_like(xi)
     weight[0] = 1.0 if beta == 0.0 else 0.0

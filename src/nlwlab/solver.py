@@ -48,6 +48,7 @@ __all__ = [
     "evolve",
     "representation_residual",
     "step",
+    "step_count",
 ]
 
 class SolverError(RuntimeError):
@@ -253,6 +254,21 @@ def step(prev: RadialState, curr: RadialState, *, origin_band: int = 2,
     return RadialState(grid=curr.grid, params=curr.params, t=curr.t + dt, u=u_nxt, v=v_nxt)
 
 
+def step_count(t0: float, t_final: float, h: float) -> int:
+    """Number of steps of size h from t0 to t_final.
+
+    Raises ValueError unless t_final is t0 plus a whole, nonnegative number
+    of steps, to a relative tolerance of 1e-9.
+    """
+    span = t_final - t0
+    if not np.isfinite(span):
+        raise ValueError("t_final must be finite")
+    n_steps = int(round(span / h))
+    if n_steps < 0 or abs(span - n_steps * h) > 1e-9 * max(h, abs(span)):
+        raise ValueError("t_final must be the initial time plus a whole number of steps")
+    return n_steps
+
+
 def evolve(config: SolverConfig, initial: RadialState,
            initial_prev: RadialState | None = None) -> Trajectory:
     """Run the scheme from an initial state up to config.t_final.
@@ -300,10 +316,7 @@ def evolve(config: SolverConfig, initial: RadialState,
         raise ValueError("initial state parameters do not match the configuration")
     h, r, n = grid.h, grid.r, grid.n
     t0 = initial.t
-    span = config.t_final - t0
-    n_steps = int(round(span / h))
-    if n_steps < 0 or abs(span - n_steps * h) > 1e-9 * max(h, abs(span)):
-        raise ValueError("t_final must be the initial time plus a whole number of steps")
+    n_steps = step_count(t0, config.t_final, h)
 
     rp = r ** (params.p - 1.0)
     two_h_r = 2.0 * h * r

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -329,6 +333,7 @@ def test_main_solver_abort_writes_manifest(tmp_path, capsys):
 
 
 def test_main_off_lattice_time_exits_2(tmp_path, capsys):
+    # rejected while parsing: no output directory is created
     raw = {
         "scenario": "evolve",
         "grid": {"h": 0.125, "n": 64},
@@ -338,7 +343,72 @@ def test_main_off_lattice_time_exits_2(tmp_path, capsys):
     }
     cfg_path = _write_config(tmp_path, raw)
     assert main(["evolve", "--config", cfg_path]) == 2
-    assert "config:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config: run.t_final: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scenario, extra", [
+    ("evolve", {"initial": {"kind": "bump"}}),
+    ("diagnose", {"initial": {"kind": "bump"}, "diagnose": {"Rc": 1.0}}),
+    ("verify-W", {}),
+    ("linear-check", {}),
+    ("norms", {"initial": {"kind": "bump"}, "norms": {"sp_interval": [0.0, 0.25]}}),
+])
+def test_parse_config_rejects_off_lattice_t_final(scenario, extra):
+    raw = {"scenario": scenario, "grid": {"h": 0.125, "n": 64},
+           "output": {"dir": "/tmp/unused"}, **extra}
+    for t_final in (0.3, -0.25, float("inf")):
+        raw["run"] = {"t_final": t_final}
+        with pytest.raises(ConfigError, match=r"^run\.t_final: "):
+            parse_config(raw)
+    raw["run"] = {"t_final": 0.375}
+    assert parse_config(raw).t_final == 0.375
+
+
+def test_parse_config_lattice_rule_skips_unevolved_and_file_data(tmp_path):
+    # norms without sp_interval never evolves; file data starts at its stored
+    # time, so the solver keeps the check (exit 2 before any step is taken)
+    raw = {"scenario": "norms", "grid": {"h": 0.125, "n": 64},
+           "initial": {"kind": "bump"}, "run": {"t_final": 0.3},
+           "output": {"dir": str(tmp_path / "norms")}}
+    assert parse_config(raw).t_final == 0.3
+
+    grid, params = RadialGrid(h=0.125, n=64), make_params(5.0, 1)
+    state = build_initial({"kind": "bump"}, grid, params)
+    save_state(state, tmp_path / "init.txt")
+    raw = {"scenario": "evolve", "grid": {"h": 0.125, "n": 64},
+           "initial": {"kind": "file", "path": str(tmp_path / "init.txt")},
+           "run": {"t_final": 0.3}, "output": {"dir": str(tmp_path / "out")}}
+    assert parse_config(raw).t_final == 0.3
+    assert main(["evolve", "--config", _write_config(tmp_path, raw)]) == 2
+
+
+def _python(code: str, cwd) -> subprocess.CompletedProcess:
+    src = str(Path(nlwlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    # with scipy unimportable, the norm engine still runs its exemplar
+    config = Path(__file__).resolve().parents[1] / "configs" / "norms_gaussian.json"
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import json, pathlib\n"
+        "from nlwlab import cli\n"
+        f"raw = json.loads(pathlib.Path({str(config)!r}).read_text())\n"
+        "sys.exit(cli.run(cli.parse_config(raw, out_override='out')))\n")
+    proc = _python(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == "pass"
+
+    proc = _python("import sys, nlwlab.cli; print('scipy' in sys.modules)", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_main_evolve_artifacts(tmp_path):

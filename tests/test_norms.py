@@ -78,6 +78,21 @@ def test_sine_transform_auto_dispatch():
         assert np.max(np.abs(t_dst - t_direct)) <= 1e-12 * np.max(np.abs(t_direct))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 1019])
+def test_sine_transform_edge_sizes(n):
+    # n = 2: one interior node, an extension of length 4; n = 1019: the FFT
+    # length 2n has the large prime factor 1019, off pocketfft's radix path
+    grid = RadialGrid(h=10.0 / n, n=n)
+    rng = np.random.default_rng(n)
+    for phi in (gauss(grid.r), rng.standard_normal(n + 1)):
+        t_direct = direct_sine_sum(phi, grid)
+        t_dst = sine_transform(phi, grid)
+        assert t_dst.shape == (n + 1,)
+        assert np.max(np.abs(t_dst - t_direct)) <= 1e-12 * np.max(np.abs(t_direct))
+        ends = t_dst[[0, -1]]
+        assert ends.tobytes() == np.zeros(2).tobytes()  # +0.0, not just == 0
+
+
 def test_sobolev_norm_matches_direct_oracle():
     # 8 int rho^{2 beta} T^2 with T from the direct sum: a check of
     # sobolev_norm that goes through no FFT
