@@ -252,7 +252,49 @@ def parse_config(raw: dict, scenario: str | None = None,
             raise ConfigError(
                 f"run.t_final: {t_final!r} is not a whole, nonnegative number of "
                 f"steps of h = {h!r} from t = 0") from None
+    if name == "diagnose":
+        _validate_diagnose(cfg, kind)
     return cfg
+
+
+def _diagnose_times(cfg: ExperimentConfig) -> list:
+    """diagnose.times as floats (default: the middle of the run), each a
+    lattice time whose neighbours t - h and t + h lie inside the run."""
+    h = cfg.grid.h
+    times = _field(cfg.section, "times", list, default=[cfg.t_final / 2.0])
+    if any(isinstance(t, bool) or not isinstance(t, (int, float)) for t in times):
+        raise ConfigError("diagnose.times: expected a list of numbers")
+    for t in times:
+        k = round(t / h)
+        if abs(t - k * h) > 1e-9 * max(h, abs(t)):
+            raise ConfigError(f"diagnose.times: {t} is not on the time lattice")
+        if not (h - 1e-12 <= t <= cfg.t_final - h + 1e-12):
+            raise ConfigError(
+                f"diagnose.times: {t} needs both t - h and t + h inside the run")
+    return [float(t) for t in times]
+
+
+def _validate_diagnose(cfg: ExperimentConfig, kind: str) -> None:
+    """The diagnose run's lattice rules, checked before any output exists.
+
+    Explicit diagnose.times are checked here; the default midpoint, which
+    depends on t_final alone, is checked as the run starts, before it writes
+    anything.  The refinement checks rerun the scenario at 2h on n / 2 nodes.
+    """
+    if "times" in cfg.section:
+        _diagnose_times(cfg)
+    if "virial_consistency_order" in cfg.checks or "identity_order" in cfg.checks:
+        if cfg.grid.n % 2 != 0:
+            raise ConfigError("grid.n: refinement checks need an even node count")
+        if kind == "file":
+            raise ConfigError("initial.kind: refinement checks need generated data, "
+                              "not a state file on one grid")
+        try:
+            solver.step_count(0.0, cfg.t_final, 2.0 * cfg.grid.h)
+        except ValueError:
+            raise ConfigError(
+                f"run.t_final: refinement checks need a whole number of steps of "
+                f"2h = {2.0 * cfg.grid.h!r} from t = 0") from None
 
 
 # --- initial data -------------------------------------------------------------
@@ -499,16 +541,8 @@ def _run_diagnose(cfg: ExperimentConfig, out: Path, threads: int):
     checks, notes = [], []
     sec = cfg.section
     Rc = _field(sec, "Rc", float)
-    times = [float(t) for t in _field(sec, "times", list, default=[cfg.t_final / 2.0])]
+    times = _diagnose_times(cfg)
     cutoffs = [float(c) for c in _field(sec, "cutoffs", list, default=[Rc])]
-    h = cfg.grid.h
-    for t in times:
-        k = round(t / h)
-        if abs(t - k * h) > 1e-9 * max(h, abs(t)):
-            raise ConfigError(f"diagnose.times: {t} is not on the time lattice")
-        if not (h - 1e-12 <= t <= cfg.t_final - h + 1e-12):
-            raise ConfigError(
-                f"diagnose.times: {t} needs both t - h and t + h inside the run")
     if cfg.params.mu == -1:
         notes.append("energy: non-coercive (focusing sign)")
 
@@ -524,8 +558,6 @@ def _run_diagnose(cfg: ExperimentConfig, out: Path, threads: int):
                    or "identity_order" in cfg.checks)
     coarse = None
     if need_coarse:
-        if cfg.grid.n % 2 != 0:
-            raise ConfigError("grid.n: refinement checks need an even node count")
         cgrid = RadialGrid(h=2.0 * cfg.grid.h, n=cfg.grid.n // 2)
         cinitial = build_initial(cfg.initial, cgrid, cfg.params)
         coarse = solver.evolve(
@@ -765,14 +797,21 @@ def run(config: ExperimentConfig, threads: int = 1) -> int:
 
     A solver guard the scenario does not handle (``solver.SolverError``)
     still leaves a manifest, with status "aborted" and the error's type,
-    message and time; the error is then re-raised.
+    message and time; the error is then re-raised.  A ``ConfigError`` found
+    by the scenario leaves no manifest; the output directory is removed if
+    this call created it and it is still empty.
     """
     out = Path(config.out_dir)
+    created = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     error = None
     try:
         checks, notes, extra = _RUNNERS[config.scenario](config, out, threads)
+    except ConfigError:
+        if created and not any(out.iterdir()):
+            out.rmdir()
+        raise
     except solver.SolverError as e:
         error = e
         checks, notes, status = [], [], "aborted"

@@ -26,6 +26,7 @@ __all__ = [
     "residual_sweep_to_json",
     "smooth_cutoff",
     "smooth_cutoff_gradient",
+    "step_log_rows",
     "support_and_hardy",
     "support_radius",
     "virial",
@@ -33,6 +34,8 @@ __all__ = [
 ]
 
 SUPPORT_FLOOR = 1e-12
+# trailing columns where the support search starts (see _support_radii)
+SUPPORT_WINDOW = 64
 
 
 def smooth_cutoff(r, Rc: float):
@@ -53,48 +56,128 @@ def smooth_cutoff_gradient(r, Rc: float):
     return -(30.0 * y * y - 60.0 * y ** 3 + 30.0 * y ** 4) / Rc
 
 
-def _radial_integral(density: np.ndarray, r: np.ndarray, h: float):
+def _radial_integral(density: np.ndarray, r: np.ndarray, h: float,
+                     terms: np.ndarray | None = None):
     """4 pi * trapezoid(density r^2 dr) over the whole grid r.
 
     density may cover only a prefix of the grid whose last node is zero; the
     grid beyond it counts as zero.  The sum runs over the same number of
     terms either way, so a prefix gives the full-grid value bit for bit.  A
     stack of densities (integrated along the last axis) gives a list.
+    Given scratch ``terms`` (rows contiguous, at least len(r) - 1 columns,
+    zero from column m = density.shape[-1] on), the quadrature works in
+    place: density is overwritten and the scratch keeps that zero tail.
     """
     m = density.shape[-1]
-    y = density * r[:m] * r[:m]
-    terms = np.zeros(density.shape[:-1] + (len(r) - 1,))
+    n = len(r) - 1
+    if terms is None:
+        density = density * r[:m]
+        terms = np.zeros(density.shape[:-1] + (n,))
+    else:
+        density *= r[:m]
+        terms = terms[..., :n]
+        if m - 1 < n:
+            terms[..., m - 1] = 0.0
+    density *= r[:m]
     head = terms[..., :m - 1]
-    np.add(y[..., 1:], y[..., :-1], out=head)
+    np.add(density[..., 1:], density[..., :-1], out=head)
     head *= h
-    head /= 2.0
+    head *= 0.5  # x * 0.5 and x / 2 round the same real number: equal bits
     return (4.0 * np.pi * terms.sum(axis=-1)).tolist()
 
 
-def _energy_virial(u: np.ndarray, v: np.ndarray, r: np.ndarray, h: float,
-                   p: float, mu: int):
-    """(E, z) of nodal fields, evaluated on the fields' own exact-zero extent.
+class _RowBuffers:
+    """Scratch for :func:`_energy_virial` on up to ``rows`` rows of a grid
+    with ``n_nodes`` nodes.
 
-    u and v may be prefixes of the grid r that hold all their nonzeros.  Two
-    nodes past the last nonzero of u or v the density vanishes (d_r u is
-    centered there and zero), so the densities are formed only up to there;
-    the quadrature then sums over the whole grid.  :func:`energy`,
-    :func:`virial` and the solver's per-step log all go through here, so the
-    logged and recomputed values agree bit for bit.
+    The solver allocates one set per run.  A call writes only the columns
+    its rows span, and those never shrink within a run, so ``s`` stays zero
+    past them, which the quadrature's zero padding relies on.
     """
-    nz = np.flatnonzero((u != 0.0) | (v != 0.0))
-    m = min(len(u), max(int(nz[-1]) + 3 if nz.size else 0, 3))
-    u, v = u[:m], v[:m]
-    # np.gradient(u, h), same arithmetic without its generic set-up
-    du = np.empty(m)
-    np.subtract(u[2:], u[:-2], out=du[1:-1])
-    du[1:-1] /= 2.0 * h
-    du[0], du[-1] = (u[1] - u[0]) / h, (u[-1] - u[-2]) / h
-    densities = np.empty((2, m))
-    densities[0] = 0.5 * du * du + 0.5 * v * v + mu * np.abs(u) ** (p + 1.0) / (p + 1.0)
-    densities[1] = (u + r[:m] * du) * v
-    E, z = _radial_integral(densities, r, h)
-    return E, z
+
+    def __init__(self, rows: int, n_nodes: int):
+        self.du, self.e, self.s = np.zeros((3, rows, n_nodes))
+
+
+def _energy_virial(u: np.ndarray, v: np.ndarray, r: np.ndarray, h: float,
+                   p: float, mu: int, buffers: _RowBuffers | None = None):
+    """Lists (E, z), one value per row of the field stacks u, v of shape (k, W).
+
+    Each row is one layer on the grid prefix r[:W], +0.0 past its own last
+    nonzero; the quadrature sums over the whole grid r, so a row gives the
+    value of its full-grid field bit for bit.  The arithmetic of a row does
+    not depend on the others.  :func:`energy`, :func:`virial` (one row) and
+    the solver's per-step log (:func:`step_log_rows`, a block of rows) all
+    go through here, so the logged and recomputed values agree bit for bit.
+    u and v are only read.
+    """
+    k, W = u.shape
+    if buffers is None:
+        buffers = _RowBuffers(k, len(r))
+    du, e, s = buffers.du[:k, :W], buffers.e[:k, :W], buffers.s[:k, :W]
+    # np.gradient(u, h, axis=-1), same arithmetic without its generic set-up
+    np.subtract(u[:, 2:], u[:, :-2], out=du[:, 1:-1])
+    du[:, 1:-1] /= 2.0 * h
+    np.subtract(u[:, 1], u[:, 0], out=du[:, 0])
+    np.subtract(u[:, -1], u[:, -2], out=du[:, -1])
+    du[:, 0] /= h
+    du[:, -1] /= h
+    # energy density 0.5 du^2 + 0.5 v^2 + mu |u|^(p+1) / (p+1)
+    np.multiply(du, 0.5, out=e)
+    e *= du
+    np.multiply(v, 0.5, out=s)
+    s *= v
+    e += s
+    np.abs(u, out=s)
+    np.power(s, p + 1.0, out=s)
+    s /= p + 1.0
+    # mu = -1 negates the term, and IEEE a + (-x) is a - x bit for bit
+    (np.add if mu > 0 else np.subtract)(e, s, out=e)
+    # virial density (u + r du) v, in place of du
+    z = du
+    np.multiply(r[:W], du, out=z)
+    z += u
+    z *= v
+    return [_radial_integral(e, r, h, buffers.s[:k]),
+            _radial_integral(z, r, h, buffers.s[:k])]
+
+
+def _last_above_floor(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per row, the last column with max(|u|, |v|) > SUPPORT_FLOOR, or -1."""
+    live = np.maximum(np.abs(u), np.abs(v)) > SUPPORT_FLOOR
+    last = u.shape[-1] - 1 - live[:, ::-1].argmax(axis=1)
+    return np.where(live[np.arange(len(last)), last], last, -1)
+
+
+def _support_radii(u: np.ndarray, v: np.ndarray, r: np.ndarray) -> list:
+    """Per row of the stacks u, v (k, W): the largest r_j with
+    max(|u_j|, |v_j|) > SUPPORT_FLOOR, or 0 for a tiny field.
+
+    The search looks at the last SUPPORT_WINDOW columns first, where a
+    solver layer's support ends (its prefix runs past the support by the
+    few nodes where a compact tail is below the floor), and at whole rows
+    only for those it finds nothing there.
+    """
+    W = u.shape[-1]
+    start = max(W - SUPPORT_WINDOW, 0)
+    last = _last_above_floor(u[:, start:], v[:, start:]) + start
+    rows = np.flatnonzero(last < start)
+    if start and rows.size:
+        last[rows] = _last_above_floor(u[rows], v[rows])
+    return np.where(last >= 0, r[last], 0.0).tolist()
+
+
+def step_log_rows(u: np.ndarray, v: np.ndarray, r: np.ndarray, h: float, p: float,
+                  mu: int, buffers: _RowBuffers | None = None):
+    """Lists (E, z, support radius), one value per row of the field stacks u, v.
+
+    The solver's step log calls this once per block of layers (see
+    :func:`_energy_virial` for the row layout); each value equals
+    :func:`energy`, :func:`virial` or :func:`support_radius` of the row's
+    full-grid field bit for bit.
+    """
+    E, z = _energy_virial(u, v, r, h, p, mu, buffers)
+    return E, z, _support_radii(u, v, r)
 
 
 def energy(state: RadialState) -> float:
@@ -106,14 +189,14 @@ def energy(state: RadialState) -> float:
     E is not coercive; conservation still holds and downstream reports label
     the value "non-coercive" so drift checks are not misread as positivity.
     """
-    return _energy_virial(state.u, state.v, state.grid.r, state.grid.h,
-                          state.params.p, state.params.mu)[0]
+    return _energy_virial(state.u[None], state.v[None], state.grid.r, state.grid.h,
+                          state.params.p, state.params.mu)[0][0]
 
 
 def virial(state: RadialState) -> float:
     """Virial functional z = 4 pi * int (u + r d_r u) v r^2 dr."""
-    return _energy_virial(state.u, state.v, state.grid.r, state.grid.h,
-                          state.params.p, state.params.mu)[1]
+    return _energy_virial(state.u[None], state.v[None], state.grid.r, state.grid.h,
+                          state.params.p, state.params.mu)[1][0]
 
 
 def virial_rate(state: RadialState) -> float:
@@ -190,11 +273,10 @@ def localized_identity_residuals(traj: Trajectory, Rc: float, t: float):
 def support_radius(u: np.ndarray, v: np.ndarray, r: np.ndarray) -> float:
     """Largest r_j with max(|u_j|, |v_j|) > SUPPORT_FLOOR, or 0 for a tiny field.
 
-    u and v may be prefixes of the grid r; the solver's step log and
-    :func:`support_and_hardy` both use this.
+    u and v may be prefixes of the grid r.  One row of the solver's per-step
+    support column, which :func:`support_and_hardy` shares.
     """
-    idx = np.flatnonzero(np.maximum(np.abs(u), np.abs(v)) > SUPPORT_FLOOR)
-    return float(r[idx[-1]]) if idx.size else 0.0
+    return _support_radii(u[None], v[None], r)[0]
 
 
 def support_and_hardy(state: RadialState):

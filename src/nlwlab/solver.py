@@ -51,6 +51,10 @@ __all__ = [
     "step_count",
 ]
 
+# layers per call of the row-wise energy/virial/support log in evolve
+LOG_BLOCK = 8
+
+
 class SolverError(RuntimeError):
     """Run aborted; ``t`` is the time of the offending layer."""
 
@@ -144,13 +148,14 @@ def characteristics(state: RadialState) -> CharacteristicFields:
 
 
 def _source_term(w: np.ndarray, u: np.ndarray, r: np.ndarray, rp: np.ndarray,
-                 params: EquationParams, h: float, origin_band: int, linear: bool,
+                 p: float, h: float, origin_band: int, linear: bool,
                  m: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
-    """Update term h^2 F on nodes [0, m), F = -mu |w|^{p-1} w / r^{p-1}.
+    """h^2 |w|^{p-1} w / r^{p-1} on nodes [0, m): the update term h^2 F without
+    its factor -mu, which :func:`_source_op` applies where the term is used.
 
-    rp holds r^{p-1}.  Inside origin_band F is evaluated in the u-form
-    -mu r |u|^{p-1} u, which avoids 0/0.  Node 0 is not computed (a fresh
-    ``out`` is zero there).
+    rp holds r^{p-1}.  Inside origin_band the term is evaluated in the u-form
+    r |u|^{p-1} u, which avoids 0/0.  Node 0 is not computed (a fresh ``out``
+    is zero there).
     """
     if out is None:
         out = np.zeros_like(w)
@@ -158,25 +163,34 @@ def _source_term(w: np.ndarray, u: np.ndarray, r: np.ndarray, rp: np.ndarray,
     if linear:
         out[:m] = 0.0
         return out
-    p, mu = params.p, params.mu
     b = min(origin_band, len(w) - 1, m)
     head, tail = out[1:b], out[b:m]
     np.abs(u[1:b], out=head)
-    np.power(head, p - 1.0, out=head)
-    np.multiply(-mu * r[1:b], head, out=head)
-    np.multiply(head, u[1:b], out=head)
     np.abs(w[b:m], out=tail)
-    np.power(tail, p - 1.0, out=tail)
-    np.multiply(-mu, tail, out=tail)
+    np.power(out[1:m], p - 1.0, out=out[1:m])
+    np.multiply(r[1:b], head, out=head)
+    np.multiply(head, u[1:b], out=head)
     np.multiply(tail, w[b:m], out=tail)
     np.divide(tail, rp[b:m], out=tail)
     np.multiply(out[1:m], h * h, out=out[1:m])
     return out
 
 
-def _advance(w_prev: np.ndarray, w_cur: np.ndarray, hhF: np.ndarray,
+def _source_op(mu: int, linear: bool):
+    """The ufunc that adds h^2 F = -mu * :func:`_source_term` to a layer.
+
+    For mu = +1 it subtracts the term: IEEE a + (-x) is a - x bit for bit,
+    signed zeros included.  The linear term is +0.0 and is added.
+    """
+    return np.subtract if mu > 0 and not linear else np.add
+
+
+def _advance(w_prev: np.ndarray, w_cur: np.ndarray, src: np.ndarray, op,
              m: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
-    """Leapfrog layer w_{j+1} + w_{j-1} - w_prev + h^2 F on nodes [0, m)."""
+    """Leapfrog layer w_{j+1} + w_{j-1} - w_prev + h^2 F on nodes [0, m).
+
+    src is :func:`_source_term`'s output and op the matching :func:`_source_op`.
+    """
     n = len(w_cur) - 1
     m = n + 1 if m is None else m
     if out is None:
@@ -185,10 +199,10 @@ def _advance(w_prev: np.ndarray, w_cur: np.ndarray, hhF: np.ndarray,
     nxt = out[1:hi]
     np.add(w_cur[2:hi + 1], w_cur[:hi - 1], out=nxt)
     np.subtract(nxt, w_prev[1:hi], out=nxt)
-    np.add(nxt, hhF[1:hi], out=nxt)
+    op(nxt, src[1:hi], out=nxt)
     out[0] = 0.0
     if m > n:
-        out[n] = w_cur[n - 1] - w_prev[n] + hhF[n]  # zero ghost beyond R
+        out[n] = op(w_cur[n - 1] - w_prev[n], src[n])  # zero ghost beyond R
     return out
 
 
@@ -242,11 +256,10 @@ def step(prev: RadialState, curr: RadialState, *, origin_band: int = 2,
     dt = curr.t - prev.t
     if abs(abs(dt) - h) > 1e-9 * h:
         raise ValueError("layers must be one grid spacing apart in time (unit CFL)")
-    r = curr.grid.r
+    r, p = curr.grid.r, curr.params.p
     w_prev, w_cur = prev.w, curr.w
-    hhF = _source_term(w_cur, curr.u, r, r ** (curr.params.p - 1.0), curr.params, h,
-                       origin_band, linear)
-    w_nxt = _advance(w_prev, w_cur, hhF)
+    src = _source_term(w_cur, curr.u, r, r ** (p - 1.0), p, h, origin_band, linear)
+    w_nxt = _advance(w_prev, w_cur, src, _source_op(curr.params.mu, linear))
     u_nxt = _u_from_w(w_nxt, r)
     v_nxt = np.empty_like(w_nxt)
     v_nxt[1:] = (3.0 * w_nxt[1:] - 4.0 * w_cur[1:] + w_prev[1:]) / (2.0 * dt * r[1:])
@@ -308,6 +321,15 @@ def evolve(config: SolverConfig, initial: RadialState,
     the result is the same bit for bit as stepping the whole grid.  The
     layers live in a fixed set of buffers; a RadialState is built only for
     the stored snapshots.
+
+    The log's t and max |u| are written at every step.  E, z and the
+    support radius are computed for LOG_BLOCK layers at a time, from copies
+    of their (u, v) prefixes, by :func:`diagnostics.step_log_rows`, the
+    row-wise code behind :func:`diagnostics.energy`, :func:`diagnostics.virial`
+    and :func:`diagnostics.support_radius`; the arithmetic per row is theirs, so
+    a logged E or z equals the value recomputed from a stored snapshot bit
+    for bit.  On a SolverError the whole log is dropped, pending rows
+    included.
     """
     grid, params = config.grid, config.params
     if initial.grid != grid:
@@ -318,9 +340,11 @@ def evolve(config: SolverConfig, initial: RadialState,
     t0 = initial.t
     n_steps = step_count(t0, config.t_final, h)
 
-    rp = r ** (params.p - 1.0)
+    p, mu = params.p, params.mu
+    rp = r ** (p - 1.0)
     two_h_r = 2.0 * h * r
-    source = lambda w, u, m, out: _source_term(w, u, r, rp, params, h, config.origin_band,
+    op = _source_op(mu, config.linear)
+    source = lambda w, u, m, out: _source_term(w, u, r, rp, p, h, config.origin_band,
                                                config.linear, m, out)
     w_cur = initial.w.copy()
     u_cur = initial.u.copy()
@@ -331,55 +355,77 @@ def evolve(config: SolverConfig, initial: RadialState,
             raise ValueError("initial_prev must sit one step before the initial state")
         w_prev = initial_prev.w.copy()
     else:
-        hhF0 = source(w_cur, u_cur, None, None)
+        src0 = source(w_cur, u_cur, None, None)
         d2 = np.zeros_like(w_cur)
         d2[1:-1] = w_cur[2:] - 2.0 * w_cur[1:-1] + w_cur[:-2]
         d2[-1] = w_cur[-2] - 2.0 * w_cur[-1]  # zero ghost
-        w_prev = w_cur - h * (r * initial.v) + 0.5 * (d2 + hhF0)
+        w_prev = w_cur - h * (r * initial.v) + 0.5 * op(d2, src0)
         w_prev[0] = 0.0
 
+    abs_u = np.empty(n + 1)
+
     def check_layer(u: np.ndarray, m: int, t: float) -> float:
-        mx = np.abs(u[:m]).max()
+        mx = np.abs(u[:m], out=abs_u[:m]).max()
         if not np.isfinite(mx) or mx > config.blowup_threshold:
             raise BlowupDetected(f"field magnitude {float(mx)!r} at t = {t!r}", t)
-        # nodes beyond the prefix hold exact zeros
-        if config.cone_floor is not None and np.abs(u[-2:]).max() > config.cone_floor:
+        # the outer two nodes hold +0.0 until the prefix reaches node n - 1
+        if (config.cone_floor is not None and m >= n
+                and np.abs(u[-2:]).max() > config.cone_floor):
             raise ConeViolation(
                 f"field reached the outer boundary at t = {t!r}; "
                 "enlarge the grid or disable the cone guard", t)
         return float(mx)
 
-    # one row per layer: t, E, z, max |u|, support radius
+    # one row per layer: t, E, z, max |u|, support radius.  t and max |u|
+    # are filled per step; E, z and the support radius of LOG_BLOCK
+    # consecutive layers at a time, from copies of their (u, v) prefixes
     log = np.empty((n_steps + 1, 5))
+    rows = min(LOG_BLOCK, n_steps + 1)
+    block_u, block_v = np.zeros((rows, n + 1)), np.zeros((rows, n + 1))
+    buffers = diagnostics._RowBuffers(rows, n + 1)
+    width = 0
 
-    def log_row(k: int, t: float, u: np.ndarray, v: np.ndarray, max_abs_u: float) -> None:
-        E, z = diagnostics._energy_virial(u, v, r, h, params.p, params.mu)
-        log[k] = t, E, z, max_abs_u, diagnostics.support_radius(u, v, r)
+    def log_row(k: int, t: float, u: np.ndarray, v: np.ndarray, e: int,
+                max_abs_u: float) -> None:
+        # layer k goes to row k % rows; u and v are +0.0 from node e on, and
+        # the copied width never shrinks, so every row of the block is +0.0
+        # past its own prefix
+        nonlocal width
+        log[k, 0], log[k, 3] = t, max_abs_u
+        width = max(width, e)
+        i = k % rows
+        block_u[i, :width] = u[:width]
+        block_v[i, :width] = v[:width]
+        if i == rows - 1 or k == n_steps:
+            us, vs = block_u[:i + 1, :width], block_v[:i + 1, :width]
+            block = slice(k - i, k + 1)
+            (log[block, 1], log[block, 2],
+             log[block, 4]) = diagnostics.step_log_rows(us, vs, r, h, p, mu, buffers)
 
     # u_cur's buffer is recycled as well, so its nonzeros count too
     m = _active_length(w_cur, w_prev, u_cur)
     max_u = check_layer(u_cur, n + 1, t0)
     states = [initial]
-    log_row(0, t0, initial.u, initial.v, max_u)
+    log_row(0, t0, initial.u, initial.v,
+            min(max(_live_length(initial.u, initial.v) + 2, 3), n + 1), max_u)
 
     # w_nxt and u_nxt are overwritten in the prefix only; beyond it every
     # buffer holds +0.0, as the full-grid stencil would
     w_nxt, u_nxt = np.zeros(n + 1), np.zeros(n + 1)
-    v, hhF = np.zeros(n + 1), np.zeros(n + 1)
+    v, src = np.zeros(n + 1), np.zeros(n + 1)
     for k in range(n_steps):
         m = min(m + 1, n + 1)
-        source(w_cur, u_cur, m, hhF)
-        _advance(w_prev, w_cur, hhF, m, w_nxt)
+        source(w_cur, u_cur, m, src)
+        _advance(w_prev, w_cur, src, op, m, w_nxt)
         _u_from_w(w_nxt, r, m, u_nxt)
         max_nxt = check_layer(u_nxt, m, t0 + (k + 1) * h)
         if k >= 1:
-            # layer k gets its centered v now that layer k+1 exists; the
-            # slices hold every nonzero of u and v plus two zero nodes, so the
-            # row equals energy/virial of the full state
+            # layer k gets its centered v now that layer k+1 exists; u and v
+            # are +0.0 past the prefix, so the row equals energy/virial of
+            # the full state
             _v_from_layers(w_nxt, w_prev, two_h_r, m, v)
-            e = min(m + 2, n + 1)
             t_k = t0 + k * h
-            log_row(k, t_k, u_cur[:e], v[:e], max_u)
+            log_row(k, t_k, u_cur, v, min(m + 2, n + 1), max_u)
             if k % config.snapshot_stride == 0:
                 states.append(RadialState(grid=grid, params=params, t=t_k, u=u_cur, v=v))
         w_prev, w_cur, w_nxt = w_cur, w_nxt, w_prev
@@ -392,12 +438,11 @@ def evolve(config: SolverConfig, initial: RadialState,
         # logged, nor run through the guards (a one-sided endpoint stencil
         # would amplify grid-scale wavefront oscillation several-fold)
         m = min(m + 1, n + 1)
-        source(w_cur, u_cur, m, hhF)
-        _advance(w_prev, w_cur, hhF, m, w_nxt)
+        source(w_cur, u_cur, m, src)
+        _advance(w_prev, w_cur, src, op, m, w_nxt)
         _v_from_layers(w_nxt, w_prev, two_h_r, m, v)
-        e = min(m + 2, n + 1)
         t_fin = t0 + n_steps * h
-        log_row(n_steps, t_fin, u_cur[:e], v[:e], max_u)
+        log_row(n_steps, t_fin, u_cur, v, min(m + 2, n + 1), max_u)
         states.append(RadialState(grid=grid, params=params, t=t_fin, u=u_cur, v=v))
 
     return Trajectory(grid=grid, params=params, states=tuple(states),
@@ -412,13 +457,18 @@ def _lattice_index(x: float, h: float, name: str) -> int:
 
 
 def _layer_lookup(traj: Trajectory):
-    """Map integer layer index (relative to the first snapshot) -> state."""
+    """(layer, t0): layer maps an integer layer index, counted from the first
+    snapshot at time t0, to the stored state, or raises KeyError."""
     h = traj.grid.h
     t0 = traj.states[0].t
-    table = {}
-    for s in traj.states:
-        table[_lattice_index(s.t - t0, h, "snapshot time")] = s
-    return table, t0
+    table = {_lattice_index(s.t - t0, h, "snapshot time"): s for s in traj.states}
+
+    def layer(idx: int) -> RadialState:
+        if idx not in table:
+            raise KeyError(f"layer {idx} not stored; run with snapshot_stride = 1")
+        return table[idx]
+
+    return layer, t0
 
 
 def _source_of_state(s: RadialState, linear: bool) -> np.ndarray:
@@ -453,13 +503,8 @@ def representation_residual(traj: Trajectory, r0: float, t0: float, dt: float) -
         raise ValueError("dt must be at least one step")
     if j0 - nd < 0 or j0 + nd > traj.grid.n:
         raise ValueError("backward cone leaves the grid")
-    table, t_base = _layer_lookup(traj)
+    layer, t_base = _layer_lookup(traj)
     n0 = _lattice_index(t0 - t_base, h, "t0")
-
-    def layer(idx: int) -> RadialState:
-        if idx not in table:
-            raise KeyError(f"layer {idx} not stored; run with snapshot_stride = 1")
-        return table[idx]
 
     top = layer(n0)
     base = layer(n0 - nd)
@@ -495,13 +540,8 @@ def characteristic_transport_residual(traj: Trajectory, r0: float, t0: float,
         raise ValueError("tau_max must be at least one step")
     if j0 + S > traj.grid.n:
         raise ValueError("characteristic segment leaves the grid")
-    table, t_base = _layer_lookup(traj)
+    layer, t_base = _layer_lookup(traj)
     n0 = _lattice_index(t0 - t_base, h, "t0")
-
-    def layer(idx: int) -> RadialState:
-        if idx not in table:
-            raise KeyError(f"layer {idx} not stored; run with snapshot_stride = 1")
-        return table[idx]
 
     worst = 0.0
     for sign, pick in ((-1, "z1"), (+1, "z2")):

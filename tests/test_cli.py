@@ -275,6 +275,27 @@ def test_main_config_errors_exit_2(tmp_path, capsys):
     assert "config says" in capsys.readouterr().err
 
 
+def test_main_runner_config_error_leaves_no_directory(tmp_path, capsys):
+    # initial data is validated once the run has started; the empty output
+    # directory the run created is removed again
+    raw = {
+        "scenario": "evolve",
+        "grid": {"h": 0.125, "n": 64},
+        "initial": {"kind": "gaussian", "width": -1.0},
+        "run": {"t_final": 0.25},
+        "output": {"dir": str(tmp_path / "out" / "run")},
+    }
+    cfg_path = _write_config(tmp_path, raw)
+    assert main(["evolve", "--config", cfg_path]) == 2
+    assert capsys.readouterr().err.startswith("config: initial.width: ")
+    assert not (tmp_path / "out" / "run").exists()
+
+    # a directory that existed before the run is left in place
+    (tmp_path / "out" / "run").mkdir(parents=True)
+    assert main(["evolve", "--config", cfg_path]) == 2
+    assert (tmp_path / "out" / "run").is_dir()
+
+
 def test_main_failing_check_exits_1(tmp_path):
     out = tmp_path / "out"
     raw = _linear_config(out)
@@ -504,6 +525,33 @@ def test_main_diagnose_time_validation(tmp_path, capsys):
     cfg_path = _write_config(tmp_path, raw)
     assert main(["diagnose", "--config", cfg_path]) == 2
     assert "diagnose.times" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_main_diagnose_refinement_lattice_exits_2_before_output(tmp_path, capsys):
+    # the coarse rerun steps 2h, and t_final = 31 h is not a multiple of it;
+    # rejected while parsing, before the fine run writes anything
+    raw = {
+        "scenario": "diagnose",
+        "equation": {"p": 7.0, "mu": 1},
+        "grid": {"h": 1.0 / 32.0, "n": 160},
+        "initial": {"kind": "gaussian", "width": 0.5, "amplitude": 0.5},
+        "run": {"t_final": 31.0 / 32.0, "cone_floor": None},
+        "output": {"dir": str(tmp_path / "out")},
+        "diagnose": {"Rc": 1.0, "times": [0.5]},
+        "checks": {"identity_order": 1.5},
+    }
+    cfg_path = _write_config(tmp_path, raw)
+    assert main(["diagnose", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config: run.t_final: refinement checks") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+    raw["run"]["t_final"] = 1.0
+    raw["grid"]["n"] = 161
+    assert main(["diagnose", "--config", _write_config(tmp_path, raw)]) == 2
+    assert capsys.readouterr().err.startswith("config: grid.n: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_diagnose_artifacts(tmp_path):

@@ -235,6 +235,50 @@ def test_support_radius_of_prefix_matches_full_grid(w_grid):
     assert support_radius(u[:240], v[:240], w_grid.r) == full
 
 
+def test_radial_integral_in_scratch_matches_fresh_terms():
+    # the scratch may hold anything before column m (the solver's log leaves
+    # the last potential-density column there) and zeros from m on
+    from nlwlab.diagnostics import _radial_integral
+    rng = np.random.default_rng(3)
+    r, h, m = np.arange(41) * 0.25, 0.25, 17
+    density = rng.standard_normal((2, 3, m))
+    scratch = np.zeros((2, 3, len(r)))
+    scratch[..., :m] = rng.standard_normal((2, 3, m))
+    got = _radial_integral(density.copy(), r, h, scratch)
+    assert got == _radial_integral(density, r, h)
+    assert not scratch[..., m:].any()
+
+
+def test_step_log_rows_match_one_row_calls(w_grid):
+    # rows whose support ends near the block's last column, far inside it,
+    # and nowhere: the windowed support search falls back per row, and every
+    # value equals the one-row call on that row's full-grid field
+    from nlwlab.diagnostics import SUPPORT_WINDOW, _RowBuffers, step_log_rows
+    r, h = w_grid.r, w_grid.h
+    width = 400
+    assert width > SUPPORT_WINDOW
+    rows = [bump(r, radius=3.9), bump(r, radius=1.0, amp=0.3),
+            np.full(w_grid.n + 1, 1e-13), np.zeros(w_grid.n + 1)]
+    u = np.zeros((len(rows), width))
+    v = np.zeros((len(rows), width))
+    for i, f in enumerate(rows):
+        u[i, :width - 2] = f[:width - 2]
+        v[i, :width - 2] = 0.5 * f[:width - 2]
+    params = make_params(7.0, -1)
+    got = step_log_rows(u, v, r, h, params.p, params.mu, _RowBuffers(len(rows), len(r)))
+    for i in range(len(rows)):
+        full_u = np.zeros(w_grid.n + 1)
+        full_u[:width] = u[i]
+        full_v = np.zeros(w_grid.n + 1)
+        full_v[:width] = v[i]
+        state = RadialState(grid=w_grid, params=params, t=0.0, u=full_u, v=full_v)
+        assert got[0][i] == energy(state)
+        assert got[1][i] == virial(state)
+        assert got[2][i] == support_radius(full_u, full_v, r)
+    assert got[2][0] > r[width - SUPPORT_WINDOW] and got[2][1] < 1.0
+    assert got[2][2:] == [0.0, 0.0]
+
+
 def test_support_zero_for_tiny_field(w_grid):
     u = np.full(w_grid.n + 1, 1e-13)
     state = RadialState(grid=w_grid, params=make_params(5.0, 1), t=0.0,

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlwlab import (EquationParams, RadialGrid, RadialState, StepLog, Trajectory,
-                    diagnostics, make_params, scale_state)
+                    diagnostics, make_params, scale_state, solver)
 from nlwlab.cli import ode_flat_blowup_time, profile_ode_flat
-from nlwlab.core import even_origin_value
+from nlwlab.core import _live_length, even_origin_value
 from nlwlab.solver import (
+    LOG_BLOCK,
     BlowupDetected,
     ConeViolation,
     SolverConfig,
@@ -48,8 +49,9 @@ def _gauss_run(h, t_final=2.0, p=7.0, mu=1, R=4.5, stride=1):
 #
 # The per-step loop evolve used before it was confined to the light-cone
 # prefix, kept verbatim with its kernel: it allocates every layer, steps the
-# whole grid, builds a RadialState per layer and logs through
-# diagnostics.energy / virial.  evolve must reproduce it bit for bit.
+# whole grid, builds a RadialState per layer and logs one layer at a time
+# through a frozen copy of the energy/virial helper.  evolve must reproduce it
+# bit for bit.
 
 _SEED_SUPPORT_FLOOR = 1e-12
 
@@ -97,6 +99,35 @@ def _seed_support_radius(u: np.ndarray, v: np.ndarray, r: np.ndarray) -> float:
     return float(r[idx[-1]]) if idx.size else 0.0
 
 
+def _seed_energy_virial(state: RadialState):
+    """(E, z) of one layer, formed on its nonzero extent and summed over the grid."""
+    u, v, r, h = state.u, state.v, state.grid.r, state.grid.h
+    p, mu = state.params.p, state.params.mu
+    nz = np.flatnonzero((u != 0.0) | (v != 0.0))
+    m = min(len(u), max(int(nz[-1]) + 3 if nz.size else 0, 3))
+    u, v = u[:m], v[:m]
+    du = np.empty(m)
+    np.subtract(u[2:], u[:-2], out=du[1:-1])
+    du[1:-1] /= 2.0 * h
+    du[0], du[-1] = (u[1] - u[0]) / h, (u[-1] - u[-2]) / h
+    densities = np.empty((2, m))
+    densities[0] = 0.5 * du * du + 0.5 * v * v + mu * np.abs(u) ** (p + 1.0) / (p + 1.0)
+    densities[1] = (u + r[:m] * du) * v
+    y = densities * r[:m] * r[:m]
+    terms = np.zeros((2, len(r) - 1))
+    head = terms[:, :m - 1]
+    np.add(y[:, 1:], y[:, :-1], out=head)
+    head *= h
+    head /= 2.0
+    E, z = (4.0 * np.pi * terms.sum(axis=-1)).tolist()
+    return E, z
+
+
+def _seed_log_row(state: RadialState):
+    return (state.t, *_seed_energy_virial(state), float(np.max(np.abs(state.u))),
+            _seed_support_radius(state.u, state.v, state.grid.r))
+
+
 def _seed_evolve(config, initial, initial_prev=None):
     grid, params = config.grid, config.params
     if initial.grid != grid:
@@ -138,9 +169,7 @@ def _seed_evolve(config, initial, initial_prev=None):
     check_layer(u_cur, t0)
 
     states = [initial]
-    log_rows = [(t0, diagnostics.energy(initial), diagnostics.virial(initial),
-                 float(np.max(np.abs(initial.u))),
-                 _seed_support_radius(initial.u, initial.v, r))]
+    log_rows = [_seed_log_row(initial)]
 
     for k in range(n_steps):
         F = _seed_source(w_cur, u_cur, r, params, config.origin_band, config.linear)
@@ -151,10 +180,7 @@ def _seed_evolve(config, initial, initial_prev=None):
             # layer k gets its centered v now that layer k+1 exists
             state_k = RadialState(grid=grid, params=params, t=t0 + k * h,
                                   u=u_cur, v=_seed_v_from_layers(w_nxt, w_prev, r, h))
-            log_rows.append((state_k.t, diagnostics.energy(state_k),
-                             diagnostics.virial(state_k),
-                             float(np.max(np.abs(state_k.u))),
-                             _seed_support_radius(state_k.u, state_k.v, r)))
+            log_rows.append(_seed_log_row(state_k))
             if k % config.snapshot_stride == 0:
                 states.append(state_k)
         w_prev, w_cur, u_cur = w_cur, w_nxt, u_nxt
@@ -168,9 +194,7 @@ def _seed_evolve(config, initial, initial_prev=None):
         w_aux = _seed_advance(w_prev, w_cur, F, h)
         v_fin = _seed_v_from_layers(w_aux, w_prev, r, h)
         final = RadialState(grid=grid, params=params, t=t0 + n_steps * h, u=u_cur, v=v_fin)
-        log_rows.append((final.t, diagnostics.energy(final), diagnostics.virial(final),
-                         float(np.max(np.abs(final.u))),
-                         _seed_support_radius(final.u, final.v, r)))
+        log_rows.append(_seed_log_row(final))
         states.append(final)
 
     cols = list(zip(*log_rows))
@@ -207,6 +231,16 @@ def _oracle_case(name):
                          v=np.zeros(grid.n + 1))
         return SolverConfig(grid=grid, params=params, t_final=2.0,
                             snapshot_stride=16), s0, None, ConeViolation
+    if name == "cone_sharp_front":
+        # a jump at r = 2 sends an O(1) front outward, one node per step from
+        # a back layer equal to the initial one: the guard fires on the first
+        # layer whose prefix reaches node n - 1
+        params = make_params(5.0, 1)
+        grid = RadialGrid(h=1.0 / 16.0, n=40)
+        w = grid.r * np.where(grid.r <= 2.0, 0.5, 0.0)
+        return (SolverConfig(grid=grid, params=params, t_final=1.0),
+                _state_from_w(grid, params, w), _state_from_w(grid, params, w, t=-grid.h),
+                ConeViolation)
     if name == "ode_flat_blowup":
         params = make_params(5.0, -1)
         grid = RadialGrid(h=1.0 / 256.0, n=640)
@@ -232,36 +266,106 @@ def _oracle_case(name):
         return (SolverConfig(grid=grid, params=params, t_final=1.0, snapshot_stride=3),
                 _state_from_w(grid, params, w), _state_from_w(grid, params, back, t=-grid.h),
                 None)
+    if name == "gaussian_reaches_grid_end":
+        # exp(-2 r^2) is exactly zero past node 154; the prefix reaches the
+        # grid end at layer 13, in the middle of the second log block, and the
+        # tail values underflow in the powers
+        params = make_params(5.0, 1)
+        grid = RadialGrid(h=1.0 / 8.0, n=167)
+        s0 = RadialState(grid=grid, params=params, t=0.0,
+                         u=0.5 * np.exp(-2.0 * grid.r ** 2), v=np.zeros(grid.n + 1))
+        return SolverConfig(grid=grid, params=params, t_final=5.0, snapshot_stride=1,
+                            cone_floor=None), s0, None, None
+    if name.startswith("steps_"):
+        # focusing bump over a step count around the log block edges; the
+        # stride does not divide the block
+        params = make_params(7.0, -1)
+        grid = RadialGrid(h=1.0 / 64.0, n=128)
+        s0 = RadialState(grid=grid, params=params, t=0.0, u=bump(grid.r),
+                         v=0.5 * bump(grid.r, radius=0.7))
+        steps = int(name.split("_")[1])
+        return SolverConfig(grid=grid, params=params, t_final=steps * grid.h,
+                            snapshot_stride=3), s0, None, None
     raise KeyError(name)
 
 
+_BLOCK_EDGE_CASES = ["steps_0", "steps_1", "steps_7", "steps_8", "steps_9", "steps_17",
+                     "gaussian_reaches_grid_end"]
+
+
+def _run_or_error(run, cfg, s0, prev):
+    try:
+        return run(cfg, s0, prev)
+    except SolverError as exc:
+        return exc
+
+
+def _assert_same_bits(got, ref):
+    assert len(got.states) == len(ref.states)
+    for a, b in zip(got.states, ref.states):
+        assert a.t == b.t
+        assert np.array_equal(_bits(a.u), _bits(b.u))
+        assert np.array_equal(_bits(a.v), _bits(b.v))
+    for col in ("t", "energy", "virial", "max_abs_u", "support_radius"):
+        assert np.array_equal(_bits(getattr(got.log, col)), _bits(getattr(ref.log, col)))
+
+
 @pytest.mark.parametrize("case", ["bump_prefix_grows", "gaussian_full_grid",
-                                  "bump_cone_violation", "ode_flat_blowup", "linear",
-                                  "initial_prev"])
+                                  "bump_cone_violation", "cone_sharp_front",
+                                  "ode_flat_blowup", "linear", "initial_prev",
+                                  *_BLOCK_EDGE_CASES])
 def test_evolve_matches_full_grid_loop(case):
     cfg, s0, prev, expected = _oracle_case(case)
-    runs = []
-    for run in (_seed_evolve, evolve):
-        try:
-            runs.append(run(cfg, s0, prev))
-        except SolverError as exc:
-            runs.append(exc)
-    ref, got = runs
+    ref, got = (_run_or_error(run, cfg, s0, prev) for run in (_seed_evolve, evolve))
     if expected is not None:
         assert type(ref) is expected
         assert type(got) is expected and got.t == ref.t and str(got) == str(ref)
         # the message prints Python floats, not numpy scalar reprs
         assert "np.float64" not in str(got)
         return
-    assert len(got.states) == len(ref.states)
-    for a, b in zip(got.states, ref.states):
-        assert a.t == b.t
-        assert np.array_equal(_bits(a.u), _bits(b.u))
-        assert np.array_equal(_bits(a.v), _bits(b.v))
     # the arithmetic is unchanged, so every log column matches bit for bit
     # (E and z too: the quadrature sums over the whole grid either way)
-    for col in ("t", "energy", "virial", "max_abs_u", "support_radius"):
-        assert np.array_equal(_bits(getattr(got.log, col)), _bits(getattr(ref.log, col)))
+    _assert_same_bits(got, ref)
+
+
+def test_gaussian_case_reaches_grid_end_mid_block():
+    cfg, s0, _, _ = _oracle_case("gaussian_reaches_grid_end")
+    traj = evolve(cfg, s0)
+    n = cfg.grid.n
+    first = next(k for k, s in enumerate(traj.states) if _live_length(s.u) == n + 1)
+    assert _live_length(s0.u) < n + 1
+    assert first % LOG_BLOCK not in (0, LOG_BLOCK - 1)
+
+
+@pytest.mark.parametrize("case", ["bump_prefix_grows", "gaussian_reaches_grid_end",
+                                  "steps_17"])
+def test_log_block_size_does_not_change_bits(case, monkeypatch):
+    cfg, s0, prev, _ = _oracle_case(case)
+    ref = evolve(cfg, s0, prev)
+    for rows in (1, 3):
+        monkeypatch.setattr(solver, "LOG_BLOCK", rows)
+        _assert_same_bits(evolve(cfg, s0, prev), ref)
+
+
+@pytest.mark.parametrize("case", ["bump_prefix_grows", "steps_0", "steps_7", "steps_8",
+                                  "steps_9"])
+def test_evolve_logs_in_blocks(case, monkeypatch):
+    # one row-wise log call per block of LOG_BLOCK layers, and none per layer;
+    # a fall-back to per-layer rows fails here without any timing
+    cfg, s0, prev, _ = _oracle_case(case)
+    calls = {"step_log_rows": [], "_energy_virial": [], "support_radius": []}
+    for name, seen in calls.items():
+        def counting(*args, _f=getattr(diagnostics, name), _seen=seen, **kwargs):
+            _seen.append(len(args[0]))
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(diagnostics, name, counting)
+    traj = evolve(cfg, s0, prev)
+    layers = len(traj.log.t)
+    blocks = -(-layers // LOG_BLOCK)
+    assert len(calls["step_log_rows"]) == blocks
+    assert calls["_energy_virial"] == calls["step_log_rows"]
+    assert sum(calls["step_log_rows"]) == layers
+    assert calls["support_radius"] == []
 
 
 def test_evolve_builds_states_only_for_snapshots(monkeypatch):
