@@ -79,7 +79,11 @@ class ConfigError(ValueError):
     """Malformed configuration, reported with the offending field path."""
 
 
-def _field(raw: dict, path: str, kind, default=_MISSING):
+def _field(raw: dict, path: str, kind, default=_MISSING, nullable=False):
+    """Value at a dotted path, checked against ``kind``.
+
+    With ``nullable``, JSON null passes and is returned as None.
+    """
     node = raw
     for part in path.split("."):
         if not isinstance(node, dict) or part not in node:
@@ -87,9 +91,12 @@ def _field(raw: dict, path: str, kind, default=_MISSING):
                 raise ConfigError(f"{path}: required field is missing")
             return default
         node = node[part]
+    if nullable and node is None:
+        return None
     if kind is float:
         if isinstance(node, bool) or not isinstance(node, (int, float)):
-            raise ConfigError(f"{path}: expected a number, got {type(node).__name__}")
+            what = "a number or null" if nullable else "a number"
+            raise ConfigError(f"{path}: expected {what}, got {type(node).__name__}")
         return float(node)
     if kind is int:
         if isinstance(node, bool) or not isinstance(node, int):
@@ -112,20 +119,6 @@ def _field(raw: dict, path: str, kind, default=_MISSING):
             raise ConfigError(f"{path}: expected a list, got {type(node).__name__}")
         return node
     raise AssertionError(kind)
-
-
-def _optional_float(raw: dict, path: str, default):
-    """Float field that also accepts JSON null (returned as None)."""
-    node = raw
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            return default
-        node = node[part]
-    if node is None:
-        return None
-    if isinstance(node, bool) or not isinstance(node, (int, float)):
-        raise ConfigError(f"{path}: expected a number or null")
-    return float(node)
 
 
 @dataclass(frozen=True)
@@ -213,7 +206,7 @@ def parse_config(raw: dict, scenario: str | None = None,
     t_final = _field(raw, "run.t_final", float, default=dt_final)
     if t_final is None:
         raise ConfigError("run.t_final: required field is missing")
-    cone_floor = _optional_float(raw, "run.cone_floor", 1e-13)
+    cone_floor = _field(raw, "run.cone_floor", float, default=1e-13, nullable=True)
     if name == "verify-W":
         cone_floor = None  # the static profile is not compactly supported
     cfg = ExperimentConfig(
@@ -560,11 +553,8 @@ def _run_diagnose(cfg: ExperimentConfig, out: Path, threads: int):
     if need_coarse:
         cgrid = RadialGrid(h=2.0 * cfg.grid.h, n=cfg.grid.n // 2)
         cinitial = build_initial(cfg.initial, cgrid, cfg.params)
-        coarse = solver.evolve(
-            solver.SolverConfig(grid=cgrid, params=cfg.params, t_final=cfg.t_final,
-                                snapshot_stride=1, origin_band=cfg.origin_band,
-                                linear=cfg.linear, cone_floor=cfg.cone_floor,
-                                blowup_threshold=cfg.blowup_threshold), cinitial)
+        coarse = solver.evolve(_solver_config(cfg, grid=cgrid, snapshot_stride=1),
+                               cinitial)
     if "virial_consistency_order" in cfg.checks:
         m_fine = _per_step_virial_residual(fine)
         m_coarse = _per_step_virial_residual(coarse)

@@ -14,8 +14,10 @@ w = r * u on a uniform radial grid; a state stores (u, v = d_t u) and derives w.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -117,6 +119,17 @@ class RadialGrid:
         hashing ignore it); every snapshot written on the grid shares it.
         """
         return tuple(f"{r!r} " for r in self._r.tolist())
+
+    @cached_property
+    def _zero_rows(self) -> tuple:
+        """State text of every node's row with u = v = +0.0, and where each row starts.
+
+        A pair (text, offsets): row j is ``text[offsets[j]:offsets[j + 1]]``,
+        newline included, so ``text[offsets[m]:]`` is the +0.0 tail from node
+        m on.  Held like ``_r_text``.
+        """
+        rows = [rc + "0.0 0.0\n" for rc in self._r_text]
+        return "".join(rows), array("q", accumulate(map(len, rows), initial=0))
 
 
 def _live_length(*cols: np.ndarray) -> int:
@@ -346,9 +359,9 @@ def reference_ode_blowup(params: EquationParams, T: float, t):
 def state_to_text(state: RadialState) -> str:
     """Format a state; only the live prefix of (u, v) is converted to text.
 
-    Rows beyond the prefix hold +0.0 in both columns and are written as the
-    grid's cached coordinate text followed by "0.0 0.0", which is what repr()
-    gives, so the output is the same as formatting every row.
+    Rows beyond the prefix hold +0.0 in both columns; they are taken as one
+    slice of the grid's cached zero-row text, which is what repr() gives, so
+    the output is the same as formatting every row.
     """
     header = {
         "p": state.params.p,
@@ -357,39 +370,101 @@ def state_to_text(state: RadialState) -> str:
         "n": state.grid.n,
         "t": state.t,
     }
-    r_text = state.grid._r_text
+    zeros, offsets = state.grid._zero_rows
     m = _live_length(state.u, state.v)
-    lines = ["# " + json.dumps(header)]
-    lines += [f"{rc}{u!r} {v!r}" for rc, u, v in
-              zip(r_text, state.u[:m].tolist(), state.v[:m].tolist())]
-    lines += [rc + "0.0 0.0" for rc in r_text[m:]]
-    return "\n".join(lines) + "\n"
+    return "".join([
+        "# " + json.dumps(header) + "\n",
+        *[f"{rc}{u!r} {v!r}\n" for rc, u, v in
+          zip(state.grid._r_text, state.u[:m].tolist(), state.v[:m].tolist())],
+        zeros[offsets[m]:],
+    ])
+
+
+@lru_cache(maxsize=8)
+def _shared_grid(h: float, n: int) -> RadialGrid:
+    """The reader's grid for (h, n), so that loaded states share its r and text caches.
+
+    Grids are immutable, so sharing one is safe; at most 8 are held.
+    """
+    return RadialGrid(h=h, n=n)
+
+
+def _zero_tail(text: str, grid: RadialGrid) -> int:
+    """First node of the trailing block of ``text`` that is the grid's +0.0 rows.
+
+    The block is the longest suffix of ``text`` equal to the grid's zero-row
+    text from some node j on, with a newline just before it; n + 1 when
+    there is none.  j is found by a binary search that compares one row per
+    probe, then confirmed on the whole suffix.  Probes are exact only from
+    the block's start on: in front of it, a row may still match where an
+    earlier row kept the length of a zero row (``1.0`` for ``0.0``).  When
+    the confirmation fails, the rows are compared one by one from the end.
+    """
+    zeros, offsets = grid._zero_rows
+    shift = len(text) - len(zeros)  # row j would start at offsets[j] + shift
+
+    def matches(j):
+        start = offsets[j] + shift
+        return start > 0 and text.startswith(zeros[offsets[j]:offsets[j + 1]], start)
+
+    lo, hi = 0, grid.n + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if matches(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    if lo <= grid.n and not text.endswith(zeros[offsets[lo]:]):
+        lo = grid.n + 1
+        while lo > 0 and matches(lo - 1):
+            lo -= 1
+    if lo <= grid.n and text[offsets[lo] + shift - 1] != "\n":
+        lo += 1  # row lo is glued to the line before; the rows after it are not
+    return lo
 
 
 def state_from_text(text: str) -> RadialState:
-    lines = text.strip().splitlines()
-    if not lines or not lines[0].startswith("#"):
+    """Parse a state text; accepts and rejects exactly what parsing every row does.
+
+    The trailing block of rows that are the grid's +0.0 rows as written (see
+    :func:`_zero_tail`) is not parsed: those nodes get +0.0.  The rows
+    before it go through ``np.loadtxt``, which parses like float() and
+    rejects rows whose column count differs.
+    """
+    first = text.lstrip().partition("\n")[0].splitlines()  # line 0 of the stripped text
+    if not first or not first[0].startswith("#"):
         raise ValueError("missing JSON header line")
-    header = json.loads(lines[0].lstrip("#").strip())
+    header = json.loads(first[0].lstrip("#").strip())
     for key in ("p", "mu", "h", "n", "t"):
         if key not in header:
             raise ValueError(f"header is missing field {key!r}")
-    grid = RadialGrid(h=float(header["h"]), n=int(header["n"]))
+    grid = _shared_grid(float(header["h"]), int(header["n"]))
+    live = _zero_tail(text, grid)
+    zeros, offsets = grid._zero_rows
+    # the text before the block ends in a newline, so its lines followed by
+    # the block's rows are the lines of the whole text; stripping its end
+    # changes no row, as np.loadtxt ignores trailing whitespace
+    lines = text[:len(text) - len(zeros) + offsets[live]].strip().splitlines()
     rows = [ln for ln in lines[1:] if ln.strip()]
-    if len(rows) != grid.n + 1:
-        raise ValueError(f"expected {grid.n + 1} node rows, found {len(rows)}")
-    # loadtxt parses like float() and rejects rows whose column count differs
-    data = np.loadtxt(rows, dtype=float, comments=None, ndmin=2)
-    if data.shape[1] != 3:
-        raise ValueError("node rows must have three columns: r u v")
-    if not np.array_equal(data[:, 0], grid.r):
-        raise ValueError("node coordinates do not match the header grid")
+    if len(rows) != live:
+        raise ValueError(f"expected {grid.n + 1} node rows, "
+                         f"found {len(rows) + grid.n + 1 - live}")
+    u = np.zeros(grid.n + 1)
+    v = np.zeros(grid.n + 1)
+    if rows:
+        data = np.loadtxt(rows, dtype=float, comments=None, ndmin=2)
+        if data.shape[1] != 3:
+            raise ValueError("node rows must have three columns: r u v")
+        if not np.array_equal(data[:, 0], grid.r[:live]):
+            raise ValueError("node coordinates do not match the header grid")
+        u[:live] = data[:, 1]
+        v[:live] = data[:, 2]
     return RadialState(
         grid=grid,
         params=make_params(float(header["p"]), int(header["mu"])),
         t=float(header["t"]),
-        u=data[:, 1],
-        v=data[:, 2],
+        u=u,
+        v=v,
     )
 
 

@@ -90,6 +90,18 @@ def test_parse_config_scenario_defaults(tmp_path):
     assert cfg.initial["kind"] == "W"
 
 
+def test_parse_config_cone_floor_accepts_null():
+    base = {**_minimal("evolve"), "grid": {"h": 0.1, "n": 10},
+            "initial": {"kind": "bump"}}
+    for run, expected in [({}, 1e-13), ({"cone_floor": None}, None),
+                          ({"cone_floor": 1}, 1.0), ({"cone_floor": 2e-9}, 2e-9)]:
+        cfg = parse_config({**base, "run": {"t_final": 1.0, **run}})
+        assert cfg.cone_floor == expected and type(cfg.cone_floor) is type(expected)
+    for bad in ["1e-13", True, [1e-13]]:
+        with pytest.raises(ConfigError, match=r"^run\.cone_floor: expected a number or null"):
+            parse_config({**base, "run": {"t_final": 1.0, "cone_floor": bad}})
+
+
 def test_parse_config_out_override_wins(tmp_path):
     raw = {"scenario": "bootstrap", "output": {"dir": "/nonexistent/spot"}}
     cfg = parse_config(raw, out_override=str(tmp_path))

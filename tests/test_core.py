@@ -17,7 +17,13 @@ from nlwlab import (
     save_state,
     scale_state,
 )
-from nlwlab.core import even_origin_value, state_from_text, state_to_text
+from nlwlab.core import (
+    _live_length,
+    _zero_tail,
+    even_origin_value,
+    state_from_text,
+    state_to_text,
+)
 
 EPS = np.finfo(float).eps
 
@@ -370,6 +376,189 @@ def test_state_text_cache_belongs_to_its_grid():
         fresh = RadialGrid(h=g.h, n=g.n)
         assert g == fresh and hash(g) == hash(fresh)
     assert grids[0] != grids[1]
+
+
+# The state reader before it learned to skip the +0.0 tail, kept verbatim as
+# the oracle for state_from_text: same bits, and ValueError on the same texts.
+
+
+def _seed_state_from_text(text: str) -> RadialState:
+    lines = text.strip().splitlines()
+    if not lines or not lines[0].startswith("#"):
+        raise ValueError("missing JSON header line")
+    header = json.loads(lines[0].lstrip("#").strip())
+    for key in ("p", "mu", "h", "n", "t"):
+        if key not in header:
+            raise ValueError(f"header is missing field {key!r}")
+    grid = RadialGrid(h=float(header["h"]), n=int(header["n"]))
+    rows = [ln for ln in lines[1:] if ln.strip()]
+    if len(rows) != grid.n + 1:
+        raise ValueError(f"expected {grid.n + 1} node rows, found {len(rows)}")
+    # loadtxt parses like float() and rejects rows whose column count differs
+    data = np.loadtxt(rows, dtype=float, comments=None, ndmin=2)
+    if data.shape[1] != 3:
+        raise ValueError("node rows must have three columns: r u v")
+    if not np.array_equal(data[:, 0], grid.r):
+        raise ValueError("node coordinates do not match the header grid")
+    return RadialState(
+        grid=grid,
+        params=make_params(float(header["p"]), int(header["mu"])),
+        t=float(header["t"]),
+        u=data[:, 1],
+        v=data[:, 2],
+    )
+
+
+def _read_outcome(reader, text):
+    try:
+        s = reader(text)
+    except ValueError:
+        return "ValueError"
+    return (s.grid, s.params, s.t, _bits(s.u).tolist(), _bits(s.v).tolist())
+
+
+def _mutate(text, kind, row, token):
+    """Text with one change at node row ``row`` (line 0 is the header)."""
+    lines = text.splitlines(keepends=True)
+    i = row + 1
+    cols = lines[i].split()
+    if kind in ("-0.0", "0.00", "0e0"):
+        cols[token] = kind
+    elif kind == "extra_token":
+        cols.append("0.0")
+    elif kind == "missing_token":
+        del cols[token]
+    elif kind == "coordinate_spelling":
+        cols[0] = cols[0] + "0" if "." in cols[0] else cols[0] + ".0"
+    elif kind == "coordinate_value":
+        cols[0] = repr(float(cols[0]) + 1.0)
+    elif kind == "trailing_space":
+        lines[i] = lines[i].replace("\n", "\u3000\n" if token == 1 else " \t\n")
+    elif kind == "glued":
+        lines[i - 1] = lines[i - 1].rstrip("\n")
+    elif kind == "tab":
+        lines[i] = lines[i].replace(" ", "\t", 1)
+    elif kind == "crlf_row":
+        lines[i] = lines[i].replace("\n", "\r\n")
+    elif kind == "crlf_all":
+        return text.replace("\n", "\r\n")
+    elif kind == "blank_interior":
+        lines.insert(i, " \n" if token else "\n")
+    elif kind == "blank_trailing":
+        lines.append(" \n" if token else "\n")
+    elif kind == "no_final_newline":
+        return text[:-1]
+    if kind in ("-0.0", "0.00", "0e0", "extra_token", "missing_token",
+                "coordinate_spelling", "coordinate_value"):
+        lines[i] = " ".join(cols) + "\n"
+    return "".join(lines)
+
+
+_MUTATIONS = ("none", "-0.0", "0.00", "0e0", "extra_token", "missing_token",
+              "coordinate_spelling", "coordinate_value", "trailing_space", "glued",
+              "tab", "crlf_row", "crlf_all", "blank_interior", "blank_trailing",
+              "no_final_newline")
+
+
+@pytest.mark.parametrize("kind", _MUTATIONS)
+def test_state_from_text_matches_seed_reader_at_the_boundary(kind):
+    # every change at every row near the start of the +0.0 tail, on a state
+    # with a tail, an all-zero state and a state without a tail
+    g = RadialGrid(h=0.125, n=12)
+    bump = np.where(g.r < 0.75, 1.0 - g.r, 0.0)  # live on nodes 0..5
+    v = 0.5 * bump
+    v[5] = -0.0
+    states = [(bump, v), (np.zeros(13), np.zeros(13)), (bump + 1.0, bump)]
+    for u, v in states:
+        s = RadialState(grid=g, params=make_params(5.0, -1), t=0.5, u=u, v=v)
+        text = state_to_text(s)
+        live = _live_length(s.u, s.v)
+        for row in sorted({0, live - 1, live, live + 1, 12} & set(range(13))):
+            for token in (1, 2):
+                mutated = _mutate(text, kind, row, token)
+                assert (_read_outcome(state_from_text, mutated)
+                        == _read_outcome(_seed_state_from_text, mutated)), (live, row, token)
+
+
+@given(st.integers(min_value=2, max_value=30), st.data())
+def test_state_from_text_matches_seed_reader(n, data):
+    # random live prefixes (all-zero states and tails from the first row
+    # included), then one change at the live/zero boundary or inside the tail
+    live = data.draw(st.integers(min_value=0, max_value=n + 1))
+    cols = []
+    for _ in range(2):
+        vals = data.draw(st.lists(_TEXT_FLOATS, min_size=live, max_size=live))
+        cols.append(np.array(vals + [0.0] * (n + 1 - live), dtype=float))
+    h = data.draw(st.sampled_from([0.1, 0.125, 1.0 / 3.0, 7.5]))
+    s = RadialState(grid=RadialGrid(h=h, n=n), params=make_params(7.0, 1),
+                    t=0.25, u=cols[0], v=cols[1])
+    text = state_to_text(s)
+    # the reader skips exactly the +0.0 tail of a written state
+    assert _zero_tail(text, s.grid) == _live_length(s.u, s.v)
+    kind = data.draw(st.sampled_from(_MUTATIONS))
+    row = data.draw(st.integers(min_value=max(0, live - 2), max_value=n))
+    token = data.draw(st.integers(min_value=1, max_value=2))
+    mutated = _mutate(text, kind, row, token)
+    outcome = _read_outcome(state_from_text, mutated)
+    assert outcome == _read_outcome(_seed_state_from_text, mutated)
+    if kind == "none":
+        assert outcome[3:] == (_bits(s.u).tolist(), _bits(s.v).tolist())
+
+
+def test_zero_tail_search_behind_rows_of_zero_row_length():
+    # "1.0" and "0e0" have the length of "0.0": the rows in front of them still
+    # line up with the zero-row text, which a binary search alone would take
+    g = RadialGrid(h=0.1, n=7)
+    v = np.zeros(8)
+    v[3] = 1.0
+    s = RadialState(grid=g, params=make_params(5.0, 1), t=0.0, u=np.zeros(8), v=v)
+    text = state_to_text(s)
+    assert _zero_tail(text, g) == 4
+    mutated = _mutate(text, "0e0", 5, 2)
+    assert _zero_tail(mutated, g) == 6
+    outcome = _read_outcome(state_from_text, mutated)
+    assert outcome == _read_outcome(_seed_state_from_text, mutated)
+    back = state_from_text(mutated)
+    assert np.array_equal(_bits(back.v), _bits(v)) and not back.u.any()
+
+
+def test_state_from_text_parses_only_the_live_rows(monkeypatch):
+    parsed = []
+
+    def counting_loadtxt(rows, *args, **kwargs):
+        parsed.append(len(rows))
+        return loadtxt(rows, *args, **kwargs)
+
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+    g = RadialGrid(h=0.125, n=40)
+    for u, v in _edge_states().values():
+        s = RadialState(grid=g, params=make_params(5.0, -1), t=0.0, u=u, v=v)
+        parsed.clear()
+        back = state_from_text(state_to_text(s))
+        live = _live_length(s.u, s.v)
+        assert parsed == ([live] if live else [])
+        assert np.array_equal(_bits(back.u), _bits(s.u))
+        assert np.array_equal(_bits(back.v), _bits(s.v))
+
+
+def test_loaded_states_share_one_grid_per_h_n():
+    p = make_params(5.0, -1)
+    texts = {}
+    for h, n in [(0.1, 30), (0.3, 30), (0.1, 31)]:
+        g = RadialGrid(h=h, n=n)
+        u = np.zeros(n + 1)
+        u[:5] = 1.0 + np.arange(5)
+        texts[h, n] = state_to_text(RadialState(grid=g, params=p, t=0.0, u=u,
+                                                v=np.zeros(n + 1)))
+    loaded = {key: [state_from_text(texts[key]) for _ in range(2)] for key in texts}
+    for (h, n), (a, b) in loaded.items():
+        assert a.grid is b.grid
+        assert (a.grid.h, a.grid.n) == (h, n)
+        assert np.array_equal(a.grid.r, h * np.arange(n + 1))
+        assert a.u[4] == 5.0 and not a.u[5:].any()
+    grids = [states[0].grid for states in loaded.values()]
+    assert len({id(g) for g in grids}) == 3
 
 
 def test_step_log_csv_round_trip():
