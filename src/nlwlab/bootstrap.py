@@ -16,6 +16,7 @@ them empirically on simulated trajectories through the decay moduli.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -29,6 +30,7 @@ __all__ = [
     "ExponentSequence",
     "GRecursionReport",
     "contraction_constant",
+    "contraction_table",
     "convexity_step_check",
     "decay_fit",
     "exponent_iteration",
@@ -48,6 +50,22 @@ def working_dtype():
     raise ValueError(f"NLWLAB_PRECISION must be 'f64' or 'extended', got {choice!r}")
 
 
+def _scalar_type():
+    """Scalar type the arithmetic runs in, resolved from :func:`working_dtype`.
+
+    f64 runs in Python floats: the same IEEE double operations and the same
+    libm pow as numpy float64 scalars, at a fraction of the per-operation
+    cost.  extended runs in numpy longdouble scalars.
+    """
+    dt = working_dtype()
+    return float if dt is np.float64 else dt
+
+
+def _check_p(p) -> None:
+    if not (5.0 <= p < math.inf):
+        raise ValueError(f"p must be a finite real >= 5, got {p}")
+
+
 def contraction_constant(p: float):
     """Contraction factor of the convexity step and its gap to 1.
 
@@ -55,14 +73,20 @@ def contraction_constant(p: float):
     and theta_p = (1 - value)/2.  The value is strictly inside (0, 1) for
     every p >= 5 and degenerates to 1 as p -> infinity.
     """
-    if not (np.isfinite(p) and p >= 5.0):
-        raise ValueError(f"p must be a finite real >= 5, got {p}")
-    dt = working_dtype()
-    one = dt(1.0)
-    a = dt(2.0) / (dt(p) - one)
-    value = (dt(1.5) ** (one - a) + dt(0.5) ** (one - a)) / dt(2.0)
-    theta = (one - value) / dt(2.0)
-    return float(value), float(theta)
+    return contraction_table((p,))[0]
+
+
+def contraction_table(p_values) -> list:
+    """:func:`contraction_constant` at every p, with the working type resolved once."""
+    dt = _scalar_type()
+    one, two = dt(1.0), dt(2.0)
+    table = []
+    for p in p_values:
+        _check_p(p)
+        a = two / (dt(p) - one)
+        value = (dt(1.5) ** (one - a) + dt(0.5) ** (one - a)) / two
+        table.append((float(value), float((one - value) / two)))
+    return table
 
 
 @dataclass(frozen=True)
@@ -98,9 +122,8 @@ def exponent_iteration(p: float, beta0: float, n_max: int = 100000,
     Convergence is geometric near the fixed point, so the default cap is
     generous.  Arithmetic runs in :func:`working_dtype`.
     """
-    if not (np.isfinite(p) and p >= 5.0):
-        raise ValueError(f"p must be a finite real >= 5, got {p}")
-    dt = working_dtype()
+    _check_p(p)
+    dt = _scalar_type()
     one = dt(1.0)
     pp = dt(p)
     a = dt(2.0) / (pp - one)

@@ -34,12 +34,10 @@ type used by the bootstrap arithmetic.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,6 +49,7 @@ from nlwlab.core import (
     RadialGrid,
     RadialState,
     _ode_blowup_constant,
+    _shared_grid,
     load_state,
     make_params,
     reference_W,
@@ -192,7 +191,8 @@ def parse_config(raw: dict, scenario: str | None = None,
     if h is None or n is None:
         raise ConfigError("grid: h and n are required for this scenario")
     try:
-        grid = RadialGrid(h=h, n=n)
+        # the grid state files load onto, so written and read states share one
+        grid = _shared_grid(h, n)
     except ValueError as e:
         raise ConfigError(f"grid: {e}") from None
 
@@ -480,23 +480,24 @@ def _run_norms(cfg: ExperimentConfig, out: Path, threads: int):
                                g1_radii=g1_radii,
                                sp_interval=tuple(sp_interval) if sp_interval else None)
     _write(out, "normreport.json", report.to_json())
-    if tail_radii:
-        _write(out, "tails.csv", norms.tails_to_csv(norms.tail_table(state, tail_radii)))
+    tails = norms.tail_table(state, tail_radii)
+    if tails:
+        _write(out, "tails.csv", norms.tails_to_csv(tails))
 
-    if "route_agreement" in cfg.checks:
-        worst = 0.0
+    if "route_agreement" in cfg.checks or "l2_match" in cfg.checks:
+        # each route transforms u once; beta = 0 comes last, for l2_match
+        swept = betas if "route_agreement" in cfg.checks else []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            for b in betas:
-                n1 = norms.sobolev_norm(state.u, cfg.grid, b)
-                n2 = norms.sobolev_norm_1d(state.u, cfg.grid, b)
-                worst = max(worst, abs(n1 - n2) / max(n2, 1e-300))
+            freq, one_d = norms.sobolev_norms(state.u, cfg.grid, [*swept, 0.0])
+    if "route_agreement" in cfg.checks:
+        worst = 0.0
+        for n1, n2 in zip(freq[:-1], one_d[:-1]):
+            worst = max(worst, abs(n1 - n2) / max(n2, 1e-300))
         checks.append(_check("route_agreement", worst,
                              _field(cfg.checks, "route_agreement", float)))
     if "l2_match" in cfg.checks:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            val = norms.sobolev_norm(state.u, cfg.grid, 0.0)
+        val = freq[-1]
         direct = float(np.sqrt(4.0 * np.pi * np.trapezoid(
             state.u ** 2 * cfg.grid.r ** 2, dx=cfg.grid.h)))
         rel = abs(val - direct) / max(direct, 1e-300)
@@ -504,7 +505,7 @@ def _run_norms(cfg: ExperimentConfig, out: Path, threads: int):
     if "tail_monotone" in cfg.checks:
         if len(tail_radii) < 2:
             raise ConfigError("checks.tail_monotone: needs at least two tail radii")
-        recs = norms.tail_table(state, sorted(tail_radii))
+        recs = sorted(tails, key=lambda rec: rec.r)
         worst = max(
             getattr(b, f) - getattr(a, f)
             for a, b in zip(recs, recs[1:])
@@ -594,16 +595,12 @@ def _run_bootstrap(cfg: ExperimentConfig, out: Path, threads: int):
     dense = _field(sec, "dense_sample", int, default=2000)
 
     lines = ["p,value,theta"]
-    for p in p_values:
-        value, theta = bootstrap.contraction_constant(p)
+    for p, (value, theta) in zip(p_values, bootstrap.contraction_table(p_values)):
         lines.append(f"{p!r},{value!r},{theta!r}")
     _write(out, "contraction.csv", "\n".join(lines) + "\n")
 
     jobs = [(p, b0) for p in p_values for b0 in beta0_values]
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        seqs = list(pool.map(
-            lambda pb: bootstrap.exponent_iteration(pb[0], pb[1], n_max=n_max, tol=tol),
-            jobs))
+    seqs = [bootstrap.exponent_iteration(p, b0, n_max=n_max, tol=tol) for p, b0 in jobs]
     for (p, b0), seq in zip(jobs, seqs):
         i, j = p_values.index(p), beta0_values.index(b0)
         body = f"# p={p!r} beta0={b0!r}\n" + seq.to_csv()
@@ -611,7 +608,7 @@ def _run_bootstrap(cfg: ExperimentConfig, out: Path, threads: int):
 
     if "contraction_subunit" in cfg.checks:
         sample = np.geomspace(5.0, 1e4, dense)
-        worst = max(bootstrap.contraction_constant(p)[0] for p in sample)
+        worst = max(value for value, _ in bootstrap.contraction_table(sample))
         checks.append(_check("contraction_subunit", worst,
                              _field(cfg.checks, "contraction_subunit", float), op="<"))
     if "iteration_monotone" in cfg.checks:
@@ -826,6 +823,8 @@ def run(config: ExperimentConfig, threads: int = 1) -> int:
 
 
 def main(argv=None) -> int:
+    import argparse  # only the command line needs it, not library use
+
     parser = argparse.ArgumentParser(
         prog="nlwlab",
         description="Numerical laboratory for the radial semilinear wave equation")
@@ -835,7 +834,7 @@ def main(argv=None) -> int:
         sp.add_argument("--config", required=True, help="JSON config path")
         sp.add_argument("--out", default=None, help="output directory override")
         sp.add_argument("--threads", type=int, default=1,
-                        help="worker threads for parameter sweeps")
+                        help="accepted for compatibility; has no effect")
     args = parser.parse_args(argv)
     try:
         with open(args.config) as fh:

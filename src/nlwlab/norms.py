@@ -45,6 +45,7 @@ __all__ = [
     "sine_transform",
     "sobolev_norm",
     "sobolev_norm_1d",
+    "sobolev_norms",
     "sp_norm",
     "tail_norms",
     "tail_table",
@@ -111,6 +112,32 @@ def _check_beta(beta: float) -> float:
     return beta
 
 
+def _frequency_norm(T: np.ndarray, grid: RadialGrid, beta: float) -> float:
+    """sqrt(8 * trapezoid(rho^{2 beta} T^2)) from T = sine_transform(phi, grid),
+    for a checked beta."""
+    rho = np.arange(grid.n + 1) * (np.pi / grid.R)
+    integrand = np.zeros_like(T)
+    integrand[1:] = rho[1:] ** (2.0 * beta) * T[1:] ** 2
+    if beta == 0.0:
+        integrand[0] = T[0] ** 2  # rho^0 = 1; T(0) = 0 anyway
+    return float(np.sqrt(8.0 * np.trapezoid(integrand, dx=np.pi / grid.R)))
+
+
+def _odd_fft(phi: np.ndarray, grid: RadialGrid) -> np.ndarray:
+    """FFT of s phi(s) extended oddly onto the doubled grid (the 1D route's transform)."""
+    return np.fft.fft(_odd_extension(grid.r * phi))
+
+
+def _parseval_norm(X: np.ndarray, grid: RadialGrid, beta: float) -> float:
+    """The 1D route's Parseval sum from X = _odd_fft(phi, grid), for a checked beta."""
+    xi = 2.0 * np.pi * np.fft.fftfreq(2 * grid.n, d=grid.h)
+    weight = np.empty_like(xi)
+    weight[0] = 1.0 if beta == 0.0 else 0.0
+    weight[1:] = np.abs(xi[1:]) ** (2.0 * beta)
+    total = np.sum(weight * np.abs(X) ** 2)
+    return float(np.sqrt((np.pi / grid.R) * grid.h ** 2 * total))
+
+
 def sobolev_norm(phi, grid: RadialGrid, beta: float) -> float:
     """Homogeneous Sobolev norm ||phi||_{Hdot^beta(R^3)} of a radial profile.
 
@@ -121,13 +148,7 @@ def sobolev_norm(phi, grid: RadialGrid, beta: float) -> float:
     beta = _check_beta(beta)
     phi = np.asarray(phi, dtype=float)
     _warn_if_not_decayed(phi, "radial profile")
-    T = sine_transform(phi, grid)
-    rho = np.arange(grid.n + 1) * (np.pi / grid.R)
-    integrand = np.zeros_like(T)
-    integrand[1:] = rho[1:] ** (2.0 * beta) * T[1:] ** 2
-    if beta == 0.0:
-        integrand[0] = T[0] ** 2  # rho^0 = 1; T(0) = 0 anyway
-    return float(np.sqrt(8.0 * np.trapezoid(integrand, dx=np.pi / grid.R)))
+    return _frequency_norm(sine_transform(phi, grid), grid, beta)
 
 
 def sobolev_norm_1d(phi, grid: RadialGrid, beta: float) -> float:
@@ -142,14 +163,22 @@ def sobolev_norm_1d(phi, grid: RadialGrid, beta: float) -> float:
     beta = _check_beta(beta)
     phi = np.asarray(phi, dtype=float)
     _warn_if_not_decayed(phi, "radial profile")
-    n = grid.n
-    X = np.fft.fft(_odd_extension(grid.r * phi))
-    xi = 2.0 * np.pi * np.fft.fftfreq(2 * n, d=grid.h)
-    weight = np.empty_like(xi)
-    weight[0] = 1.0 if beta == 0.0 else 0.0
-    weight[1:] = np.abs(xi[1:]) ** (2.0 * beta)
-    total = np.sum(weight * np.abs(X) ** 2)
-    return float(np.sqrt((np.pi / grid.R) * grid.h ** 2 * total))
+    return _parseval_norm(_odd_fft(phi, grid), grid, beta)
+
+
+def sobolev_norms(phi, grid: RadialGrid, betas):
+    """:func:`sobolev_norm` and :func:`sobolev_norm_1d` at every beta.
+
+    Each route transforms phi once and evaluates every beta from that
+    transform with the one-beta functions' arithmetic, so the values equal
+    theirs bit for bit.  Returns two lists aligned with betas.
+    """
+    betas = [_check_beta(b) for b in betas]
+    phi = np.asarray(phi, dtype=float)
+    _warn_if_not_decayed(phi, "radial profile")
+    T, X = sine_transform(phi, grid), _odd_fft(phi, grid)
+    return ([_frequency_norm(T, grid, b) for b in betas],
+            [_parseval_norm(X, grid, b) for b in betas])
 
 
 def embedding_check(phi, grid: RadialGrid, beta: float, m: float):
@@ -200,15 +229,22 @@ def _node_at_most(x: float, h: float, n: int) -> int:
     return max(0, min(j, n))
 
 
+def _g1_suffix(state: RadialState) -> np.ndarray:
+    """sup over nodes alpha >= r_j of alpha^a |u(alpha)|, for every node j.
+
+    Exact on the grid: the suffix running maximum of r^a |u|.
+    """
+    ra_u = state.grid.r ** state.params.a * np.abs(state.u)
+    return np.maximum.accumulate(ra_u[::-1])[::-1]
+
+
 def _g_of_state(state: RadialState, radii) -> np.ndarray:
     """(3, len(radii)) array of g1, g2, g3 for one state."""
     grid = state.grid
-    r, h, n = grid.r, grid.h, grid.n
-    a, m = state.params.a, state.params.m
+    h, n = grid.h, grid.n
+    m = state.params.m
     fields = characteristics(state)
-    ra_u = r ** a * np.abs(state.u)
-    # sup over alpha >= r, exact on the grid: suffix running maximum
-    suffix_max = np.maximum.accumulate(ra_u[::-1])[::-1]
+    suffix_max = _g1_suffix(state)
     out = np.empty((3, len(radii)))
     for i, rad in enumerate(radii):
         j_lo = _node_at_least(rad, h, n)
@@ -220,15 +256,8 @@ def _g_of_state(state: RadialState, radii) -> np.ndarray:
     return out
 
 
-def g_moduli(obj, radii):
-    """Decay moduli g1, g2, g3 sampled at the given radii.
-
-    g1(r) = sup over nodes alpha >= r of alpha^a |u(alpha)|;
-    g2(r), g3(r) = L^m norms of z1, z2 over the window [r, 4r] (1D measure).
-    For a trajectory, each modulus is the max over stored times (a finite
-    sample of the underlying sup over all t; no extrapolation is applied).
-    Requires 4 * max(radii) <= R.  Returns three arrays aligned with radii.
-    """
+def _moduli_states(obj, radii):
+    """g_moduli's radius rules: (radii as floats, the states of obj)."""
     radii = [float(x) for x in radii]
     if not radii:
         raise ValueError("need at least one radius")
@@ -238,6 +267,28 @@ def g_moduli(obj, radii):
     R = states[0].grid.R
     if 4.0 * max(radii) > R * (1.0 + 1e-12):
         raise ValueError(f"window [r, 4r] exceeds the grid for max radius {max(radii)}")
+    return radii, states
+
+
+def _g1(obj, radii) -> np.ndarray:
+    """g1 alone: ``g_moduli(obj, radii)[0]``, same checks and errors, without
+    the characteristic fields and the window norms g2, g3."""
+    radii, states = _moduli_states(obj, radii)
+    grid = states[0].grid
+    nodes = [_node_at_least(rad, grid.h, grid.n) for rad in radii]
+    return np.stack([_g1_suffix(s)[nodes] for s in states]).max(axis=0)
+
+
+def g_moduli(obj, radii):
+    """Decay moduli g1, g2, g3 sampled at the given radii.
+
+    g1(r) = sup over nodes alpha >= r of alpha^a |u(alpha)|;
+    g2(r), g3(r) = L^m norms of z1, z2 over the window [r, 4r] (1D measure).
+    For a trajectory, each modulus is the max over stored times (a finite
+    sample of the underlying sup over all t; no extrapolation is applied).
+    Requires 4 * max(radii) <= R.  Returns three arrays aligned with radii.
+    """
+    radii, states = _moduli_states(obj, radii)
     stacked = np.stack([_g_of_state(s, radii) for s in states])
     g = stacked.max(axis=0)
     return g[0], g[1], g[2]
@@ -371,7 +422,7 @@ def norm_report(state: RadialState, traj: Trajectory | None = None,
         tail_norms(state, rr)) for rr in tail_radii}
     g1 = {}
     if len(tuple(g1_radii)):
-        g1_vals, _, _ = g_moduli(traj if traj is not None else state, tuple(g1_radii))
+        g1_vals = _g1(traj if traj is not None else state, tuple(g1_radii))
         g1 = {float(rr): float(gv) for rr, gv in zip(g1_radii, g1_vals)}
     sp = None
     if sp_interval is not None:

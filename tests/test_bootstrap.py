@@ -1,6 +1,9 @@
 """Tests for the contraction constant, exponent recursion, and decay audits."""
 
 import math
+import os
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +20,9 @@ from nlwlab import (
     make_params,
 )
 from nlwlab.bootstrap import (
+    ExponentSequence,
     contraction_constant,
+    contraction_table,
     convexity_step_check,
     decay_fit,
     exponent_iteration,
@@ -303,3 +308,113 @@ def test_exponent_iteration_fixed_point_extended(monkeypatch):
         assert seq.converged
         assert len(seq.beta) == 1
         assert abs(seq.gamma[0] * p - 1.0) <= 4.0 * EPS
+
+
+# ---------------------------------------------------------------------------
+# bit-identity oracles: the arithmetic as it ran in numpy scalars of
+# working_dtype() at every operation, before f64 moved to Python floats
+
+
+def _seed_contraction_constant(p):
+    if not (np.isfinite(p) and p >= 5.0):
+        raise ValueError(f"p must be a finite real >= 5, got {p}")
+    dt = working_dtype()
+    one = dt(1.0)
+    a = dt(2.0) / (dt(p) - one)
+    value = (dt(1.5) ** (one - a) + dt(0.5) ** (one - a)) / dt(2.0)
+    theta = (one - value) / dt(2.0)
+    return float(value), float(theta)
+
+
+def _seed_exponent_iteration(p, beta0, n_max=100000, tol=1e-12):
+    if not (np.isfinite(p) and p >= 5.0):
+        raise ValueError(f"p must be a finite real >= 5, got {p}")
+    dt = working_dtype()
+    one = dt(1.0)
+    pp = dt(p)
+    a = dt(2.0) / (pp - one)
+    limit = one - a
+    b0 = dt(beta0)
+    slack = dt(4.0) * dt(np.finfo(np.float64).eps) * limit
+    if limit < b0 <= limit + slack:
+        b0 = limit
+    if not (b0 > 0.0 and b0 <= limit):
+        raise ValueError(f"beta0 must lie in (0, 1 - a] = (0, {float(limit)}], got {beta0}")
+    if n_max < 1:
+        raise ValueError("n_max must be positive")
+    betas = [b0]
+    gammas = []
+    b = b0
+    converged = abs(b - limit) < tol
+    for _ in range(n_max):
+        if converged:
+            break
+        g = limit / (limit + b * (pp - one))
+        gammas.append(g)
+        b = g * b * pp
+        betas.append(b)
+        converged = abs(b - limit) < tol
+    gammas.append(limit / (limit + betas[-1] * (pp - one)))
+    return ExponentSequence(
+        p=float(p),
+        beta=tuple(float(x) for x in betas),
+        gamma=tuple(float(x) for x in gammas),
+        converged=bool(converged),
+        limit_gap=float(abs(betas[-1] - limit)),
+    )
+
+
+@contextmanager
+def _precision(choice):
+    """NLWLAB_PRECISION set to ``choice`` (None: unset) inside the block."""
+    env = {k: v for k, v in os.environ.items() if k != "NLWLAB_PRECISION"}
+    if choice is not None:
+        env["NLWLAB_PRECISION"] = choice
+    with mock.patch.dict(os.environ, env, clear=True):
+        yield
+
+
+PRECISIONS = (None, "extended")
+P_RANGE = st.floats(min_value=5.0, max_value=1e6)
+
+
+@given(p=P_RANGE)
+def test_contraction_constant_matches_seed_bitwise(p):
+    for choice in PRECISIONS:
+        with _precision(choice):
+            got, want = contraction_constant(p), _seed_contraction_constant(p)
+            assert repr(got) == repr(want), choice
+            assert contraction_table([p, np.float64(p)]) == [want, want]
+
+
+@given(p=P_RANGE, data=st.data())
+def test_exponent_iteration_matches_seed_bitwise(p, data):
+    limit = 1.0 - 2.0 / (p - 1.0)
+    beta0 = data.draw(st.floats(min_value=0.0, max_value=limit, exclude_min=True))
+    for choice in PRECISIONS:
+        with _precision(choice):
+            got = exponent_iteration(p, beta0)
+            want = _seed_exponent_iteration(p, beta0)
+            assert repr(got) == repr(want), choice
+
+
+def test_bootstrap_arithmetic_rejects_like_seed():
+    for choice in PRECISIONS:
+        with _precision(choice):
+            for bad in (4.9, -math.inf, math.nan, math.inf):
+                for new, seed in ((contraction_constant, _seed_contraction_constant),
+                                  (lambda q: exponent_iteration(q, 0.1),
+                                   lambda q: _seed_exponent_iteration(q, 0.1))):
+                    with pytest.raises(ValueError) as e_new:
+                        new(bad)
+                    with pytest.raises(ValueError) as e_seed:
+                        seed(bad)
+                    assert str(e_new.value) == str(e_seed.value)
+                with pytest.raises(ValueError, match="finite real"):
+                    contraction_table([5.0, bad])
+            for beta0 in (0.0, -0.1, 0.5 + 1e-9):
+                with pytest.raises(ValueError) as e_new:
+                    exponent_iteration(5.0, beta0)
+                with pytest.raises(ValueError) as e_seed:
+                    _seed_exponent_iteration(5.0, beta0)
+                assert str(e_new.value) == str(e_seed.value)

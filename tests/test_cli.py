@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 import nlwlab
-from nlwlab import RadialGrid, make_params, reference_ode_blowup, save_state
+from nlwlab import (
+    RadialGrid,
+    load_state,
+    make_params,
+    reference_ode_blowup,
+    save_state,
+)
 from nlwlab.cli import (
     ConfigError,
     build_initial,
@@ -21,6 +27,7 @@ from nlwlab.cli import (
     profile_bump,
     profile_gaussian,
     profile_ode_flat,
+    run,
     _check,
 )
 
@@ -521,6 +528,32 @@ def test_main_bootstrap_artifacts_and_precision(tmp_path, monkeypatch):
     raw3 = dict(raw, output={"dir": str(out3)})
     cfg3 = _write_config(tmp_path, raw3, "c3.json")
     assert main(["bootstrap", "--config", cfg3]) == 2
+
+
+def test_bootstrap_threads_leave_the_artifacts_unchanged(tmp_path):
+    raw = {
+        "scenario": "bootstrap",
+        "bootstrap": {"p_values": [5.0, 7.0, 13.0], "beta0_values": [0.01, 0.1],
+                      "dense_sample": 50},
+        "checks": {"iteration_monotone": 0.0, "limit_gap": 1e-10},
+    }
+    texts = []
+    for threads in (1, 3):
+        out = tmp_path / f"t{threads}"
+        assert run(parse_config(raw, out_override=str(out)), threads=threads) == 0
+        texts.append({p.name: p.read_text() for p in sorted(out.glob("*.csv"))})
+    assert len(texts[0]) == 7 and texts[0] == texts[1]
+
+
+def test_parsed_grid_is_the_grid_states_load_onto(tmp_path):
+    grid, params = RadialGrid(h=0.125, n=64), make_params(5.0, 1)
+    save_state(build_initial({"kind": "bump"}, grid, params), tmp_path / "init.txt")
+    raw = {"scenario": "evolve", "grid": {"h": 0.125, "n": 64},
+           "initial": {"kind": "file", "path": str(tmp_path / "init.txt")},
+           "run": {"t_final": 0.25}, "output": {"dir": str(tmp_path / "out")}}
+    cfg = parse_config(raw)
+    assert load_state(tmp_path / "init.txt").grid is cfg.grid
+    assert parse_config(raw).grid is cfg.grid
 
 
 def test_main_diagnose_time_validation(tmp_path, capsys):

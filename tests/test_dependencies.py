@@ -1,7 +1,9 @@
 """Dependency audit: the runtime imports are exactly the declared dependencies."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -30,3 +32,14 @@ def _declared_dependencies() -> set:
 
 def test_runtime_imports_match_declared_dependencies():
     assert _imported_top_levels() == _declared_dependencies() == {"numpy"}
+
+
+def test_importing_the_cli_skips_command_line_and_pool_modules():
+    # argparse is needed only by main; no runner uses a thread pool
+    code = ("import sys, nlwlab.cli\n"
+            "print(sorted(m for m in ('argparse', 'concurrent.futures') if m in sys.modules))")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

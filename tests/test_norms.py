@@ -22,6 +22,7 @@ from nlwlab import (
     scale_state,
     SolverConfig,
 )
+from nlwlab import norms
 from nlwlab.norms import (
     NormReport,
     embedding_check,
@@ -395,3 +396,89 @@ def test_norm_report_with_evolved_trajectory():
                              g1_radii=(0.5,), sp_interval=(0.0, 0.5))
     assert report.sp is not None and report.sp > 0.0
     assert math.isfinite(report.g1[0.5])
+
+
+# ---------------------------------------------------------------------------
+# bit-identity oracles: each quantity computed once gives the bits of the
+# per-call routes it replaced
+
+
+def _seed_sobolev_norm(phi, grid, beta):
+    phi = np.asarray(phi, dtype=float)
+    T = sine_transform(phi, grid)
+    rho = np.arange(grid.n + 1) * (np.pi / grid.R)
+    integrand = np.zeros_like(T)
+    integrand[1:] = rho[1:] ** (2.0 * beta) * T[1:] ** 2
+    if beta == 0.0:
+        integrand[0] = T[0] ** 2
+    return float(np.sqrt(8.0 * np.trapezoid(integrand, dx=np.pi / grid.R)))
+
+
+def _seed_sobolev_norm_1d(phi, grid, beta):
+    phi = np.asarray(phi, dtype=float)
+    n = grid.n
+    X = np.fft.fft(norms._odd_extension(grid.r * phi))
+    xi = 2.0 * np.pi * np.fft.fftfreq(2 * n, d=grid.h)
+    weight = np.empty_like(xi)
+    weight[0] = 1.0 if beta == 0.0 else 0.0
+    weight[1:] = np.abs(xi[1:]) ** (2.0 * beta)
+    total = np.sum(weight * np.abs(X) ** 2)
+    return float(np.sqrt((np.pi / grid.R) * grid.h ** 2 * total))
+
+
+@given(beta=st.floats(min_value=0.0, max_value=1.5, exclude_max=True))
+def test_sobolev_norms_match_both_routes_bitwise(beta):
+    betas = [beta, 0.0, 1.25, beta]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for grid, phi in _oracle_cases():
+            freq, one_d = norms.sobolev_norms(phi, grid, betas)
+            assert [repr(x) for x in freq] == [repr(sobolev_norm(phi, grid, b)) for b in betas]
+            assert [repr(x) for x in one_d] == [repr(sobolev_norm_1d(phi, grid, b)) for b in betas]
+            assert repr(freq[0]) == repr(_seed_sobolev_norm(phi, grid, beta))
+            assert repr(one_d[0]) == repr(_seed_sobolev_norm_1d(phi, grid, beta))
+
+
+def test_sobolev_norms_check_every_beta():
+    phi = gauss(SMALL_GRID.r)
+    assert norms.sobolev_norms(phi, SMALL_GRID, []) == ([], [])
+    for bad in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match="beta"):
+            norms.sobolev_norms(phi, SMALL_GRID, [0.5, bad])
+
+
+def _moving_trajectory():
+    grid = RadialGrid(h=1.0 / 32.0, n=256)
+    params = make_params(7.0, 1)
+    state = RadialState(grid=grid, params=params, t=0.0,
+                        u=1.5 * gauss(2.0 * grid.r), v=np.zeros(grid.n + 1))
+    cfg = SolverConfig(grid=grid, params=params, t_final=1.0, snapshot_stride=4,
+                       cone_floor=None)
+    return evolve(cfg, state)
+
+
+def test_norm_report_g1_equals_g_moduli_bitwise(w_state):
+    radii = (0.0, 0.5, 1.0, 2.0, 4.0, 12.5)
+    report = norm_report(w_state, g1_radii=radii)
+    g1 = g_moduli(w_state, radii)[0]
+    assert [repr(report.g1[r]) for r in radii] == [repr(float(x)) for x in g1]
+
+    traj = _moving_trajectory()
+    assert len(traj.states) > 2
+    radii = (0.25, 0.5, 1.0, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = norm_report(traj.states[-1], traj=traj, g1_radii=radii)
+    g1 = g_moduli(traj, radii)[0]
+    assert [repr(report.g1[r]) for r in radii] == [repr(float(x)) for x in g1]
+    # the sup over stored times, not the last layer's value
+    assert np.any(g1 > norms._g1(traj.states[-1], radii))
+
+
+def test_g1_validation_matches_g_moduli(w_state):
+    for radii in ([], [-1.0], [13.0]):
+        with pytest.raises(ValueError) as e_g1:
+            norms._g1(w_state, radii)
+        with pytest.raises(ValueError) as e_all:
+            g_moduli(w_state, radii)
+        assert str(e_g1.value) == str(e_all.value)
