@@ -476,20 +476,25 @@ def _run_norms(cfg: ExperimentConfig, out: Path, threads: int):
         if len(sp_interval) != 2:
             raise ConfigError("norms.sp_interval: expected [t0, t1]")
         traj = solver.evolve(_solver_config(cfg), state)
-    report = norms.norm_report(state, traj, tail_radii=tail_radii,
-                               g1_radii=g1_radii,
-                               sp_interval=tuple(sp_interval) if sp_interval else None)
-    _write(out, "normreport.json", report.to_json())
     tails = norms.tail_table(state, tail_radii)
-    if tails:
-        _write(out, "tails.csv", norms.tails_to_csv(tails))
-
+    hsp = None
     if "route_agreement" in cfg.checks or "l2_match" in cfg.checks:
-        # each route transforms u once; beta = 0 comes last, for l2_match
+        # each route transforms u once; beta = 0 (for l2_match) and s_p (the
+        # report's hsp) come last
         swept = betas if "route_agreement" in cfg.checks else []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            freq, one_d = norms.sobolev_norms(state.u, cfg.grid, [*swept, 0.0])
+            freq, one_d = norms.sobolev_norms(state.u, cfg.grid,
+                                              [*swept, 0.0, cfg.params.s_p])
+        hsp, freq, one_d = freq[-1], freq[:-1], one_d[:-1]
+    report = norms.norm_report(state, traj, tail_radii=tail_radii,
+                               g1_radii=g1_radii,
+                               sp_interval=tuple(sp_interval) if sp_interval else None,
+                               hsp=hsp, tails=tails)
+    _write(out, "normreport.json", report.to_json())
+    if tails:
+        _write(out, "tails.csv", norms.tails_to_csv(tails))
+
     if "route_agreement" in cfg.checks:
         worst = 0.0
         for n1, n2 in zip(freq[:-1], one_d[:-1]):

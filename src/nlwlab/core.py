@@ -145,6 +145,23 @@ def _live_length(*cols: np.ndarray) -> int:
     return int(idx[-1]) + 1 if idx.size else 0
 
 
+def _nonneg_power(x: np.ndarray, e: float) -> np.ndarray:
+    """np.power(x, e) for an exponent e > 0 and x >= 0 without -0.0 (as
+    np.abs gives), NaN included, bit for bit.
+
+    np.power is about 30 times slower on elements whose result underflows.
+    Below theta = 2^(-1080/e) the exact x^e is under 2^-1080, 1/64 of the
+    smallest subnormal, so pow rounds it to +0.0: those elements are written
+    as +0.0 and only the others (NaN among them) go through np.power.
+    """
+    low = x < 2.0 ** (-1080.0 / e)
+    if not low.any():
+        return np.power(x, e)
+    out = np.zeros_like(x)
+    np.power(x, e, out=out, where=~low)
+    return out
+
+
 def _readonly(x, n_nodes: int, name: str) -> np.ndarray:
     arr = np.array(x, dtype=float, copy=True)
     if arr.shape != (n_nodes,):

@@ -56,47 +56,74 @@ def smooth_cutoff_gradient(r, Rc: float):
     return -(30.0 * y * y - 60.0 * y ** 3 + 30.0 * y ** 4) / Rc
 
 
-def _radial_integral(density: np.ndarray, r: np.ndarray, h: float,
-                     terms: np.ndarray | None = None):
+def _radial_quadrature(blocks, rt: np.ndarray, h: float, terms: np.ndarray) -> list:
+    """4 pi * trapezoid(d r^2 dr) over the whole grid, one (k,) array per block d.
+
+    Each block is a C-contiguous (k, W) stack of densities on the grid prefix
+    r[:W], rt that prefix tiled over the k rows, and terms a C-contiguous
+    (k, n) array (n + 1 grid nodes) that is zero from column W - 1 on.  The
+    last column of every row is zero; the grid beyond it counts as zero.
+    Every row is summed over its n terms either way, so a prefix gives the
+    full-grid value bit for bit.  Every elementwise pass runs over whole
+    contiguous blocks.  The blocks and rt are overwritten; terms keeps its
+    zero tail.
+    """
+    for d in blocks:
+        d *= rt  # (d r) r, in this order; r^2 is never formed
+        d *= rt
+    W = rt.shape[1]
+    pairs = rt.reshape(-1)[:-1]
+    values = []
+    for d in blocks:
+        # pair sums over the flattened block; the copy drops each row's seam
+        flat = d.reshape(-1)
+        np.add(flat[1:], flat[:-1], out=pairs)
+        pairs *= h
+        pairs *= 0.5  # x * 0.5 and x / 2 round the same real number: equal bits
+        np.copyto(terms[:, :W - 1], rt[:, :W - 1])
+        values.append(4.0 * np.pi * terms.sum(axis=-1))
+    return values
+
+
+def _radial_integral(density: np.ndarray, r: np.ndarray, h: float):
     """4 pi * trapezoid(density r^2 dr) over the whole grid r.
 
     density may cover only a prefix of the grid whose last node is zero; the
-    grid beyond it counts as zero.  The sum runs over the same number of
-    terms either way, so a prefix gives the full-grid value bit for bit.  A
+    grid beyond it counts as zero, with the same bits as the full grid.  A
     stack of densities (integrated along the last axis) gives a list.
-    Given scratch ``terms`` (rows contiguous, at least len(r) - 1 columns,
-    zero from column m = density.shape[-1] on), the quadrature works in
-    place: density is overwritten and the scratch keeps that zero tail.
     """
-    m = density.shape[-1]
-    n = len(r) - 1
-    if terms is None:
-        density = density * r[:m]
-        terms = np.zeros(density.shape[:-1] + (n,))
-    else:
-        density *= r[:m]
-        terms = terms[..., :n]
-        if m - 1 < n:
-            terms[..., m - 1] = 0.0
-    density *= r[:m]
-    head = terms[..., :m - 1]
-    np.add(density[..., 1:], density[..., :-1], out=head)
-    head *= h
-    head *= 0.5  # x * 0.5 and x / 2 round the same real number: equal bits
-    return (4.0 * np.pi * terms.sum(axis=-1)).tolist()
+    d = np.array(density, dtype=float)
+    W = d.shape[-1]
+    d2 = d.reshape(-1, W)
+    rt = np.empty_like(d2)
+    np.copyto(rt, r[:W])
+    (values,) = _radial_quadrature((d2,), rt, h, np.zeros((len(d2), len(r) - 1)))
+    return values.reshape(d.shape[:-1]).tolist()
 
 
 class _RowBuffers:
     """Scratch for :func:`_energy_virial` on up to ``rows`` rows of a grid
     with ``n_nodes`` nodes.
 
-    The solver allocates one set per run.  A call writes only the columns
-    its rows span, and those never shrink within a run, so ``s`` stays zero
-    past them, which the quadrature's zero padding relies on.
+    The solver allocates one set per run.  ``du``, ``e`` and ``s`` are flat;
+    a call on k rows of width W uses their first k W entries as C-contiguous
+    (k, W) blocks (:meth:`blocks`), and the rows of ``terms`` hold the
+    quadrature's n_nodes - 1 terms, zero past the columns the rows span.
     """
 
     def __init__(self, rows: int, n_nodes: int):
-        self.du, self.e, self.s = np.zeros((3, rows, n_nodes))
+        self.du, self.e, self.s = np.zeros((3, rows * n_nodes))
+        self.terms = np.zeros((rows, n_nodes - 1))
+        self._width = 0  # widest call so far: terms is zero from column _width - 1 on
+
+    def blocks(self, k: int, W: int):
+        """(du, e, s) as (k, W) blocks, and the first k rows of terms, zero
+        from column W - 1 on."""
+        if W < self._width:
+            self.terms[:, W - 1:self._width - 1] = 0.0
+        self._width = W
+        du, e, s = (x[:k * W].reshape(k, W) for x in (self.du, self.e, self.s))
+        return du, e, s, self.terms[:k]
 
 
 def _energy_virial(u: np.ndarray, v: np.ndarray, r: np.ndarray, h: float,
@@ -106,7 +133,9 @@ def _energy_virial(u: np.ndarray, v: np.ndarray, r: np.ndarray, h: float,
     Each row is one layer on the grid prefix r[:W], +0.0 past its own last
     nonzero; the quadrature sums over the whole grid r, so a row gives the
     value of its full-grid field bit for bit.  The arithmetic of a row does
-    not depend on the others.  :func:`energy`, :func:`virial` (one row) and
+    not depend on the others, nor on the stacks' memory layout: strided
+    stacks are copied to C-contiguous ones, on which every elementwise pass
+    runs over the whole block.  :func:`energy`, :func:`virial` (one row) and
     the solver's per-step log (:func:`step_log_rows`, a block of rows) all
     go through here, so the logged and recomputed values agree bit for bit.
     u and v are only read.
@@ -114,10 +143,14 @@ def _energy_virial(u: np.ndarray, v: np.ndarray, r: np.ndarray, h: float,
     k, W = u.shape
     if buffers is None:
         buffers = _RowBuffers(k, len(r))
-    du, e, s = buffers.du[:k, :W], buffers.e[:k, :W], buffers.s[:k, :W]
-    # np.gradient(u, h, axis=-1), same arithmetic without its generic set-up
-    np.subtract(u[:, 2:], u[:, :-2], out=du[:, 1:-1])
-    du[:, 1:-1] /= 2.0 * h
+    u, v = np.ascontiguousarray(u), np.ascontiguousarray(v)
+    du, e, s, terms = buffers.blocks(k, W)
+    # np.gradient(u, h, axis=-1), same arithmetic without its generic set-up:
+    # centred differences over the flattened block, then each row's two ends
+    # (where the flat difference straddles a seam) by the one-sided rule
+    uf, duf = u.reshape(-1), du.reshape(-1)
+    np.subtract(uf[2:], uf[:-2], out=duf[1:-1])
+    duf[1:-1] /= 2.0 * h
     np.subtract(u[:, 1], u[:, 0], out=du[:, 0])
     np.subtract(u[:, -1], u[:, -2], out=du[:, -1])
     du[:, 0] /= h
@@ -133,13 +166,14 @@ def _energy_virial(u: np.ndarray, v: np.ndarray, r: np.ndarray, h: float,
     s /= p + 1.0
     # mu = -1 negates the term, and IEEE a + (-x) is a - x bit for bit
     (np.add if mu > 0 else np.subtract)(e, s, out=e)
-    # virial density (u + r du) v, in place of du
+    # virial density (u + r du) v, in place of du; s now holds r tiled
+    rt = s
+    np.copyto(rt, r[:W])
     z = du
-    np.multiply(r[:W], du, out=z)
+    np.multiply(rt, du, out=z)
     z += u
     z *= v
-    return [_radial_integral(e, r, h, buffers.s[:k]),
-            _radial_integral(z, r, h, buffers.s[:k])]
+    return [x.tolist() for x in _radial_quadrature((e, z), rt, h, terms)]
 
 
 def _last_above_floor(u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nlwlab.core import RadialGrid, RadialState, Trajectory
+from nlwlab.core import RadialGrid, RadialState, Trajectory, _nonneg_power
 from nlwlab.solver import characteristics
 
 __all__ = [
@@ -365,7 +365,8 @@ def sp_norm(traj: Trajectory, interval) -> float:
     r, h = traj.grid.r, traj.grid.h
     times = np.array([s.t for s in snaps])
     space = np.array([
-        4.0 * np.pi * np.trapezoid(np.abs(s.u) ** q * r * r, dx=h) for s in snaps])
+        4.0 * np.pi * np.trapezoid(_nonneg_power(np.abs(s.u), q) * r * r, dx=h)
+        for s in snaps])
     return float(np.trapezoid(space, x=times) ** (1.0 / q))
 
 
@@ -403,23 +404,34 @@ class NormReport:
 
 
 def norm_report(state: RadialState, traj: Trajectory | None = None,
-                tail_radii=(), g1_radii=(), sp_interval=None) -> NormReport:
-    """Assemble a NormReport for a state, with optional trajectory extras."""
+                tail_radii=(), g1_radii=(), sp_interval=None, *,
+                hsp: float | None = None, tails=None) -> NormReport:
+    """Assemble a NormReport for a state, with optional trajectory extras.
+
+    A caller that already holds ``sobolev_norm(state.u, grid, s_p)`` or the
+    records ``tail_table(state, tail_radii)`` passes them as ``hsp`` and
+    ``tails``, and neither is computed again.
+    """
     grid, params = state.grid, state.params
     r, h = grid.r, grid.h
     du = np.gradient(state.u, h)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # report assembly tolerates slow tails
-        hsp = sobolev_norm(state.u, grid, params.s_p)
+        if hsp is None:
+            hsp = sobolev_norm(state.u, grid, params.s_p)
         hsp_m1 = sobolev_norm(state.v, grid, params.s_p - 1.0)
     energy_norms = (
         float(np.sqrt(4.0 * np.pi * np.trapezoid(du * du * r * r, dx=h))),
         float(np.sqrt(4.0 * np.pi * np.trapezoid(state.v ** 2 * r * r, dx=h))),
-        float((4.0 * np.pi * np.trapezoid(np.abs(state.u) ** (params.p + 1.0) * r * r, dx=h))
+        float((4.0 * np.pi * np.trapezoid(
+            _nonneg_power(np.abs(state.u), params.p + 1.0) * r * r, dx=h))
               ** (1.0 / (params.p + 1.0))),
     )
-    tail = {float(rr): (lambda rec: (rec.lm_du, rec.lm_v, rec.l2_du, rec.l2_v))(
-        tail_norms(state, rr)) for rr in tail_radii}
+    if tails is None:
+        tails = tail_table(state, tail_radii)
+    elif [rec.r for rec in tails] != [float(rr) for rr in tail_radii]:
+        raise ValueError("tails do not match tail_radii")
+    tail = {rec.r: (rec.lm_du, rec.lm_v, rec.l2_du, rec.l2_v) for rec in tails}
     g1 = {}
     if len(tuple(g1_radii)):
         g1_vals = _g1(traj if traj is not None else state, tuple(g1_radii))

@@ -328,8 +328,10 @@ def evolve(config: SolverConfig, initial: RadialState,
     row-wise code behind :func:`diagnostics.energy`, :func:`diagnostics.virial`
     and :func:`diagnostics.support_radius`; the arithmetic per row is theirs, so
     a logged E or z equals the value recomputed from a stored snapshot bit
-    for bit.  On a SolverError the whole log is dropped, pending rows
-    included.
+    for bit.  The copies form C-contiguous (k, W) blocks, W fixed when a
+    block starts and covering every row's prefix, so each pass of the log
+    runs over contiguous memory.  On a SolverError the whole log is
+    dropped, pending rows included.
     """
     grid, params = config.grid, config.params
     if initial.grid != grid:
@@ -363,10 +365,13 @@ def evolve(config: SolverConfig, initial: RadialState,
         w_prev[0] = 0.0
 
     abs_u = np.empty(n + 1)
+    # one comparison catches NaN, +inf and the threshold; the cap keeps +inf
+    # caught when the threshold is inf
+    limit = min(config.blowup_threshold, np.finfo(float).max)
 
     def check_layer(u: np.ndarray, m: int, t: float) -> float:
         mx = np.abs(u[:m], out=abs_u[:m]).max()
-        if not np.isfinite(mx) or mx > config.blowup_threshold:
+        if not mx <= limit:
             raise BlowupDetected(f"field magnitude {float(mx)!r} at t = {t!r}", t)
         # the outer two nodes hold +0.0 until the prefix reaches node n - 1
         if (config.cone_floor is not None and m >= n
@@ -381,23 +386,31 @@ def evolve(config: SolverConfig, initial: RadialState,
     # consecutive layers at a time, from copies of their (u, v) prefixes
     log = np.empty((n_steps + 1, 5))
     rows = min(LOG_BLOCK, n_steps + 1)
-    block_u, block_v = np.zeros((rows, n + 1)), np.zeros((rows, n + 1))
+    # the block's u and v stacks are C-contiguous (k, width) views of these
+    flat_u, flat_v = np.zeros(rows * (n + 1)), np.zeros(rows * (n + 1))
     buffers = diagnostics._RowBuffers(rows, n + 1)
     width = 0
 
     def log_row(k: int, t: float, u: np.ndarray, v: np.ndarray, e: int,
                 max_abs_u: float) -> None:
-        # layer k goes to row k % rows; u and v are +0.0 from node e on, and
-        # the copied width never shrinks, so every row of the block is +0.0
-        # past its own prefix
+        # layer k goes to row i = k % rows; u and v are +0.0 from node e on.
+        # The width is set when a block starts and never shrinks: layer k + j
+        # is logged with e = m + j + 2 at most, m being the active prefix
+        # when layer k is logged (m + j + 3 from layer 0, whose m comes one
+        # step early).  Each row is copied over the full width, and the +0.0
+        # columns past a row's prefix leave its values' bits unchanged
         nonlocal width
         log[k, 0], log[k, 3] = t, max_abs_u
-        width = max(width, e)
         i = k % rows
-        block_u[i, :width] = u[:width]
-        block_v[i, :width] = v[:width]
+        if i == 0:
+            width = max(width, e, min(m + rows + 2, n + 1))
+        assert e <= width
+        flat_u[i * width:(i + 1) * width] = u[:width]
+        flat_v[i * width:(i + 1) * width] = v[:width]
         if i == rows - 1 or k == n_steps:
-            us, vs = block_u[:i + 1, :width], block_v[:i + 1, :width]
+            size = (i + 1) * width
+            us = flat_u[:size].reshape(i + 1, width)
+            vs = flat_v[:size].reshape(i + 1, width)
             block = slice(k - i, k + 1)
             (log[block, 1], log[block, 2],
              log[block, 4]) = diagnostics.step_log_rows(us, vs, r, h, p, mu, buffers)

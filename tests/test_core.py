@@ -599,3 +599,25 @@ def test_trajectory_requires_increasing_times():
     with pytest.raises(ValueError):
         Trajectory(grid=traj.grid, params=traj.params,
                    states=(traj.states[1], traj.states[0]), log=traj.log)
+
+
+_TINY = 2.2250738585072014e-308  # smallest normal float
+
+
+@given(p=st.floats(min_value=5.0, max_value=13.0), data=st.data())
+def test_nonneg_power_matches_np_power_bitwise(p, data):
+    # the exponents of the norms (2(p - 1), p + 1) and of the kernel (p - 1);
+    # x around theta_e (within one ulp), subnormal, zero, NaN, inf and normal
+    from nlwlab.core import _nonneg_power
+    e = data.draw(st.sampled_from([2.0 * (p - 1.0), p + 1.0, p - 1.0]))
+    theta = 2.0 ** (-1080.0 / e)
+    near = [np.nextafter(theta, 0.0), theta, np.nextafter(theta, 1.0)]
+    element = st.one_of(
+        st.sampled_from(near + [0.0, 5e-324, _TINY, np.nan, np.inf]),
+        st.floats(min_value=0.0, max_value=_TINY),
+        st.floats(min_value=0.5 * theta, max_value=2.0 * theta),
+        st.floats(min_value=0.0, max_value=1e6))
+    x = np.array(data.draw(st.lists(element, min_size=1, max_size=80)), dtype=float)
+    for arr in (x, x[x >= theta], np.repeat(x, 9)):
+        assert np.array_equal(_nonneg_power(arr, e).view(np.int64),
+                              np.power(arr, e).view(np.int64))

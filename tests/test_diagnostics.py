@@ -236,17 +236,24 @@ def test_support_radius_of_prefix_matches_full_grid(w_grid):
 
 
 def test_radial_integral_in_scratch_matches_fresh_terms():
-    # the scratch may hold anything before column m (the solver's log leaves
-    # the last potential-density column there) and zeros from m on
-    from nlwlab.diagnostics import _radial_integral
+    # the terms scratch may hold anything before column m - 1 (an earlier
+    # block's terms) and zeros from m - 1 on; the density block and the tiled
+    # r are overwritten
+    from nlwlab.diagnostics import _radial_integral, _radial_quadrature
     rng = np.random.default_rng(3)
     r, h, m = np.arange(41) * 0.25, 0.25, 17
     density = rng.standard_normal((2, 3, m))
-    scratch = np.zeros((2, 3, len(r)))
-    scratch[..., :m] = rng.standard_normal((2, 3, m))
-    got = _radial_integral(density.copy(), r, h, scratch)
-    assert got == _radial_integral(density, r, h)
-    assert not scratch[..., m:].any()
+    terms = np.zeros((6, len(r) - 1))
+    terms[:, :m - 1] = rng.standard_normal((6, m - 1))
+    rt = np.tile(r[:m], (6, 1))
+    (got,) = _radial_quadrature((density.reshape(6, m).copy(),), rt, h, terms)
+    assert got.reshape(2, 3).tolist() == _radial_integral(density, r, h)
+    assert not terms[:, m - 1:].any()
+    # fresh zero-padded terms, formed as the full-grid formula
+    y = density * r[:m] * r[:m]
+    fresh = np.zeros((2, 3, len(r) - 1))
+    fresh[..., :m - 1] = (y[..., 1:] + y[..., :-1]) * h / 2.0
+    assert _radial_integral(density, r, h) == (4.0 * np.pi * fresh.sum(axis=-1)).tolist()
 
 
 def test_step_log_rows_match_one_row_calls(w_grid):
@@ -277,6 +284,48 @@ def test_step_log_rows_match_one_row_calls(w_grid):
         assert got[2][i] == support_radius(full_u, full_v, r)
     assert got[2][0] > r[width - SUPPORT_WINDOW] and got[2][1] < 1.0
     assert got[2][2:] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("k", [1, 2, 8])
+def test_step_log_rows_same_bits_in_every_layout(w_grid, k):
+    # a contiguous block, strided views of a wider buffer and one-row calls
+    # give the same bits; one buffer set serves every width, growing and
+    # shrinking, so a wide call's terms must not leak into a narrow one
+    from nlwlab.diagnostics import _RowBuffers, step_log_rows
+    r, h = w_grid.r, w_grid.h
+    params = make_params(7.0, 1)
+    rng = np.random.default_rng(k)
+    buffers = _RowBuffers(8, len(r))
+    widths = [3, 4, 63, 64, 65, 400]
+    for W in widths + widths[::-1]:
+        u, v = np.zeros((k, W)), np.zeros((k, W))
+        live = max(W - 2, 1)  # the last column of a solver row is +0.0
+        u[:, :live] = rng.standard_normal((k, live)) * np.exp(-r[:live])
+        v[:, :live] = rng.standard_normal((k, live))
+        u[k - 1, live // 2:] = 0.0  # one row ends well inside the block
+        ref = step_log_rows(u, v, r, h, params.p, params.mu)
+        # every other row and column of a wider buffer, and the rows of one
+        wide = np.zeros((2, 2 * k, 2 * W + 7))
+        wide[0, ::2, :2 * W:2], wide[1, ::2, :2 * W:2] = u, v
+        strided = (wide[0, ::2, :2 * W:2], wide[1, ::2, :2 * W:2])
+        assert not strided[0].flags.c_contiguous
+        rows = np.zeros((2, k, W + 7))
+        rows[0, :, :W], rows[1, :, :W] = u, v
+        for us, vs in ((u, v), strided, (rows[0, :, :W], rows[1, :, :W]),
+                       (u[::-1], v[::-1])):
+            got = step_log_rows(us, vs, r, h, params.p, params.mu, buffers)
+            if us.strides[0] < 0:
+                got = [col[::-1] for col in got]
+            assert _bits(got) == _bits(ref)
+        for i in range(k):
+            one = step_log_rows(u[i:i + 1], v[i:i + 1], r, h, params.p, params.mu,
+                                buffers)
+            assert _bits(one) == _bits([col[i:i + 1] for col in ref])
+        assert not buffers.terms[:, W - 1:].any()
+
+
+def _bits(cols):
+    return [np.asarray(col, dtype=float).view(np.int64).tolist() for col in cols]
 
 
 def test_support_zero_for_tiny_field(w_grid):

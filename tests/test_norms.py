@@ -482,3 +482,75 @@ def test_g1_validation_matches_g_moduli(w_state):
         with pytest.raises(ValueError) as e_all:
             g_moduli(w_state, radii)
         assert str(e_g1.value) == str(e_all.value)
+
+
+def _seed_sp_norm(traj, interval):
+    """sp_norm's space-time sum with np.abs(u) ** q, as before the masked power."""
+    t0, t1 = interval
+    snaps = [s for s in traj.states if t0 - 1e-9 <= s.t <= t1 + 1e-9]
+    q = 2.0 * (traj.params.p - 1.0)
+    r, h = traj.grid.r, traj.grid.h
+    space = np.array([4.0 * np.pi * np.trapezoid(np.abs(s.u) ** q * r * r, dx=h)
+                      for s in snaps])
+    return float(np.trapezoid(space, x=np.array([s.t for s in snaps])) ** (1.0 / q))
+
+
+def test_underflowing_powers_keep_their_bits():
+    # gaussian tails whose q-th and (p+1)-th powers underflow: sp_norm and
+    # the report's L^{p+1} norm give the bits of the plain np.power formula
+    traj = _moving_trajectory()
+    state = traj.states[-1]
+    q = 2.0 * (state.params.p - 1.0)
+    assert np.mean(np.abs(state.u) ** q == 0.0) > 0.1
+    assert repr(sp_norm(traj, (0.0, 1.0))) == repr(_seed_sp_norm(traj, (0.0, 1.0)))
+    r, h, p = state.grid.r, state.grid.h, state.params.p
+    lp1 = float((4.0 * np.pi * np.trapezoid(np.abs(state.u) ** (p + 1.0) * r * r, dx=h))
+                ** (1.0 / (p + 1.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert repr(norm_report(state).energy_norms[2]) == repr(lp1)
+
+
+def test_norm_report_takes_hsp_and_tails_handed_over(w_state):
+    radii = [2.0, 4.0, 8.0]
+    tails = tail_table(w_state, radii)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        hsp = sobolev_norm(w_state.u, w_state.grid, w_state.params.s_p)
+    fresh = norm_report(w_state, tail_radii=radii, g1_radii=(1.0,))
+    handed = norm_report(w_state, tail_radii=radii, g1_radii=(1.0,), hsp=hsp, tails=tails)
+    assert handed.to_json() == fresh.to_json()
+    with pytest.raises(ValueError, match="tail_radii"):
+        norm_report(w_state, tail_radii=radii[:2], tails=tails)
+
+
+def test_norms_run_transforms_u_once_and_takes_the_tails_once(tmp_path, monkeypatch):
+    from nlwlab.cli import build_initial, main, parse_config
+    calls = {"sine_transform": 0, "tail_norms": 0}
+    for name in calls:
+        def counting(*args, _f=getattr(norms, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(norms, name, counting)
+    out = tmp_path / "out"
+    raw = {
+        "scenario": "norms",
+        "equation": {"p": 5.0, "mu": 1},
+        "grid": {"h": 0.05, "n": 600},
+        "initial": {"kind": "gaussian", "width": 0.5, "amplitude": 1.0},
+        "run": {"t_final": 0.0},
+        "output": {"dir": str(out)},
+        "norms": {"betas": [0.0, 0.5, 1.0], "tail_radii": [2.0, 4.0, 8.0]},
+        "checks": {"route_agreement": 1e-6, "l2_match": 1e-10, "tail_monotone": 0.0},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["norms", "--config", str(path)]) == 0
+    # u once for the routes and hsp, v once for hsp_minus1
+    assert calls == {"sine_transform": 2, "tail_norms": 3}
+    cfg = parse_config(raw, scenario="norms")
+    state = build_initial(cfg.initial, cfg.grid, cfg.params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        hsp = sobolev_norm(state.u, cfg.grid, cfg.params.s_p)
+    assert json.loads((out / "normreport.json").read_text())["hsp"] == hsp

@@ -276,6 +276,30 @@ def _oracle_case(name):
                          u=0.5 * np.exp(-2.0 * grid.r ** 2), v=np.zeros(grid.n + 1))
         return SolverConfig(grid=grid, params=params, t_final=5.0, snapshot_stride=1,
                             cone_floor=None), s0, None, None
+    if name == "initial_prev_wider":
+        # the back layer reaches 20 nodes past the initial one, so the first
+        # log block is sized by the solver's prefix, not by layer 0's; the
+        # block width grows between blocks and the prefix reaches the grid
+        # end at layer 29, inside the fourth block
+        params = make_params(5.0, 1)
+        grid = RadialGrid(h=1.0 / 16.0, n=64)
+        w = grid.r * 0.5 * bump(grid.r)
+        back = w + grid.r * bump(grid.r - 1.2, amp=0.01)
+        return (SolverConfig(grid=grid, params=params, t_final=40 * grid.h,
+                             cone_floor=None),
+                _state_from_w(grid, params, w), _state_from_w(grid, params, back, t=-grid.h),
+                None)
+    if name.startswith("overflow_to_"):
+        # blowup_threshold = inf: |w|^(p-1) overflows in the first step.  With
+        # the back layer equal to the initial one the new layer holds -inf; with
+        # the synthesized back layer (already -inf) it holds inf - inf = NaN
+        params = make_params(7.0, 1)
+        grid = RadialGrid(h=1.0 / 8.0, n=32)
+        w = grid.r * np.where((grid.r >= 1.0) & (grid.r <= 2.0), 1e60, 0.0)
+        prev = _state_from_w(grid, params, w, t=-grid.h) if name.endswith("inf") else None
+        return (SolverConfig(grid=grid, params=params, t_final=1.0, cone_floor=None,
+                             blowup_threshold=np.inf),
+                _state_from_w(grid, params, w), prev, BlowupDetected)
     if name.startswith("steps_"):
         # focusing bump over a step count around the log block edges; the
         # stride does not divide the block
@@ -290,7 +314,7 @@ def _oracle_case(name):
 
 
 _BLOCK_EDGE_CASES = ["steps_0", "steps_1", "steps_7", "steps_8", "steps_9", "steps_17",
-                     "gaussian_reaches_grid_end"]
+                     "gaussian_reaches_grid_end", "initial_prev_wider"]
 
 
 def _run_or_error(run, cfg, s0, prev):
@@ -313,10 +337,12 @@ def _assert_same_bits(got, ref):
 @pytest.mark.parametrize("case", ["bump_prefix_grows", "gaussian_full_grid",
                                   "bump_cone_violation", "cone_sharp_front",
                                   "ode_flat_blowup", "linear", "initial_prev",
+                                  "overflow_to_inf", "overflow_to_nan",
                                   *_BLOCK_EDGE_CASES])
 def test_evolve_matches_full_grid_loop(case):
     cfg, s0, prev, expected = _oracle_case(case)
-    ref, got = (_run_or_error(run, cfg, s0, prev) for run in (_seed_evolve, evolve))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref, got = (_run_or_error(run, cfg, s0, prev) for run in (_seed_evolve, evolve))
     if expected is not None:
         assert type(ref) is expected
         assert type(got) is expected and got.t == ref.t and str(got) == str(ref)
@@ -337,8 +363,44 @@ def test_gaussian_case_reaches_grid_end_mid_block():
     assert first % LOG_BLOCK not in (0, LOG_BLOCK - 1)
 
 
+@pytest.mark.parametrize("case", ["overflow_to_inf", "overflow_to_nan"])
+def test_blowup_guard_catches_inf_and_nan_at_infinite_threshold(case):
+    # the guard's one comparison against the threshold capped at the largest
+    # float fires on the first non-finite layer, as the isfinite check did
+    cfg, s0, prev, _ = _oracle_case(case)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BlowupDetected) as err:
+            evolve(cfg, s0, prev)
+        ref = _run_or_error(_seed_evolve, cfg, s0, prev)
+    word = case.split("_")[-1]
+    assert str(err.value) == f"field magnitude {word} at t = {cfg.grid.h!r}"
+    assert err.value.t == ref.t == cfg.grid.h and str(ref) == str(err.value)
+
+
+def test_log_blocks_are_contiguous_and_widen(monkeypatch):
+    # every block reaches _energy_virial as C-contiguous (k, W) stacks; W
+    # grows between blocks up to the grid and covers the solver's prefix
+    # from the first block on (the back layer is wider than layer 0 here)
+    cfg, s0, prev, _ = _oracle_case("initial_prev_wider")
+    seen = []
+
+    def spy(u, v, *args, _f=diagnostics._energy_virial, **kwargs):
+        seen.append((u.shape, u.flags.c_contiguous, v.flags.c_contiguous))
+        return _f(u, v, *args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "_energy_virial", spy)
+    traj = evolve(cfg, s0, prev)
+    n = cfg.grid.n
+    widths = [shape[1] for shape, _, _ in seen]
+    assert all(c_u and c_v for _, c_u, c_v in seen)
+    assert widths == sorted(widths) and len(set(widths)) >= 3 and widths[-1] == n + 1
+    assert widths[0] > _live_length(s0.u, s0.v) + LOG_BLOCK + 2
+    first = next(k for k, s in enumerate(traj.states) if _live_length(s.u) == n + 1)
+    assert first % LOG_BLOCK not in (0, LOG_BLOCK - 1)
+
+
 @pytest.mark.parametrize("case", ["bump_prefix_grows", "gaussian_reaches_grid_end",
-                                  "steps_17"])
+                                  "steps_17", "initial_prev_wider"])
 def test_log_block_size_does_not_change_bits(case, monkeypatch):
     cfg, s0, prev, _ = _oracle_case(case)
     ref = evolve(cfg, s0, prev)
