@@ -95,8 +95,7 @@ def _radial_integral(density: np.ndarray, r: np.ndarray, h: float):
     d = np.array(density, dtype=float)
     W = d.shape[-1]
     d2 = d.reshape(-1, W)
-    rt = np.empty_like(d2)
-    np.copyto(rt, r[:W])
+    rt = np.tile(r[:W], (len(d2), 1))
     (values,) = _radial_quadrature((d2,), rt, h, np.zeros((len(d2), len(r) - 1)))
     return values.reshape(d.shape[:-1]).tolist()
 

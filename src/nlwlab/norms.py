@@ -420,12 +420,12 @@ def norm_report(state: RadialState, traj: Trajectory | None = None,
         if hsp is None:
             hsp = sobolev_norm(state.u, grid, params.s_p)
         hsp_m1 = sobolev_norm(state.v, grid, params.s_p - 1.0)
+    p1 = params.p + 1.0
     energy_norms = (
         float(np.sqrt(4.0 * np.pi * np.trapezoid(du * du * r * r, dx=h))),
         float(np.sqrt(4.0 * np.pi * np.trapezoid(state.v ** 2 * r * r, dx=h))),
-        float((4.0 * np.pi * np.trapezoid(
-            _nonneg_power(np.abs(state.u), params.p + 1.0) * r * r, dx=h))
-              ** (1.0 / (params.p + 1.0))),
+        float((4.0 * np.pi * np.trapezoid(_nonneg_power(np.abs(state.u), p1) * r * r, dx=h))
+              ** (1.0 / p1)),
     )
     if tails is None:
         tails = tail_table(state, tail_radii)
