@@ -135,7 +135,7 @@ class ExperimentConfig:
     blowup_threshold: float
     linear: bool
     out_dir: str | None
-    checks: dict
+    checks: dict  # name -> threshold, in _CHECKS order
     section: dict
     raw: dict
 
@@ -147,16 +147,23 @@ _SCENARIO_DEFAULTS = {
     "bootstrap": (5.0, 1, 1.0, 2, 0.0, {"kind": "W"}),  # grid-free scenario
 }
 
-_SCENARIO_CHECKS = {
-    "evolve": {"energy_drift", "finite_speed", "exterior_zero",
-               "blowup_detection", "ode_match"},
-    "norms": {"route_agreement", "l2_match", "tail_monotone", "hardy"},
-    "diagnose": {"virial_consistency_order", "identity_order", "z_monotone",
-                 "energy_drift"},
-    "bootstrap": {"contraction_subunit", "iteration_monotone", "limit_gap",
-                  "fixed_point"},
-    "verify-W": {"static_drift", "decay_c0", "decay_slope", "tail_slope"},
-    "linear-check": {"dalembert_error", "reversibility", "traveling_wave"},
+# check name -> (comparison op, default threshold), in manifest order; a check
+# without a default runs only when the config lists it
+_CHECKS = {
+    "evolve": {"blowup_detection": ("<=", None), "ode_match": ("<=", None),
+               "energy_drift": ("<=", None), "finite_speed": ("<=", None),
+               "exterior_zero": ("<=", None)},
+    "norms": {"route_agreement": ("<=", None), "l2_match": ("<=", None),
+              "tail_monotone": ("<=", None), "hardy": ("<=", None)},
+    "diagnose": {"virial_consistency_order": (">=", None),
+                 "identity_order": (">=", None), "z_monotone": ("<", None),
+                 "energy_drift": ("<=", None)},
+    "bootstrap": {"contraction_subunit": ("<", None), "iteration_monotone": ("<", None),
+                  "limit_gap": ("<=", None), "fixed_point": ("<=", None)},
+    "verify-W": {"static_drift": ("<=", None), "decay_c0": ("<=", None),
+                 "decay_slope": ("<=", None), "tail_slope": ("<=", None)},
+    "linear-check": {"dalembert_error": ("<=", 1e-12), "reversibility": ("<=", 1e-10),
+                     "traveling_wave": ("<=", 1e-10)},
 }
 
 
@@ -209,6 +216,11 @@ def parse_config(raw: dict, scenario: str | None = None,
     cone_floor = _field(raw, "run.cone_floor", float, default=1e-13, nullable=True)
     if name == "verify-W":
         cone_floor = None  # the static profile is not compactly supported
+    for key in _field(raw, "checks", dict, default={}):
+        if key not in _CHECKS[name]:
+            raise ConfigError(f"checks.{key}: unknown check for scenario {name}")
+    thresholds = {c: _field(raw, f"checks.{c}", float, default=default)
+                  for c, (_, default) in _CHECKS[name].items()}
     cfg = ExperimentConfig(
         scenario=name,
         params=params,
@@ -221,7 +233,7 @@ def parse_config(raw: dict, scenario: str | None = None,
         blowup_threshold=_field(raw, "run.blowup_threshold", float, default=1e12),
         linear=_field(raw, "run.linear", bool, default=False),
         out_dir=out_override or _field(raw, "output.dir", str, default=None),
-        checks=_field(raw, "checks", dict, default={}),
+        checks={c: t for c, t in thresholds.items() if t is not None},
         section=_field(raw, name, dict, default={}),
         raw=raw,
     )
@@ -231,9 +243,11 @@ def parse_config(raw: dict, scenario: str | None = None,
         raise ConfigError("run.snapshot_stride: must be >= 1")
     if cfg.origin_band < 2:
         raise ConfigError("run.origin_band: must be >= 2")
-    for key in cfg.checks:
-        if key not in _SCENARIO_CHECKS[name]:
-            raise ConfigError(f"checks.{key}: unknown check for scenario {name}")
+    if "blowup_detection" in cfg.checks and kind != "ode_flat":
+        raise ConfigError("checks.blowup_detection: requires ode_flat initial data")
+    if ("tail_monotone" in cfg.checks
+            and len(_field(raw, "norms.tail_radii", list, default=[])) < 2):
+        raise ConfigError("checks.tail_monotone: needs at least two tail radii")
     # the solver's lattice rule, applied before any output exists; file data
     # keeps the solver-side check, since its start time is known only once loaded
     evolves = name in ("evolve", "diagnose", "verify-W", "linear-check") or (
@@ -358,7 +372,10 @@ def build_initial(desc: dict, grid: RadialGrid, params: EquationParams) -> Radia
                            u=u0, v=(params.a / T) * u0)
     if kind == "file":
         path = _field(desc, "path", str)
-        state = load_state(path)
+        try:
+            state = load_state(path)
+        except (OSError, ValueError) as e:
+            raise ConfigError(f"initial.path: {e}") from None
         if state.grid != grid:
             raise ConfigError("initial.path: stored grid does not match config grid")
         if state.params != params:
@@ -399,26 +416,27 @@ def _write_states(out: Path, traj) -> None:
 # --- scenario runners ----------------------------------------------------------
 
 
-def _run_evolve(cfg: ExperimentConfig, out: Path, threads: int):
-    checks, notes = [], []
-    extra = {}
+def _energy_drift(log) -> float:
+    """max_t |E(t) - E(t0)| / |E(t0)| over the step log (|E(t0)| floored at 1e-14)."""
+    scale = max(abs(log.energy[0]), 1e-14)
+    return float(np.max(np.abs(log.energy - log.energy[0])) / scale)
+
+
+def _run_evolve(cfg: ExperimentConfig, out: Path):
+    metrics, notes, extra = {}, [], {}
     initial = build_initial(cfg.initial, cfg.grid, cfg.params)
     if cfg.params.mu == -1:
         notes.append("energy: non-coercive (focusing sign)")
 
     if "blowup_detection" in cfg.checks:
-        if cfg.initial.get("kind") != "ode_flat":
-            raise ConfigError("checks.blowup_detection: requires ode_flat initial data")
         T_star = ode_flat_blowup_time(cfg.params, float(cfg.initial["amplitude"]))
         extra["expected_blowup_time"] = T_star
-        tol_steps = _field(cfg.checks, "blowup_detection", float)
         try:
             solver.evolve(_solver_config(cfg), initial)
-            checks.append(_check("blowup_detection", float("inf"), tol_steps))
+            metrics["blowup_detection"] = float("inf")
         except solver.BlowupDetected as e:
             extra["detected_blowup_time"] = e.t
-            checks.append(_check("blowup_detection",
-                                 abs(e.t - T_star) / cfg.grid.h, tol_steps))
+            metrics["blowup_detection"] = abs(e.t - T_star) / cfg.grid.h
         if "ode_match" in cfg.checks:
             h = cfg.grid.h
             margin = 10.0  # compare while T - t >= 10 h
@@ -431,39 +449,28 @@ def _run_evolve(cfg: ExperimentConfig, out: Path, threads: int):
             for s in traj.states:
                 exact = reference_ode_blowup(cfg.params, T_star, s.t)
                 worst = max(worst, abs(s.u[0] - exact) / exact)
-            checks.append(_check("ode_match", worst,
-                                 _field(cfg.checks, "ode_match", float)))
+            metrics["ode_match"] = worst
             _write(out, "step_log.csv", traj.log.to_csv())
-        return checks, notes, extra
+        return metrics, notes, extra
 
     traj = solver.evolve(_solver_config(cfg), initial)
     _write(out, "step_log.csv", traj.log.to_csv())
     _write_states(out, traj)
-    log = traj.log
-    if "energy_drift" in cfg.checks:
-        scale = max(abs(log.energy[0]), 1e-14)
-        drift = float(np.max(np.abs(log.energy - log.energy[0])) / scale)
-        checks.append(_check("energy_drift", drift,
-                             _field(cfg.checks, "energy_drift", float)))
+    log, final = traj.log, traj.states[-1]
+    rho0 = log.support_radius[0]
+    allowed = rho0 + (log.t - log.t[0]) + 2.0 * cfg.grid.h
+    outside = cfg.grid.r > rho0 + (final.t - log.t[0]) + 2.0 * cfg.grid.h
     if "finite_speed" in cfg.checks:
-        rho0 = log.support_radius[0]
-        allowed = rho0 + (log.t - log.t[0]) + 2.0 * cfg.grid.h
-        excess = float(np.max(log.support_radius - allowed))
-        checks.append(_check("finite_speed", excess, 0.0))
         notes.append("finite_speed: support radius vs rho0 + t + 2h, all layers")
-    if "exterior_zero" in cfg.checks:
-        rho0 = log.support_radius[0]
-        final = traj.states[-1]
-        edge = rho0 + (final.t - log.t[0]) + 2.0 * cfg.grid.h
-        outside = cfg.grid.r > edge
-        val = float(np.max(np.abs(final.u[outside]))) if np.any(outside) else 0.0
-        checks.append(_check("exterior_zero", val,
-                             _field(cfg.checks, "exterior_zero", float)))
-    return checks, notes, extra
+    metrics = {"energy_drift": _energy_drift(log),
+               "finite_speed": float(np.max(log.support_radius - allowed)),
+               "exterior_zero": (float(np.max(np.abs(final.u[outside])))
+                                 if np.any(outside) else 0.0)}
+    return metrics, notes, extra
 
 
-def _run_norms(cfg: ExperimentConfig, out: Path, threads: int):
-    checks, notes = [], []
+def _run_norms(cfg: ExperimentConfig, out: Path):
+    metrics = {}
     sec = cfg.section
     state = build_initial(cfg.initial, cfg.grid, cfg.params)
     betas = [float(b) for b in _field(sec, "betas", list, default=[0.0, 0.5, 1.0])]
@@ -499,29 +506,22 @@ def _run_norms(cfg: ExperimentConfig, out: Path, threads: int):
         worst = 0.0
         for n1, n2 in zip(freq[:-1], one_d[:-1]):
             worst = max(worst, abs(n1 - n2) / max(n2, 1e-300))
-        checks.append(_check("route_agreement", worst,
-                             _field(cfg.checks, "route_agreement", float)))
+        metrics["route_agreement"] = worst
     if "l2_match" in cfg.checks:
-        val = freq[-1]
         direct = float(np.sqrt(4.0 * np.pi * np.trapezoid(
             state.u ** 2 * cfg.grid.r ** 2, dx=cfg.grid.h)))
-        rel = abs(val - direct) / max(direct, 1e-300)
-        checks.append(_check("l2_match", rel, _field(cfg.checks, "l2_match", float)))
+        metrics["l2_match"] = abs(freq[-1] - direct) / max(direct, 1e-300)
     if "tail_monotone" in cfg.checks:
-        if len(tail_radii) < 2:
-            raise ConfigError("checks.tail_monotone: needs at least two tail radii")
         recs = sorted(tails, key=lambda rec: rec.r)
-        worst = max(
+        metrics["tail_monotone"] = max(
             getattr(b, f) - getattr(a, f)
             for a, b in zip(recs, recs[1:])
             for f in ("lm_du", "lm_v", "l2_du", "l2_v"))
-        checks.append(_check("tail_monotone", worst, 0.0))
     if "hardy" in cfg.checks:
         _, hardy = diagnostics.support_and_hardy(state)
         grad2 = report.energy_norms[0] ** 2
-        ratio = hardy / max(4.0 * grad2, 1e-300)
-        checks.append(_check("hardy", ratio, _field(cfg.checks, "hardy", float)))
-    return checks, notes, {}
+        metrics["hardy"] = hardy / max(4.0 * grad2, 1e-300)
+    return metrics, [], {}
 
 
 def _per_step_virial_residual(traj) -> float:
@@ -536,8 +536,8 @@ def _per_step_virial_residual(traj) -> float:
     return worst
 
 
-def _run_diagnose(cfg: ExperimentConfig, out: Path, threads: int):
-    checks, notes = [], []
+def _run_diagnose(cfg: ExperimentConfig, out: Path):
+    metrics, notes = {}, []
     sec = cfg.section
     Rc = _field(sec, "Rc", float)
     times = _diagnose_times(cfg)
@@ -553,10 +553,7 @@ def _run_diagnose(cfg: ExperimentConfig, out: Path, threads: int):
            diagnostics.residual_sweep_to_json(fine, cutoffs, times))
     _write(out, "step_log.csv", fine.log.to_csv())
 
-    need_coarse = ("virial_consistency_order" in cfg.checks
-                   or "identity_order" in cfg.checks)
-    coarse = None
-    if need_coarse:
+    if "virial_consistency_order" in cfg.checks or "identity_order" in cfg.checks:
         cgrid = RadialGrid(h=2.0 * cfg.grid.h, n=cfg.grid.n // 2)
         cinitial = build_initial(cfg.initial, cgrid, cfg.params)
         coarse = solver.evolve(_solver_config(cfg, grid=cgrid, snapshot_stride=1),
@@ -564,10 +561,7 @@ def _run_diagnose(cfg: ExperimentConfig, out: Path, threads: int):
     if "virial_consistency_order" in cfg.checks:
         m_fine = _per_step_virial_residual(fine)
         m_coarse = _per_step_virial_residual(coarse)
-        order = float(np.log2(m_coarse / m_fine))
-        checks.append(_check("virial_consistency_order", order,
-                             _field(cfg.checks, "virial_consistency_order", float),
-                             op=">="))
+        metrics["virial_consistency_order"] = float(np.log2(m_coarse / m_fine))
     if "identity_order" in cfg.checks:
         worst = float("inf")
         for t in times:
@@ -575,21 +569,14 @@ def _run_diagnose(cfg: ExperimentConfig, out: Path, threads: int):
             rc = diagnostics.localized_identity_residuals(coarse, Rc, t)
             for a, b in zip(rf, rc):
                 worst = min(worst, float(np.log2(b / a)))
-        checks.append(_check("identity_order", worst,
-                             _field(cfg.checks, "identity_order", float), op=">="))
-    if "z_monotone" in cfg.checks:
-        val = float(np.max(np.diff(fine.log.virial)))
-        checks.append(_check("z_monotone", val, 0.0, op="<"))
-    if "energy_drift" in cfg.checks:
-        scale = max(abs(fine.log.energy[0]), 1e-14)
-        drift = float(np.max(np.abs(fine.log.energy - fine.log.energy[0])) / scale)
-        checks.append(_check("energy_drift", drift,
-                             _field(cfg.checks, "energy_drift", float)))
-    return checks, notes, {}
+        metrics["identity_order"] = worst
+    metrics["z_monotone"] = float(np.max(np.diff(fine.log.virial)))
+    metrics["energy_drift"] = _energy_drift(fine.log)
+    return metrics, notes, {}
 
 
-def _run_bootstrap(cfg: ExperimentConfig, out: Path, threads: int):
-    checks, notes = [], []
+def _run_bootstrap(cfg: ExperimentConfig, out: Path):
+    metrics = {}
     sec = cfg.section
     p_values = [float(p) for p in _field(sec, "p_values", list,
                                          default=[5.0, 6.0, 7.0, 9.0, 13.0])]
@@ -613,9 +600,8 @@ def _run_bootstrap(cfg: ExperimentConfig, out: Path, threads: int):
 
     if "contraction_subunit" in cfg.checks:
         sample = np.geomspace(5.0, 1e4, dense)
-        worst = max(value for value, _ in bootstrap.contraction_table(sample))
-        checks.append(_check("contraction_subunit", worst,
-                             _field(cfg.checks, "contraction_subunit", float), op="<"))
+        metrics["contraction_subunit"] = max(
+            value for value, _ in bootstrap.contraction_table(sample))
     if "iteration_monotone" in cfg.checks:
         worst = -float("inf")
         for (p, b0), seq in zip(jobs, seqs):
@@ -624,25 +610,22 @@ def _run_bootstrap(cfg: ExperimentConfig, out: Path, threads: int):
                 continue
             diffs = np.diff(seq.beta)
             worst = max(worst, float(np.max(-diffs)) if diffs.size else -float("inf"))
-        checks.append(_check("iteration_monotone", worst, 0.0, op="<"))
+        metrics["iteration_monotone"] = worst
     if "limit_gap" in cfg.checks:
-        worst = max(seq.limit_gap for seq in seqs)
-        checks.append(_check("limit_gap", worst, _field(cfg.checks, "limit_gap", float)))
+        metrics["limit_gap"] = max(seq.limit_gap for seq in seqs)
     if "fixed_point" in cfg.checks:
         worst = 0.0
         for p in p_values:
             seq = bootstrap.exponent_iteration(p, 1.0 - 2.0 / (p - 1.0))
             worst = max(worst, abs(seq.gamma[0] * p - 1.0))
-        checks.append(_check("fixed_point", worst,
-                             _field(cfg.checks, "fixed_point", float)))
-    return checks, notes, {}
+        metrics["fixed_point"] = worst
+    return metrics, [], {}
 
 
-def _run_verify_w(cfg: ExperimentConfig, out: Path, threads: int):
-    checks, notes = [], []
-    notes.append("cone guard disabled: the static profile is not compactly supported")
-    notes.append("drift region: r <= R - t - 2h (outer truncation is causally excluded)")
-    notes.append("energy: non-coercive (focusing sign)")
+def _run_verify_w(cfg: ExperimentConfig, out: Path):
+    notes = ["cone guard disabled: the static profile is not compactly supported",
+             "drift region: r <= R - t - 2h (outer truncation is causally excluded)",
+             "energy: non-coercive (focusing sign)"]
     initial = reference_W(cfg.grid)
     traj = solver.evolve(_solver_config(cfg), initial)
     _write(out, "step_log.csv", traj.log.to_csv())
@@ -675,21 +658,12 @@ def _run_verify_w(cfg: ExperimentConfig, out: Path, threads: int):
     pos = tails > 0
     tail_slope = float(np.polyfit(np.log(radii[pos]), np.log(tails[pos]), 1)[0])
 
-    extra = {"report": {"static_drift": drift, "C0": C0, "slope": slope,
-                        "slope_W": slope_W, "tail_slope": tail_slope}}
-    if "static_drift" in cfg.checks:
-        checks.append(_check("static_drift", drift,
-                             _field(cfg.checks, "static_drift", float)))
-    if "decay_c0" in cfg.checks:
-        rel = abs(C0 - np.sqrt(3.0)) / np.sqrt(3.0)
-        checks.append(_check("decay_c0", rel, _field(cfg.checks, "decay_c0", float)))
-    if "decay_slope" in cfg.checks:
-        checks.append(_check("decay_slope", abs(slope - slope_W),
-                             _field(cfg.checks, "decay_slope", float)))
-    if "tail_slope" in cfg.checks:
-        checks.append(_check("tail_slope", abs(tail_slope - (-0.5)),
-                             _field(cfg.checks, "tail_slope", float)))
-    return checks, notes, extra
+    metrics = {"static_drift": drift,
+               "decay_c0": abs(C0 - np.sqrt(3.0)) / np.sqrt(3.0),
+               "decay_slope": abs(slope - slope_W),
+               "tail_slope": abs(tail_slope - (-0.5))}
+    return metrics, notes, {"report": {"static_drift": drift, "C0": C0, "slope": slope,
+                                       "slope_W": slope_W, "tail_slope": tail_slope}}
 
 
 def _hat_state(grid: RadialGrid, params: EquationParams) -> RadialState:
@@ -717,8 +691,7 @@ def _dalembert_final(w0: np.ndarray, n_steps: int) -> np.ndarray:
     return 0.5 * (sample(j + n_steps) + sample(j - n_steps))
 
 
-def _run_linear_check(cfg: ExperimentConfig, out: Path, threads: int):
-    checks, notes = [], []
+def _run_linear_check(cfg: ExperimentConfig, out: Path):
     params = cfg.params
     grid = cfg.grid
     n_steps = solver.step_count(0.0, cfg.t_final, grid.h)
@@ -728,8 +701,6 @@ def _run_linear_check(cfg: ExperimentConfig, out: Path, threads: int):
                                         snapshot_stride=max(1, n_steps)), hat)
     w_exact = _dalembert_final(hat.w, n_steps)
     err = float(np.max(np.abs(traj.states[-1].w - w_exact)))
-    checks.append(_check("dalembert_error", err,
-                         _field(cfg.checks, "dalembert_error", float, default=1e-12)))
 
     # reversibility on a reduced grid: forward then backward through step()
     rev_steps = _field(cfg.section, "reversal_steps", int, default=256) \
@@ -744,8 +715,6 @@ def _run_linear_check(cfg: ExperimentConfig, out: Path, threads: int):
     for _ in range(rev_steps - 1):
         cur, prev = solver.step(prev, cur, linear=True), cur
     rev_err = float(np.max(np.abs(cur.u - hat_s.u)))
-    checks.append(_check("reversibility", rev_err,
-                         _field(cfg.checks, "reversibility", float, default=1e-10)))
 
     # lattice traveling wave: exact transport means zero characteristic defect
     prof = np.maximum(0.0, 1.0 - np.abs(np.arange(small.n + 1) - 100.0) / 40.0)
@@ -765,13 +734,9 @@ def _run_linear_check(cfg: ExperimentConfig, out: Path, threads: int):
         state0, initial_prev=state_back)
     resid = solver.characteristic_transport_residual(
         twave, r0=40.0 * small.h, t0=64.0 * small.h, tau_max=32.0 * small.h)
-    checks.append(_check("traveling_wave", resid,
-                         _field(cfg.checks, "traveling_wave", float, default=1e-10)))
-
-    _write(out, "report.json", json.dumps(
-        {"dalembert_error": err, "reversibility": rev_err,
-         "traveling_wave": resid}, indent=2) + "\n")
-    return checks, notes, {}
+    metrics = {"dalembert_error": err, "reversibility": rev_err, "traveling_wave": resid}
+    _write(out, "report.json", json.dumps(metrics, indent=2) + "\n")
+    return metrics, [], {}
 
 
 _RUNNERS = {
@@ -787,11 +752,15 @@ _RUNNERS = {
 def run(config: ExperimentConfig, threads: int = 1) -> int:
     """Execute a parsed config; write artifacts + manifest; 0 iff checks pass.
 
-    A solver guard the scenario does not handle (``solver.SolverError``)
-    still leaves a manifest, with status "aborted" and the error's type,
-    message and time; the error is then re-raised.  A ``ConfigError`` found
-    by the scenario leaves no manifest; the output directory is removed if
-    this call created it and it is still empty.
+    The scenario's runner measures; each configured check is judged here,
+    against its threshold with the op of ``_CHECKS``.  A solver guard the
+    scenario does not handle (``solver.SolverError``) still leaves a
+    manifest, with status "aborted" and the error's type, message and time;
+    the error is then re-raised.  A ``ValueError`` (a ``ConfigError``, or a
+    library contract that a config value broke) leaves no manifest; the
+    output directory is removed if this call created it and it is still
+    empty.  ``threads`` is ignored: every scenario runs in one thread, and
+    the keyword stays only because ``bench/worker.py`` still passes it.
     """
     out = Path(config.out_dir)
     created = not out.exists()
@@ -799,8 +768,8 @@ def run(config: ExperimentConfig, threads: int = 1) -> int:
     t0 = time.perf_counter()
     error = None
     try:
-        checks, notes, extra = _RUNNERS[config.scenario](config, out, threads)
-    except ConfigError:
+        metrics, notes, extra = _RUNNERS[config.scenario](config, out)
+    except ValueError:
         if created and not any(out.iterdir()):
             out.rmdir()
         raise
@@ -809,6 +778,9 @@ def run(config: ExperimentConfig, threads: int = 1) -> int:
         checks, notes, status = [], [], "aborted"
         extra = {"error": {"type": type(e).__name__, "message": str(e), "t": float(e.t)}}
     else:
+        ops = _CHECKS[config.scenario]
+        checks = [_check(n, metrics[n], thr, ops[n][0])
+                  for n, thr in config.checks.items() if n in metrics]
         status = "pass" if all(c["pass"] for c in checks) else "fail"
     walltime = time.perf_counter() - t0
     manifest = {
@@ -838,8 +810,6 @@ def main(argv=None) -> int:
         sp = sub.add_parser(name, help=f"run the {name} scenario")
         sp.add_argument("--config", required=True, help="JSON config path")
         sp.add_argument("--out", default=None, help="output directory override")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; has no effect")
     args = parser.parse_args(argv)
     try:
         with open(args.config) as fh:
@@ -856,7 +826,7 @@ def main(argv=None) -> int:
         print(f"config: {e}", file=sys.stderr)
         return 2
     try:
-        return run(cfg, threads=args.threads)
+        return run(cfg)
     except solver.SolverError as e:
         print(f"solver: {e} (t = {e.t!r})", file=sys.stderr)
         return 1

@@ -222,14 +222,19 @@ def energy(state: RadialState) -> float:
     E is not coercive; conservation still holds and downstream reports label
     the value "non-coercive" so drift checks are not misread as positivity.
     """
-    return _energy_virial(state.u[None], state.v[None], state.grid.r, state.grid.h,
-                          state.params.p, state.params.mu)[0][0]
+    return _state_energy_virial(state)[0]
 
 
 def virial(state: RadialState) -> float:
     """Virial functional z = 4 pi * int (u + r d_r u) v r^2 dr."""
-    return _energy_virial(state.u[None], state.v[None], state.grid.r, state.grid.h,
-                          state.params.p, state.params.mu)[1][0]
+    return _state_energy_virial(state)[1]
+
+
+def _state_energy_virial(state: RadialState):
+    """(E, z) of one state from one :func:`_energy_virial` row."""
+    (E,), (z,) = _energy_virial(state.u[None], state.v[None], state.grid.r,
+                                state.grid.h, state.params.p, state.params.mu)
+    return E, z
 
 
 def virial_rate(state: RadialState) -> float:
@@ -362,10 +367,11 @@ def diagnostic_record(traj: Trajectory, t: float, Rc: float) -> DiagnosticRecord
     support, hardy = support_and_hardy(state)
     if support > traj.grid.R:
         raise ValueError("support radius exceeds the grid")
+    E, z = _state_energy_virial(state)
     return DiagnosticRecord(
         t=float(t),
-        energy=energy(state),
-        virial=virial(state),
+        energy=E,
+        virial=z,
         z_rate_lhs=float((z_hi - z_lo) / (2.0 * h)),
         z_rate_rhs=virial_rate(state),
         res_i=res[0],

@@ -1,5 +1,6 @@
 """Tests for config parsing, initial-data construction, and the CLI driver."""
 
+import copy
 import json
 import math
 import os
@@ -28,6 +29,7 @@ from nlwlab.cli import (
     profile_gaussian,
     profile_ode_flat,
     run,
+    _CHECKS,
     _check,
 )
 
@@ -668,3 +670,154 @@ def test_verify_w_decay_slope_catches_damped_profile(tmp_path, monkeypatch):
     check = decay_slope(tmp_path / "damped")
     assert not check["pass"]
     assert check["value"] > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# the check table
+
+
+# small configs that run each scenario in well under a second
+_QUICK = {
+    "evolve": {"equation": {"p": 7.0, "mu": 1}, "grid": {"h": 1.0 / 64.0, "n": 160},
+               "initial": {"kind": "bump"},
+               "run": {"t_final": 1.0, "snapshot_stride": 16}},
+    "norms": {"grid": {"h": 0.05, "n": 400},
+              "initial": {"kind": "gaussian", "width": 0.5}, "run": {"t_final": 0.0},
+              "norms": {"tail_radii": [2.0, 4.0]}},
+    "diagnose": {"equation": {"p": 7.0, "mu": 1}, "grid": {"h": 1.0 / 32.0, "n": 144},
+                 "initial": {"kind": "gaussian", "width": 0.5, "amplitude": 0.5},
+                 "run": {"t_final": 1.0, "cone_floor": None},
+                 "diagnose": {"Rc": 1.0, "times": [0.5]}},
+    "bootstrap": {"bootstrap": {"p_values": [5.0, 7.0], "beta0_values": [0.1],
+                                "dense_sample": 50}},
+    "verify-W": {"grid": {"h": 0.05, "n": 400},
+                 "run": {"t_final": 0.5, "snapshot_stride": 5}},
+    "linear-check": {"grid": {"h": 1.0, "n": 256}, "run": {"t_final": 200.0},
+                     "linear-check": {"reversal_steps": 64}},
+}
+
+
+def _quick(scenario, out, checks):
+    return {"scenario": scenario, **copy.deepcopy(_QUICK[scenario]),
+            "output": {"dir": str(out)}, "checks": checks}
+
+
+def _manifest_checks(out):
+    return json.loads((out / "manifest.json").read_text())["checks"]
+
+
+@pytest.mark.parametrize("scenario, name",
+                         [(s, n) for s, table in _CHECKS.items() for n in table])
+def test_non_number_threshold_exits_2_before_output(tmp_path, capsys, scenario, name):
+    out = tmp_path / "out"
+    raw = _quick(scenario, out, {name: "tight"})
+    assert main([scenario, "--config", _write_config(tmp_path, raw)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config: checks.{name}: expected a number, got str\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario, name", [
+    ("evolve", "finite_speed"), ("norms", "tail_monotone"),
+    ("diagnose", "z_monotone"), ("bootstrap", "iteration_monotone")])
+def test_signed_excess_checks_read_their_threshold(tmp_path, scenario, name):
+    # these four once compared against a fixed 0.0 whatever the config said
+    rows = {}
+    for threshold in (0.0, -1.0):
+        out = tmp_path / f"t{threshold}"
+        rc = run(parse_config(_quick(scenario, out, {name: threshold})))
+        [rows[threshold]] = _manifest_checks(out)
+        assert rows[threshold]["threshold"] == threshold
+        assert rc == (0 if rows[threshold]["pass"] else 1)
+    assert rows[0.0]["pass"] and not rows[-1.0]["pass"]
+    assert rows[0.0]["value"] == rows[-1.0]["value"]
+    assert -1.0 < rows[0.0]["value"] <= 0.0
+
+
+@pytest.mark.parametrize("scenario", list(_CHECKS))
+def test_manifest_rows_follow_the_table_order(tmp_path, scenario):
+    # evolve's blowup pair needs ode_flat data and replaces the other three
+    names = [n for n in _CHECKS[scenario] if n not in ("blowup_detection", "ode_match")]
+    out = tmp_path / "out"
+    raw = _quick(scenario, out, {n: 1.0 for n in reversed(names)})
+    cfg = parse_config(raw)
+    assert list(cfg.checks) == names
+    assert run(cfg) in (0, 1)
+    assert [c["name"] for c in _manifest_checks(out)] == names
+    assert [c["op"] for c in _manifest_checks(out)] == [_CHECKS[scenario][n][0]
+                                                        for n in names]
+
+
+def test_parse_config_resolves_thresholds_and_defaults():
+    raw = _quick("evolve", "/tmp/unused", {"exterior_zero": 1, "energy_drift": 1e-4})
+    checks = parse_config(raw).checks
+    assert list(checks.items()) == [("energy_drift", 1e-4), ("exterior_zero", 1.0)]
+    assert type(checks["exterior_zero"]) is float
+    assert parse_config(_quick("linear-check", "/tmp/unused", {})).checks == {
+        "dalembert_error": 1e-12, "reversibility": 1e-10, "traveling_wave": 1e-10}
+    raw = _quick("linear-check", "/tmp/unused", {"reversibility": 1e-3})
+    assert parse_config(raw).checks["reversibility"] == 1e-3
+
+
+@pytest.mark.parametrize("scenario, edit, message", [
+    ("norms", {"norms": {"tail_radii": [2.0]}, "checks": {"tail_monotone": 0.0}},
+     "checks.tail_monotone: needs at least two tail radii"),
+    ("evolve", {"checks": {"blowup_detection": 5.0}},
+     "checks.blowup_detection: requires ode_flat initial data"),
+])
+def test_check_preconditions_exit_2_before_output(tmp_path, capsys, scenario, edit,
+                                                  message):
+    out = tmp_path / "out"
+    raw = {**_quick(scenario, out, {}), **edit}
+    assert main([scenario, "--config", _write_config(tmp_path, raw)]) == 2
+    assert capsys.readouterr().err == f"config: {message}\n"
+    assert not out.exists()
+
+
+def test_unreadable_initial_file_exits_2_without_leftovers(tmp_path, capsys):
+    out = tmp_path / "out"
+    raw = {**_quick("evolve", out, {}),
+           "initial": {"kind": "file", "path": str(tmp_path / "missing.txt")}}
+    cfg_path = _write_config(tmp_path, raw)
+    assert main(["evolve", "--config", cfg_path]) == 2
+    assert capsys.readouterr().err.startswith("config: initial.path: ")
+    assert not out.exists()
+
+    (tmp_path / "missing.txt").write_text("not a state\n")
+    assert main(["evolve", "--config", cfg_path]) == 2
+    assert capsys.readouterr().err.startswith("config: initial.path: ")
+    assert not out.exists()
+
+
+def test_library_value_error_removes_the_empty_directory(tmp_path, capsys):
+    # the cutoff's 2 Rc <= R contract is checked by the library once the run
+    # has started, before diagnose writes anything
+    out = tmp_path / "out"
+    raw = _quick("diagnose", out, {})
+    raw["diagnose"]["Rc"] = 3.0  # R = 4.5
+    assert main(["diagnose", "--config", _write_config(tmp_path, raw)]) == 2
+    assert capsys.readouterr().err == "config: cutoff must satisfy 0 < 2 Rc <= R\n"
+    assert not out.exists()
+
+
+def test_threads_option_is_gone(tmp_path, capsys):
+    cfg_path = _write_config(tmp_path, _linear_config(tmp_path / "out"))
+    with pytest.raises(SystemExit) as exc:
+        main(["linear-check", "--config", cfg_path, "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_check_table_matches_the_code():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    header = "| scenario       | check                      | op   | default |"
+    rows = readme.split(header + "\n", 1)[1].split("\n\n", 1)[0].splitlines()[1:]
+    table = {}
+    for row in rows:
+        scenario, name, op, default = (c.strip().strip("`")
+                                       for c in row.strip("|").split("|"))
+        table.setdefault(scenario, {})[name] = (
+            op, None if default == "none" else float(default))
+    assert table == _CHECKS
+    assert [list(t) for t in table.values()] == [list(t) for t in _CHECKS.values()]

@@ -367,6 +367,25 @@ def test_diagnostic_record_consistency():
     assert 0.0 <= rec.support_radius <= traj.grid.R
 
 
+def test_diagnostic_record_takes_energy_and_virial_from_one_call(monkeypatch):
+    # one row for the record's state (E and z together), one each for z at t +- h
+    from nlwlab import diagnostics
+    traj = _gauss_run(1.0 / 64.0)
+    rows = []
+    real = diagnostics._energy_virial
+
+    def spy(u, *args, **kwargs):
+        rows.append(len(u))
+        return real(u, *args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "_energy_virial", spy)
+    rec = diagnostic_record(traj, 0.25, 1.5)
+    assert rows == [1, 1, 1]
+    monkeypatch.undo()
+    state = traj.state_at(0.25)
+    assert (rec.energy, rec.virial) == (energy(state), virial(state))
+
+
 def test_log_matches_diagnostics_recompute():
     traj = _gauss_run(1.0 / 64.0)
     idx = {float(t): k for k, t in enumerate(traj.log.t)}
