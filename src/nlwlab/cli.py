@@ -81,7 +81,8 @@ class ConfigError(ValueError):
 def _field(raw: dict, path: str, kind, default=_MISSING, nullable=False):
     """Value at a dotted path, checked against ``kind``.
 
-    With ``nullable``, JSON null passes and is returned as None.
+    ``list[float]`` takes a list of numbers and returns them as floats.  With
+    ``nullable``, JSON null passes and is returned as None.
     """
     node = raw
     for part in path.split("."):
@@ -117,7 +118,17 @@ def _field(raw: dict, path: str, kind, default=_MISSING, nullable=False):
         if not isinstance(node, list):
             raise ConfigError(f"{path}: expected a list, got {type(node).__name__}")
         return node
+    if kind == list[float]:
+        if not isinstance(node, list) or any(
+                isinstance(x, bool) or not isinstance(x, (int, float)) for x in node):
+            raise ConfigError(f"{path}: expected a list of numbers")
+        return [float(x) for x in node]
     raise AssertionError(kind)
+
+
+def _option(cfg, key: str, kind, default=_MISSING):
+    """A field of the scenario's options section, read under its full path."""
+    return _field(cfg.raw, f"{cfg.scenario}.{key}", kind, default)
 
 
 @dataclass(frozen=True)
@@ -268,9 +279,7 @@ def _diagnose_times(cfg: ExperimentConfig) -> list:
     """diagnose.times as floats (default: the middle of the run), each a
     lattice time whose neighbours t - h and t + h lie inside the run."""
     h = cfg.grid.h
-    times = _field(cfg.section, "times", list, default=[cfg.t_final / 2.0])
-    if any(isinstance(t, bool) or not isinstance(t, (int, float)) for t in times):
-        raise ConfigError("diagnose.times: expected a list of numbers")
+    times = _option(cfg, "times", list[float], default=[cfg.t_final / 2.0])
     for t in times:
         k = round(t / h)
         if abs(t - k * h) > 1e-9 * max(h, abs(t)):
@@ -278,18 +287,24 @@ def _diagnose_times(cfg: ExperimentConfig) -> list:
         if not (h - 1e-12 <= t <= cfg.t_final - h + 1e-12):
             raise ConfigError(
                 f"diagnose.times: {t} needs both t - h and t + h inside the run")
-    return [float(t) for t in times]
+    return times
 
 
 def _validate_diagnose(cfg: ExperimentConfig, kind: str) -> None:
-    """The diagnose run's lattice rules, checked before any output exists.
+    """The diagnose run's lattice and cutoff rules, checked before any output exists.
 
     Explicit diagnose.times are checked here; the default midpoint, which
     depends on t_final alone, is checked as the run starts, before it writes
-    anything.  The refinement checks rerun the scenario at 2h on n / 2 nodes.
+    anything.  Rc and every cutoff satisfy 0 < 2 Rc <= R, the identities'
+    contract.  The refinement checks rerun the scenario at 2h on n / 2 nodes.
     """
     if "times" in cfg.section:
         _diagnose_times(cfg)
+    cutoffs = _option(cfg, "cutoffs", list[float], default=[])
+    for name, c in [("Rc", _option(cfg, "Rc", float))] + [("cutoffs", c) for c in cutoffs]:
+        if not (c > 0.0 and 2.0 * c <= cfg.grid.R):
+            raise ConfigError(
+                f"diagnose.{name}: {c!r} must satisfy 0 < 2 Rc <= R = {cfg.grid.R!r}")
     if "virial_consistency_order" in cfg.checks or "identity_order" in cfg.checks:
         if cfg.grid.n % 2 != 0:
             raise ConfigError("grid.n: refinement checks need an even node count")
@@ -471,12 +486,11 @@ def _run_evolve(cfg: ExperimentConfig, out: Path):
 
 def _run_norms(cfg: ExperimentConfig, out: Path):
     metrics = {}
-    sec = cfg.section
     state = build_initial(cfg.initial, cfg.grid, cfg.params)
-    betas = [float(b) for b in _field(sec, "betas", list, default=[0.0, 0.5, 1.0])]
-    tail_radii = [float(x) for x in _field(sec, "tail_radii", list, default=[])]
-    g1_radii = [float(x) for x in _field(sec, "g1_radii", list, default=[])]
-    sp_interval = _field(sec, "sp_interval", list, default=None)
+    betas = _option(cfg, "betas", list[float], default=[0.0, 0.5, 1.0])
+    tail_radii = _option(cfg, "tail_radii", list[float], default=[])
+    g1_radii = _option(cfg, "g1_radii", list[float], default=[])
+    sp_interval = _option(cfg, "sp_interval", list[float], default=None)
 
     traj = None
     if sp_interval is not None:
@@ -538,10 +552,9 @@ def _per_step_virial_residual(traj) -> float:
 
 def _run_diagnose(cfg: ExperimentConfig, out: Path):
     metrics, notes = {}, []
-    sec = cfg.section
-    Rc = _field(sec, "Rc", float)
+    Rc = _option(cfg, "Rc", float)
     times = _diagnose_times(cfg)
-    cutoffs = [float(c) for c in _field(sec, "cutoffs", list, default=[Rc])]
+    cutoffs = _option(cfg, "cutoffs", list[float], default=[Rc])
     if cfg.params.mu == -1:
         notes.append("energy: non-coercive (focusing sign)")
 
@@ -577,14 +590,11 @@ def _run_diagnose(cfg: ExperimentConfig, out: Path):
 
 def _run_bootstrap(cfg: ExperimentConfig, out: Path):
     metrics = {}
-    sec = cfg.section
-    p_values = [float(p) for p in _field(sec, "p_values", list,
-                                         default=[5.0, 6.0, 7.0, 9.0, 13.0])]
-    beta0_values = [float(b) for b in _field(sec, "beta0_values", list,
-                                             default=[0.01, 0.1])]
-    tol = _field(sec, "tol", float, default=1e-12)
-    n_max = _field(sec, "n_max", int, default=100000)
-    dense = _field(sec, "dense_sample", int, default=2000)
+    p_values = _option(cfg, "p_values", list[float], default=[5.0, 6.0, 7.0, 9.0, 13.0])
+    beta0_values = _option(cfg, "beta0_values", list[float], default=[0.01, 0.1])
+    tol = _option(cfg, "tol", float, default=1e-12)
+    n_max = _option(cfg, "n_max", int, default=100000)
+    dense = _option(cfg, "dense_sample", int, default=2000)
 
     lines = ["p,value,theta"]
     for p, (value, theta) in zip(p_values, bootstrap.contraction_table(p_values)):
@@ -626,6 +636,7 @@ def _run_verify_w(cfg: ExperimentConfig, out: Path):
     notes = ["cone guard disabled: the static profile is not compactly supported",
              "drift region: r <= R - t - 2h (outer truncation is causally excluded)",
              "energy: non-coercive (focusing sign)"]
+    r_min = _option(cfg, "decay_r_min", float, default=4.0)
     initial = reference_W(cfg.grid)
     traj = solver.evolve(_solver_config(cfg), initial)
     _write(out, "step_log.csv", traj.log.to_csv())
@@ -637,8 +648,6 @@ def _run_verify_w(cfg: ExperimentConfig, out: Path):
     for s in traj.states:
         clean = r <= cfg.grid.R - (s.t - initial.t) - 2.0 * cfg.grid.h
         drift = max(drift, float(np.max(np.abs(s.u[clean] - W[clean]))))
-    r_min = _field(cfg.section, "decay_r_min", float, default=4.0) \
-        if cfg.section else 4.0
     C0, _ = bootstrap.decay_fit(traj, r_min=r_min)
     # the slope is fitted to the evolved layers only: sup_t |u| over all of
     # them would include W itself and could not see a damped profile
@@ -695,6 +704,7 @@ def _run_linear_check(cfg: ExperimentConfig, out: Path):
     params = cfg.params
     grid = cfg.grid
     n_steps = solver.step_count(0.0, cfg.t_final, grid.h)
+    rev_steps = _option(cfg, "reversal_steps", int, default=256)
 
     hat = _hat_state(grid, params)
     traj = solver.evolve(_solver_config(cfg, linear=True,
@@ -703,8 +713,6 @@ def _run_linear_check(cfg: ExperimentConfig, out: Path):
     err = float(np.max(np.abs(traj.states[-1].w - w_exact)))
 
     # reversibility on a reduced grid: forward then backward through step()
-    rev_steps = _field(cfg.section, "reversal_steps", int, default=256) \
-        if cfg.section else 256
     small = RadialGrid(h=grid.h, n=min(grid.n, 512))
     hat_s = _hat_state(small, params)
     fwd = solver.evolve(

@@ -53,6 +53,8 @@ __all__ = [
 
 # layers per call of the row-wise energy/virial/support log in evolve
 LOG_BLOCK = 8
+# evolve steps the light-cone prefix rounded up to whole chunks of this many nodes
+PREFIX_CHUNK = 64
 
 
 class SolverError(RuntimeError):
@@ -147,33 +149,52 @@ def characteristics(state: RadialState) -> CharacteristicFields:
     return CharacteristicFields(z1=dw + rv, z2=dw - rv)
 
 
-def _source_term(w: np.ndarray, u: np.ndarray, r: np.ndarray, rp: np.ndarray,
-                 p: float, h: float, origin_band: int, linear: bool,
-                 m: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
-    """h^2 |w|^{p-1} w / r^{p-1} on nodes [0, m): the update term h^2 F without
+class _Views:
+    """Views of one node buffer that the kernel reads and writes on the prefix
+    [0, mk): the origin band [1, b), the tail [b, mk), the interior [1, mk),
+    and the shifted neighbours [2, hi + 1), [0, hi - 1) of the nodes [1, hi),
+    hi = min(mk, n).  A step reads about thirty of them, a noticeable cost
+    next to its ufunc calls on a short prefix, so :func:`evolve` builds them
+    only when mk moves.
+    """
+
+    __slots__ = ("band", "tail", "live", "right", "left", "inner", "prefix", "whole")
+
+    def __init__(self, x: np.ndarray, mk: int, origin_band: int):
+        n = len(x) - 1
+        b, hi = min(origin_band, n, mk), min(mk, n)
+        self.band, self.tail, self.live = x[1:b], x[b:mk], x[1:mk]
+        self.right, self.left, self.inner = x[2:hi + 1], x[:hi - 1], x[1:hi]
+        self.prefix, self.whole = x[:mk], x
+
+
+def _prefix_views(buffers, mk: int, origin_band: int) -> list:
+    """:class:`_Views` of each buffer on the prefix [0, mk)."""
+    return [_Views(x, mk, origin_band) for x in buffers]
+
+
+def _source_term(w: _Views, u: _Views, r: _Views, rp: _Views, out: _Views,
+                 tmp: _Views, p: float, h: float, linear: bool) -> None:
+    """h^2 |w|^{p-1} w / r^{p-1} on nodes [1, mk): the update term h^2 F without
     its factor -mu, which :func:`_source_op` applies where the term is used.
 
-    rp holds r^{p-1}.  Inside origin_band the term is evaluated in the u-form
-    r |u|^{p-1} u, which avoids 0/0.  Node 0 is not computed (a fresh ``out``
-    is zero there).
+    rp holds r^{p-1}.  Inside the origin band the term is evaluated in the
+    u-form r |u|^{p-1} u, which avoids 0/0; its product passes through the
+    scratch ``tmp``, since numpy multiplies a one-node view in place about
+    three times slower.  Node 0 is not computed, and the linear term is left
+    as ``out`` holds it (+0.0 throughout).
     """
-    if out is None:
-        out = np.zeros_like(w)
-    m = len(w) if m is None else m
     if linear:
-        out[:m] = 0.0
-        return out
-    b = min(origin_band, len(w) - 1, m)
-    head, tail = out[1:b], out[b:m]
-    np.abs(u[1:b], out=head)
-    np.abs(w[b:m], out=tail)
-    np.power(out[1:m], p - 1.0, out=out[1:m])
-    np.multiply(r[1:b], head, out=head)
-    np.multiply(head, u[1:b], out=head)
-    np.multiply(tail, w[b:m], out=tail)
-    np.divide(tail, rp[b:m], out=tail)
-    np.multiply(out[1:m], h * h, out=out[1:m])
-    return out
+        return
+    head, tail = out.band, out.tail
+    np.abs(u.band, out=head)
+    np.abs(w.tail, out=tail)
+    np.power(out.live, p - 1.0, out=out.live)
+    np.multiply(r.band, head, out=tmp.band)
+    np.multiply(tmp.band, u.band, out=head)
+    np.multiply(tail, w.tail, out=tail)
+    np.divide(tail, rp.tail, out=tail)
+    np.multiply(out.live, h * h, out=out.live)
 
 
 def _source_op(mu: int, linear: bool):
@@ -185,47 +206,33 @@ def _source_op(mu: int, linear: bool):
     return np.subtract if mu > 0 and not linear else np.add
 
 
-def _advance(w_prev: np.ndarray, w_cur: np.ndarray, src: np.ndarray, op,
-             m: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
-    """Leapfrog layer w_{j+1} + w_{j-1} - w_prev + h^2 F on nodes [0, m).
+def _advance(w_prev: _Views, w_cur: _Views, src: _Views, op, out: _Views) -> None:
+    """Leapfrog layer w_{j+1} + w_{j-1} - w_prev + h^2 F on nodes [0, mk).
 
     src is :func:`_source_term`'s output and op the matching :func:`_source_op`.
     """
-    n = len(w_cur) - 1
-    m = n + 1 if m is None else m
-    if out is None:
-        out = np.empty_like(w_cur)
-    hi = min(m, n)
-    nxt = out[1:hi]
-    np.add(w_cur[2:hi + 1], w_cur[:hi - 1], out=nxt)
-    np.subtract(nxt, w_prev[1:hi], out=nxt)
-    op(nxt, src[1:hi], out=nxt)
-    out[0] = 0.0
-    if m > n:
-        out[n] = op(w_cur[n - 1] - w_prev[n], src[n])  # zero ghost beyond R
-    return out
+    nxt, x = out.inner, out.whole
+    np.add(w_cur.right, w_cur.left, out=nxt)
+    np.subtract(nxt, w_prev.inner, out=nxt)
+    op(nxt, src.inner, out=nxt)
+    x[0] = 0.0
+    if len(out.prefix) == len(x):  # zero ghost beyond R, in Python floats
+        n = len(x) - 1
+        d, s = w_cur.whole.item(n - 1) - w_prev.whole.item(n), src.whole.item(n)
+        x[n] = d - s if op is np.subtract else d + s
 
 
-def _u_from_w(w: np.ndarray, r: np.ndarray, m: int | None = None,
-              out: np.ndarray | None = None) -> np.ndarray:
-    m = len(w) if m is None else m
-    if out is None:
-        out = np.empty_like(w)
-    np.divide(w[1:m], r[1:m], out=out[1:m])
-    out[0] = even_origin_value(out[1], out[2])
-    return out
+def _u_from_w(w: _Views, r: _Views, out: _Views) -> None:
+    np.divide(w.live, r.live, out=out.live)
+    # Python floats take the same IEEE operations as numpy scalars, faster
+    out.whole[0] = even_origin_value(*out.whole[1:3].tolist())
 
 
-def _v_from_layers(w_hi: np.ndarray, w_lo: np.ndarray, two_h_r: np.ndarray,
-                   m: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
-    """Centered time derivative v = (w^{n+1} - w^{n-1}) / (2 h r) on nodes [0, m)."""
-    m = len(w_hi) if m is None else m
-    if out is None:
-        out = np.empty_like(w_hi)
-    np.subtract(w_hi[1:m], w_lo[1:m], out=out[1:m])
-    np.divide(out[1:m], two_h_r[1:m], out=out[1:m])
-    out[0] = even_origin_value(out[1], out[2])
-    return out
+def _v_from_layers(w_hi: _Views, w_lo: _Views, two_h_r: _Views, out: _Views) -> None:
+    """Centered time derivative v = (w^{n+1} - w^{n-1}) / (2 h r) on nodes [0, mk)."""
+    np.subtract(w_hi.live, w_lo.live, out=out.live)
+    np.divide(out.live, two_h_r.live, out=out.live)
+    out.whole[0] = even_origin_value(*out.whole[1:3].tolist())
 
 
 def _active_length(*layers: np.ndarray) -> int:
@@ -256,11 +263,15 @@ def step(prev: RadialState, curr: RadialState, *, origin_band: int = 2,
     dt = curr.t - prev.t
     if abs(abs(dt) - h) > 1e-9 * h:
         raise ValueError("layers must be one grid spacing apart in time (unit CFL)")
-    r, p = curr.grid.r, curr.params.p
+    r, p, n = curr.grid.r, curr.params.p, curr.grid.n
     w_prev, w_cur = prev.w, curr.w
-    src = _source_term(w_cur, curr.u, r, r ** (p - 1.0), p, h, origin_band, linear)
-    w_nxt = _advance(w_prev, w_cur, src, _source_op(curr.params.mu, linear))
-    u_nxt = _u_from_w(w_nxt, r)
+    wp, wc, wn, uc, un, rv, rpv, src, tmp = _prefix_views(
+        [w_prev, w_cur, np.empty(n + 1), curr.u, np.empty(n + 1), r, r ** (p - 1.0),
+         np.zeros(n + 1), np.empty(n + 1)], n + 1, origin_band)
+    _source_term(wc, uc, rv, rpv, src, tmp, p, h, linear)
+    _advance(wp, wc, src, _source_op(curr.params.mu, linear), wn)
+    _u_from_w(wn, rv, un)
+    w_nxt, u_nxt = wn.whole, un.whole
     v_nxt = np.empty_like(w_nxt)
     v_nxt[1:] = (3.0 * w_nxt[1:] - 4.0 * w_cur[1:] + w_prev[1:]) / (2.0 * dt * r[1:])
     v_nxt[0] = even_origin_value(v_nxt[1], v_nxt[2])
@@ -317,8 +328,10 @@ def evolve(config: SolverConfig, initial: RadialState,
     -----
     Work is confined to the light-cone prefix: the nodes up to the last one
     where either starting layer is nonzero (exactly), growing by one node per
-    step up to the full grid.  Beyond it the stencil yields exact zeros, so
-    the result is the same bit for bit as stepping the whole grid.  The
+    step up to the full grid.  The kernel steps it rounded up to whole
+    chunks of PREFIX_CHUNK nodes, on views of its buffers rebuilt once per
+    chunk.  Beyond the prefix the stencil yields exact zeros, so the result
+    is the same bit for bit as stepping the whole grid.  The
     layers live in a fixed set of buffers; a RadialState is built only for
     the stored snapshots.
 
@@ -343,39 +356,45 @@ def evolve(config: SolverConfig, initial: RadialState,
     n_steps = step_count(t0, config.t_final, h)
 
     p, mu = params.p, params.mu
-    rp = r ** (p - 1.0)
-    two_h_r = 2.0 * h * r
-    op = _source_op(mu, config.linear)
-    source = lambda w, u, m, out: _source_term(w, u, r, rp, p, h, config.origin_band,
-                                               config.linear, m, out)
+    band, linear = config.origin_band, config.linear
+    op = _source_op(mu, linear)
     w_cur = initial.w.copy()
     u_cur = initial.u.copy()
+    # every buffer is +0.0 beyond the prefix, as the full-grid stencil would
+    # leave it; the views start on the full grid for layer 0 and the back
+    # layer.  They are w at layers k - 1, k, k + 1, u at k and k + 1, v, the
+    # source term, |u| (also the source's scratch), r, r^{p-1} and 2 h r
+    w_prev = np.zeros(n + 1)
+    wp, wc, wn, uc, un, vv, sv, av, rv, rpv, trv = _prefix_views(
+        [w_prev, w_cur, np.zeros(n + 1), u_cur, np.zeros(n + 1), np.zeros(n + 1),
+         np.zeros(n + 1), np.empty(n + 1), r, r ** (p - 1.0), 2.0 * h * r], n + 1, band)
     if initial_prev is not None:
         if initial_prev.grid != grid or initial_prev.params != params:
             raise ValueError("initial_prev does not match the configuration")
         if abs((t0 - initial_prev.t) - h) > 1e-9 * h:
             raise ValueError("initial_prev must sit one step before the initial state")
-        w_prev = initial_prev.w.copy()
+        w_prev[:] = initial_prev.w
     else:
-        src0 = source(w_cur, u_cur, None, None)
+        # the term stays in src on the live nodes of w_cur and u_cur, all
+        # inside the first step's prefix, which overwrites it
+        _source_term(wc, uc, rv, rpv, sv, av, p, h, linear)
         d2 = np.zeros_like(w_cur)
         d2[1:-1] = w_cur[2:] - 2.0 * w_cur[1:-1] + w_cur[:-2]
         d2[-1] = w_cur[-2] - 2.0 * w_cur[-1]  # zero ghost
-        w_prev = w_cur - h * (r * initial.v) + 0.5 * op(d2, src0)
+        w_prev[:] = w_cur - h * (r * initial.v) + 0.5 * op(d2, sv.whole)
         w_prev[0] = 0.0
 
-    abs_u = np.empty(n + 1)
     # one comparison catches NaN, +inf and the threshold; the cap keeps +inf
     # caught when the threshold is inf
     limit = min(config.blowup_threshold, np.finfo(float).max)
 
-    def check_layer(u: np.ndarray, m: int, t: float) -> float:
-        mx = np.abs(u[:m], out=abs_u[:m]).max()
+    def check_layer(u: _Views, abs_u: _Views, m: int, t: float) -> float:
+        mx = np.maximum.reduce(np.abs(u.prefix, out=abs_u.prefix))
         if not mx <= limit:
             raise BlowupDetected(f"field magnitude {float(mx)!r} at t = {t!r}", t)
         # the outer two nodes hold +0.0 until the prefix reaches node n - 1
         if (config.cone_floor is not None and m >= n
-                and np.abs(u[-2:]).max() > config.cone_floor):
+                and np.abs(u.whole[-2:]).max() > config.cone_floor):
             raise ConeViolation(
                 f"field reached the outer boundary at t = {t!r}; "
                 "enlarge the grid or disable the cone guard", t)
@@ -417,46 +436,46 @@ def evolve(config: SolverConfig, initial: RadialState,
 
     # u_cur's buffer is recycled as well, so its nonzeros count too
     m = _active_length(w_cur, w_prev, u_cur)
-    max_u = check_layer(u_cur, n + 1, t0)
+    max_u = check_layer(uc, av, n + 1, t0)
     states = [initial]
     log_row(0, t0, initial.u, initial.v,
             min(max(_live_length(initial.u, initial.v) + 2, 3), n + 1), max_u)
 
-    # w_nxt and u_nxt are overwritten in the prefix only; beyond it every
-    # buffer holds +0.0, as the full-grid stencil would
-    w_nxt, u_nxt = np.zeros(n + 1), np.zeros(n + 1)
-    v, src = np.zeros(n + 1), np.zeros(n + 1)
-    for k in range(n_steps):
+    # the kernel steps the prefix [0, mk), m rounded up to whole chunks of
+    # PREFIX_CHUNK nodes (at most n + 1), on views rebuilt only when mk moves.
+    # Past m every buffer holds +0.0, which every operation of the stencil
+    # maps to +0.0, so the extra nodes change no bit; the log and the cone
+    # test keep the true m.  The last pass (when there is a step at all) is
+    # one auxiliary interior step past t_final that feeds the same centered
+    # stencil as every other layer; the extra layer is neither stored,
+    # logged, nor run through the guards (a one-sided endpoint stencil would
+    # amplify grid-scale wavefront oscillation several-fold)
+    mk = 0
+    for k in range(n_steps + 1 if n_steps else 0):
         m = min(m + 1, n + 1)
-        source(w_cur, u_cur, m, src)
-        _advance(w_prev, w_cur, src, op, m, w_nxt)
-        _u_from_w(w_nxt, r, m, u_nxt)
-        max_nxt = check_layer(u_nxt, m, t0 + (k + 1) * h)
+        if m > mk:
+            mk = min(-(-m // PREFIX_CHUNK) * PREFIX_CHUNK, n + 1)
+            wp, wc, wn, uc, un, vv, sv, av, rv, rpv, trv = _prefix_views(
+                [x.whole for x in (wp, wc, wn, uc, un, vv, sv, av, rv, rpv, trv)],
+                mk, band)
+        _source_term(wc, uc, rv, rpv, sv, av, p, h, linear)
+        _advance(wp, wc, sv, op, wn)
+        if k < n_steps:
+            _u_from_w(wn, rv, un)
+            max_nxt = check_layer(un, av, m, t0 + (k + 1) * h)
         if k >= 1:
             # layer k gets its centered v now that layer k+1 exists; u and v
             # are +0.0 past the prefix, so the row equals energy/virial of
             # the full state
-            _v_from_layers(w_nxt, w_prev, two_h_r, m, v)
+            _v_from_layers(wn, wp, trv, vv)
             t_k = t0 + k * h
-            log_row(k, t_k, u_cur, v, min(m + 2, n + 1), max_u)
-            if k % config.snapshot_stride == 0:
-                states.append(RadialState(grid=grid, params=params, t=t_k, u=u_cur, v=v))
-        w_prev, w_cur, w_nxt = w_cur, w_nxt, w_prev
-        u_cur, u_nxt = u_nxt, u_cur
+            log_row(k, t_k, uc.whole, vv.whole, min(m + 2, n + 1), max_u)
+            if k % config.snapshot_stride == 0 or k == n_steps:
+                states.append(RadialState(grid=grid, params=params, t=t_k,
+                                          u=uc.whole, v=vv.whole))
+        wp, wc, wn = wc, wn, wp
+        uc, un = un, uc
         max_u = max_nxt
-
-    if n_steps >= 1:
-        # one auxiliary interior step past t_final feeds the same centered
-        # stencil as every other layer; the extra layer is neither stored,
-        # logged, nor run through the guards (a one-sided endpoint stencil
-        # would amplify grid-scale wavefront oscillation several-fold)
-        m = min(m + 1, n + 1)
-        source(w_cur, u_cur, m, src)
-        _advance(w_prev, w_cur, src, op, m, w_nxt)
-        _v_from_layers(w_nxt, w_prev, two_h_r, m, v)
-        t_fin = t0 + n_steps * h
-        log_row(n_steps, t_fin, u_cur, v, min(m + 2, n + 1), max_u)
-        states.append(RadialState(grid=grid, params=params, t=t_fin, u=u_cur, v=v))
 
     return Trajectory(grid=grid, params=params, states=tuple(states),
                       log=StepLog(*log.T), linear=config.linear)

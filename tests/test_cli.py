@@ -790,14 +790,70 @@ def test_unreadable_initial_file_exits_2_without_leftovers(tmp_path, capsys):
 
 
 def test_library_value_error_removes_the_empty_directory(tmp_path, capsys):
-    # the cutoff's 2 Rc <= R contract is checked by the library once the run
-    # has started, before diagnose writes anything
+    # file data starts at its stored time, so the solver's lattice rule is
+    # checked by the library once the run has started, before anything is
+    # written
+    grid, params = RadialGrid(h=0.125, n=64), make_params(5.0, 1)
+    save_state(build_initial({"kind": "bump"}, grid, params), tmp_path / "init.txt")
     out = tmp_path / "out"
-    raw = _quick("diagnose", out, {})
-    raw["diagnose"]["Rc"] = 3.0  # R = 4.5
-    assert main(["diagnose", "--config", _write_config(tmp_path, raw)]) == 2
-    assert capsys.readouterr().err == "config: cutoff must satisfy 0 < 2 Rc <= R\n"
+    raw = {"scenario": "evolve", "grid": {"h": 0.125, "n": 64},
+           "initial": {"kind": "file", "path": str(tmp_path / "init.txt")},
+           "run": {"t_final": 0.3}, "output": {"dir": str(out)}}
+    assert main(["evolve", "--config", _write_config(tmp_path, raw)]) == 2
+    assert capsys.readouterr().err == (
+        "config: t_final must be the initial time plus a whole number of steps\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario, field, value, message", [
+    ("norms", "betas", ["x"], "expected a list of numbers"),
+    ("norms", "tail_radii", [1.0, True], "expected a list of numbers"),
+    ("norms", "g1_radii", "x", "expected a list of numbers"),
+    ("norms", "sp_interval", ["a", 0.5], "expected a list of numbers"),
+    ("diagnose", "Rc", "x", "expected a number, got str"),
+    ("diagnose", "cutoffs", [None], "expected a list of numbers"),
+    ("diagnose", "times", ["x"], "expected a list of numbers"),
+    ("bootstrap", "p_values", ["x"], "expected a list of numbers"),
+    ("bootstrap", "beta0_values", [0.1, "x"], "expected a list of numbers"),
+    ("bootstrap", "tol", "x", "expected a number, got str"),
+    ("bootstrap", "n_max", 1.5, "expected an integer, got float"),
+    ("bootstrap", "dense_sample", "x", "expected an integer, got str"),
+    ("verify-W", "decay_r_min", "x", "expected a number, got str"),
+    ("linear-check", "reversal_steps", "x", "expected an integer, got str"),
+])
+def test_section_fields_report_their_path(tmp_path, capsys, scenario, field, value,
+                                          message):
+    out = tmp_path / "out"
+    raw = _quick(scenario, out, {})
+    raw.setdefault(scenario, {})[field] = value
+    assert main([scenario, "--config", _write_config(tmp_path, raw)]) == 2
+    assert capsys.readouterr().err == f"config: {scenario}.{field}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, field", [
+    ({"Rc": 5.0}, "Rc"), ({"Rc": 0.0}, "Rc"), ({"Rc": -1.0}, "Rc"),
+    ({"cutoffs": [1.0, 4.5]}, "cutoffs"), ({"cutoffs": [0.0]}, "cutoffs"),
+])
+def test_diagnose_cutoff_checked_before_the_run(tmp_path, capsys, monkeypatch, edit,
+                                                field):
+    # R = 8: an Rc of 5 broke the identities' 2 Rc <= R only after the whole
+    # fine run, and the error carried no field path
+    from nlwlab.cli import solver
+
+    def spy(*args, **kwargs):
+        raise AssertionError("evolve called")
+
+    monkeypatch.setattr(solver, "evolve", spy)
+    out = tmp_path / "out"
+    raw = {"scenario": "diagnose", "grid": {"h": 0.125, "n": 64},
+           "initial": {"kind": "gaussian"}, "run": {"t_final": 1.0},
+           "diagnose": {"Rc": 1.0, **edit}, "output": {"dir": str(out)}}
+    assert main(["diagnose", "--config", _write_config(tmp_path, raw)]) == 2
+    assert capsys.readouterr().err.startswith(f"config: diagnose.{field}: ")
+    assert not out.exists()
+    raw["diagnose"] = {"Rc": 4.0, "cutoffs": [0.5, 4.0]}  # 2 Rc = R is allowed
+    assert parse_config(raw).section["cutoffs"] == [0.5, 4.0]
 
 
 def test_threads_option_is_gone(tmp_path, capsys):

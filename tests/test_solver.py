@@ -289,6 +289,35 @@ def _oracle_case(name):
                              cone_floor=None),
                 _state_from_w(grid, params, w), _state_from_w(grid, params, back, t=-grid.h),
                 None)
+    if name == "gaussian_underflow":
+        # exp(-2 r^2) out to R = 11 is live on the whole grid, and its outer
+        # nodes lie far below 2^(-1080/(p-1)), where |w|^(p-1) underflows
+        params = make_params(5.0, 1)
+        grid = RadialGrid(h=1.0 / 16.0, n=176)
+        s0 = RadialState(grid=grid, params=params, t=0.0,
+                         u=np.exp(-2.0 * grid.r ** 2), v=np.zeros(grid.n + 1))
+        return SolverConfig(grid=grid, params=params, t_final=2.0, snapshot_stride=4,
+                            cone_floor=None), s0, None, None
+    if name == "bump_crosses_chunks":
+        # the prefix starts at 33 nodes and crosses the chunk edges 64, 128 and
+        # 192; n + 1 = 201 is no multiple of 64, so the last chunk is cut at
+        # the grid end, which the prefix reaches 8 steps into that chunk
+        params = make_params(7.0, 1)
+        grid = RadialGrid(h=1.0 / 32.0, n=200)
+        s0 = RadialState(grid=grid, params=params, t=0.0, u=bump(grid.r),
+                         v=0.5 * bump(grid.r, radius=0.7))
+        return SolverConfig(grid=grid, params=params, t_final=6.0, snapshot_stride=9,
+                            cone_floor=None), s0, None, None
+    if name == "band_wider_than_prefix":
+        # data on nodes 0 and 1 only: the prefix starts at 3 nodes, below
+        # origin_band = 5, so the first chunk's u-form band holds +0.0 nodes
+        params = make_params(5.0, -1)
+        grid = RadialGrid(h=1.0 / 32.0, n=96)
+        s0 = RadialState(grid=grid, params=params, t=0.0,
+                         u=np.where(grid.r < 1.5 * grid.h, 0.5, 0.0),
+                         v=np.where(grid.r < 1.5 * grid.h, 0.25, 0.0))
+        return SolverConfig(grid=grid, params=params, t_final=1.0, snapshot_stride=2,
+                            origin_band=5), s0, None, None
     if name.startswith("overflow_to_"):
         # blowup_threshold = inf: |w|^(p-1) overflows in the first step.  With
         # the back layer equal to the initial one the new layer holds -inf; with
@@ -315,6 +344,10 @@ def _oracle_case(name):
 
 _BLOCK_EDGE_CASES = ["steps_0", "steps_1", "steps_7", "steps_8", "steps_9", "steps_17",
                      "gaussian_reaches_grid_end", "initial_prev_wider"]
+_ORACLE_CASES = ["bump_prefix_grows", "gaussian_full_grid", "bump_cone_violation",
+                 "cone_sharp_front", "ode_flat_blowup", "linear", "initial_prev",
+                 "overflow_to_inf", "overflow_to_nan", *_BLOCK_EDGE_CASES,
+                 "gaussian_underflow", "bump_crosses_chunks", "band_wider_than_prefix"]
 
 
 def _run_or_error(run, cfg, s0, prev):
@@ -334,15 +367,7 @@ def _assert_same_bits(got, ref):
         assert np.array_equal(_bits(getattr(got.log, col)), _bits(getattr(ref.log, col)))
 
 
-@pytest.mark.parametrize("case", ["bump_prefix_grows", "gaussian_full_grid",
-                                  "bump_cone_violation", "cone_sharp_front",
-                                  "ode_flat_blowup", "linear", "initial_prev",
-                                  "overflow_to_inf", "overflow_to_nan",
-                                  *_BLOCK_EDGE_CASES])
-def test_evolve_matches_full_grid_loop(case):
-    cfg, s0, prev, expected = _oracle_case(case)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ref, got = (_run_or_error(run, cfg, s0, prev) for run in (_seed_evolve, evolve))
+def _assert_same_outcome(got, ref, expected):
     if expected is not None:
         assert type(ref) is expected
         assert type(got) is expected and got.t == ref.t and str(got) == str(ref)
@@ -352,6 +377,85 @@ def test_evolve_matches_full_grid_loop(case):
     # the arithmetic is unchanged, so every log column matches bit for bit
     # (E and z too: the quadrature sums over the whole grid either way)
     _assert_same_bits(got, ref)
+
+
+@pytest.mark.parametrize("case", _ORACLE_CASES)
+def test_evolve_matches_full_grid_loop(case):
+    cfg, s0, prev, expected = _oracle_case(case)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref, got = (_run_or_error(run, cfg, s0, prev) for run in (_seed_evolve, evolve))
+    _assert_same_outcome(got, ref, expected)
+    if case == "gaussian_underflow":
+        # the case must keep reaching the band where |w|^(p-1) underflows
+        # (the outgoing wave fills it in later)
+        theta = 2.0 ** (-1080.0 / (cfg.params.p - 1.0))
+        for s in got.states[:2]:
+            w = np.abs(s.w)
+            assert np.any((w > 0.0) & (w < theta))
+
+
+@pytest.mark.parametrize("case", _ORACLE_CASES)
+def test_prefix_chunk_does_not_change_bits(case, monkeypatch):
+    # the nodes a chunk adds past the prefix hold +0.0 and stay +0.0
+    cfg, s0, prev, expected = _oracle_case(case)
+    n = cfg.grid.n
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = _run_or_error(_seed_evolve, cfg, s0, prev)
+        for chunk in (1, 3, 64, n + 1, 4 * n):
+            monkeypatch.setattr(solver, "PREFIX_CHUNK", chunk)
+            _assert_same_outcome(_run_or_error(evolve, cfg, s0, prev), ref, expected)
+
+
+def _spy_views(monkeypatch):
+    widths = []
+
+    def spy(buffers, mk, origin_band, _f=solver._prefix_views):
+        widths.append(mk)
+        return _f(buffers, mk, origin_band)
+
+    monkeypatch.setattr(solver, "_prefix_views", spy)
+    return widths
+
+
+@pytest.mark.parametrize("case, chunk", [
+    ("bump_prefix_grows", 64), ("bump_prefix_grows", 3), ("bump_crosses_chunks", 64),
+    ("bump_crosses_chunks", 1), ("gaussian_reaches_grid_end", 16),
+    ("band_wider_than_prefix", 64), ("initial_prev_wider", 7), ("steps_0", 64)])
+def test_views_are_rebuilt_once_per_chunk(case, chunk, monkeypatch):
+    # full-grid views for layer 0 and the back layer, then one set of views
+    # per chunk edge the prefix crosses, never one per step
+    monkeypatch.setattr(solver, "PREFIX_CHUNK", chunk)
+    widths = _spy_views(monkeypatch)
+    cfg, s0, prev, _ = _oracle_case(case)
+    evolve(cfg, s0, prev)
+    n = cfg.grid.n
+    assert len(widths) <= -(-(n + 1) // chunk) + 1
+    assert widths[0] == n + 1
+    assert widths[1:] == sorted(set(widths[1:]))
+    assert all(mk % chunk == 0 or mk == n + 1 for mk in widths[1:])
+
+
+def test_chunk_case_reaches_grid_end_mid_chunk(monkeypatch):
+    widths = _spy_views(monkeypatch)
+    cfg, s0, prev, _ = _oracle_case("bump_crosses_chunks")
+    traj = evolve(cfg, s0, prev)
+    n = cfg.grid.n
+    assert solver.PREFIX_CHUNK == 64 and (n + 1) % 64 != 0
+    assert widths == [n + 1, 64, 128, 192, n + 1]
+    assert _live_length(traj.states[-1].u) == n + 1
+
+
+def test_band_case_starts_below_the_origin_band(monkeypatch):
+    starts = []
+
+    def spy(*layers, _f=solver._active_length):
+        starts.append(_f(*layers))
+        return starts[-1]
+
+    monkeypatch.setattr(solver, "_active_length", spy)
+    cfg, s0, prev, _ = _oracle_case("band_wider_than_prefix")
+    evolve(cfg, s0, prev)
+    assert starts == [3] and cfg.origin_band == 5
 
 
 def test_gaussian_case_reaches_grid_end_mid_block():
