@@ -18,11 +18,11 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from nlwlab.core import RadialGrid, Trajectory
+from nlwlab.core import RadialGrid, Trajectory, _csv_text
 from nlwlab.norms import g_moduli
 
 __all__ = [
@@ -107,18 +107,17 @@ class ExponentSequence:
     limit_gap: float
 
     def to_csv(self) -> str:
-        lines = ["n,beta,gamma"]
-        for n, (b, g) in enumerate(zip(self.beta, self.gamma)):
-            lines.append(f"{n},{float(b)!r},{float(g)!r}")
-        return "\n".join(lines) + "\n"
+        return _csv_text("n,beta,gamma", (
+            (n, float(b), float(g)) for n, (b, g) in enumerate(zip(self.beta, self.gamma))))
 
 
 def exponent_iteration(p: float, beta0: float, n_max: int = 100000,
                        tol: float = 1e-12) -> ExponentSequence:
     """Run the exponent recursion from beta0 until within tol of 1 - a.
 
-    Requires p >= 5 and 0 < beta0 <= 1 - a (the upper endpoint is the fixed
-    point; starting beyond it leaves the regime the recursion models).
+    Requires p >= 5, 0 < beta0 <= 1 - a (the upper endpoint is the fixed
+    point; starting beyond it leaves the regime the recursion models) and
+    n_max >= 1; the ValueError for a rejected argument starts with its name.
     Convergence is geometric near the fixed point, so the default cap is
     generous.  Arithmetic runs in :func:`working_dtype`.
     """
@@ -181,15 +180,7 @@ class ConvexityReport:
     linearized_ok: bool
 
     def to_json(self) -> str:
-        payload = {
-            "kappa": self.kappa,
-            "theta": self.theta,
-            "c_p": self.c_p,
-            "pairs": list(self.pairs),
-            "activation_radius": self.activation_radius,
-            "linearized_ok": self.linearized_ok,
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(asdict(self), indent=2) + "\n"
 
 
 def convexity_step_check(radii, g1_values, p: float) -> ConvexityReport:
@@ -255,17 +246,7 @@ class GRecursionReport:
     vacuous: bool
 
     def to_json(self) -> str:
-        payload = {
-            "radii": list(self.radii),
-            "g1": list(self.g1),
-            "g2": list(self.g2),
-            "g3": list(self.g3),
-            "ratio2": list(self.ratio2),
-            "ratio3": list(self.ratio3),
-            "spread": self.spread,
-            "vacuous": self.vacuous,
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(asdict(self), indent=2) + "\n"
 
 
 def g_recursion_verify(traj: Trajectory, radii=None) -> GRecursionReport:
@@ -311,21 +292,29 @@ def g_recursion_verify(traj: Trajectory, radii=None) -> GRecursionReport:
     )
 
 
+def _fit_window(grid: RadialGrid, r_min: float) -> np.ndarray:
+    """Node mask of the fit window [r_min, R/4] (1e-12 slack at both ends);
+    ValueError unless r_min >= 1 and the window holds at least two nodes."""
+    if not r_min >= 1.0:
+        raise ValueError(f"the fit window starts at r_min >= 1, got {r_min!r}")
+    r = grid.r
+    mask = (r >= r_min - 1e-12) & (r <= grid.R / 4.0 + 1e-12)
+    if np.count_nonzero(mask) < 2:
+        raise ValueError(f"fit window [{r_min!r}, R/4 = {grid.R / 4.0!r}] contains "
+                         "fewer than two grid nodes")
+    return mask
+
+
 def profile_decay_fit(grid: RadialGrid, f, r_min: float = 1.0):
     """Fit |f(r)| ~ C0 / r over the window [r_min, R/4] of one nodal profile.
 
     Returns (C0, slope): C0 = max of r |f(r)| over grid nodes in the window,
     and slope = least-squares slope of log |f| against log r over all window
-    nodes with f nonzero.  r_min >= 1 required; for an identically zero
-    window, (0, 0) is returned.
+    nodes with f nonzero; (0, 0) for an identically zero window.  The window
+    rule is :func:`_fit_window`'s.
     """
-    if r_min < 1.0:
-        raise ValueError("the fit window starts at r_min >= 1")
-    r = grid.r
-    mask = (r >= r_min - 1e-12) & (r <= grid.R / 4.0 + 1e-12)
-    if np.count_nonzero(mask) < 2:
-        raise ValueError("fit window contains fewer than two grid nodes")
-    rr = r[mask]
+    mask = _fit_window(grid, r_min)
+    rr = grid.r[mask]
     ss = np.abs(np.asarray(f))[mask]
     C0 = float(np.max(rr * ss))
     pos = ss > 0
@@ -336,13 +325,8 @@ def profile_decay_fit(grid: RadialGrid, f, r_min: float = 1.0):
 
 
 def decay_fit(traj: Trajectory, r_min: float = 1.0):
-    """Fit sup_t |u(r, t)| ~ C0 / r over the window [r_min, R/4].
-
-    profile_decay_fit applied to sup_t |u| over the stored states: returns
-    (C0, slope) with C0 = max of r |u(r, t)| over stored states and window
-    nodes, and slope = least-squares slope of log sup_t |u| against log r.
-    r_min >= 1 required; for an identically zero window, (0, 0) is returned.
-    """
+    """Fit sup_t |u(r, t)| ~ C0 / r over the window [r_min, R/4]:
+    :func:`profile_decay_fit` applied to sup_t |u| over the stored states."""
     sup_u = np.zeros(traj.grid.n + 1)
     for s in traj.states:
         np.maximum(sup_u, np.abs(s.u), out=sup_u)

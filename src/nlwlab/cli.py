@@ -48,6 +48,7 @@ from nlwlab.core import (
     EquationParams,
     RadialGrid,
     RadialState,
+    _csv_text,
     _ode_blowup_constant,
     _shared_grid,
     load_state,
@@ -93,37 +94,18 @@ def _field(raw: dict, path: str, kind, default=_MISSING, nullable=False):
         node = node[part]
     if nullable and node is None:
         return None
-    if kind is float:
-        if isinstance(node, bool) or not isinstance(node, (int, float)):
-            what = "a number or null" if nullable else "a number"
-            raise ConfigError(f"{path}: expected {what}, got {type(node).__name__}")
-        return float(node)
-    if kind is int:
-        if isinstance(node, bool) or not isinstance(node, int):
-            raise ConfigError(f"{path}: expected an integer, got {type(node).__name__}")
-        return node
-    if kind is bool:
-        if not isinstance(node, bool):
-            raise ConfigError(f"{path}: expected a boolean, got {type(node).__name__}")
-        return node
-    if kind is str:
-        if not isinstance(node, str):
-            raise ConfigError(f"{path}: expected a string, got {type(node).__name__}")
-        return node
-    if kind is dict:
-        if not isinstance(node, dict):
-            raise ConfigError(f"{path}: expected an object, got {type(node).__name__}")
-        return node
-    if kind is list:
-        if not isinstance(node, list):
-            raise ConfigError(f"{path}: expected a list, got {type(node).__name__}")
-        return node
     if kind == list[float]:
         if not isinstance(node, list) or any(
                 isinstance(x, bool) or not isinstance(x, (int, float)) for x in node):
             raise ConfigError(f"{path}: expected a list of numbers")
         return [float(x) for x in node]
-    raise AssertionError(kind)
+    what = {float: "a number or null" if nullable else "a number", int: "an integer",
+            bool: "a boolean", str: "a string", dict: "an object", list: "a list"}[kind]
+    # JSON true/false are Python bools, which are also ints
+    if (not isinstance(node, (int, float) if kind is float else kind)
+            or isinstance(node, bool) and kind is not bool):
+        raise ConfigError(f"{path}: expected {what}, got {type(node).__name__}")
+    return float(node) if kind is float else node
 
 
 def _option(cfg, key: str, kind, default=_MISSING):
@@ -272,6 +254,12 @@ def parse_config(raw: dict, scenario: str | None = None,
                 f"steps of h = {h!r} from t = 0") from None
     if name == "diagnose":
         _validate_diagnose(cfg, kind)
+    if name == "verify-W":
+        r_min = _option(cfg, "decay_r_min", float, default=4.0)
+        try:
+            bootstrap._fit_window(grid, r_min)
+        except ValueError as e:
+            raise ConfigError(f"verify-W.decay_r_min: {e}") from None
     return cfg
 
 
@@ -522,8 +510,8 @@ def _run_norms(cfg: ExperimentConfig, out: Path):
             worst = max(worst, abs(n1 - n2) / max(n2, 1e-300))
         metrics["route_agreement"] = worst
     if "l2_match" in cfg.checks:
-        direct = float(np.sqrt(4.0 * np.pi * np.trapezoid(
-            state.u ** 2 * cfg.grid.r ** 2, dx=cfg.grid.h)))
+        direct = float(np.sqrt(diagnostics._radial_integral(
+            state.u * state.u, cfg.grid.r, cfg.grid.h)))
         metrics["l2_match"] = abs(freq[-1] - direct) / max(direct, 1e-300)
     if "tail_monotone" in cfg.checks:
         recs = sorted(tails, key=lambda rec: rec.r)
@@ -596,19 +584,22 @@ def _run_bootstrap(cfg: ExperimentConfig, out: Path):
     n_max = _option(cfg, "n_max", int, default=100000)
     dense = _option(cfg, "dense_sample", int, default=2000)
 
-    lines = ["p,value,theta"]
-    for p, (value, theta) in zip(p_values, bootstrap.contraction_table(p_values)):
-        lines.append(f"{p!r},{value!r},{theta!r}")
-    _write(out, "contraction.csv", "\n".join(lines) + "\n")
-
+    # everything is computed before the first write, so a rejected value
+    # leaves no partial output
     jobs = [(p, b0) for p in p_values for b0 in beta0_values]
-    seqs = [bootstrap.exponent_iteration(p, b0, n_max=n_max, tol=tol) for p, b0 in jobs]
-    for (p, b0), seq in zip(jobs, seqs):
-        i, j = p_values.index(p), beta0_values.index(b0)
-        body = f"# p={p!r} beta0={b0!r}\n" + seq.to_csv()
-        _write(out, f"exponents_p{i}_b{j}.csv", body)
+    try:
+        table = bootstrap.contraction_table(p_values)
+        seqs = [bootstrap.exponent_iteration(p, b0, n_max=n_max, tol=tol) for p, b0 in jobs]
+    except ValueError as e:  # the message starts with the rejected argument
+        field = {"p": "p_values", "beta0": "beta0_values", "n_max": "n_max"}.get(
+            str(e).split(" ", 1)[0])
+        if field is None:
+            raise
+        raise ConfigError(f"bootstrap.{field}: {e}") from None
 
     if "contraction_subunit" in cfg.checks:
+        if dense < 1:
+            raise ConfigError("bootstrap.dense_sample: must be positive")
         sample = np.geomspace(5.0, 1e4, dense)
         metrics["contraction_subunit"] = max(
             value for value, _ in bootstrap.contraction_table(sample))
@@ -629,6 +620,13 @@ def _run_bootstrap(cfg: ExperimentConfig, out: Path):
             seq = bootstrap.exponent_iteration(p, 1.0 - 2.0 / (p - 1.0))
             worst = max(worst, abs(seq.gamma[0] * p - 1.0))
         metrics["fixed_point"] = worst
+
+    _write(out, "contraction.csv", _csv_text(
+        "p,value,theta", ((p, value, theta) for p, (value, theta) in zip(p_values, table))))
+    for k, ((p, b0), seq) in enumerate(zip(jobs, seqs)):
+        i, j = divmod(k, len(beta0_values))
+        body = f"# p={p!r} beta0={b0!r}\n" + seq.to_csv()
+        _write(out, f"exponents_p{i}_b{j}.csv", body)
     return metrics, [], {}
 
 
@@ -660,8 +658,7 @@ def _run_verify_w(cfg: ExperimentConfig, out: Path):
 
     # tail decay is a property of the profile; the evolved field carries
     # boundary-truncation garbage near R that would swamp the tail integral
-    window = (r >= r_min) & (r <= cfg.grid.R / 4.0)
-    radii = r[window]
+    radii = r[bootstrap._fit_window(cfg.grid, r_min)]
     profile = traj.states[0]
     tails = np.array([norms.tail_norms(profile, rr).l2_du for rr in radii])
     pos = tails > 0
@@ -675,13 +672,18 @@ def _run_verify_w(cfg: ExperimentConfig, out: Path):
                                        "slope_W": slope_W, "tail_slope": tail_slope}}
 
 
+def _state_from_w(grid: RadialGrid, params: EquationParams, w: np.ndarray,
+                  t: float = 0.0) -> RadialState:
+    """State with reduced field w and v = 0: u = w / r off the origin, u(0) = 0."""
+    u = np.zeros(grid.n + 1)
+    u[1:] = w[1:] / grid.r[1:]
+    return RadialState(grid=grid, params=params, t=t, u=u, v=np.zeros(grid.n + 1))
+
+
 def _hat_state(grid: RadialGrid, params: EquationParams) -> RadialState:
     """Piecewise-linear reduced field supported on nodes 8..40 (peak at 24)."""
     j = np.arange(grid.n + 1, dtype=float)
-    w = np.maximum(0.0, 1.0 - np.abs(j - 24.0) / 16.0)
-    u = np.zeros(grid.n + 1)
-    u[1:] = w[1:] / grid.r[1:]
-    return RadialState(grid=grid, params=params, t=0.0, u=u, v=np.zeros(grid.n + 1))
+    return _state_from_w(grid, params, np.maximum(0.0, 1.0 - np.abs(j - 24.0) / 16.0))
 
 
 def _dalembert_final(w0: np.ndarray, n_steps: int) -> np.ndarray:
@@ -726,16 +728,10 @@ def _run_linear_check(cfg: ExperimentConfig, out: Path):
 
     # lattice traveling wave: exact transport means zero characteristic defect
     prof = np.maximum(0.0, 1.0 - np.abs(np.arange(small.n + 1) - 100.0) / 40.0)
-    u0 = np.zeros(small.n + 1)
-    u0[1:] = prof[1:] / small.r[1:]
     back = np.zeros(small.n + 1)
     back[:-1] = prof[1:]  # f(r + h): the wave one step earlier
-    ub = np.zeros(small.n + 1)
-    ub[1:] = back[1:] / small.r[1:]
-    state0 = RadialState(grid=small, params=params, t=0.0, u=u0,
-                         v=np.zeros(small.n + 1))
-    state_back = RadialState(grid=small, params=params, t=-small.h, u=ub,
-                             v=np.zeros(small.n + 1))
+    state0 = _state_from_w(small, params, prof)
+    state_back = _state_from_w(small, params, back, t=-small.h)
     twave = solver.evolve(
         solver.SolverConfig(grid=small, params=params, t_final=128.0 * small.h,
                             snapshot_stride=1, linear=True, cone_floor=None),

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 from itertools import accumulate
 
@@ -211,6 +211,15 @@ def _float_rows(*cols: np.ndarray):
         yield from zip(*(c[k:k + 512].tolist() for c in cols))
 
 
+def _csv_text(header: str, rows, comment: str | None = None) -> str:
+    """CSV text: an optional ``# comment`` line, the header, then one line per
+    row of Python numbers, each in repr (shortest round-trip) form."""
+    lines = [f"# {comment}"] if comment else []
+    lines.append(header)
+    lines += [",".join(map(repr, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 @dataclass(frozen=True, eq=False)
 class StepLog:
     """Per-step scalar diagnostics of an evolution run.
@@ -227,15 +236,13 @@ class StepLog:
     support_radius: np.ndarray
 
     def __post_init__(self) -> None:
-        cols = ("t", "energy", "virial", "max_abs_u", "support_radius")
         n = len(self.t)
-        for name in cols:
-            arr = np.asarray(getattr(self, name), dtype=float)
+        for f in fields(self):
+            arr = np.array(getattr(self, f.name), dtype=float)
             if arr.shape != (n,):
-                raise ValueError(f"step log column {name} has mismatched length")
-            arr = arr.copy()
+                raise ValueError(f"step log column {f.name} has mismatched length")
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, f.name, arr)
 
     def to_csv(self) -> str:
         """Serialize as CSV with shortest round-trip decimals."""
@@ -250,14 +257,7 @@ class StepLog:
         if not lines or lines[0] != "t,E,z,max_abs_u,support_radius":
             raise ValueError("unrecognized step log header")
         rows = [[float(tok) for tok in ln.split(",")] for ln in lines[1:]]
-        data = np.array(rows, dtype=float).reshape(len(rows), 5)
-        return cls(
-            t=data[:, 0],
-            energy=data[:, 1],
-            virial=data[:, 2],
-            max_abs_u=data[:, 3],
-            support_radius=data[:, 4],
-        )
+        return cls(*np.array(rows, dtype=float).reshape(len(rows), 5).T)
 
 
 @dataclass(frozen=True, eq=False)

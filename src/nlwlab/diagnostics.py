@@ -1,21 +1,23 @@
 """Conserved energy, localized space-time identities, the virial functional,
 and support/Hardy quantities.
 
-All integrals are radial quadratures: a 3D integral of a radial density f is
-4 pi * trapezoid(f r^2 dr) on the grid, with the r^2 weight killing the
-origin endpoint, and d_r u is the centered difference (one-sided at the
-ends).  The localized identities use a fixed quintic smoothstep cutoff so
+Two formulas of the whole package live here.  d_r is :func:`_radial_derivative`,
+the centred difference (one-sided at the ends) with ``np.gradient``'s bits,
+on a row or a block of rows.  A 3D integral of a radial density f,
+4 pi * trapezoid(f r^2 dr) on the grid, is :func:`_radial_integral` on a row
+or a stack, and its engine :func:`_radial_quadrature` on the step log's
+blocks.  The localized identities use a fixed quintic smoothstep cutoff so
 residual numbers are reproducible across implementations.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from nlwlab.core import RadialState, Trajectory
+from nlwlab.core import RadialState, Trajectory, _csv_text
 
 __all__ = [
     "DiagnosticRecord",
@@ -54,6 +56,26 @@ def smooth_cutoff_gradient(r, Rc: float):
     x = np.asarray(r, dtype=float) / Rc
     y = np.clip(x - 1.0, 0.0, 1.0)
     return -(30.0 * y * y - 60.0 * y ** 3 + 30.0 * y ** 4) / Rc
+
+
+def _radial_derivative(u: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
+    """d_r u along the last axis of a row or a (k, W) block, W >= 2, into the
+    C-contiguous ``out`` if given: ``np.gradient(u, h, axis=-1)`` bit for bit.
+
+    Centred differences run over the flat block (a strided one is copied
+    first); then each row's two ends, where they straddle a seam, take the
+    one-sided rule.
+    """
+    u = np.ascontiguousarray(u, dtype=float)
+    du = np.empty_like(u) if out is None else out
+    uf, duf = u.reshape(-1), du.reshape(-1)
+    np.subtract(uf[2:], uf[:-2], out=duf[1:-1])
+    duf[1:-1] /= 2.0 * h
+    np.subtract(u[..., 1], u[..., 0], out=du[..., 0])
+    np.subtract(u[..., -1], u[..., -2], out=du[..., -1])
+    du[..., 0] /= h
+    du[..., -1] /= h
+    return du
 
 
 def _radial_quadrature(blocks, rt: np.ndarray, h: float, terms: np.ndarray) -> list:
@@ -95,7 +117,8 @@ def _radial_integral(density: np.ndarray, r: np.ndarray, h: float):
     d = np.array(density, dtype=float)
     W = d.shape[-1]
     d2 = d.reshape(-1, W)
-    rt = np.tile(r[:W], (len(d2), 1))
+    rt = np.empty_like(d2)
+    rt[...] = r[:W]
     (values,) = _radial_quadrature((d2,), rt, h, np.zeros((len(d2), len(r) - 1)))
     return values.reshape(d.shape[:-1]).tolist()
 
@@ -144,16 +167,7 @@ def _energy_virial(u: np.ndarray, v: np.ndarray, r: np.ndarray, h: float,
         buffers = _RowBuffers(k, len(r))
     u, v = np.ascontiguousarray(u), np.ascontiguousarray(v)
     du, e, s, terms = buffers.blocks(k, W)
-    # np.gradient(u, h, axis=-1), same arithmetic without its generic set-up:
-    # centred differences over the flattened block, then each row's two ends
-    # (where the flat difference straddles a seam) by the one-sided rule
-    uf, duf = u.reshape(-1), du.reshape(-1)
-    np.subtract(uf[2:], uf[:-2], out=duf[1:-1])
-    duf[1:-1] /= 2.0 * h
-    np.subtract(u[:, 1], u[:, 0], out=du[:, 0])
-    np.subtract(u[:, -1], u[:, -2], out=du[:, -1])
-    du[:, 0] /= h
-    du[:, -1] /= h
+    _radial_derivative(u, h, out=du)
     # energy density 0.5 du^2 + 0.5 v^2 + mu |u|^(p+1) / (p+1)
     np.multiply(du, 0.5, out=e)
     e *= du
@@ -246,7 +260,7 @@ def virial_rate(state: RadialState) -> float:
     """
     r, h = state.grid.r, state.grid.h
     p, mu = state.params.p, state.params.mu
-    du = np.gradient(state.u, h)
+    du = _radial_derivative(state.u, h)
     density = -0.5 * state.v * state.v - 0.5 * du * du \
         - mu * (1.0 - 3.0 / (p + 1.0)) * np.abs(state.u) ** (p + 1.0)
     return _radial_integral(density, r, h)
@@ -257,25 +271,26 @@ def _identity_sides(state: RadialState, Rc: float):
     r, h = state.grid.r, state.grid.h
     p, mu = state.params.p, state.params.mu
     u, v = state.u, state.v
-    du = np.gradient(u, h)
+    du = _radial_derivative(u, h)
     phi = smooth_cutoff(r, Rc)
     phip = smooth_cutoff_gradient(r, Rc)
     up1 = np.abs(u) ** (p + 1.0)
 
-    I = lambda f: _radial_integral(f, r, h)
-    q_i = I(phi * (0.5 * v * v + 0.5 * du * du + mu * up1 / (p + 1.0)))
-    q_ii = I(phi * u * v)
-    q_iii = I(phi * (r * du) * v)
-    rhs_i = I(-phip * du * v)
-    rhs_ii = I(phi * (v * v - du * du - mu * up1) - u * phip * du)
-    # the x.grad(phi) (d_t u)^2 term carries coefficient -1/2 (consistency of
-    # the finite-difference residual on smooth data is the arbiter; the
-    # coefficient -1 leaves an O(1) defect)
-    rhs_iii = I(-1.5 * phi * v * v - 0.5 * r * phip * v * v
-                + 0.5 * phi * du * du - 0.5 * r * phip * du * du
-                + mu * (3.0 / (p + 1.0)) * phi * up1
-                + mu * (1.0 / (p + 1.0)) * r * phip * up1)
-    return (q_i, q_ii, q_iii), (rhs_i, rhs_ii, rhs_iii)
+    values = _radial_integral(np.stack([
+        phi * (0.5 * v * v + 0.5 * du * du + mu * up1 / (p + 1.0)),
+        phi * u * v,
+        phi * (r * du) * v,
+        -phip * du * v,
+        phi * (v * v - du * du - mu * up1) - u * phip * du,
+        # the x.grad(phi) (d_t u)^2 term carries coefficient -1/2 (consistency
+        # of the finite-difference residual on smooth data is the arbiter;
+        # the coefficient -1 leaves an O(1) defect)
+        -1.5 * phi * v * v - 0.5 * r * phip * v * v
+        + 0.5 * phi * du * du - 0.5 * r * phip * du * du
+        + mu * (3.0 / (p + 1.0)) * phi * up1
+        + mu * (1.0 / (p + 1.0)) * r * phip * up1,
+    ]), r, h)
+    return tuple(values[:3]), tuple(values[3:])
 
 
 def localized_identity_residuals(traj: Trajectory, Rc: float, t: float):
@@ -351,10 +366,9 @@ class DiagnosticRecord:
     hardy_bound: float
 
     def __post_init__(self) -> None:
-        for name in ("t", "energy", "virial", "z_rate_lhs", "z_rate_rhs",
-                     "res_i", "res_ii", "res_iii", "support_radius", "hardy_bound"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"diagnostic field {name} is not finite")
+        for f in fields(self):
+            if not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"diagnostic field {f.name} is not finite")
 
 
 def diagnostic_record(traj: Trajectory, t: float, Rc: float) -> DiagnosticRecord:
@@ -384,15 +398,10 @@ def diagnostic_record(traj: Trajectory, t: float, Rc: float) -> DiagnosticRecord
 
 def records_to_csv(records, mu: int | None = None) -> str:
     """CSV serialization; a leading comment flags the non-coercive focusing energy."""
-    lines = []
-    if mu is not None and mu < 0:
-        lines.append("# energy: non-coercive (focusing sign)")
-    lines.append("t,E,z,z_rate_lhs,z_rate_rhs,res_i,res_ii,res_iii,support_radius,hardy_bound")
-    for rec in records:
-        lines.append(",".join(repr(float(getattr(rec, name))) for name in (
-            "t", "energy", "virial", "z_rate_lhs", "z_rate_rhs",
-            "res_i", "res_ii", "res_iii", "support_radius", "hardy_bound")))
-    return "\n".join(lines) + "\n"
+    return _csv_text(
+        "t,E,z,z_rate_lhs,z_rate_rhs,res_i,res_ii,res_iii,support_radius,hardy_bound",
+        map(astuple, records),
+        "energy: non-coercive (focusing sign)" if mu is not None and mu < 0 else None)
 
 
 def residual_sweep_to_json(traj: Trajectory, cutoffs, times) -> str:

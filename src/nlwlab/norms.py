@@ -26,12 +26,14 @@ comparison is part of the acceptance surface.
 from __future__ import annotations
 
 import json
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from nlwlab.core import RadialGrid, RadialState, Trajectory, _nonneg_power
+from nlwlab.core import RadialGrid, RadialState, Trajectory, _csv_text, _nonneg_power
+from nlwlab.diagnostics import _radial_derivative, _radial_integral
 from nlwlab.solver import characteristics
 
 __all__ = [
@@ -54,12 +56,15 @@ __all__ = [
 DECAY_WARN_FLOOR = 1e-12
 
 
-def _warn_if_not_decayed(phi: np.ndarray, what: str) -> None:
+def _decayed_profile(phi) -> np.ndarray:
+    """phi as a float array; warns when it has not decayed at the outer boundary."""
+    phi = np.asarray(phi, dtype=float)
     edge = float(np.max(np.abs(phi[-2:])))
     if edge > DECAY_WARN_FLOOR:
         warnings.warn(
-            f"{what} has magnitude {edge:.3e} at the outer boundary; "
+            f"radial profile has magnitude {edge:.3e} at the outer boundary; "
             "truncation error is uncontrolled", stacklevel=3)
+    return phi
 
 
 def _odd_extension(f: np.ndarray) -> np.ndarray:
@@ -95,13 +100,12 @@ def radial_fourier(phi, grid: RadialGrid):
     phi_hat = (4 pi / rho) T(rho) with the rho = 0 limit 4 pi int s^2 phi ds.
     Warns when phi has not decayed below 1e-12 at the outer boundary.
     """
-    phi = np.asarray(phi, dtype=float)
-    _warn_if_not_decayed(phi, "radial profile")
+    phi = _decayed_profile(phi)
     T = sine_transform(phi, grid)
     rho = np.arange(grid.n + 1) * (np.pi / grid.R)
     phi_hat = np.empty_like(T)
     phi_hat[1:] = 4.0 * np.pi * T[1:] / rho[1:]
-    phi_hat[0] = 4.0 * np.pi * float(np.trapezoid(grid.r ** 2 * phi, dx=grid.h))
+    phi_hat[0] = _radial_integral(phi, grid.r, grid.h)
     return rho, phi_hat
 
 
@@ -146,8 +150,7 @@ def sobolev_norm(phi, grid: RadialGrid, beta: float) -> float:
     for the cross-validation route.
     """
     beta = _check_beta(beta)
-    phi = np.asarray(phi, dtype=float)
-    _warn_if_not_decayed(phi, "radial profile")
+    phi = _decayed_profile(phi)
     return _frequency_norm(sine_transform(phi, grid), grid, beta)
 
 
@@ -161,8 +164,7 @@ def sobolev_norm_1d(phi, grid: RadialGrid, beta: float) -> float:
     :func:`sine_transform` is also an FFT of the odd extension.
     """
     beta = _check_beta(beta)
-    phi = np.asarray(phi, dtype=float)
-    _warn_if_not_decayed(phi, "radial profile")
+    phi = _decayed_profile(phi)
     return _parseval_norm(_odd_fft(phi, grid), grid, beta)
 
 
@@ -174,11 +176,15 @@ def sobolev_norms(phi, grid: RadialGrid, betas):
     theirs bit for bit.  Returns two lists aligned with betas.
     """
     betas = [_check_beta(b) for b in betas]
-    phi = np.asarray(phi, dtype=float)
-    _warn_if_not_decayed(phi, "radial profile")
+    phi = _decayed_profile(phi)
     T, X = sine_transform(phi, grid), _odd_fft(phi, grid)
     return ([_frequency_norm(T, grid, b) for b in betas],
             [_parseval_norm(X, grid, b) for b in betas])
+
+
+def _lm_norm(f: np.ndarray, m: float, h: float) -> float:
+    """(trapezoid |f|^m ds)^{1/m}: the 1D L^m norm of f on nodes h apart."""
+    return float(np.trapezoid(np.abs(f) ** m, dx=h) ** (1.0 / m))
 
 
 def embedding_check(phi, grid: RadialGrid, beta: float, m: float):
@@ -207,11 +213,9 @@ def embedding_check(phi, grid: RadialGrid, beta: float, m: float):
     r, h = grid.r, grid.h
     rhs = sobolev_norm(phi, grid, beta)
     if abs(beta - (0.5 - 1.0 / m)) <= 1e-9 and 0.0 <= beta < 0.5:
-        lhs = float(np.trapezoid(np.abs(r * phi) ** m, dx=h) ** (1.0 / m))
-        return [("weighted_Lm_of_phi", lhs, rhs)]
+        return [("weighted_Lm_of_phi", _lm_norm(r * phi, m, h), rhs)]
     if abs(beta - (1.5 - 1.0 / m)) <= 1e-9 and 1.0 <= beta < 1.5:
-        dphi = np.gradient(phi, h)
-        lhs2 = float(np.trapezoid(np.abs(r * dphi) ** m, dx=h) ** (1.0 / m))
+        lhs2 = _lm_norm(r * _radial_derivative(phi, h), m, h)
         lhs3 = float(np.max(r ** (1.0 / m) * np.abs(phi)))
         return [("weighted_Lm_of_drphi", lhs2, rhs), ("weighted_Linf_of_phi", lhs3, rhs)]
     raise ValueError(
@@ -251,8 +255,7 @@ def _g_of_state(state: RadialState, radii) -> np.ndarray:
         j_hi = _node_at_most(4.0 * rad, h, n)
         out[0, i] = suffix_max[j_lo]
         for k, z in ((1, fields.z1), (2, fields.z2)):
-            seg = np.abs(z[j_lo: j_hi + 1]) ** m
-            out[k, i] = np.trapezoid(seg, dx=h) ** (1.0 / m)
+            out[k, i] = _lm_norm(z[j_lo: j_hi + 1], m, h)
     return out
 
 
@@ -316,15 +319,14 @@ def tail_norms(state: RadialState, r: float) -> TailRecord:
     if not (0.0 <= r <= grid.R - 2.0 * grid.h + 1e-12):
         raise ValueError(f"tail radius must lie in [0, R - 2h], got {r}")
     m = state.params.m
-    du = np.gradient(state.u, grid.h)
-    j = _node_at_least(r, grid.h, grid.n)
-    s_du = (grid.r * du)[j:]
+    h = grid.h
+    j = _node_at_least(r, h, grid.n)
+    s_du = (grid.r * _radial_derivative(state.u, h))[j:]
     s_v = (grid.r * state.v)[j:]
-    q = lambda f, e: float(np.trapezoid(np.abs(f) ** e, dx=grid.h) ** (1.0 / e))
     return TailRecord(
         r=float(r),
-        lm_du=q(s_du, m), lm_v=q(s_v, m),
-        l2_du=q(s_du, 2.0), l2_v=q(s_v, 2.0),
+        lm_du=_lm_norm(s_du, m, h), lm_v=_lm_norm(s_v, m, h),
+        l2_du=_lm_norm(s_du, 2.0, h), l2_v=_lm_norm(s_v, 2.0, h),
     )
 
 
@@ -334,11 +336,7 @@ def tail_table(state: RadialState, radii) -> list:
 
 
 def tails_to_csv(records) -> str:
-    lines = ["r,lm_tail_du,lm_tail_v,l2_tail_du,l2_tail_v"]
-    for rec in records:
-        lines.append(",".join(repr(float(getattr(rec, f))) for f in
-                              ("r", "lm_du", "lm_v", "l2_du", "l2_v")))
-    return "\n".join(lines) + "\n"
+    return _csv_text("r,lm_tail_du,lm_tail_v,l2_tail_du,l2_tail_v", map(astuple, records))
 
 
 def sp_norm(traj: Trajectory, interval) -> float:
@@ -364,9 +362,7 @@ def sp_norm(traj: Trajectory, interval) -> float:
     q = 2.0 * (traj.params.p - 1.0)
     r, h = traj.grid.r, traj.grid.h
     times = np.array([s.t for s in snaps])
-    space = np.array([
-        4.0 * np.pi * np.trapezoid(_nonneg_power(np.abs(s.u), q) * r * r, dx=h)
-        for s in snaps])
+    space = np.array([_radial_integral(_nonneg_power(np.abs(s.u), q), r, h) for s in snaps])
     return float(np.trapezoid(space, x=times) ** (1.0 / q))
 
 
@@ -413,20 +409,17 @@ def norm_report(state: RadialState, traj: Trajectory | None = None,
     ``tails``, and neither is computed again.
     """
     grid, params = state.grid, state.params
-    r, h = grid.r, grid.h
-    du = np.gradient(state.u, h)
+    du = _radial_derivative(state.u, grid.h)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # report assembly tolerates slow tails
         if hsp is None:
             hsp = sobolev_norm(state.u, grid, params.s_p)
         hsp_m1 = sobolev_norm(state.v, grid, params.s_p - 1.0)
     p1 = params.p + 1.0
-    energy_norms = (
-        float(np.sqrt(4.0 * np.pi * np.trapezoid(du * du * r * r, dx=h))),
-        float(np.sqrt(4.0 * np.pi * np.trapezoid(state.v ** 2 * r * r, dx=h))),
-        float((4.0 * np.pi * np.trapezoid(_nonneg_power(np.abs(state.u), p1) * r * r, dx=h))
-              ** (1.0 / p1)),
-    )
+    grad2, v2, up1 = _radial_integral(
+        np.stack([du * du, state.v * state.v, _nonneg_power(np.abs(state.u), p1)]),
+        grid.r, grid.h)
+    energy_norms = (math.sqrt(grad2), math.sqrt(v2), up1 ** (1.0 / p1))
     if tails is None:
         tails = tail_table(state, tail_radii)
     elif [rec.r for rec in tails] != [float(rr) for rr in tail_radii]:

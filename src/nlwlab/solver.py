@@ -141,10 +141,10 @@ class CharacteristicFields:
 def characteristics(state: RadialState) -> CharacteristicFields:
     """Characteristic fields of a state: z1 = d_r w + r v, z2 = d_r w - r v.
 
-    d_r w is the centered difference (one-sided at the ends); d_t w = r v
-    holds pointwise since w = r u.
+    d_r w is :func:`diagnostics._radial_derivative`, the centered difference
+    (one-sided at the ends); d_t w = r v holds pointwise since w = r u.
     """
-    dw = np.gradient(state.w, state.grid.h)
+    dw = diagnostics._radial_derivative(state.w, state.grid.h)
     rv = state.grid.r * state.v
     return CharacteristicFields(z1=dw + rv, z2=dw - rv)
 
@@ -504,7 +504,8 @@ def _layer_lookup(traj: Trajectory):
 
 
 def _source_of_state(s: RadialState, linear: bool) -> np.ndarray:
-    """Pointwise source F = -mu r |u|^{p-1} u reconstructed from a snapshot."""
+    """Pointwise source F = -mu r |u|^{p-1} u reconstructed from a snapshot: the
+    u-form of F, whose w-form with the h^2 factor is :func:`_source_term`."""
     if linear:
         return np.zeros_like(s.u)
     p, mu = s.params.p, s.params.mu
@@ -558,8 +559,9 @@ def characteristic_transport_residual(traj: Trajectory, r0: float, t0: float,
     """Defect of the transport law for the characteristic fields.
 
     Along leftward characteristics z1 obeys
-    d_tau z1(r0 + tau, t0 - tau) = mu (r0 + tau) |u|^{p-1} u, and z2 obeys the
-    same law along (r0 + tau, t0 + tau); both are checked by forward
+    d_tau z1(r0 + tau, t0 - tau) = -F = mu (r0 + tau) |u|^{p-1} u, with F
+    from :func:`_source_of_state`, and z2 obeys the same law along
+    (r0 + tau, t0 + tau); both are checked by forward
     differences against the trapezoid average of the right side, for tau up
     to tau_max.  Returns the larger of the two max defects.  The scheme
     satisfies this balance exactly on interior stencils, so the defect is
@@ -582,11 +584,8 @@ def characteristic_transport_residual(traj: Trajectory, r0: float, t0: float,
         for s in range(S + 1):
             st = layer(n0 + sign * s)
             z = getattr(characteristics(st), pick)
-            j = j0 + s
-            vals[s] = z[j]
-            g = 0.0 if traj.linear else (
-                st.params.mu * st.grid.r[j] * abs(st.u[j]) ** (st.params.p - 1.0) * st.u[j])
-            rhs[s] = g
+            vals[s] = z[j0 + s]
+            rhs[s] = -_source_of_state(st, traj.linear)[j0 + s]
         fd = (vals[1:] - vals[:-1]) / h
         mid = 0.5 * (rhs[1:] + rhs[:-1])
         worst = max(worst, float(np.max(np.abs(fd - mid))))

@@ -393,7 +393,7 @@ def test_main_off_lattice_time_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("scenario, extra", [
     ("evolve", {"initial": {"kind": "bump"}}),
     ("diagnose", {"initial": {"kind": "bump"}, "diagnose": {"Rc": 1.0}}),
-    ("verify-W", {}),
+    ("verify-W", {"verify-W": {"decay_r_min": 1.0}}),  # R/4 = 2
     ("linear-check", {}),
     ("norms", {"initial": {"kind": "bump"}, "norms": {"sp_interval": [0.0, 0.25]}}),
 ])
@@ -530,6 +530,15 @@ def test_main_bootstrap_artifacts_and_precision(tmp_path, monkeypatch):
     raw3 = dict(raw, output={"dir": str(out3)})
     cfg3 = _write_config(tmp_path, raw3, "c3.json")
     assert main(["bootstrap", "--config", cfg3]) == 2
+
+    # files are numbered by position: a repeated p gets a file of its own
+    monkeypatch.delenv("NLWLAB_PRECISION")
+    out4 = tmp_path / "out-repeat"
+    raw4 = dict(raw, output={"dir": str(out4)},
+                bootstrap=dict(raw["bootstrap"], p_values=[5.0, 7.0, 5.0]))
+    assert main(["bootstrap", "--config", _write_config(tmp_path, raw4, "c4.json")]) == 0
+    assert len(list(out4.glob("exponents_p*_b*.csv"))) == 3
+    assert (out4 / "exponents_p2_b0.csv").read_text() == body
 
 
 def test_bootstrap_threads_leave_the_artifacts_unchanged(tmp_path):
@@ -854,6 +863,48 @@ def test_diagnose_cutoff_checked_before_the_run(tmp_path, capsys, monkeypatch, e
     assert not out.exists()
     raw["diagnose"] = {"Rc": 4.0, "cutoffs": [0.5, 4.0]}  # 2 Rc = R is allowed
     assert parse_config(raw).section["cutoffs"] == [0.5, 4.0]
+
+
+@pytest.mark.parametrize("r_min, message", [
+    (1000.0, "fit window [1000.0, R/4 = 5.0] contains fewer than two grid nodes"),
+    (0.5, "the fit window starts at r_min >= 1, got 0.5"),
+])
+def test_verify_w_fit_window_checked_before_the_run(tmp_path, capsys, monkeypatch,
+                                                    r_min, message):
+    # R = 20: the window [r_min, R/4] was checked only by the fit, after the
+    # run had written step_log.csv and final_state.txt
+    from nlwlab.cli import solver
+
+    def spy(*args, **kwargs):
+        raise AssertionError("evolve called")
+
+    monkeypatch.setattr(solver, "evolve", spy)
+    out = tmp_path / "out"
+    raw = {"scenario": "verify-W", "grid": {"h": 0.05, "n": 400},
+           "run": {"t_final": 0.5}, "verify-W": {"decay_r_min": r_min},
+           "output": {"dir": str(out)}}
+    assert main(["verify-W", "--config", _write_config(tmp_path, raw)]) == 2
+    assert capsys.readouterr().err == f"config: verify-W.decay_r_min: {message}\n"
+    assert not out.exists()
+    raw["verify-W"] = {"decay_r_min": 4.95}  # two nodes: 4.95 and R/4
+    assert parse_config(raw).section["decay_r_min"] == 4.95
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"p_values": [5.0, 4.0]}, "bootstrap.p_values: p must be a finite real >= 5"),
+    ({"beta0_values": [0.1, 0.9]}, "bootstrap.beta0_values: beta0 must lie in "),
+    ({"n_max": 0}, "bootstrap.n_max: n_max must be positive"),
+    ({"dense_sample": 0}, "bootstrap.dense_sample: must be positive"),
+])
+def test_bootstrap_rejected_values_leave_no_output(tmp_path, capsys, edit, message):
+    # p = 5 puts the fixed point 1 - a at 0.5; contraction.csv used to be
+    # written before the exponent rules ran, and their errors had no path
+    out = tmp_path / "out"
+    raw = {"scenario": "bootstrap", "bootstrap": {"p_values": [5.0], **edit},
+           "checks": {"contraction_subunit": 1.0}, "output": {"dir": str(out)}}
+    assert main(["bootstrap", "--config", _write_config(tmp_path, raw)]) == 2
+    assert capsys.readouterr().err.startswith(f"config: {message}")
+    assert not out.exists()
 
 
 def test_threads_option_is_gone(tmp_path, capsys):

@@ -235,6 +235,30 @@ def test_support_radius_of_prefix_matches_full_grid(w_grid):
     assert support_radius(u[:240], v[:240], w_grid.r) == full
 
 
+@pytest.mark.parametrize("layout", ["row", "block", "strided", "three_nodes"])
+def test_radial_derivative_is_np_gradient_bitwise(layout):
+    # every d_r of the package: np.gradient's bits, signed zeros included,
+    # with and without an out buffer
+    from nlwlab.diagnostics import _radial_derivative
+    rng = np.random.default_rng(11)
+    h = 0.03
+    u = {"row": rng.standard_normal(257),
+         "block": rng.standard_normal((5, 64)),
+         "strided": rng.standard_normal((10, 130))[::2, 1::3],
+         "three_nodes": rng.standard_normal((4, 3))}[layout]
+    if u.shape[-1] > 8:  # a +0.0 tail and a -0.0 end
+        u[..., -4:] = 0.0
+        u[..., 0] = -0.0
+    assert u.flags.c_contiguous == (layout != "strided")
+    exact = np.gradient(u, h, axis=-1).tobytes()
+    assert _radial_derivative(u, h).tobytes() == exact
+    out = np.full(u.shape, np.nan)
+    assert _radial_derivative(u, h, out=out) is out
+    assert out.tobytes() == exact
+    for row in u.reshape(-1, u.shape[-1]):
+        assert _radial_derivative(row, h).tobytes() == np.gradient(row, h).tobytes()
+
+
 def test_radial_integral_in_scratch_matches_fresh_terms():
     # the terms scratch may hold anything before column m - 1 (an earlier
     # block's terms) and zeros from m - 1 on; the density block and the tiled

@@ -59,6 +59,22 @@ def _oracle_cases():
         yield SMALL_GRID, phi
 
 
+def test_radial_integral_is_the_trapezoid_bitwise():
+    # the one 4 pi int f r^2 dr: the trapezoid of the f r r form bit for bit,
+    # on a row and on a stack of rows
+    from nlwlab.diagnostics import _radial_integral
+    stack = []
+    for grid, phi in _oracle_cases():
+        r, h = grid.r, grid.h
+        exact = 4.0 * np.pi * np.trapezoid(phi * r * r, dx=h)
+        assert _radial_integral(phi, r, h) == exact
+        if grid is SMALL_GRID:
+            stack.append((phi, exact))
+    assert len(stack) > 1
+    phis, exact = zip(*stack)
+    assert _radial_integral(np.stack(phis), SMALL_GRID.r, SMALL_GRID.h) == list(exact)
+
+
 def test_sine_transform_methods_agree_bitwise_scale():
     # the DST-I equals the explicit trapezoid sine sum to rounding
     for grid, phi in _oracle_cases():
