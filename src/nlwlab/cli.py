@@ -49,6 +49,7 @@ from nlwlab.core import (
     RadialGrid,
     RadialState,
     _csv_text,
+    _lattice_steps,
     _ode_blowup_constant,
     _shared_grid,
     load_state,
@@ -176,7 +177,7 @@ def parse_config(raw: dict, scenario: str | None = None,
         raise ConfigError(f"scenario: unknown scenario {name!r}")
 
     dp, dmu, dh, dn, dt_final, dinit = _SCENARIO_DEFAULTS.get(
-        name, (5.0, 1, None, None, None, None))
+        name, (5.0, 1, None, None, _MISSING, _MISSING))
     p = _field(raw, "equation.p", float, default=dp)
     mu = _field(raw, "equation.mu", int, default=dmu)
     if name == "verify-W" and (p != 5.0 or mu != -1):
@@ -197,15 +198,11 @@ def parse_config(raw: dict, scenario: str | None = None,
         raise ConfigError(f"grid: {e}") from None
 
     initial = _field(raw, "initial", dict, default=dinit)
-    if initial is None:
-        raise ConfigError("initial: required field is missing")
     kind = _field({"initial": initial}, "initial.kind", str)
     if kind not in ("W", "gaussian", "bump", "ode_flat", "file"):
         raise ConfigError(f"initial.kind: unknown initial data kind {kind!r}")
 
     t_final = _field(raw, "run.t_final", float, default=dt_final)
-    if t_final is None:
-        raise ConfigError("run.t_final: required field is missing")
     cone_floor = _field(raw, "run.cone_floor", float, default=1e-13, nullable=True)
     if name == "verify-W":
         cone_floor = None  # the static profile is not compactly supported
@@ -232,10 +229,11 @@ def parse_config(raw: dict, scenario: str | None = None,
     )
     if cfg.out_dir is None:
         raise ConfigError("output.dir: required (or pass --out)")
-    if cfg.snapshot_stride < 1:
-        raise ConfigError("run.snapshot_stride: must be >= 1")
-    if cfg.origin_band < 2:
-        raise ConfigError("run.origin_band: must be >= 2")
+    try:
+        _solver_config(cfg)
+    except ValueError as e:  # the message starts with the rejected field
+        key, _, rule = str(e).partition(" ")
+        raise ConfigError(f"run.{key}: {rule}") from None
     if "blowup_detection" in cfg.checks and kind != "ode_flat":
         raise ConfigError("checks.blowup_detection: requires ode_flat initial data")
     if ("tail_monotone" in cfg.checks
@@ -260,6 +258,8 @@ def parse_config(raw: dict, scenario: str | None = None,
             bootstrap._fit_window(grid, r_min)
         except ValueError as e:
             raise ConfigError(f"verify-W.decay_r_min: {e}") from None
+    if name == "linear-check" and _option(cfg, "reversal_steps", int, default=256) < 1:
+        raise ConfigError("linear-check.reversal_steps: must be >= 1")
     return cfg
 
 
@@ -269,8 +269,7 @@ def _diagnose_times(cfg: ExperimentConfig) -> list:
     h = cfg.grid.h
     times = _option(cfg, "times", list[float], default=[cfg.t_final / 2.0])
     for t in times:
-        k = round(t / h)
-        if abs(t - k * h) > 1e-9 * max(h, abs(t)):
+        if _lattice_steps(t, h) is None:
             raise ConfigError(f"diagnose.times: {t} is not on the time lattice")
         if not (h - 1e-12 <= t <= cfg.t_final - h + 1e-12):
             raise ConfigError(
@@ -344,26 +343,22 @@ def build_initial(desc: dict, grid: RadialGrid, params: EquationParams) -> Radia
     """Materialize an initial-data descriptor on the grid."""
     kind = desc["kind"]
     r = grid.r
+    init = {"initial": desc}  # fields are read, and reported, under initial.<key>
     if kind == "W":
         if params.p != 5.0 or params.mu != -1:
             raise ConfigError("initial.kind: W requires p = 5, mu = -1")
         return reference_W(grid)
-    if kind == "gaussian":
-        width = _field(desc, "width", float, default=1.0)
-        amp = _field(desc, "amplitude", float, default=1.0)
-        if width <= 0:
-            raise ConfigError("initial.width: must be positive")
+    if kind in ("gaussian", "bump"):
+        key, profile = {"gaussian": ("width", profile_gaussian),
+                        "bump": ("radius", profile_bump)}[kind]
+        size = _field(init, f"initial.{key}", float, default=1.0)
+        amp = _field(init, "initial.amplitude", float, default=1.0)
+        if size <= 0:
+            raise ConfigError(f"initial.{key}: must be positive")
         return RadialState(grid=grid, params=params, t=0.0,
-                           u=profile_gaussian(r, width, amp), v=np.zeros(grid.n + 1))
-    if kind == "bump":
-        radius = _field(desc, "radius", float, default=1.0)
-        amp = _field(desc, "amplitude", float, default=1.0)
-        if radius <= 0:
-            raise ConfigError("initial.radius: must be positive")
-        return RadialState(grid=grid, params=params, t=0.0,
-                           u=profile_bump(r, radius, amp), v=np.zeros(grid.n + 1))
+                           u=profile(r, size, amp), v=np.zeros(grid.n + 1))
     if kind == "ode_flat":
-        amp = _field(desc, "amplitude", float)
+        amp = _field(init, "initial.amplitude", float)
         if amp <= 0:
             raise ConfigError("initial.amplitude: must be positive")
         if params.mu != -1:
@@ -374,7 +369,7 @@ def build_initial(desc: dict, grid: RadialGrid, params: EquationParams) -> Radia
         return RadialState(grid=grid, params=params, t=0.0,
                            u=u0, v=(params.a / T) * u0)
     if kind == "file":
-        path = _field(desc, "path", str)
+        path = _field(init, "initial.path", str)
         try:
             state = load_state(path)
         except (OSError, ValueError) as e:
@@ -825,21 +820,13 @@ def main(argv=None) -> int:
         print(f"config: invalid JSON in {args.config}: {e}", file=sys.stderr)
         return 2
     try:
-        cfg = parse_config(raw, scenario=args.scenario, out_override=args.out)
-    except ConfigError as e:
-        print(f"config: {e}", file=sys.stderr)
-        return 2
-    try:
-        return run(cfg)
+        return run(parse_config(raw, scenario=args.scenario, out_override=args.out))
     except solver.SolverError as e:
         print(f"solver: {e} (t = {e.t!r})", file=sys.stderr)
         return 1
-    except ConfigError as e:
-        print(f"config: {e}", file=sys.stderr)
-        return 2
     except ValueError as e:
-        # contract violations raised by the library (lattice misalignment,
-        # coverage shortfalls) trace back to config values
+        # a ConfigError, or a library contract a config value broke (file
+        # data off the time lattice, sp_norm coverage shortfalls)
         print(f"config: {e}", file=sys.stderr)
         return 2
 

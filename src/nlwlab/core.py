@@ -162,6 +162,18 @@ def _nonneg_power(x: np.ndarray, e: float) -> np.ndarray:
     return out
 
 
+def _lattice_steps(x: float, h: float, name: str | None = None) -> int | None:
+    """The whole k with x = k h to a relative tolerance of 1e-9 max(h, |x|):
+    the one test of the unit-CFL lattice.  Off it (a non-finite x included)
+    None, or a ValueError naming ``name`` when one is given."""
+    k = int(round(x / h)) if np.isfinite(x / h) else None
+    if k is not None and abs(x - k * h) <= 1e-9 * max(h, abs(x)):
+        return k
+    if name is not None:
+        raise ValueError(f"{name} = {x} is not on the grid lattice (spacing {h})")
+    return None
+
+
 def _readonly(x, n_nodes: int, name: str) -> np.ndarray:
     arr = np.array(x, dtype=float, copy=True)
     if arr.shape != (n_nodes,):
@@ -293,13 +305,25 @@ class Trajectory:
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.states])
 
+    @cached_property
+    def _layers(self) -> dict:
+        """Stored states by their whole number of steps of h after the first
+        one (:func:`_lattice_steps`); a state off that lattice is left out."""
+        t0, h = self.states[0].t, self.grid.h
+        return {k: s for s in self.states if (k := _lattice_steps(s.t - t0, h)) is not None}
+
+    def _layer(self, k: int) -> RadialState:
+        """The stored state k steps after the first one, or KeyError."""
+        if k not in self._layers:
+            raise KeyError(f"layer {k} not stored; run with snapshot_stride = 1")
+        return self._layers[k]
+
     def state_at(self, t: float) -> RadialState:
-        """Snapshot at time t; raises if t was not stored."""
-        tol = 1e-9 * max(self.grid.h, 1.0)
-        for s in self.states:
-            if abs(s.t - t) <= tol:
-                return s
-        raise KeyError(f"no snapshot stored at t = {t}")
+        """Snapshot at time t; KeyError unless t is a stored lattice time."""
+        k = _lattice_steps(t - self.states[0].t, self.grid.h)
+        if k not in self._layers:  # None, off the lattice, is no key
+            raise KeyError(f"no snapshot stored at t = {t}")
+        return self._layers[k]
 
 
 def even_origin_value(f1: float, f2: float):

@@ -242,19 +242,17 @@ def _g1_suffix(state: RadialState) -> np.ndarray:
     return np.maximum.accumulate(ra_u[::-1])[::-1]
 
 
-def _g_of_state(state: RadialState, radii) -> np.ndarray:
-    """(3, len(radii)) array of g1, g2, g3 for one state."""
+def _g_windows(state: RadialState, radii) -> np.ndarray:
+    """(2, len(radii)) array of the window norms g2, g3 for one state."""
     grid = state.grid
     h, n = grid.h, grid.n
     m = state.params.m
     fields = characteristics(state)
-    suffix_max = _g1_suffix(state)
-    out = np.empty((3, len(radii)))
+    out = np.empty((2, len(radii)))
     for i, rad in enumerate(radii):
         j_lo = _node_at_least(rad, h, n)
         j_hi = _node_at_most(4.0 * rad, h, n)
-        out[0, i] = suffix_max[j_lo]
-        for k, z in ((1, fields.z1), (2, fields.z2)):
+        for k, z in enumerate((fields.z1, fields.z2)):
             out[k, i] = _lm_norm(z[j_lo: j_hi + 1], m, h)
     return out
 
@@ -274,8 +272,8 @@ def _moduli_states(obj, radii):
 
 
 def _g1(obj, radii) -> np.ndarray:
-    """g1 alone: ``g_moduli(obj, radii)[0]``, same checks and errors, without
-    the characteristic fields and the window norms g2, g3."""
+    """g1 at the radii, maxed over the states of obj: :func:`g_moduli`'s first
+    modulus, with its checks and errors, without the window norms g2, g3."""
     radii, states = _moduli_states(obj, radii)
     grid = states[0].grid
     nodes = [_node_at_least(rad, grid.h, grid.n) for rad in radii]
@@ -292,9 +290,8 @@ def g_moduli(obj, radii):
     Requires 4 * max(radii) <= R.  Returns three arrays aligned with radii.
     """
     radii, states = _moduli_states(obj, radii)
-    stacked = np.stack([_g_of_state(s, radii) for s in states])
-    g = stacked.max(axis=0)
-    return g[0], g[1], g[2]
+    g2, g3 = np.stack([_g_windows(s, radii) for s in states]).max(axis=0)
+    return _g1(obj, radii), g2, g3
 
 
 @dataclass(frozen=True)

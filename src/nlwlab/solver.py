@@ -32,6 +32,7 @@ from nlwlab.core import (
     RadialState,
     StepLog,
     Trajectory,
+    _lattice_steps,
     _live_length,
     even_origin_value,
 )
@@ -261,7 +262,7 @@ def step(prev: RadialState, curr: RadialState, *, origin_band: int = 2,
         raise ValueError("layers carry different equation parameters")
     h = curr.grid.h
     dt = curr.t - prev.t
-    if abs(abs(dt) - h) > 1e-9 * h:
+    if _lattice_steps(dt, h) not in (1, -1):
         raise ValueError("layers must be one grid spacing apart in time (unit CFL)")
     r, p, n = curr.grid.r, curr.params.p, curr.grid.n
     w_prev, w_cur = prev.w, curr.w
@@ -282,13 +283,13 @@ def step_count(t0: float, t_final: float, h: float) -> int:
     """Number of steps of size h from t0 to t_final.
 
     Raises ValueError unless t_final is t0 plus a whole, nonnegative number
-    of steps, to a relative tolerance of 1e-9.
+    of steps (:func:`nlwlab.core._lattice_steps`).
     """
     span = t_final - t0
     if not np.isfinite(span):
         raise ValueError("t_final must be finite")
-    n_steps = int(round(span / h))
-    if n_steps < 0 or abs(span - n_steps * h) > 1e-9 * max(h, abs(span)):
+    n_steps = _lattice_steps(span, h)
+    if n_steps is None or n_steps < 0:
         raise ValueError("t_final must be the initial time plus a whole number of steps")
     return n_steps
 
@@ -371,7 +372,7 @@ def evolve(config: SolverConfig, initial: RadialState,
     if initial_prev is not None:
         if initial_prev.grid != grid or initial_prev.params != params:
             raise ValueError("initial_prev does not match the configuration")
-        if abs((t0 - initial_prev.t) - h) > 1e-9 * h:
+        if _lattice_steps(t0 - initial_prev.t, h) != 1:
             raise ValueError("initial_prev must sit one step before the initial state")
         w_prev[:] = initial_prev.w
     else:
@@ -481,28 +482,6 @@ def evolve(config: SolverConfig, initial: RadialState,
                       log=StepLog(*log.T), linear=config.linear)
 
 
-def _lattice_index(x: float, h: float, name: str) -> int:
-    k = int(round(x / h))
-    if abs(x - k * h) > 1e-9 * max(h, abs(x)):
-        raise ValueError(f"{name} = {x} is not on the grid lattice (spacing {h})")
-    return k
-
-
-def _layer_lookup(traj: Trajectory):
-    """(layer, t0): layer maps an integer layer index, counted from the first
-    snapshot at time t0, to the stored state, or raises KeyError."""
-    h = traj.grid.h
-    t0 = traj.states[0].t
-    table = {_lattice_index(s.t - t0, h, "snapshot time"): s for s in traj.states}
-
-    def layer(idx: int) -> RadialState:
-        if idx not in table:
-            raise KeyError(f"layer {idx} not stored; run with snapshot_stride = 1")
-        return table[idx]
-
-    return layer, t0
-
-
 def _source_of_state(s: RadialState, linear: bool) -> np.ndarray:
     """Pointwise source F = -mu r |u|^{p-1} u reconstructed from a snapshot: the
     u-form of F, whose w-form with the h^2 factor is :func:`_source_term`."""
@@ -530,17 +509,16 @@ def representation_residual(traj: Trajectory, r0: float, t0: float, dt: float) -
     the grid, KeyError when a needed layer was not stored.
     """
     h = traj.grid.h
-    j0 = _lattice_index(r0, h, "r0")
-    nd = _lattice_index(dt, h, "dt")
+    j0 = _lattice_steps(r0, h, "r0")
+    nd = _lattice_steps(dt, h, "dt")
     if nd < 1:
         raise ValueError("dt must be at least one step")
     if j0 - nd < 0 or j0 + nd > traj.grid.n:
         raise ValueError("backward cone leaves the grid")
-    layer, t_base = _layer_lookup(traj)
-    n0 = _lattice_index(t0 - t_base, h, "t0")
+    n0 = _lattice_steps(t0 - traj.states[0].t, h, "t0")
 
-    top = layer(n0)
-    base = layer(n0 - nd)
+    top = traj._layer(n0)
+    base = traj._layer(n0 - nd)
     lhs = top.w[j0]
     sel = slice(j0 - nd, j0 + nd + 1)
     rhs = 0.5 * (base.w[j0 - nd] + base.w[j0 + nd])
@@ -548,7 +526,7 @@ def representation_residual(traj: Trajectory, r0: float, t0: float, dt: float) -
     # inner integrals over the cone slices, then trapezoid in time
     slices = []
     for s in range(nd, -1, -1):
-        F = _source_of_state(layer(n0 - s), traj.linear)
+        F = _source_of_state(traj._layer(n0 - s), traj.linear)
         slices.append(np.trapezoid(F[j0 - s: j0 + s + 1], dx=h))
     rhs += 0.5 * np.trapezoid(np.array(slices), dx=h)
     return float(abs(lhs - rhs))
@@ -568,21 +546,20 @@ def characteristic_transport_residual(traj: Trajectory, r0: float, t0: float,
     rounding-level there; the contract only promises O(h).
     """
     h = traj.grid.h
-    j0 = _lattice_index(r0, h, "r0")
-    S = _lattice_index(tau_max, h, "tau_max")
+    j0 = _lattice_steps(r0, h, "r0")
+    S = _lattice_steps(tau_max, h, "tau_max")
     if S < 1:
         raise ValueError("tau_max must be at least one step")
     if j0 + S > traj.grid.n:
         raise ValueError("characteristic segment leaves the grid")
-    layer, t_base = _layer_lookup(traj)
-    n0 = _lattice_index(t0 - t_base, h, "t0")
+    n0 = _lattice_steps(t0 - traj.states[0].t, h, "t0")
 
     worst = 0.0
     for sign, pick in ((-1, "z1"), (+1, "z2")):
         vals = np.empty(S + 1)
         rhs = np.empty(S + 1)
         for s in range(S + 1):
-            st = layer(n0 + sign * s)
+            st = traj._layer(n0 + sign * s)
             z = getattr(characteristics(st), pick)
             vals[s] = z[j0 + s]
             rhs[s] = -_source_of_state(st, traj.linear)[j0 + s]

@@ -907,6 +907,50 @@ def test_bootstrap_rejected_values_leave_no_output(tmp_path, capsys, edit, messa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scenario, field, value, message", [
+    ("evolve", "cone_floor", -1.0, "must be positive (or None to disable)"),
+    ("evolve", "blowup_threshold", 0.0, "must be positive"),
+    ("evolve", "snapshot_stride", 0, "must be >= 1"),
+    ("evolve", "origin_band", 1, "must be >= 2"),
+    ("norms", "t_final", math.inf, "must be finite"),  # a run that never evolves
+])
+def test_run_settings_checked_while_parsing(tmp_path, capsys, scenario, field, value,
+                                            message):
+    # cone_floor and blowup_threshold were checked only by the solver, once
+    # the run had started, and their errors had no path
+    out = tmp_path / "out"
+    raw = _quick(scenario, out, {})
+    raw["run"][field] = value
+    assert main([scenario, "--config", _write_config(tmp_path, raw)]) == 2
+    assert capsys.readouterr().err == f"config: run.{field}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("steps", [0, -3])
+def test_reversal_steps_below_one_exit_2_before_output(tmp_path, capsys, steps):
+    # 0 failed with an IndexError (exit 1), -3 as a t_final error without a path
+    out = tmp_path / "out"
+    raw = _quick("linear-check", out, {})
+    raw["linear-check"]["reversal_steps"] = steps
+    assert main(["linear-check", "--config", _write_config(tmp_path, raw)]) == 2
+    assert capsys.readouterr().err == "config: linear-check.reversal_steps: must be >= 1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("initial, message", [
+    ({"kind": "gaussian", "width": "x"}, "initial.width: expected a number, got str"),
+    ({"kind": "bump", "radius": "x"}, "initial.radius: expected a number, got str"),
+    ({"kind": "bump", "amplitude": True}, "initial.amplitude: expected a number, got bool"),
+    ({"kind": "file", "path": 3}, "initial.path: expected a string, got int"),
+])
+def test_initial_fields_report_their_path(tmp_path, capsys, initial, message):
+    out = tmp_path / "out"
+    raw = {**_quick("evolve", out, {}), "initial": initial}
+    assert main(["evolve", "--config", _write_config(tmp_path, raw)]) == 2
+    assert capsys.readouterr().err == f"config: {message}\n"
+    assert not out.exists()
+
+
 def test_threads_option_is_gone(tmp_path, capsys):
     cfg_path = _write_config(tmp_path, _linear_config(tmp_path / "out"))
     with pytest.raises(SystemExit) as exc:

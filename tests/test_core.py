@@ -594,6 +594,14 @@ def test_trajectory_state_lookup():
         traj.state_at(0.5)
 
 
+def test_trajectory_state_at_follows_the_lattice_rule():
+    traj = _tiny_traj()  # h = 0.5, states at t = 0, 1, 2
+    assert traj.state_at(2.0 + 1e-10) is traj.states[2]  # within 1e-9 max(h, |t - t0|)
+    for t in (1.25, np.nan, 1.5, -0.5):  # off the lattice, then not stored
+        with pytest.raises(KeyError):
+            traj.state_at(t)
+
+
 def test_trajectory_requires_increasing_times():
     traj = _tiny_traj()
     with pytest.raises(ValueError):

@@ -46,21 +46,24 @@ def test_importing_the_cli_skips_command_line_and_pool_modules():
     assert proc.stdout == "[]\n"
 
 
-def _numpy_calls(attr: str) -> Counter:
-    """(module, top-level function or class) -> count of np.<attr>(...) calls
-    in src/nlwlab; None names module-level code."""
+def _calls(callee) -> Counter:
+    """(module, top-level function or class) -> count of the calls in
+    src/nlwlab whose callee node ``callee`` accepts; None names module-level code."""
     calls = Counter()
     for path in sorted((ROOT / "src" / "nlwlab").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for top in tree.body:
             name = getattr(top, "name", None)
             for node in ast.walk(top):
-                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                        and node.func.attr == attr
-                        and isinstance(node.func.value, ast.Name)
-                        and node.func.value.id in ("np", "numpy")):
+                if isinstance(node, ast.Call) and callee(node.func):
                     calls[path.stem, name] += 1
     return calls
+
+
+def _numpy_calls(attr: str) -> Counter:
+    """:func:`_calls` of np.<attr>(...)."""
+    return _calls(lambda f: isinstance(f, ast.Attribute) and f.attr == attr
+                  and isinstance(f.value, ast.Name) and f.value.id in ("np", "numpy"))
 
 
 def test_one_radial_derivative():
@@ -78,3 +81,10 @@ def test_trapezoid_only_in_one_dimensional_integrals():
         ("diagnostics", "support_and_hardy"): 1,  # Hardy: 4 pi int u^2 dr
         ("solver", "representation_residual"): 3,  # along the backward cone
     })
+
+
+def test_one_lattice_rule():
+    # whether x is a whole number of steps of h is decided by
+    # core._lattice_steps alone; rounding x / h anywhere else is a second copy
+    assert _calls(lambda f: isinstance(f, ast.Name) and f.id == "round") == Counter({
+        ("core", "_lattice_steps"): 1})
