@@ -7,27 +7,9 @@ package version, wall time, and one pass/fail entry per enabled check; the
 process exits 0 only if every enabled check passed.  Identical configs
 produce byte-identical artifacts except for the manifest's wall-time field.
 
-Config schema (see configs/ for one exemplar per scenario):
-
-    {
-      "scenario":  "evolve" | "norms" | "diagnose" | "bootstrap"
-                   | "verify-W" | "linear-check",
-      "equation":  {"p": 7.0, "mu": 1},
-      "grid":      {"h": 0.01, "n": 5000},
-      "initial":   {"kind": "W"}
-                   | {"kind": "gaussian", "width": 1.0, "amplitude": 1.0}
-                   | {"kind": "bump", "radius": 1.0, "amplitude": 1.0}
-                   | {"kind": "ode_flat", "amplitude": 1.861}
-                   | {"kind": "file", "path": "state.txt"},
-      "run":       {"t_final": 1.0, "snapshot_stride": 1, "origin_band": 2,
-                    "cone_floor": 1e-13 or null, "blowup_threshold": 1e12,
-                    "linear": false},
-      "output":    {"dir": "out"},
-      "checks":    {<name>: <threshold>, ...}          (scenario-specific),
-      "<scenario>": {...}          (options section named after the scenario)
-    }
-
-Malformed configs are reported with the offending field path.  The
+The config schema is README.md's "Config schema" section (configs/ has one
+exemplar per scenario).  :func:`parse_config` reads and checks every field
+of it, and reports a malformed config with the offending field path.  The
 environment variable NLWLAB_PRECISION (f64 | extended) selects the float
 type used by the bootstrap arithmetic.
 """
@@ -35,11 +17,14 @@ type used by the bootstrap arithmetic.
 from __future__ import annotations
 
 import json
+import math
 import sys
 import time
 import warnings
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -73,65 +58,76 @@ __all__ = [
 
 SCENARIOS = ("evolve", "norms", "diagnose", "bootstrap", "verify-W", "linear-check")
 
-_MISSING = object()
-
 
 class ConfigError(ValueError):
     """Malformed configuration, reported with the offending field path."""
 
 
-def _field(raw: dict, path: str, kind, default=_MISSING, nullable=False):
-    """Value at a dotted path, checked against ``kind``.
+def _field(raw: dict, path: str, kind, default=MISSING):
+    """Value at a dotted path, checked against ``kind``; required unless a
+    default is given.
 
-    ``list[float]`` takes a list of numbers and returns them as floats.  With
-    ``nullable``, JSON null passes and is returned as None.
+    ``list[float]`` takes a list of numbers and returns them as floats;
+    ``float | None`` takes a number or JSON null, returned as None.
     """
     node = raw
     for part in path.split("."):
         if not isinstance(node, dict) or part not in node:
-            if default is _MISSING:
+            if default is MISSING:
                 raise ConfigError(f"{path}: required field is missing")
             return default
         node = node[part]
-    if nullable and node is None:
+    if kind == float | None and node is None:
         return None
     if kind == list[float]:
         if not isinstance(node, list) or any(
                 isinstance(x, bool) or not isinstance(x, (int, float)) for x in node):
             raise ConfigError(f"{path}: expected a list of numbers")
         return [float(x) for x in node]
-    what = {float: "a number or null" if nullable else "a number", int: "an integer",
+    what = {float | None: "a number or null", float: "a number", int: "an integer",
             bool: "a boolean", str: "a string", dict: "an object", list: "a list"}[kind]
+    number = kind in (float, float | None)
     # JSON true/false are Python bools, which are also ints
-    if (not isinstance(node, (int, float) if kind is float else kind)
+    if (not isinstance(node, (int, float) if number else kind)
             or isinstance(node, bool) and kind is not bool):
         raise ConfigError(f"{path}: expected {what}, got {type(node).__name__}")
-    return float(node) if kind is float else node
+    return float(node) if number else node
 
 
-def _option(cfg, key: str, kind, default=_MISSING):
-    """A field of the scenario's options section, read under its full path."""
-    return _field(cfg.raw, f"{cfg.scenario}.{key}", kind, default)
+def _section(raw: dict, path: str, spec: dict) -> dict:
+    """The object at ``path`` (default {}) read against ``spec``, field ->
+    (kind, default): every field through :func:`_field`, its default filled
+    in.  A key that ``spec`` does not name is rejected."""
+    for key in _field(raw, path, dict, default={}):
+        if key not in spec:
+            raise ConfigError(f"{path}.{key}: unknown field")
+    return {key: _field(raw, f"{path}.{key}", kind, default)
+            for key, (kind, default) in spec.items()}
+
+
+@contextmanager
+def _reported_as(path: str):
+    """A library ValueError (a rule the config broke) as a ConfigError under ``path``."""
+    try:
+        yield
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from None
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parsed and validated experiment configuration."""
+    """A config as :func:`parse_config` read and checked it: every field
+    typed, every default filled in."""
 
     scenario: str
     params: EquationParams
     grid: RadialGrid
-    initial: dict
-    t_final: float
-    snapshot_stride: int
-    origin_band: int
-    cone_floor: float | None
-    blowup_threshold: float
-    linear: bool
-    out_dir: str | None
+    initial: dict  # "kind" and that kind's fields (_INITIAL)
+    run: solver.SolverConfig  # the run section, on grid and params
+    out_dir: str
     checks: dict  # name -> threshold, in _CHECKS order
-    section: dict
-    raw: dict
+    options: dict  # the scenario's options section (_OPTIONS)
+    raw: dict  # the config as given, echoed in the manifest
 
 
 _SCENARIO_DEFAULTS = {
@@ -140,6 +136,20 @@ _SCENARIO_DEFAULTS = {
     "linear-check": (5.0, 1, 1.0, 2048, 2000.0, {"kind": "W"}),  # initial unused
     "bootstrap": (5.0, 1, 1.0, 2, 0.0, {"kind": "W"}),  # grid-free scenario
 }
+
+# initial-data kind -> field -> (kind, default)
+_INITIAL = {
+    "W": {},
+    "gaussian": {"width": (float, 1.0), "amplitude": (float, 1.0)},
+    "bump": {"radius": (float, 1.0), "amplitude": (float, 1.0)},
+    "ode_flat": {"amplitude": (float, MISSING)},
+    "file": {"path": (str, MISSING)},
+}
+
+# the run section: every solver.SolverConfig setting but the grid and the
+# parameters, with its type and default (t_final's default is the scenario's)
+_RUN = {f.name: (get_type_hints(solver.SolverConfig)[f.name], f.default)
+        for f in fields(solver.SolverConfig) if f.name not in ("grid", "params")}
 
 # check name -> (comparison op, default threshold), in manifest order; a check
 # without a default runs only when the config lists it
@@ -160,10 +170,32 @@ _CHECKS = {
                      "traveling_wave": ("<=", 1e-10)},
 }
 
+# field of the scenario's options section -> (kind, default), in README
+# order; MISSING marks a required field, and a default written as text is
+# filled in by parse_config from other fields
+_OPTIONS = {
+    "evolve": {},
+    "norms": {"betas": (list[float], [0.0, 0.5, 1.0]), "tail_radii": (list[float], []),
+              "g1_radii": (list[float], []), "sp_interval": (list[float], None)},
+    "diagnose": {"Rc": (float, MISSING), "times": (list[float], "[t_final / 2]"),
+                 "cutoffs": (list[float], "[Rc]")},
+    "bootstrap": {"p_values": (list[float], [5.0, 6.0, 7.0, 9.0, 13.0]),
+                  "beta0_values": (list[float], [0.01, 0.1]), "tol": (float, 1e-12),
+                  "n_max": (int, 100000), "dense_sample": (int, 2000)},
+    "verify-W": {"decay_r_min": (float, 4.0)},
+    "linear-check": {"reversal_steps": (int, 256)},
+}
+
 
 def parse_config(raw: dict, scenario: str | None = None,
                  out_override: str | None = None) -> ExperimentConfig:
-    """Validate a raw config dict against the schema (field-path errors)."""
+    """Read and check a raw config dict against the schema (field-path errors).
+
+    Every field is read here, once, with its default filled in, and a key
+    the schema does not name is rejected; then the rules that depend on the
+    config alone are checked.  So a malformed config is reported before any
+    output exists.
+    """
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected a JSON object")
     declared = _field(raw, "scenario", str, default=None)
@@ -175,135 +207,134 @@ def parse_config(raw: dict, scenario: str | None = None,
     name = scenario or declared
     if name not in SCENARIOS:
         raise ConfigError(f"scenario: unknown scenario {name!r}")
+    for key in raw:  # the sections, the options section named after the scenario
+        if key not in ("scenario", "equation", "grid", "initial", "run", "output",
+                       "checks", name):
+            raise ConfigError(f"{key}: unknown field")
 
     dp, dmu, dh, dn, dt_final, dinit = _SCENARIO_DEFAULTS.get(
-        name, (5.0, 1, None, None, _MISSING, _MISSING))
-    p = _field(raw, "equation.p", float, default=dp)
-    mu = _field(raw, "equation.mu", int, default=dmu)
-    if name == "verify-W" and (p != 5.0 or mu != -1):
+        name, (5.0, 1, MISSING, MISSING, MISSING, MISSING))
+    equation = _section(raw, "equation", {"p": (float, dp), "mu": (int, dmu)})
+    if name == "verify-W" and (equation["p"] != 5.0 or equation["mu"] != -1):
         raise ConfigError("equation: scenario verify-W requires p = 5, mu = -1")
-    try:
-        params = make_params(p, mu)
-    except ValueError as e:
-        raise ConfigError(f"equation: {e}") from None
-
-    h = _field(raw, "grid.h", float, default=dh)
-    n = _field(raw, "grid.n", int, default=dn)
-    if h is None or n is None:
-        raise ConfigError("grid: h and n are required for this scenario")
-    try:
+    with _reported_as("equation"):
+        params = make_params(equation["p"], equation["mu"])
+    size = _section(raw, "grid", {"h": (float, dh), "n": (int, dn)})
+    with _reported_as("grid"):
         # the grid state files load onto, so written and read states share one
-        grid = _shared_grid(h, n)
-    except ValueError as e:
-        raise ConfigError(f"grid: {e}") from None
+        grid = _shared_grid(size["h"], size["n"])
+    initial = _initial_fields(_field(raw, "initial", dict, default=dinit))
 
-    initial = _field(raw, "initial", dict, default=dinit)
-    kind = _field({"initial": initial}, "initial.kind", str)
-    if kind not in ("W", "gaussian", "bump", "ode_flat", "file"):
-        raise ConfigError(f"initial.kind: unknown initial data kind {kind!r}")
-
-    t_final = _field(raw, "run.t_final", float, default=dt_final)
-    cone_floor = _field(raw, "run.cone_floor", float, default=1e-13, nullable=True)
+    settings = _section(raw, "run", {**_RUN, "t_final": (float, dt_final)})
     if name == "verify-W":
-        cone_floor = None  # the static profile is not compactly supported
+        settings["cone_floor"] = None  # the static profile is not compactly supported
+    try:
+        run_settings = solver.SolverConfig(grid=grid, params=params, **settings)
+    except ValueError as e:  # the message starts with the rejected field
+        key, _, rule = str(e).partition(" ")
+        raise ConfigError(f"run.{key}: {rule}") from None
     for key in _field(raw, "checks", dict, default={}):
         if key not in _CHECKS[name]:
             raise ConfigError(f"checks.{key}: unknown check for scenario {name}")
     thresholds = {c: _field(raw, f"checks.{c}", float, default=default)
                   for c, (_, default) in _CHECKS[name].items()}
-    cfg = ExperimentConfig(
-        scenario=name,
-        params=params,
-        grid=grid,
-        initial=initial,
-        t_final=t_final,
-        snapshot_stride=_field(raw, "run.snapshot_stride", int, default=1),
-        origin_band=_field(raw, "run.origin_band", int, default=2),
-        cone_floor=cone_floor,
-        blowup_threshold=_field(raw, "run.blowup_threshold", float, default=1e12),
-        linear=_field(raw, "run.linear", bool, default=False),
-        out_dir=out_override or _field(raw, "output.dir", str, default=None),
-        checks={c: t for c, t in thresholds.items() if t is not None},
-        section=_field(raw, name, dict, default={}),
-        raw=raw,
-    )
-    if cfg.out_dir is None:
+    output = _section(raw, "output", {"dir": (str, None)})  # checked even with --out
+    out_dir = out_override or output["dir"]
+    if out_dir is None:
         raise ConfigError("output.dir: required (or pass --out)")
-    try:
-        _solver_config(cfg)
-    except ValueError as e:  # the message starts with the rejected field
-        key, _, rule = str(e).partition(" ")
-        raise ConfigError(f"run.{key}: {rule}") from None
-    if "blowup_detection" in cfg.checks and kind != "ode_flat":
+    options = _section(raw, name, _OPTIONS[name])
+    if name == "diagnose":  # the defaults _OPTIONS gives as text
+        if isinstance(options["times"], str):
+            options["times"] = [run_settings.t_final / 2.0]
+        if isinstance(options["cutoffs"], str):
+            options["cutoffs"] = [options["Rc"]]
+    checks = {c: t for c, t in thresholds.items() if t is not None}
+    cfg = ExperimentConfig(scenario=name, params=params, grid=grid, initial=initial,
+                           run=run_settings, out_dir=out_dir, checks=checks,
+                           options=options, raw=raw)
+
+    # the rules the config alone decides across its fields
+    h, o, t_final, kind = grid.h, options, run_settings.t_final, initial["kind"]
+    if "blowup_detection" in checks and kind != "ode_flat":
         raise ConfigError("checks.blowup_detection: requires ode_flat initial data")
-    if ("tail_monotone" in cfg.checks
-            and len(_field(raw, "norms.tail_radii", list, default=[])) < 2):
+    if "tail_monotone" in checks and len(o["tail_radii"]) < 2:
         raise ConfigError("checks.tail_monotone: needs at least two tail radii")
-    # the solver's lattice rule, applied before any output exists; file data
-    # keeps the solver-side check, since its start time is known only once loaded
-    evolves = name in ("evolve", "diagnose", "verify-W", "linear-check") or (
-        name == "norms" and "sp_interval" in cfg.section)
-    if evolves and kind != "file":
+    if name in ("evolve", "norms", "diagnose"):  # the scenarios that build initial data
+        _initial_equation_rule(kind, params)
+    if _evolves(cfg) and kind != "file":
         try:
             solver.step_count(0.0, t_final, h)
         except ValueError:
             raise ConfigError(
                 f"run.t_final: {t_final!r} is not a whole, nonnegative number of "
                 f"steps of h = {h!r} from t = 0") from None
+    if "blowup_detection" in checks and "ode_match" in checks:
+        T = ode_flat_blowup_time(params, initial["amplitude"])
+        if _ode_match_steps(T, h) < 1:
+            raise ConfigError("checks.ode_match: no lattice times before T - 10h")
+    if name == "norms":
+        with _reported_as("norms.betas"):
+            for beta in o["betas"]:
+                norms._check_beta(beta)
+        with _reported_as("norms.tail_radii"):
+            for r in o["tail_radii"]:
+                norms._check_tail_radius(r, grid)
+        if o["g1_radii"]:
+            with _reported_as("norms.g1_radii"):
+                norms._check_radii(o["g1_radii"], grid.R)
+        if o["sp_interval"] is not None:
+            if len(o["sp_interval"]) != 2:
+                raise ConfigError("norms.sp_interval: expected [t0, t1]")
+            with _reported_as("norms.sp_interval"):
+                norms._check_interval(o["sp_interval"])
     if name == "diagnose":
-        _validate_diagnose(cfg, kind)
-    if name == "verify-W":
-        r_min = _option(cfg, "decay_r_min", float, default=4.0)
+        # the refinement checks rerun the scenario at 2h on n / 2 nodes, and
+        # identity_order looks each time t up there too, with t - 2h and t + 2h
+        refine = "virial_consistency_order" in checks or "identity_order" in checks
+        steps = [(h, "h"), (2.0 * h, "2h")] if "identity_order" in checks else [(h, "h")]
+        for t in o["times"]:
+            for step, what in steps:
+                if _lattice_steps(t, step) is None:
+                    raise ConfigError(
+                        f"diagnose.times: {t} is not on the time lattice of step {what}")
+                if not (step - 1e-12 <= t <= t_final - step + 1e-12):
+                    raise ConfigError(f"diagnose.times: {t} needs both t - {what} and "
+                                      f"t + {what} inside the run")
+        for key, c in [("Rc", o["Rc"])] + [("cutoffs", c) for c in o["cutoffs"]]:
+            if not (c > 0.0 and 2.0 * c <= grid.R):
+                raise ConfigError(
+                    f"diagnose.{key}: {c!r} must satisfy 0 < 2 Rc <= R = {grid.R!r}")
+        if refine and (grid.n % 2 != 0 or grid.n < 4):
+            raise ConfigError("grid.n: refinement checks need an even node count >= 4")
+        if refine and kind == "file":
+            raise ConfigError("initial.kind: refinement checks need generated data, "
+                              "not a state file on one grid")
+        if refine and _lattice_steps(t_final, 2.0 * h) is None:
+            raise ConfigError(
+                f"run.t_final: refinement checks need a whole number of steps of "
+                f"2h = {2.0 * h!r} from t = 0")
+    if name == "bootstrap":
+        for key in ("p_values", "beta0_values"):
+            if not o[key]:
+                raise ConfigError(f"bootstrap.{key}: needs at least one value")
+        if o["dense_sample"] < 1:
+            raise ConfigError("bootstrap.dense_sample: must be positive")
         try:
-            bootstrap._fit_window(grid, r_min)
-        except ValueError as e:
-            raise ConfigError(f"verify-W.decay_r_min: {e}") from None
-    if name == "linear-check" and _option(cfg, "reversal_steps", int, default=256) < 1:
+            bootstrap.working_dtype()
+        except ValueError as e:  # NLWLAB_PRECISION, which the arithmetic reads
+            raise ConfigError(str(e)) from None
+    if name == "verify-W":
+        with _reported_as("verify-W.decay_r_min"):
+            bootstrap._fit_window(grid, o["decay_r_min"])
+    if name == "linear-check" and o["reversal_steps"] < 1:
         raise ConfigError("linear-check.reversal_steps: must be >= 1")
     return cfg
 
 
-def _diagnose_times(cfg: ExperimentConfig) -> list:
-    """diagnose.times as floats (default: the middle of the run), each a
-    lattice time whose neighbours t - h and t + h lie inside the run."""
-    h = cfg.grid.h
-    times = _option(cfg, "times", list[float], default=[cfg.t_final / 2.0])
-    for t in times:
-        if _lattice_steps(t, h) is None:
-            raise ConfigError(f"diagnose.times: {t} is not on the time lattice")
-        if not (h - 1e-12 <= t <= cfg.t_final - h + 1e-12):
-            raise ConfigError(
-                f"diagnose.times: {t} needs both t - h and t + h inside the run")
-    return times
-
-
-def _validate_diagnose(cfg: ExperimentConfig, kind: str) -> None:
-    """The diagnose run's lattice and cutoff rules, checked before any output exists.
-
-    Explicit diagnose.times are checked here; the default midpoint, which
-    depends on t_final alone, is checked as the run starts, before it writes
-    anything.  Rc and every cutoff satisfy 0 < 2 Rc <= R, the identities'
-    contract.  The refinement checks rerun the scenario at 2h on n / 2 nodes.
-    """
-    if "times" in cfg.section:
-        _diagnose_times(cfg)
-    cutoffs = _option(cfg, "cutoffs", list[float], default=[])
-    for name, c in [("Rc", _option(cfg, "Rc", float))] + [("cutoffs", c) for c in cutoffs]:
-        if not (c > 0.0 and 2.0 * c <= cfg.grid.R):
-            raise ConfigError(
-                f"diagnose.{name}: {c!r} must satisfy 0 < 2 Rc <= R = {cfg.grid.R!r}")
-    if "virial_consistency_order" in cfg.checks or "identity_order" in cfg.checks:
-        if cfg.grid.n % 2 != 0:
-            raise ConfigError("grid.n: refinement checks need an even node count")
-        if kind == "file":
-            raise ConfigError("initial.kind: refinement checks need generated data, "
-                              "not a state file on one grid")
-        try:
-            solver.step_count(0.0, cfg.t_final, 2.0 * cfg.grid.h)
-        except ValueError:
-            raise ConfigError(
-                f"run.t_final: refinement checks need a whole number of steps of "
-                f"2h = {2.0 * cfg.grid.h!r} from t = 0") from None
+def _evolves(cfg: ExperimentConfig) -> bool:
+    """Whether the run evolves: every scenario but bootstrap, norms only for sp_interval."""
+    return cfg.scenario != "bootstrap" and (
+        cfg.scenario != "norms" or cfg.options["sp_interval"] is not None)
 
 
 # --- initial data -------------------------------------------------------------
@@ -339,47 +370,82 @@ def ode_flat_blowup_time(params: EquationParams, amplitude: float) -> float:
     return (_ode_blowup_constant(params) / amplitude) ** (1.0 / params.a)
 
 
-def build_initial(desc: dict, grid: RadialGrid, params: EquationParams) -> RadialState:
-    """Materialize an initial-data descriptor on the grid."""
-    kind = desc["kind"]
-    r = grid.r
+def _ode_match_steps(T: float, h: float) -> int:
+    """Whole steps of h before T - 10h: ode_match compares while T - t >= 10 h."""
+    return int(np.floor((T - 10.0 * h) / h))
+
+
+def _initial_fields(desc: dict) -> dict:
+    """An initial-data descriptor read against ``_INITIAL``: its kind and
+    that kind's fields, defaults filled in.  Numbers must be finite, and the
+    gaussian width, the bump radius and the ode_flat amplitude positive."""
     init = {"initial": desc}  # fields are read, and reported, under initial.<key>
+    kind = _field(init, "initial.kind", str)
+    if kind not in _INITIAL:
+        raise ConfigError(f"initial.kind: unknown initial data kind {kind!r}")
+    values = _section(init, "initial", {"kind": (str, MISSING), **_INITIAL[kind]})
+    for key, value in values.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"initial.{key}: must be finite")
+    size = {"gaussian": "width", "bump": "radius", "ode_flat": "amplitude"}.get(kind)
+    if size is not None and values[size] <= 0:
+        raise ConfigError(f"initial.{size}: must be positive")
+    return values
+
+
+def _initial_equation_rule(kind: str, params: EquationParams) -> None:
+    """W is the static solution of p = 5, mu = -1; ode_flat data blow up for mu = -1."""
+    if kind == "W" and (params.p != 5.0 or params.mu != -1):
+        raise ConfigError("initial.kind: W requires p = 5, mu = -1")
+    if kind == "ode_flat" and params.mu != -1:
+        raise ConfigError("initial.kind: ode_flat requires the focusing sign mu = -1")
+
+
+def build_initial(desc: dict, grid: RadialGrid, params: EquationParams) -> RadialState:
+    """Materialize an initial-data descriptor on the grid, checked as
+    :func:`parse_config` checks ``initial``; file errors are ``initial.path``."""
+    desc = _initial_fields(desc)
+    kind = desc["kind"]
+    _initial_equation_rule(kind, params)
+    r = grid.r
     if kind == "W":
-        if params.p != 5.0 or params.mu != -1:
-            raise ConfigError("initial.kind: W requires p = 5, mu = -1")
         return reference_W(grid)
     if kind in ("gaussian", "bump"):
         key, profile = {"gaussian": ("width", profile_gaussian),
                         "bump": ("radius", profile_bump)}[kind]
-        size = _field(init, f"initial.{key}", float, default=1.0)
-        amp = _field(init, "initial.amplitude", float, default=1.0)
-        if size <= 0:
-            raise ConfigError(f"initial.{key}: must be positive")
         return RadialState(grid=grid, params=params, t=0.0,
-                           u=profile(r, size, amp), v=np.zeros(grid.n + 1))
+                           u=profile(r, desc[key], desc["amplitude"]),
+                           v=np.zeros(grid.n + 1))
     if kind == "ode_flat":
-        amp = _field(init, "initial.amplitude", float)
-        if amp <= 0:
-            raise ConfigError("initial.amplitude: must be positive")
-        if params.mu != -1:
-            raise ConfigError("initial.kind: ode_flat requires the focusing sign mu = -1")
+        amp = desc["amplitude"]
         u0 = profile_ode_flat(r, amp)
         T = ode_flat_blowup_time(params, amp)
         # the exact solution grows like (T - t)^{-a}, so v = (a / T) u at t = 0
         return RadialState(grid=grid, params=params, t=0.0,
                            u=u0, v=(params.a / T) * u0)
-    if kind == "file":
-        path = _field(init, "initial.path", str)
+    try:
+        state = load_state(desc["path"])
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"initial.path: {e}") from None
+    if state.grid != grid:
+        raise ConfigError("initial.path: stored grid does not match config grid")
+    if state.params != params:
+        raise ConfigError("initial.path: stored parameters do not match config")
+    return state
+
+
+def _initial_state(cfg: ExperimentConfig) -> RadialState:
+    """The run's initial data.  File data starts at its stored time, so the
+    lattice rule that :func:`parse_config` applies from t = 0 is applied here,
+    from that time, before the first evolve."""
+    state = build_initial(cfg.initial, cfg.grid, cfg.params)
+    if cfg.initial["kind"] == "file" and _evolves(cfg):
         try:
-            state = load_state(path)
-        except (OSError, ValueError) as e:
-            raise ConfigError(f"initial.path: {e}") from None
-        if state.grid != grid:
-            raise ConfigError("initial.path: stored grid does not match config grid")
-        if state.params != params:
-            raise ConfigError("initial.path: stored parameters do not match config")
-        return state
-    raise ConfigError(f"initial.kind: unknown initial data kind {kind!r}")
+            solver.step_count(state.t, cfg.run.t_final, cfg.grid.h)
+        except ValueError:
+            raise ConfigError(f"initial.path: stored time t = {state.t!r} puts run.t_final "
+                              f"= {cfg.run.t_final!r} off the lattice of h") from None
+    return state
 
 
 # --- manifest plumbing --------------------------------------------------------
@@ -391,15 +457,6 @@ def _check(name: str, value: float, threshold: float, op: str = "<="):
           ">=": value >= threshold}[op]
     return {"name": name, "value": value, "threshold": float(threshold),
             "op": op, "pass": bool(ok)}
-
-
-def _solver_config(cfg: ExperimentConfig, **overrides) -> solver.SolverConfig:
-    kw = dict(grid=cfg.grid, params=cfg.params, t_final=cfg.t_final,
-              snapshot_stride=cfg.snapshot_stride, origin_band=cfg.origin_band,
-              linear=cfg.linear, cone_floor=cfg.cone_floor,
-              blowup_threshold=cfg.blowup_threshold)
-    kw.update(overrides)
-    return solver.SolverConfig(**kw)
 
 
 def _write(out: Path, name: str, text: str) -> None:
@@ -422,27 +479,24 @@ def _energy_drift(log) -> float:
 
 def _run_evolve(cfg: ExperimentConfig, out: Path):
     metrics, notes, extra = {}, [], {}
-    initial = build_initial(cfg.initial, cfg.grid, cfg.params)
+    initial = _initial_state(cfg)
     if cfg.params.mu == -1:
         notes.append("energy: non-coercive (focusing sign)")
 
     if "blowup_detection" in cfg.checks:
-        T_star = ode_flat_blowup_time(cfg.params, float(cfg.initial["amplitude"]))
+        T_star = ode_flat_blowup_time(cfg.params, cfg.initial["amplitude"])
         extra["expected_blowup_time"] = T_star
         try:
-            solver.evolve(_solver_config(cfg), initial)
+            solver.evolve(cfg.run, initial)
             metrics["blowup_detection"] = float("inf")
         except solver.BlowupDetected as e:
             extra["detected_blowup_time"] = e.t
             metrics["blowup_detection"] = abs(e.t - T_star) / cfg.grid.h
         if "ode_match" in cfg.checks:
             h = cfg.grid.h
-            margin = 10.0  # compare while T - t >= 10 h
-            n_cmp = int(np.floor((T_star - margin * h) / h))
-            if n_cmp < 1:
-                raise ConfigError("checks.ode_match: no lattice times before T - 10h")
+            n_cmp = _ode_match_steps(T_star, h)  # >= 1, checked while parsing
             traj = solver.evolve(
-                _solver_config(cfg, t_final=n_cmp * h, snapshot_stride=1), initial)
+                replace(cfg.run, t_final=n_cmp * h, snapshot_stride=1), initial)
             worst = 0.0
             for s in traj.states:
                 exact = reference_ode_blowup(cfg.params, T_star, s.t)
@@ -451,7 +505,7 @@ def _run_evolve(cfg: ExperimentConfig, out: Path):
             _write(out, "step_log.csv", traj.log.to_csv())
         return metrics, notes, extra
 
-    traj = solver.evolve(_solver_config(cfg), initial)
+    traj = solver.evolve(cfg.run, initial)
     _write(out, "step_log.csv", traj.log.to_csv())
     _write_states(out, traj)
     log, final = traj.log, traj.states[-1]
@@ -469,17 +523,16 @@ def _run_evolve(cfg: ExperimentConfig, out: Path):
 
 def _run_norms(cfg: ExperimentConfig, out: Path):
     metrics = {}
-    state = build_initial(cfg.initial, cfg.grid, cfg.params)
-    betas = _option(cfg, "betas", list[float], default=[0.0, 0.5, 1.0])
-    tail_radii = _option(cfg, "tail_radii", list[float], default=[])
-    g1_radii = _option(cfg, "g1_radii", list[float], default=[])
-    sp_interval = _option(cfg, "sp_interval", list[float], default=None)
+    state = _initial_state(cfg)
+    o = cfg.options
+    betas, tail_radii, sp_interval = o["betas"], o["tail_radii"], o["sp_interval"]
 
-    traj = None
+    traj = sp = None
     if sp_interval is not None:
-        if len(sp_interval) != 2:
-            raise ConfigError("norms.sp_interval: expected [t0, t1]")
-        traj = solver.evolve(_solver_config(cfg), state)
+        traj = solver.evolve(cfg.run, state)
+        # whether the stored layers cover the interval is known only now
+        with _reported_as("norms.sp_interval"):
+            sp = norms.sp_norm(traj, sp_interval)
     tails = norms.tail_table(state, tail_radii)
     hsp = None
     if "route_agreement" in cfg.checks or "l2_match" in cfg.checks:
@@ -491,10 +544,9 @@ def _run_norms(cfg: ExperimentConfig, out: Path):
             freq, one_d = norms.sobolev_norms(state.u, cfg.grid,
                                               [*swept, 0.0, cfg.params.s_p])
         hsp, freq, one_d = freq[-1], freq[:-1], one_d[:-1]
-    report = norms.norm_report(state, traj, tail_radii=tail_radii,
-                               g1_radii=g1_radii,
-                               sp_interval=tuple(sp_interval) if sp_interval else None,
-                               hsp=hsp, tails=tails)
+    report = replace(norms.norm_report(state, traj, tail_radii=tail_radii,
+                                       g1_radii=o["g1_radii"], hsp=hsp, tails=tails),
+                     sp=sp)
     _write(out, "normreport.json", report.to_json())
     if tails:
         _write(out, "tails.csv", norms.tails_to_csv(tails))
@@ -535,25 +587,22 @@ def _per_step_virial_residual(traj) -> float:
 
 def _run_diagnose(cfg: ExperimentConfig, out: Path):
     metrics, notes = {}, []
-    Rc = _option(cfg, "Rc", float)
-    times = _diagnose_times(cfg)
-    cutoffs = _option(cfg, "cutoffs", list[float], default=[Rc])
+    Rc, times = cfg.options["Rc"], cfg.options["times"]
     if cfg.params.mu == -1:
         notes.append("energy: non-coercive (focusing sign)")
 
-    initial = build_initial(cfg.initial, cfg.grid, cfg.params)
-    fine = solver.evolve(_solver_config(cfg, snapshot_stride=1), initial)
+    initial = _initial_state(cfg)
+    fine = solver.evolve(replace(cfg.run, snapshot_stride=1), initial)
     records = [diagnostics.diagnostic_record(fine, t, Rc) for t in times]
     _write(out, "records.csv", diagnostics.records_to_csv(records, mu=cfg.params.mu))
     _write(out, "residuals.json",
-           diagnostics.residual_sweep_to_json(fine, cutoffs, times))
+           diagnostics.residual_sweep_to_json(fine, cfg.options["cutoffs"], times))
     _write(out, "step_log.csv", fine.log.to_csv())
 
     if "virial_consistency_order" in cfg.checks or "identity_order" in cfg.checks:
         cgrid = RadialGrid(h=2.0 * cfg.grid.h, n=cfg.grid.n // 2)
         cinitial = build_initial(cfg.initial, cgrid, cfg.params)
-        coarse = solver.evolve(_solver_config(cfg, grid=cgrid, snapshot_stride=1),
-                               cinitial)
+        coarse = solver.evolve(replace(cfg.run, grid=cgrid, snapshot_stride=1), cinitial)
     if "virial_consistency_order" in cfg.checks:
         m_fine = _per_step_virial_residual(fine)
         m_coarse = _per_step_virial_residual(coarse)
@@ -573,18 +622,16 @@ def _run_diagnose(cfg: ExperimentConfig, out: Path):
 
 def _run_bootstrap(cfg: ExperimentConfig, out: Path):
     metrics = {}
-    p_values = _option(cfg, "p_values", list[float], default=[5.0, 6.0, 7.0, 9.0, 13.0])
-    beta0_values = _option(cfg, "beta0_values", list[float], default=[0.01, 0.1])
-    tol = _option(cfg, "tol", float, default=1e-12)
-    n_max = _option(cfg, "n_max", int, default=100000)
-    dense = _option(cfg, "dense_sample", int, default=2000)
+    o = cfg.options
+    p_values, beta0_values = o["p_values"], o["beta0_values"]
 
     # everything is computed before the first write, so a rejected value
     # leaves no partial output
     jobs = [(p, b0) for p in p_values for b0 in beta0_values]
     try:
         table = bootstrap.contraction_table(p_values)
-        seqs = [bootstrap.exponent_iteration(p, b0, n_max=n_max, tol=tol) for p, b0 in jobs]
+        seqs = [bootstrap.exponent_iteration(p, b0, n_max=o["n_max"], tol=o["tol"])
+                for p, b0 in jobs]
     except ValueError as e:  # the message starts with the rejected argument
         field = {"p": "p_values", "beta0": "beta0_values", "n_max": "n_max"}.get(
             str(e).split(" ", 1)[0])
@@ -593,9 +640,7 @@ def _run_bootstrap(cfg: ExperimentConfig, out: Path):
         raise ConfigError(f"bootstrap.{field}: {e}") from None
 
     if "contraction_subunit" in cfg.checks:
-        if dense < 1:
-            raise ConfigError("bootstrap.dense_sample: must be positive")
-        sample = np.geomspace(5.0, 1e4, dense)
+        sample = np.geomspace(5.0, 1e4, o["dense_sample"])
         metrics["contraction_subunit"] = max(
             value for value, _ in bootstrap.contraction_table(sample))
     if "iteration_monotone" in cfg.checks:
@@ -629,9 +674,9 @@ def _run_verify_w(cfg: ExperimentConfig, out: Path):
     notes = ["cone guard disabled: the static profile is not compactly supported",
              "drift region: r <= R - t - 2h (outer truncation is causally excluded)",
              "energy: non-coercive (focusing sign)"]
-    r_min = _option(cfg, "decay_r_min", float, default=4.0)
+    r_min = cfg.options["decay_r_min"]
     initial = reference_W(cfg.grid)
-    traj = solver.evolve(_solver_config(cfg), initial)
+    traj = solver.evolve(cfg.run, initial)
     _write(out, "step_log.csv", traj.log.to_csv())
     save_state(traj.states[-1], out / "final_state.txt")
 
@@ -654,8 +699,7 @@ def _run_verify_w(cfg: ExperimentConfig, out: Path):
     # tail decay is a property of the profile; the evolved field carries
     # boundary-truncation garbage near R that would swamp the tail integral
     radii = r[bootstrap._fit_window(cfg.grid, r_min)]
-    profile = traj.states[0]
-    tails = np.array([norms.tail_norms(profile, rr).l2_du for rr in radii])
+    tails = np.array([rec.l2_du for rec in norms.tail_table(traj.states[0], radii)])
     pos = tails > 0
     tail_slope = float(np.polyfit(np.log(radii[pos]), np.log(tails[pos]), 1)[0])
 
@@ -700,17 +744,18 @@ def _dalembert_final(w0: np.ndarray, n_steps: int) -> np.ndarray:
 def _run_linear_check(cfg: ExperimentConfig, out: Path):
     params = cfg.params
     grid = cfg.grid
-    n_steps = solver.step_count(0.0, cfg.t_final, grid.h)
-    rev_steps = _option(cfg, "reversal_steps", int, default=256)
+    n_steps = solver.step_count(0.0, cfg.run.t_final, grid.h)
+    rev_steps = cfg.options["reversal_steps"]
 
     hat = _hat_state(grid, params)
-    traj = solver.evolve(_solver_config(cfg, linear=True,
-                                        snapshot_stride=max(1, n_steps)), hat)
+    traj = solver.evolve(replace(cfg.run, linear=True, snapshot_stride=max(1, n_steps)),
+                         hat)
     w_exact = _dalembert_final(hat.w, n_steps)
     err = float(np.max(np.abs(traj.states[-1].w - w_exact)))
 
-    # reversibility on a reduced grid: forward then backward through step()
-    small = RadialGrid(h=grid.h, n=min(grid.n, 512))
+    # reversibility on a grid of its own, 512 nodes whatever the config's n
+    # (the traveling wave below needs 72): forward then backward through step()
+    small = RadialGrid(h=grid.h, n=512)
     hat_s = _hat_state(small, params)
     fwd = solver.evolve(
         solver.SolverConfig(grid=small, params=params, t_final=rev_steps * small.h,
@@ -755,11 +800,13 @@ def run(config: ExperimentConfig, threads: int = 1) -> int:
     against its threshold with the op of ``_CHECKS``.  A solver guard the
     scenario does not handle (``solver.SolverError``) still leaves a
     manifest, with status "aborted" and the error's type, message and time;
-    the error is then re-raised.  A ``ValueError`` (a ``ConfigError``, or a
-    library contract that a config value broke) leaves no manifest; the
-    output directory is removed if this call created it and it is still
-    empty.  ``threads`` is ignored: every scenario runs in one thread, and
-    the keyword stays only because ``bench/worker.py`` still passes it.
+    the error is then re-raised.  A ``ConfigError`` found as the run starts
+    (file contents, the bootstrap library rules, sp_interval coverage)
+    leaves no manifest; the output directory is removed if this call
+    created it and it is still empty.  Any other exception is a fault of
+    the program and propagates as it is.  ``threads`` is ignored: every
+    scenario runs in one thread, and the keyword stays only because
+    ``bench/worker.py`` still passes it.
     """
     out = Path(config.out_dir)
     created = not out.exists()
@@ -768,7 +815,7 @@ def run(config: ExperimentConfig, threads: int = 1) -> int:
     error = None
     try:
         metrics, notes, extra = _RUNNERS[config.scenario](config, out)
-    except ValueError:
+    except ConfigError:
         if created and not any(out.iterdir()):
             out.rmdir()
         raise
@@ -824,9 +871,7 @@ def main(argv=None) -> int:
     except solver.SolverError as e:
         print(f"solver: {e} (t = {e.t!r})", file=sys.stderr)
         return 1
-    except ValueError as e:
-        # a ConfigError, or a library contract a config value broke (file
-        # data off the time lattice, sp_norm coverage shortfalls)
+    except ConfigError as e:
         print(f"config: {e}", file=sys.stderr)
         return 2
 

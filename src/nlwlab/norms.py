@@ -257,18 +257,23 @@ def _g_windows(state: RadialState, radii) -> np.ndarray:
     return out
 
 
-def _moduli_states(obj, radii):
-    """g_moduli's radius rules: (radii as floats, the states of obj)."""
+def _check_radii(radii, R: float) -> list:
+    """g_moduli's radius rules on a grid of outer radius R: at least one
+    radius, each nonnegative, 4 max(radii) <= R.  Returns them as floats."""
     radii = [float(x) for x in radii]
     if not radii:
         raise ValueError("need at least one radius")
-    if any(rad < 0.0 for rad in radii):
+    if any(not rad >= 0.0 for rad in radii):
         raise ValueError("radii must be nonnegative")
-    states = obj.states if isinstance(obj, Trajectory) else (obj,)
-    R = states[0].grid.R
     if 4.0 * max(radii) > R * (1.0 + 1e-12):
         raise ValueError(f"window [r, 4r] exceeds the grid for max radius {max(radii)}")
-    return radii, states
+    return radii
+
+
+def _moduli_states(obj, radii):
+    """(radii checked by :func:`_check_radii`, the states of obj)."""
+    states = obj.states if isinstance(obj, Trajectory) else (obj,)
+    return _check_radii(radii, states[0].grid.R), states
 
 
 def _g1(obj, radii) -> np.ndarray:
@@ -305,6 +310,12 @@ class TailRecord:
     l2_v: float
 
 
+def _check_tail_radius(r: float, grid: RadialGrid) -> None:
+    """The tail norms' radius rule: r in [0, R - 2h]."""
+    if not (0.0 <= r <= grid.R - 2.0 * grid.h + 1e-12):
+        raise ValueError(f"tail radius must lie in [0, R - 2h], got {r}")
+
+
 def tail_norms(state: RadialState, r: float) -> TailRecord:
     """Tail quantities at radius r: (int_r^R |s f(s)|^q ds)^{1/q}.
 
@@ -312,28 +323,43 @@ def tail_norms(state: RadialState, r: float) -> TailRecord:
     all over the 1D measure ds.  Requires r <= R - 2h; each quantity is
     non-increasing in r by construction.
     """
-    grid = state.grid
-    if not (0.0 <= r <= grid.R - 2.0 * grid.h + 1e-12):
-        raise ValueError(f"tail radius must lie in [0, R - 2h], got {r}")
-    m = state.params.m
-    h = grid.h
-    j = _node_at_least(r, h, grid.n)
-    s_du = (grid.r * _radial_derivative(state.u, h))[j:]
-    s_v = (grid.r * state.v)[j:]
-    return TailRecord(
-        r=float(r),
-        lm_du=_lm_norm(s_du, m, h), lm_v=_lm_norm(s_v, m, h),
-        l2_du=_lm_norm(s_du, 2.0, h), l2_v=_lm_norm(s_v, 2.0, h),
-    )
+    return tail_table(state, [r])[0]
 
 
 def tail_table(state: RadialState, radii) -> list:
-    """Tail records at several radii (CSV-friendly)."""
-    return [tail_norms(state, r) for r in radii]
+    """:func:`tail_norms` at several radii (CSV-friendly).
+
+    s d_r u and s v are computed once and sliced per radius, so a record
+    does not depend on the other radii.
+    """
+    grid = state.grid
+    for r in radii:
+        _check_tail_radius(r, grid)
+    m = state.params.m
+    h = grid.h
+    s_du = grid.r * _radial_derivative(state.u, h)
+    s_v = grid.r * state.v
+    records = []
+    for r in radii:
+        j = _node_at_least(r, h, grid.n)
+        records.append(TailRecord(
+            r=float(r),
+            lm_du=_lm_norm(s_du[j:], m, h), lm_v=_lm_norm(s_v[j:], m, h),
+            l2_du=_lm_norm(s_du[j:], 2.0, h), l2_v=_lm_norm(s_v[j:], 2.0, h),
+        ))
+    return records
 
 
 def tails_to_csv(records) -> str:
     return _csv_text("r,lm_tail_du,lm_tail_v,l2_tail_du,l2_tail_v", map(astuple, records))
+
+
+def _check_interval(interval) -> tuple:
+    """sp_norm's interval rule: (t0, t1) as floats, t0 <= t1."""
+    t0, t1 = float(interval[0]), float(interval[1])
+    if t1 < t0:
+        raise ValueError("interval must be ordered")
+    return t0, t1
 
 
 def sp_norm(traj: Trajectory, interval) -> float:
@@ -344,9 +370,7 @@ def sp_norm(traj: Trajectory, interval) -> float:
     fewer than 8 snapshots inside a nondegenerate interval is an error
     (stride too coarse for a meaningful time quadrature).
     """
-    t0, t1 = (float(interval[0]), float(interval[1]))
-    if t1 < t0:
-        raise ValueError("interval must be ordered")
+    t0, t1 = _check_interval(interval)
     if t1 == t0:
         return 0.0
     tol = 1e-9 * max(traj.grid.h, 1.0)

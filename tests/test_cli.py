@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import MISSING
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from nlwlab.cli import (
     profile_ode_flat,
     run,
     _CHECKS,
+    _OPTIONS,
     _check,
 )
 
@@ -86,7 +88,7 @@ def test_parse_config_scenario_defaults(tmp_path):
     out = str(tmp_path)
     cfg = parse_config({"scenario": "linear-check"}, out_override=out)
     assert cfg.grid.h == 1.0 and cfg.grid.n == 2048
-    assert cfg.t_final == 2000.0
+    assert cfg.run.t_final == 2000.0
     assert cfg.params.p == 5.0 and cfg.params.mu == 1
     assert cfg.out_dir == out
 
@@ -95,7 +97,7 @@ def test_parse_config_scenario_defaults(tmp_path):
 
     cfg = parse_config({"scenario": "verify-W"}, out_override=out)
     assert cfg.params.p == 5.0 and cfg.params.mu == -1
-    assert cfg.cone_floor is None  # the profile is not compactly supported
+    assert cfg.run.cone_floor is None  # the profile is not compactly supported
     assert cfg.initial["kind"] == "W"
 
 
@@ -105,7 +107,8 @@ def test_parse_config_cone_floor_accepts_null():
     for run, expected in [({}, 1e-13), ({"cone_floor": None}, None),
                           ({"cone_floor": 1}, 1.0), ({"cone_floor": 2e-9}, 2e-9)]:
         cfg = parse_config({**base, "run": {"t_final": 1.0, **run}})
-        assert cfg.cone_floor == expected and type(cfg.cone_floor) is type(expected)
+        floor = cfg.run.cone_floor
+        assert floor == expected and type(floor) is type(expected)
     for bad in ["1e-13", True, [1e-13]]:
         with pytest.raises(ConfigError, match=r"^run\.cone_floor: expected a number or null"):
             parse_config({**base, "run": {"t_final": 1.0, "cone_floor": bad}})
@@ -115,6 +118,9 @@ def test_parse_config_out_override_wins(tmp_path):
     raw = {"scenario": "bootstrap", "output": {"dir": "/nonexistent/spot"}}
     cfg = parse_config(raw, out_override=str(tmp_path))
     assert cfg.out_dir == str(tmp_path)
+    # the output section is checked all the same
+    with pytest.raises(ConfigError, match=r"^output\.dir: expected a string, got int$"):
+        parse_config({**raw, "output": {"dir": 3}}, out_override=str(tmp_path))
 
 
 def test_check_ops():
@@ -297,8 +303,7 @@ def test_main_config_errors_exit_2(tmp_path, capsys):
 
 
 def test_main_runner_config_error_leaves_no_directory(tmp_path, capsys):
-    # initial data is validated once the run has started; the empty output
-    # directory the run created is removed again
+    # initial data is checked while parsing, so no output directory is made
     raw = {
         "scenario": "evolve",
         "grid": {"h": 0.125, "n": 64},
@@ -306,6 +311,8 @@ def test_main_runner_config_error_leaves_no_directory(tmp_path, capsys):
         "run": {"t_final": 0.25},
         "output": {"dir": str(tmp_path / "out" / "run")},
     }
+    with pytest.raises(ConfigError, match=r"^initial\.width: "):
+        parse_config(raw)
     cfg_path = _write_config(tmp_path, raw)
     assert main(["evolve", "--config", cfg_path]) == 2
     assert capsys.readouterr().err.startswith("config: initial.width: ")
@@ -392,7 +399,8 @@ def test_main_off_lattice_time_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("scenario, extra", [
     ("evolve", {"initial": {"kind": "bump"}}),
-    ("diagnose", {"initial": {"kind": "bump"}, "diagnose": {"Rc": 1.0}}),
+    # explicit times: the default midpoint of t_final = 3h is off the lattice
+    ("diagnose", {"initial": {"kind": "bump"}, "diagnose": {"Rc": 1.0, "times": [0.125]}}),
     ("verify-W", {"verify-W": {"decay_r_min": 1.0}}),  # R/4 = 2
     ("linear-check", {}),
     ("norms", {"initial": {"kind": "bump"}, "norms": {"sp_interval": [0.0, 0.25]}}),
@@ -405,7 +413,7 @@ def test_parse_config_rejects_off_lattice_t_final(scenario, extra):
         with pytest.raises(ConfigError, match=r"^run\.t_final: "):
             parse_config(raw)
     raw["run"] = {"t_final": 0.375}
-    assert parse_config(raw).t_final == 0.375
+    assert parse_config(raw).run.t_final == 0.375
 
 
 def test_parse_config_lattice_rule_skips_unevolved_and_file_data(tmp_path):
@@ -414,7 +422,7 @@ def test_parse_config_lattice_rule_skips_unevolved_and_file_data(tmp_path):
     raw = {"scenario": "norms", "grid": {"h": 0.125, "n": 64},
            "initial": {"kind": "bump"}, "run": {"t_final": 0.3},
            "output": {"dir": str(tmp_path / "norms")}}
-    assert parse_config(raw).t_final == 0.3
+    assert parse_config(raw).run.t_final == 0.3
 
     grid, params = RadialGrid(h=0.125, n=64), make_params(5.0, 1)
     state = build_initial({"kind": "bump"}, grid, params)
@@ -422,7 +430,7 @@ def test_parse_config_lattice_rule_skips_unevolved_and_file_data(tmp_path):
     raw = {"scenario": "evolve", "grid": {"h": 0.125, "n": 64},
            "initial": {"kind": "file", "path": str(tmp_path / "init.txt")},
            "run": {"t_final": 0.3}, "output": {"dir": str(tmp_path / "out")}}
-    assert parse_config(raw).t_final == 0.3
+    assert parse_config(raw).run.t_final == 0.3
     assert main(["evolve", "--config", _write_config(tmp_path, raw)]) == 2
 
 
@@ -530,6 +538,7 @@ def test_main_bootstrap_artifacts_and_precision(tmp_path, monkeypatch):
     raw3 = dict(raw, output={"dir": str(out3)})
     cfg3 = _write_config(tmp_path, raw3, "c3.json")
     assert main(["bootstrap", "--config", cfg3]) == 2
+    assert not out3.exists()
 
     # files are numbered by position: a repeated p gets a file of its own
     monkeypatch.delenv("NLWLAB_PRECISION")
@@ -583,6 +592,13 @@ def test_main_diagnose_time_validation(tmp_path, capsys):
     assert "diagnose.times" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
+    # the default time, the middle of the run, is checked while parsing too
+    raw["run"]["t_final"] = 31.0 / 32.0
+    del raw["diagnose"]["times"]
+    assert main(["diagnose", "--config", _write_config(tmp_path, raw)]) == 2
+    assert capsys.readouterr().err.startswith("config: diagnose.times: 0.484375 ")
+    assert not (tmp_path / "out").exists()
+
 
 def test_main_diagnose_refinement_lattice_exits_2_before_output(tmp_path, capsys):
     # the coarse rerun steps 2h, and t_final = 31 h is not a multiple of it;
@@ -607,6 +623,14 @@ def test_main_diagnose_refinement_lattice_exits_2_before_output(tmp_path, capsys
     raw["grid"]["n"] = 161
     assert main(["diagnose", "--config", _write_config(tmp_path, raw)]) == 2
     assert capsys.readouterr().err.startswith("config: grid.n: ")
+    assert not (tmp_path / "out").exists()
+
+    # identity_order looks each time up on the 2h rerun as well: 17h is on
+    # the fine lattice only
+    raw["grid"]["n"] = 160
+    raw["diagnose"]["times"] = [17.0 / 32.0]
+    assert main(["diagnose", "--config", _write_config(tmp_path, raw)]) == 2
+    assert capsys.readouterr().err.startswith("config: diagnose.times: 0.53125 ")
     assert not (tmp_path / "out").exists()
 
 
@@ -773,11 +797,19 @@ def test_parse_config_resolves_thresholds_and_defaults():
      "checks.tail_monotone: needs at least two tail radii"),
     ("evolve", {"checks": {"blowup_detection": 5.0}},
      "checks.blowup_detection: requires ode_flat initial data"),
+    # blowup at T = 0.054 < 10h: checked before the blowup run, not after it
+    ("evolve", {"equation": {"p": 5.0, "mu": -1},
+                "initial": {"kind": "ode_flat", "amplitude": 4.0},
+                "checks": {"blowup_detection": 5.0, "ode_match": 0.01}},
+     "checks.ode_match: no lattice times before T - 10h"),
 ])
 def test_check_preconditions_exit_2_before_output(tmp_path, capsys, scenario, edit,
                                                   message):
     out = tmp_path / "out"
     raw = {**_quick(scenario, out, {}), **edit}
+    with pytest.raises(ConfigError) as exc:
+        parse_config(raw)
+    assert str(exc.value) == message
     assert main([scenario, "--config", _write_config(tmp_path, raw)]) == 2
     assert capsys.readouterr().err == f"config: {message}\n"
     assert not out.exists()
@@ -800,8 +832,8 @@ def test_unreadable_initial_file_exits_2_without_leftovers(tmp_path, capsys):
 
 def test_library_value_error_removes_the_empty_directory(tmp_path, capsys):
     # file data starts at its stored time, so the solver's lattice rule is
-    # checked by the library once the run has started, before anything is
-    # written
+    # checked from that time once the file is read, before the first evolve,
+    # and reported under initial.path
     grid, params = RadialGrid(h=0.125, n=64), make_params(5.0, 1)
     save_state(build_initial({"kind": "bump"}, grid, params), tmp_path / "init.txt")
     out = tmp_path / "out"
@@ -810,7 +842,8 @@ def test_library_value_error_removes_the_empty_directory(tmp_path, capsys):
            "run": {"t_final": 0.3}, "output": {"dir": str(out)}}
     assert main(["evolve", "--config", _write_config(tmp_path, raw)]) == 2
     assert capsys.readouterr().err == (
-        "config: t_final must be the initial time plus a whole number of steps\n")
+        "config: initial.path: stored time t = 0.0 puts run.t_final = 0.3 off the "
+        "lattice of h\n")
     assert not out.exists()
 
 
@@ -829,12 +862,23 @@ def test_library_value_error_removes_the_empty_directory(tmp_path, capsys):
     ("bootstrap", "dense_sample", "x", "expected an integer, got str"),
     ("verify-W", "decay_r_min", "x", "expected a number, got str"),
     ("linear-check", "reversal_steps", "x", "expected an integer, got str"),
+    # the norms values meet the library's own rules while parsing (R = 20)
+    ("norms", "betas", [0.0, 2.0], "beta must lie in [0, 3/2), got 2.0"),
+    ("norms", "tail_radii", [2.0, 25.0], "tail radius must lie in [0, R - 2h], got 25.0"),
+    ("norms", "g1_radii", [10.0], "window [r, 4r] exceeds the grid for max radius 10.0"),
+    ("norms", "sp_interval", [0.1, 0.0], "interval must be ordered"),
+    ("norms", "sp_interval", [0.0], "expected [t0, t1]"),
+    ("bootstrap", "p_values", [], "needs at least one value"),
+    ("bootstrap", "beta0_values", [], "needs at least one value"),
 ])
 def test_section_fields_report_their_path(tmp_path, capsys, scenario, field, value,
                                           message):
     out = tmp_path / "out"
     raw = _quick(scenario, out, {})
     raw.setdefault(scenario, {})[field] = value
+    with pytest.raises(ConfigError) as exc:
+        parse_config(raw)
+    assert str(exc.value) == f"{scenario}.{field}: {message}"
     assert main([scenario, "--config", _write_config(tmp_path, raw)]) == 2
     assert capsys.readouterr().err == f"config: {scenario}.{field}: {message}\n"
     assert not out.exists()
@@ -862,7 +906,7 @@ def test_diagnose_cutoff_checked_before_the_run(tmp_path, capsys, monkeypatch, e
     assert capsys.readouterr().err.startswith(f"config: diagnose.{field}: ")
     assert not out.exists()
     raw["diagnose"] = {"Rc": 4.0, "cutoffs": [0.5, 4.0]}  # 2 Rc = R is allowed
-    assert parse_config(raw).section["cutoffs"] == [0.5, 4.0]
+    assert parse_config(raw).options["cutoffs"] == [0.5, 4.0]
 
 
 @pytest.mark.parametrize("r_min, message", [
@@ -887,7 +931,7 @@ def test_verify_w_fit_window_checked_before_the_run(tmp_path, capsys, monkeypatc
     assert capsys.readouterr().err == f"config: verify-W.decay_r_min: {message}\n"
     assert not out.exists()
     raw["verify-W"] = {"decay_r_min": 4.95}  # two nodes: 4.95 and R/4
-    assert parse_config(raw).section["decay_r_min"] == 4.95
+    assert parse_config(raw).options["decay_r_min"] == 4.95
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -902,6 +946,11 @@ def test_bootstrap_rejected_values_leave_no_output(tmp_path, capsys, edit, messa
     out = tmp_path / "out"
     raw = {"scenario": "bootstrap", "bootstrap": {"p_values": [5.0], **edit},
            "checks": {"contraction_subunit": 1.0}, "output": {"dir": str(out)}}
+    if "dense_sample" in edit:  # the one rule here that the config alone decides
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            parse_config(raw)
+    else:  # the exponent rules are the bootstrap library's, met as the run starts
+        parse_config(raw)
     assert main(["bootstrap", "--config", _write_config(tmp_path, raw)]) == 2
     assert capsys.readouterr().err.startswith(f"config: {message}")
     assert not out.exists()
@@ -942,13 +991,100 @@ def test_reversal_steps_below_one_exit_2_before_output(tmp_path, capsys, steps):
     ({"kind": "bump", "radius": "x"}, "initial.radius: expected a number, got str"),
     ({"kind": "bump", "amplitude": True}, "initial.amplitude: expected a number, got bool"),
     ({"kind": "file", "path": 3}, "initial.path: expected a string, got int"),
+    ({"kind": "gaussian", "amplitude": math.inf}, "initial.amplitude: must be finite"),
+    ({"kind": "bump", "radius": math.nan}, "initial.radius: must be finite"),
 ])
 def test_initial_fields_report_their_path(tmp_path, capsys, initial, message):
     out = tmp_path / "out"
     raw = {**_quick("evolve", out, {}), "initial": initial}
+    with pytest.raises(ConfigError) as exc:
+        parse_config(raw)
+    assert str(exc.value) == message
     assert main(["evolve", "--config", _write_config(tmp_path, raw)]) == 2
     assert capsys.readouterr().err == f"config: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario, section, extra, path", [
+    ("evolve", None, {"bogus": 1}, "bogus"),
+    ("evolve", None, {"norms": {}}, "norms"),  # another scenario's options section
+    ("evolve", "equation", {"q": 2.0}, "equation.q"),
+    ("evolve", "grid", {"R": 2.5}, "grid.R"),
+    ("evolve", "initial", {"kind": "W", "amplitude": 1.0}, "initial.amplitude"),
+    ("evolve", "initial", {"kind": "gaussian", "widht": 3.0}, "initial.widht"),
+    ("evolve", "initial", {"kind": "bump", "width": 1.0}, "initial.width"),
+    ("evolve", "initial", {"kind": "ode_flat", "amplitude": 1.0, "radius": 1.0},
+     "initial.radius"),
+    ("evolve", "initial", {"kind": "file", "path": "init.txt", "t": 0.0}, "initial.t"),
+    ("evolve", "run", {"snapshot_strid": 3}, "run.snapshot_strid"),
+    ("evolve", "output", {"format": "csv"}, "output.format"),
+    ("norms", "norms", {"tail_radiuss": [2.0, 4.0]}, "norms.tail_radiuss"),
+])
+def test_unknown_fields_exit_2_before_output(tmp_path, capsys, monkeypatch, scenario,
+                                             section, extra, path):
+    # every level names its fields, so a misspelt one is rejected rather than
+    # left to its default
+    from nlwlab.cli import solver
+
+    def spy(*args, **kwargs):
+        raise AssertionError("evolve called")
+
+    monkeypatch.setattr(solver, "evolve", spy)
+    out = tmp_path / "out"
+    raw = _quick(scenario, out, {})
+    if section is None:
+        raw.update(extra)
+    else:
+        raw[section] = {**raw.get(section, {}), **extra}
+    with pytest.raises(ConfigError) as exc:
+        parse_config(raw)
+    assert str(exc.value) == f"{path}: unknown field"
+    assert main([scenario, "--config", _write_config(tmp_path, raw)]) == 2
+    assert capsys.readouterr().err == f"config: {path}: unknown field\n"
+    assert not out.exists()
+
+
+def test_internal_value_error_is_not_a_config_error(tmp_path):
+    # only a ConfigError is reported as "config:" with exit 2; a ValueError
+    # from inside the library is a fault of the program and keeps its traceback
+    raw = _quick("norms", tmp_path / "out", {})
+    code = (
+        "import sys\n"
+        "from nlwlab import cli, norms\n"
+        "def broken(*args, **kwargs):\n"
+        "    raise ValueError('internal')\n"
+        "norms.tail_table = broken\n"
+        f"sys.exit(cli.main(['norms', '--config', {_write_config(tmp_path, raw)!r}]))\n")
+    proc = _python(code, tmp_path)
+    assert proc.returncode not in (0, 2)
+    assert "config:" not in proc.stderr
+    assert proc.stderr.rstrip().endswith("ValueError: internal")
+    assert "Traceback" in proc.stderr
+
+
+def test_sp_interval_coverage_is_reported_under_its_path(tmp_path, capsys):
+    # whether the stored layers cover the interval is known only after the
+    # evolve; the library's error is reported under norms.sp_interval
+    out = tmp_path / "out"
+    raw = _quick("norms", out, {})
+    raw["run"] = {"t_final": 0.1}
+    raw["norms"]["sp_interval"] = [0.0, 0.1]
+    assert main(["norms", "--config", _write_config(tmp_path, raw)]) == 2
+    assert capsys.readouterr().err == (
+        "config: norms.sp_interval: only 3 snapshots inside [0.0, 0.1]; "
+        "snapshot stride too coarse\n")
+    assert not out.exists()
+
+
+def test_linear_check_runs_on_a_grid_shorter_than_its_traveling_wave(tmp_path):
+    # the reversibility and traveling-wave runs take a 512-node grid of their
+    # own; on the config's 64 nodes the wave's segment left the grid
+    raw = _quick("linear-check", tmp_path / "out", {})
+    raw["grid"]["n"] = 64
+    raw["run"] = {"t_final": 48.0, "cone_floor": None}
+    assert run(parse_config(raw)) in (0, 1)
+    rows = {c["name"]: c for c in _manifest_checks(tmp_path / "out")}
+    assert rows["reversibility"]["pass"] and rows["traveling_wave"]["pass"]
 
 
 def test_threads_option_is_gone(tmp_path, capsys):
@@ -972,3 +1108,25 @@ def test_readme_check_table_matches_the_code():
             op, None if default == "none" else float(default))
     assert table == _CHECKS
     assert [list(t) for t in table.values()] == [list(t) for t in _CHECKS.values()]
+
+
+def test_readme_options_match_the_code():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    header = "| section        | field            | kind    | default                     |"
+    rows = readme.split(header + "\n", 1)[1].split("\n\n", 1)[0].splitlines()[1:]
+    kinds = {"number": float, "integer": int, "numbers": list[float]}
+    table = {scenario: {} for scenario, fields in _OPTIONS.items() if not fields}
+    for row in rows:
+        section, field, kind, default = (c.strip().strip("`")
+                                         for c in row.strip("|").split("|"))
+        if default == "required":
+            default = MISSING
+        else:
+            try:
+                default = json.loads(default)
+            except json.JSONDecodeError:  # a rule, which parse_config fills in
+                pass
+        table.setdefault(section, {})[field] = (kinds[kind], default)
+    assert table == _OPTIONS
+    assert [list(t) for t in table.values() if t] == [list(t) for t in _OPTIONS.values()
+                                                       if t]

@@ -297,11 +297,11 @@ def _assert_writes_like_seed(state):
 @pytest.mark.parametrize("name", ["evolve_bump.json", "verify_w.json"])
 def test_state_to_text_matches_seed_on_exemplar_runs(name):
     from nlwlab import solver
-    from nlwlab.cli import _solver_config, build_initial, parse_config
+    from nlwlab.cli import build_initial, parse_config
 
     raw = json.loads((Path(__file__).resolve().parents[1] / "configs" / name).read_text())
     cfg = parse_config(raw)
-    traj = solver.evolve(_solver_config(cfg), build_initial(cfg.initial, cfg.grid, cfg.params))
+    traj = solver.evolve(cfg.run, build_initial(cfg.initial, cfg.grid, cfg.params))
     assert len(traj.states) > 2
     for state in traj.states:
         _assert_writes_like_seed(state)

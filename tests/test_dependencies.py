@@ -88,3 +88,10 @@ def test_one_lattice_rule():
     # core._lattice_steps alone; rounding x / h anywhere else is a second copy
     assert _calls(lambda f: isinstance(f, ast.Name) and f.id == "round") == Counter({
         ("core", "_lattice_steps"): 1})
+
+
+def test_runners_read_no_config_field():
+    # parse_config reads every field; a runner takes the typed values
+    readers = _calls(lambda f: isinstance(f, ast.Name) and f.id == "_field")
+    assert readers and all(module == "cli" for module, _ in readers)
+    assert [name for _, name in readers if name.startswith("_run")] == []

@@ -312,6 +312,27 @@ def test_tail_norms_ground_state(w_state):
         assert abs(rec.l2_du - exact) <= 1e-3 * exact
 
 
+def test_tail_table_matches_one_derivative_per_radius():
+    # reference: each radius takes its own derivative and slices, as
+    # tail_norms did before tail_table computed s d_r u and s v once
+    from nlwlab.diagnostics import _radial_derivative
+
+    grid = RadialGrid(h=0.05, n=400)
+    r = grid.r
+    state = RadialState(grid=grid, params=make_params(7.0, 1), t=0.0,
+                        u=np.exp(-r * r), v=r * np.exp(-r * r))
+    radii = [0.0, 0.07, 2.0, 5.5, grid.R - 2.0 * grid.h]
+    m, h = state.params.m, grid.h
+    for rec, rad in zip(tail_table(state, radii), radii):
+        j = int(np.ceil(rad / h - 1e-9))
+        s_du = (r * _radial_derivative(state.u, h))[j:]
+        s_v = (r * state.v)[j:]
+        ref = [float(np.trapezoid(np.abs(f) ** q, dx=h) ** (1.0 / q))
+               for f, q in ((s_du, m), (s_v, m), (s_du, 2.0), (s_v, 2.0))]
+        assert [rec.lm_du, rec.lm_v, rec.l2_du, rec.l2_v] == ref
+        assert tail_norms(state, rad) == rec
+
+
 def test_tail_norms_validation(w_state):
     R, h = w_state.grid.R, w_state.grid.h
     with pytest.raises(ValueError):
@@ -542,7 +563,7 @@ def test_norm_report_takes_hsp_and_tails_handed_over(w_state):
 
 def test_norms_run_transforms_u_once_and_takes_the_tails_once(tmp_path, monkeypatch):
     from nlwlab.cli import build_initial, main, parse_config
-    calls = {"sine_transform": 0, "tail_norms": 0}
+    calls = {"sine_transform": 0, "tail_table": 0}
     for name in calls:
         def counting(*args, _f=getattr(norms, name), _name=name, **kwargs):
             calls[_name] += 1
@@ -562,8 +583,9 @@ def test_norms_run_transforms_u_once_and_takes_the_tails_once(tmp_path, monkeypa
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
     assert main(["norms", "--config", str(path)]) == 0
-    # u once for the routes and hsp, v once for hsp_minus1
-    assert calls == {"sine_transform": 2, "tail_norms": 3}
+    # u once for the routes and hsp, v once for hsp_minus1; one tail table
+    # for the three radii, which the report reuses
+    assert calls == {"sine_transform": 2, "tail_table": 1}
     cfg = parse_config(raw, scenario="norms")
     state = build_initial(cfg.initial, cfg.grid, cfg.params)
     with warnings.catch_warnings():
