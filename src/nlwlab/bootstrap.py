@@ -8,33 +8,27 @@ alpha^a |u| through a convexity step
 
 and an exponent iteration beta_{n+1} = gamma_n beta_n p with
 gamma_n = (1-a) / (1-a + beta_n (p-1)), which climbs monotonically to the
-critical decay rate 1 - a.  This module evaluates those pieces exactly
-(optionally in extended precision, selected by NLWLAB_PRECISION), and checks
-them empirically on simulated trajectories through the decay moduli.
+critical decay rate 1 - a.  This module evaluates kappa and the iteration
+exactly (optionally in extended precision, selected by NLWLAB_PRECISION),
+and fits the pointwise decay of simulated profiles.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from nlwlab.core import RadialGrid, Trajectory, _csv_text
-from nlwlab.norms import g_moduli
 
 __all__ = [
-    "ConvexityReport",
     "ExponentSequence",
-    "GRecursionReport",
     "contraction_constant",
     "contraction_table",
-    "convexity_step_check",
     "decay_fit",
     "exponent_iteration",
-    "g_recursion_verify",
     "profile_decay_fit",
     "working_dtype",
 ]
@@ -157,138 +151,6 @@ def exponent_iteration(p: float, beta0: float, n_max: int = 100000,
         gamma=tuple(float(x) for x in gammas),
         converged=bool(converged),
         limit_gap=float(abs(betas[-1] - limit)),
-    )
-
-
-@dataclass(frozen=True)
-class ConvexityReport:
-    """Empirical convexity-step audit over dyadic g1 samples.
-
-    c_p is the smallest constant making
-    g1(r) <= kappa g1(r/2) + c_p g1(r/2)^p hold for every sampled pair;
-    a pair is "applicable" once c_p g1(r/2)^{p-1} <= theta, and there the
-    linearized contraction g1(r) <= (1 - theta) g1(r/2) is checked.
-    activation_radius is the smallest sampled r with an applicable pair
-    (None if the nonlinear term dominates everywhere).
-    """
-
-    kappa: float
-    theta: float
-    c_p: float
-    pairs: tuple
-    activation_radius: float | None
-    linearized_ok: bool
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2) + "\n"
-
-
-def convexity_step_check(radii, g1_values, p: float) -> ConvexityReport:
-    """Audit the convexity step on g1 sampled at halving radii.
-
-    radii must decrease by exact factors of 2 (r, r/2, r/4, ...) and
-    g1_values must be non-decreasing along them (g1 is non-increasing in r;
-    non-monotone input is rejected as ill-formed).
-    """
-    radii = [float(x) for x in radii]
-    vals = [float(x) for x in g1_values]
-    if len(radii) != len(vals) or len(radii) < 2:
-        raise ValueError("need matching radii/values with at least two samples")
-    for r0, r1 in zip(radii, radii[1:]):
-        if abs(r1 - 0.5 * r0) > 1e-9 * r0:
-            raise ValueError("radii must halve at each step")
-    if any(v < 0 for v in vals):
-        raise ValueError("g1 samples must be nonnegative")
-    if any(v1 < v0 for v0, v1 in zip(vals, vals[1:])):
-        raise ValueError("g1 samples must be non-decreasing as the radius halves")
-    kappa, theta = contraction_constant(p)
-    required = []
-    for (g_big, g_half) in zip(vals, vals[1:]):
-        if g_half == 0.0:
-            required.append(0.0)
-        else:
-            required.append(max(0.0, (g_big - kappa * g_half) / g_half ** p))
-    c_p = max(required)
-    pairs = []
-    activation = None
-    linear_ok = True
-    for k, (g_big, g_half) in enumerate(zip(vals, vals[1:])):
-        applicable = c_p * g_half ** (p - 1.0) <= theta
-        holds = g_big <= (1.0 - theta) * g_half * (1.0 + 1e-12)
-        if applicable:
-            if not holds:
-                linear_ok = False
-            if activation is None or radii[k] < activation:
-                activation = radii[k]
-        pairs.append({
-            "r": radii[k],
-            "g1_r": g_big,
-            "g1_half": g_half,
-            "c_required": required[k],
-            "linearized_applicable": applicable,
-            "linearized_holds": holds,
-        })
-    return ConvexityReport(kappa=kappa, theta=theta, c_p=c_p, pairs=tuple(pairs),
-                           activation_radius=activation, linearized_ok=linear_ok)
-
-
-@dataclass(frozen=True)
-class GRecursionReport:
-    """Ratios g2 / g1^p and g3 / g1^p over dyadic windows of a trajectory."""
-
-    radii: tuple
-    g1: tuple
-    g2: tuple
-    g3: tuple
-    ratio2: tuple
-    ratio3: tuple
-    spread: float | None
-    vacuous: bool
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2) + "\n"
-
-
-def g_recursion_verify(traj: Trajectory, radii=None) -> GRecursionReport:
-    """Check that g2, g3 behave like multiples of g1^p across dyadic windows.
-
-    Samples g1, g2, g3 at halving radii (default: R/4, R/8, ... while the
-    window stays a few grid cells wide; at least 4 windows required) and
-    reports the ratios and their spread max/min.  A trajectory that is
-    identically below the support floor is reported as vacuous.
-    """
-    grid = traj.grid
-    if radii is None:
-        radii = []
-        r = grid.R / 4.0
-        while r >= 8.0 * grid.h:
-            radii.append(r)
-            r *= 0.5
-    radii = [float(x) for x in radii]
-    if len(radii) < 4:
-        raise ValueError(
-            f"need at least 4 dyadic windows, the grid supports {len(radii)}")
-    g1, g2, g3 = g_moduli(traj, radii)
-    p = traj.params.p
-    if max(g1.max(), g2.max(), g3.max()) == 0.0:
-        return GRecursionReport(radii=tuple(radii), g1=tuple(g1), g2=tuple(g2),
-                                g3=tuple(g3), ratio2=(), ratio3=(),
-                                spread=None, vacuous=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio2 = np.where(g1 > 0, g2 / g1 ** p, np.inf)
-        ratio3 = np.where(g1 > 0, g3 / g1 ** p, np.inf)
-    both = np.concatenate([ratio2, ratio3])
-    positive = both[both > 0]
-    spread = float(positive.max() / positive.min()) if positive.size else None
-    return GRecursionReport(
-        radii=tuple(radii),
-        g1=tuple(float(x) for x in g1),
-        g2=tuple(float(x) for x in g2),
-        g3=tuple(float(x) for x in g3),
-        ratio2=tuple(float(x) for x in ratio2),
-        ratio3=tuple(float(x) for x in ratio3),
-        spread=spread,
-        vacuous=False,
     )
 
 

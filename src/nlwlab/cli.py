@@ -260,7 +260,7 @@ def parse_config(raw: dict, scenario: str | None = None,
     if "tail_monotone" in checks and len(o["tail_radii"]) < 2:
         raise ConfigError("checks.tail_monotone: needs at least two tail radii")
     if name in ("evolve", "norms", "diagnose"):  # the scenarios that build initial data
-        _initial_equation_rule(kind, params)
+        _initial_equation_rule(initial, params)
     if _evolves(cfg) and kind != "file":
         try:
             solver.step_count(0.0, t_final, h)
@@ -393,12 +393,23 @@ def _initial_fields(desc: dict) -> dict:
     return values
 
 
-def _initial_equation_rule(kind: str, params: EquationParams) -> None:
-    """W is the static solution of p = 5, mu = -1; ode_flat data blow up for mu = -1."""
+def _initial_equation_rule(initial: dict, params: EquationParams) -> None:
+    """W is the static solution of p = 5, mu = -1; ode_flat data blow up for
+    mu = -1, at a time T whose velocity v = (a / T) u must be finite."""
+    kind = initial["kind"]
     if kind == "W" and (params.p != 5.0 or params.mu != -1):
         raise ConfigError("initial.kind: W requires p = 5, mu = -1")
     if kind == "ode_flat" and params.mu != -1:
         raise ConfigError("initial.kind: ode_flat requires the focusing sign mu = -1")
+    if kind == "ode_flat":
+        amp = initial["amplitude"]
+        try:
+            T = ode_flat_blowup_time(params, amp)
+        except OverflowError:  # a tiny amplitude puts T past the float range
+            T = math.inf
+        if not (0.0 < T < math.inf and math.isfinite(params.a / T * amp)):
+            raise ConfigError(f"initial.amplitude: {amp!r} puts the blowup time at "
+                              f"T = {T!r}; T and v = (a / T) u must be positive and finite")
 
 
 def build_initial(desc: dict, grid: RadialGrid, params: EquationParams) -> RadialState:
@@ -406,7 +417,7 @@ def build_initial(desc: dict, grid: RadialGrid, params: EquationParams) -> Radia
     :func:`parse_config` checks ``initial``; file errors are ``initial.path``."""
     desc = _initial_fields(desc)
     kind = desc["kind"]
-    _initial_equation_rule(kind, params)
+    _initial_equation_rule(desc, params)
     r = grid.r
     if kind == "W":
         return reference_W(grid)
@@ -585,6 +596,14 @@ def _per_step_virial_residual(traj) -> float:
     return worst
 
 
+def _refinement_order(pairs) -> float:
+    """The smallest order log2(coarse / fine) over the (fine, coarse) residual
+    pairs; a pair not positive on both grids measures no order.  -inf when no
+    pair does, so that the check fails."""
+    return min((float(np.log2(c / f)) for f, c in pairs if f > 0.0 and c > 0.0),
+               default=-math.inf)
+
+
 def _run_diagnose(cfg: ExperimentConfig, out: Path):
     metrics, notes = {}, []
     Rc, times = cfg.options["Rc"], cfg.options["times"]
@@ -603,18 +622,20 @@ def _run_diagnose(cfg: ExperimentConfig, out: Path):
         cgrid = RadialGrid(h=2.0 * cfg.grid.h, n=cfg.grid.n // 2)
         cinitial = build_initial(cfg.initial, cgrid, cfg.params)
         coarse = solver.evolve(replace(cfg.run, grid=cgrid, snapshot_stride=1), cinitial)
+    pairs = {}
     if "virial_consistency_order" in cfg.checks:
-        m_fine = _per_step_virial_residual(fine)
-        m_coarse = _per_step_virial_residual(coarse)
-        metrics["virial_consistency_order"] = float(np.log2(m_coarse / m_fine))
+        pairs["virial_consistency_order"] = [
+            (_per_step_virial_residual(fine), _per_step_virial_residual(coarse))]
     if "identity_order" in cfg.checks:
-        worst = float("inf")
-        for t in times:
-            rf = diagnostics.localized_identity_residuals(fine, Rc, t)
-            rc = diagnostics.localized_identity_residuals(coarse, Rc, t)
-            for a, b in zip(rf, rc):
-                worst = min(worst, float(np.log2(b / a)))
-        metrics["identity_order"] = worst
+        pairs["identity_order"] = [
+            pair for t in times for pair in zip(
+                diagnostics.localized_identity_residuals(fine, Rc, t),
+                diagnostics.localized_identity_residuals(coarse, Rc, t))]
+    for name, checked in pairs.items():
+        metrics[name] = _refinement_order(checked)
+        if metrics[name] == -math.inf:
+            notes.append(f"{name}: no residual is positive on both grids; "
+                         "no order measured")
     metrics["z_monotone"] = float(np.max(np.diff(fine.log.virial)))
     metrics["energy_drift"] = _energy_drift(fine.log)
     return metrics, notes, {}

@@ -1,5 +1,5 @@
-"""Scale-critical Sobolev norms, radial embeddings, decay moduli, tail norms,
-and the space-time norm.
+"""Scale-critical Sobolev norms, the decay modulus g1, tail norms, and the
+space-time norm.
 
 Fractional norms are computed in the radial frequency domain.  The 3D radial
 Fourier transform is
@@ -34,16 +34,12 @@ import numpy as np
 
 from nlwlab.core import RadialGrid, RadialState, Trajectory, _csv_text, _nonneg_power
 from nlwlab.diagnostics import _radial_derivative, _radial_integral
-from nlwlab.solver import characteristics
 
 __all__ = [
     "DECAY_WARN_FLOOR",
     "NormReport",
     "TailRecord",
-    "embedding_check",
-    "g_moduli",
     "norm_report",
-    "radial_fourier",
     "sine_transform",
     "sobolev_norm",
     "sobolev_norm_1d",
@@ -92,21 +88,6 @@ def sine_transform(phi, grid: RadialGrid) -> np.ndarray:
     T = np.zeros(grid.n + 1)
     T[1:-1] = -0.5 * grid.h * np.fft.rfft(x).imag[1:-1]
     return T
-
-
-def radial_fourier(phi, grid: RadialGrid):
-    """Radial Fourier transform samples: (rho_k, phi_hat(rho_k)), k = 0..n.
-
-    phi_hat = (4 pi / rho) T(rho) with the rho = 0 limit 4 pi int s^2 phi ds.
-    Warns when phi has not decayed below 1e-12 at the outer boundary.
-    """
-    phi = _decayed_profile(phi)
-    T = sine_transform(phi, grid)
-    rho = np.arange(grid.n + 1) * (np.pi / grid.R)
-    phi_hat = np.empty_like(T)
-    phi_hat[1:] = 4.0 * np.pi * T[1:] / rho[1:]
-    phi_hat[0] = _radial_integral(phi, grid.r, grid.h)
-    return rho, phi_hat
 
 
 def _check_beta(beta: float) -> float:
@@ -187,49 +168,8 @@ def _lm_norm(f: np.ndarray, m: float, h: float) -> float:
     return float(np.trapezoid(np.abs(f) ** m, dx=h) ** (1.0 / m))
 
 
-def embedding_check(phi, grid: RadialGrid, beta: float, m: float):
-    """Both sides of the radial embedding inequalities at (beta, m).
-
-    For beta in [0, 1/2) with beta = 1/2 - 1/m, returns the single pair
-
-        ( || r^{1-2/m} phi ||_{L^m},  ||phi||_{Hdot^beta} );
-
-    for beta in [1, 3/2) with beta = 3/2 - 1/m, returns the two pairs
-
-        ( || r^{1-2/m} d_r phi ||_{L^m},  ||phi||_{Hdot^beta} ),
-        ( || r^{1/m} phi ||_{L^inf},      ||phi||_{Hdot^beta} ).
-
-    The weighted L^m norms are over the measure r^2 dr (equivalently the 1D
-    L^m norm of s phi), matching the 1D reduction behind the inequalities.
-    Each entry is (label, lhs, rhs); the inequalities assert lhs <= C rhs
-    with an unspecified constant, so callers report empirical ratios.  At
-    p = 5 the second family sits at the closed endpoint beta = 1; values
-    there are reported like any other (endpoint sensitivity is the caller's
-    to judge).  Raises for a beta/m pair satisfying neither relation.
-    """
-    beta = float(beta)
-    m = float(m)
-    phi = np.asarray(phi, dtype=float)
-    r, h = grid.r, grid.h
-    rhs = sobolev_norm(phi, grid, beta)
-    if abs(beta - (0.5 - 1.0 / m)) <= 1e-9 and 0.0 <= beta < 0.5:
-        return [("weighted_Lm_of_phi", _lm_norm(r * phi, m, h), rhs)]
-    if abs(beta - (1.5 - 1.0 / m)) <= 1e-9 and 1.0 <= beta < 1.5:
-        lhs2 = _lm_norm(r * _radial_derivative(phi, h), m, h)
-        lhs3 = float(np.max(r ** (1.0 / m) * np.abs(phi)))
-        return [("weighted_Lm_of_drphi", lhs2, rhs), ("weighted_Linf_of_phi", lhs3, rhs)]
-    raise ValueError(
-        f"(beta, m) = ({beta}, {m}) matches neither beta = 1/2 - 1/m in [0, 1/2) "
-        "nor beta = 3/2 - 1/m in [1, 3/2)")
-
-
 def _node_at_least(x: float, h: float, n: int) -> int:
     j = int(np.ceil(x / h - 1e-9))
-    return max(0, min(j, n))
-
-
-def _node_at_most(x: float, h: float, n: int) -> int:
-    j = int(np.floor(x / h + 1e-9))
     return max(0, min(j, n))
 
 
@@ -242,24 +182,9 @@ def _g1_suffix(state: RadialState) -> np.ndarray:
     return np.maximum.accumulate(ra_u[::-1])[::-1]
 
 
-def _g_windows(state: RadialState, radii) -> np.ndarray:
-    """(2, len(radii)) array of the window norms g2, g3 for one state."""
-    grid = state.grid
-    h, n = grid.h, grid.n
-    m = state.params.m
-    fields = characteristics(state)
-    out = np.empty((2, len(radii)))
-    for i, rad in enumerate(radii):
-        j_lo = _node_at_least(rad, h, n)
-        j_hi = _node_at_most(4.0 * rad, h, n)
-        for k, z in enumerate((fields.z1, fields.z2)):
-            out[k, i] = _lm_norm(z[j_lo: j_hi + 1], m, h)
-    return out
-
-
 def _check_radii(radii, R: float) -> list:
-    """g_moduli's radius rules on a grid of outer radius R: at least one
-    radius, each nonnegative, 4 max(radii) <= R.  Returns them as floats."""
+    """g1's radius rules on a grid of outer radius R: at least one radius,
+    each nonnegative, 4 max(radii) <= R.  Returns them as floats."""
     radii = [float(x) for x in radii]
     if not radii:
         raise ValueError("need at least one radius")
@@ -270,33 +195,18 @@ def _check_radii(radii, R: float) -> list:
     return radii
 
 
-def _moduli_states(obj, radii):
-    """(radii checked by :func:`_check_radii`, the states of obj)."""
-    states = obj.states if isinstance(obj, Trajectory) else (obj,)
-    return _check_radii(radii, states[0].grid.R), states
-
-
 def _g1(obj, radii) -> np.ndarray:
-    """g1 at the radii, maxed over the states of obj: :func:`g_moduli`'s first
-    modulus, with its checks and errors, without the window norms g2, g3."""
-    radii, states = _moduli_states(obj, radii)
+    """Decay modulus g1(r) = sup over nodes alpha >= r of alpha^a |u(alpha)|
+    at the radii, checked by :func:`_check_radii`.
+
+    obj is a state or a trajectory; for a trajectory, g1 is the max over the
+    stored times (a finite sample of the sup over all t).
+    """
+    states = obj.states if isinstance(obj, Trajectory) else (obj,)
     grid = states[0].grid
+    radii = _check_radii(radii, grid.R)
     nodes = [_node_at_least(rad, grid.h, grid.n) for rad in radii]
     return np.stack([_g1_suffix(s)[nodes] for s in states]).max(axis=0)
-
-
-def g_moduli(obj, radii):
-    """Decay moduli g1, g2, g3 sampled at the given radii.
-
-    g1(r) = sup over nodes alpha >= r of alpha^a |u(alpha)|;
-    g2(r), g3(r) = L^m norms of z1, z2 over the window [r, 4r] (1D measure).
-    For a trajectory, each modulus is the max over stored times (a finite
-    sample of the underlying sup over all t; no extrapolation is applied).
-    Requires 4 * max(radii) <= R.  Returns three arrays aligned with radii.
-    """
-    radii, states = _moduli_states(obj, radii)
-    g2, g3 = np.stack([_g_windows(s, radii) for s in states]).max(axis=0)
-    return _g1(obj, radii), g2, g3
 
 
 @dataclass(frozen=True)
@@ -394,7 +304,7 @@ class NormReport:
     hsp / hsp_minus1: critical norms of u and v at beta = s_p, s_p - 1;
     energy_norms: (||grad u||_{L^2}, ||v||_{L^2}, ||u||_{L^{p+1}});
     tail: radius -> (lm_du, lm_v, l2_du, l2_v); g1: radius -> value;
-    sp: space-time norm over the requested interval, None if not computed.
+    sp: space-time norm (:func:`sp_norm`), None if not computed.
     """
 
     hsp: float
@@ -421,13 +331,15 @@ class NormReport:
 
 
 def norm_report(state: RadialState, traj: Trajectory | None = None,
-                tail_radii=(), g1_radii=(), sp_interval=None, *,
+                tail_radii=(), g1_radii=(), *,
                 hsp: float | None = None, tails=None) -> NormReport:
-    """Assemble a NormReport for a state, with optional trajectory extras.
+    """Assemble a NormReport for a state; g1 is maxed over traj's stored
+    times when a trajectory is given.
 
     A caller that already holds ``sobolev_norm(state.u, grid, s_p)`` or the
     records ``tail_table(state, tail_radii)`` passes them as ``hsp`` and
-    ``tails``, and neither is computed again.
+    ``tails``, and neither is computed again.  ``sp`` is left None; a caller
+    that computes :func:`sp_norm` sets it with ``dataclasses.replace``.
     """
     grid, params = state.grid, state.params
     du = _radial_derivative(state.u, grid.h)
@@ -450,10 +362,5 @@ def norm_report(state: RadialState, traj: Trajectory | None = None,
     if len(tuple(g1_radii)):
         g1_vals = _g1(traj if traj is not None else state, tuple(g1_radii))
         g1 = {float(rr): float(gv) for rr, gv in zip(g1_radii, g1_vals)}
-    sp = None
-    if sp_interval is not None:
-        if traj is None:
-            raise ValueError("sp_interval requires a trajectory")
-        sp = sp_norm(traj, sp_interval)
     return NormReport(hsp=hsp, hsp_minus1=hsp_m1, energy_norms=energy_norms,
-                      tail=tail, g1=g1, sp=sp)
+                      tail=tail, g1=g1, sp=None)

@@ -47,7 +47,6 @@ __all__ = [
     "characteristic_transport_residual",
     "characteristics",
     "evolve",
-    "representation_residual",
     "step",
     "step_count",
 ]
@@ -489,47 +488,6 @@ def _source_of_state(s: RadialState, linear: bool) -> np.ndarray:
         return np.zeros_like(s.u)
     p, mu = s.params.p, s.params.mu
     return -mu * s.grid.r * np.abs(s.u) ** (p - 1.0) * s.u
-
-
-def representation_residual(traj: Trajectory, r0: float, t0: float, dt: float) -> float:
-    """Defect of the d'Alembert + Duhamel representation of w at (r0, t0).
-
-    Compares w(r0, t0) against the average of w on the backward light cone's
-    base at time t0 - dt, plus the base integral of d_t w, plus the source
-    integrated over the solid backward cone (trapezoid in both variables):
-
-        w(r0,t0) = (w(r0+dt) + w(r0-dt))/2 + (1/2) int_{r0-dt}^{r0+dt} d_t w
-                   + (1/2) int int_{cone} F,
-
-    all evaluated at lattice points of a stride-1 trajectory.  Returns the
-    absolute defect, which is O(h^2) for smooth fields and zero (to rounding)
-    for the free equation.
-
-    Raises ValueError when (r0, t0, dt) is off the lattice or the cone leaves
-    the grid, KeyError when a needed layer was not stored.
-    """
-    h = traj.grid.h
-    j0 = _lattice_steps(r0, h, "r0")
-    nd = _lattice_steps(dt, h, "dt")
-    if nd < 1:
-        raise ValueError("dt must be at least one step")
-    if j0 - nd < 0 or j0 + nd > traj.grid.n:
-        raise ValueError("backward cone leaves the grid")
-    n0 = _lattice_steps(t0 - traj.states[0].t, h, "t0")
-
-    top = traj._layer(n0)
-    base = traj._layer(n0 - nd)
-    lhs = top.w[j0]
-    sel = slice(j0 - nd, j0 + nd + 1)
-    rhs = 0.5 * (base.w[j0 - nd] + base.w[j0 + nd])
-    rhs += 0.5 * np.trapezoid((traj.grid.r * base.v)[sel], dx=h)
-    # inner integrals over the cone slices, then trapezoid in time
-    slices = []
-    for s in range(nd, -1, -1):
-        F = _source_of_state(traj._layer(n0 - s), traj.linear)
-        slices.append(np.trapezoid(F[j0 - s: j0 + s + 1], dx=h))
-    rhs += 0.5 * np.trapezoid(np.array(slices), dx=h)
-    return float(abs(lhs - rhs))
 
 
 def characteristic_transport_residual(traj: Trajectory, r0: float, t0: float,

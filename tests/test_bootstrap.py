@@ -1,4 +1,4 @@
-"""Tests for the contraction constant, exponent recursion, and decay audits."""
+"""Tests for the contraction constant, exponent recursion, and decay fits."""
 
 import math
 import os
@@ -19,14 +19,13 @@ from nlwlab import (
     evolve,
     make_params,
 )
+from nlwlab import norms
 from nlwlab.bootstrap import (
     ExponentSequence,
     contraction_constant,
     contraction_table,
-    convexity_step_check,
     decay_fit,
     exponent_iteration,
-    g_recursion_verify,
     profile_decay_fit,
     working_dtype,
 )
@@ -171,7 +170,7 @@ def test_exponent_sequence_csv():
 
 
 # ---------------------------------------------------------------------------
-# convexity step audit
+# convexity step
 
 
 def _g1_profile(r):
@@ -179,84 +178,19 @@ def _g1_profile(r):
     return math.sqrt(3.0 * r / (3.0 + r * r))
 
 
-def test_convexity_step_ground_state_samples():
+def test_convexity_step_ground_state_samples(w_state):
+    # W's g1 at halving radii contracts strictly, so the linearized step
+    # g1(r) <= (1 - theta) g1(r/2) holds with no nonlinear correction
     radii = [8.0, 4.0, 2.0]
-    rep = convexity_step_check(radii, [_g1_profile(r) for r in radii], 5.0)
-    value, theta = contraction_constant(5.0)
-    assert rep.kappa == value
-    assert rep.theta == theta
-    # the profile contracts strictly, so no nonlinear correction is needed
-    assert rep.c_p == 0.0
-    assert rep.linearized_ok
-    assert rep.activation_radius == 4.0
-    assert len(rep.pairs) == 2
-    for pair in rep.pairs:
-        assert pair["linearized_applicable"]
-        assert pair["linearized_holds"]
-
-
-def test_convexity_step_reports_nonlinear_constant():
-    # a slowly varying sample needs c_p > 0 and fails applicability
-    rep = convexity_step_check([4.0, 2.0], [0.99, 1.0], 5.0)
-    assert rep.c_p > 0.0
-    assert rep.activation_radius is None
-    assert rep.linearized_ok  # vacuously: the linearized regime never engages
-
-
-def test_convexity_step_validation():
-    with pytest.raises(ValueError, match="halve"):
-        convexity_step_check([4.0, 3.0], [0.5, 0.6], 5.0)
-    with pytest.raises(ValueError, match="two samples"):
-        convexity_step_check([4.0], [0.5], 5.0)
-    with pytest.raises(ValueError, match="non-decreasing"):
-        convexity_step_check([4.0, 2.0], [0.7, 0.6], 5.0)
-    with pytest.raises(ValueError, match="nonnegative"):
-        convexity_step_check([4.0, 2.0], [-0.1, 0.5], 5.0)
-    with pytest.raises(ValueError, match="matching"):
-        convexity_step_check([4.0, 2.0], [0.5], 5.0)
+    g1 = norms._g1(w_state, radii)
+    assert np.allclose(g1, [_g1_profile(r) for r in radii], rtol=1e-12, atol=0.0)
+    _, theta = contraction_constant(5.0)
+    for g_big, g_half in zip(g1, g1[1:]):
+        assert g_big <= (1.0 - theta) * g_half
 
 
 # ---------------------------------------------------------------------------
-# empirical g recursion and decay fit
-
-
-def test_g_recursion_ground_state(w_rest_trajectory):
-    rep = g_recursion_verify(w_rest_trajectory)
-    assert not rep.vacuous
-    assert len(rep.radii) == 8  # R/4 halved down to the 8 h window floor
-    assert rep.radii[0] == w_rest_trajectory.grid.R / 4.0
-    assert rep.spread is not None and rep.spread <= 10.0
-    assert all(x > 0.0 for x in rep.ratio2)
-    # static profile: z1 = z2, so the two ratio families coincide
-    assert rep.ratio2 == rep.ratio3
-
-
-def test_g_recursion_vacuous_on_zero_data():
-    grid = RadialGrid(h=0.05, n=1000)
-    z = np.zeros(grid.n + 1)
-    state = RadialState(grid=grid, params=make_params(5.0, 1), t=0.0, u=z, v=z)
-    log = StepLog(t=np.zeros(1), energy=np.zeros(1), virial=np.zeros(1),
-                  max_abs_u=np.zeros(1), support_radius=np.zeros(1))
-    traj = Trajectory(grid=grid, params=state.params, states=(state,), log=log)
-    rep = g_recursion_verify(traj)
-    assert rep.vacuous
-    assert rep.spread is None
-    assert rep.ratio2 == ()
-
-
-def test_g_recursion_requires_enough_windows(w_rest_trajectory):
-    with pytest.raises(ValueError, match="dyadic windows"):
-        g_recursion_verify(w_rest_trajectory, radii=[8.0, 4.0, 2.0])
-
-
-def test_g_recursion_json(w_rest_trajectory):
-    import json
-
-    rep = g_recursion_verify(w_rest_trajectory)
-    payload = json.loads(rep.to_json())
-    assert payload["spread"] == rep.spread
-    assert payload["vacuous"] is False
-    assert payload["g1"] == list(rep.g1)
+# decay fit
 
 
 def test_decay_fit_ground_state(w_rest_trajectory):

@@ -1005,6 +1005,41 @@ def test_initial_fields_report_their_path(tmp_path, capsys, initial, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("amplitude", [1e150, 1e200, 1e-300])
+def test_ode_flat_amplitude_that_overflows_exits_2_before_output(tmp_path, capsys,
+                                                                amplitude):
+    # at p = 5: v = (a / T) u overflows at 1e150, T underflows to 0 at 1e200,
+    # and T overflows at 1e-300
+    out = tmp_path / "out"
+    raw = {**_quick("evolve", out, {}), "equation": {"p": 5.0, "mu": -1},
+           "initial": {"kind": "ode_flat", "amplitude": amplitude}}
+    assert main(["evolve", "--config", _write_config(tmp_path, raw)]) == 2
+    assert capsys.readouterr().err.startswith(f"config: initial.amplitude: {amplitude!r} ")
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="^initial.amplitude: "):
+        build_initial(raw["initial"], RadialGrid(h=1.0 / 64.0, n=160), make_params(5.0, -1))
+
+
+@pytest.mark.parametrize("edit, unmeasured", [
+    ({"initial": {"kind": "gaussian", "amplitude": 0.0}},
+     ["virial_consistency_order", "identity_order"]),
+    ({"diagnose": {"Rc": 1.0, "times": []}}, ["identity_order"]),
+])
+def test_refinement_order_that_measures_nothing_fails(tmp_path, edit, unmeasured):
+    # zero data leave every residual zero and no times leave identity_order
+    # none; a check with no residual positive on both grids neither crashes
+    # nor passes
+    out = tmp_path / "out"
+    raw = {**_quick("diagnose", out, {"virial_consistency_order": 1.5,
+                                      "identity_order": 1.5}), **edit}
+    assert main(["diagnose", "--config", _write_config(tmp_path, raw)]) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [c["name"] for c in manifest["checks"] if not c["pass"]] == unmeasured
+    assert [c["value"] for c in manifest["checks"]
+            if c["name"] in unmeasured] == [-math.inf] * len(unmeasured)
+    assert [note.split(":")[0] for note in manifest["notes"]] == unmeasured
+
+
 @pytest.mark.parametrize("scenario, section, extra, path", [
     ("evolve", None, {"bogus": 1}, "bogus"),
     ("evolve", None, {"norms": {}}, "norms"),  # another scenario's options section

@@ -1,4 +1,4 @@
-"""Tests for the frequency-side norms, embeddings, and decay moduli."""
+"""Tests for the frequency-side norms, the decay modulus g1, and tail norms."""
 
 import inspect
 import json
@@ -25,10 +25,7 @@ from nlwlab import (
 from nlwlab import norms
 from nlwlab.norms import (
     NormReport,
-    embedding_check,
-    g_moduli,
     norm_report,
-    radial_fourier,
     sine_transform,
     sobolev_norm,
     sobolev_norm_1d,
@@ -140,20 +137,26 @@ def test_sobolev_norm_allocates_no_sine_matrix():
 
 
 def test_radial_fourier_gaussian_analytic():
-    # transform of exp(-r^2/2) is (2 pi)^{3/2} exp(-rho^2/2)
-    rho, phi_hat = radial_fourier(gauss(GAUSS_GRID.r), GAUSS_GRID)
+    # transform of exp(-r^2/2) is (2 pi)^{3/2} exp(-rho^2/2): phi_hat =
+    # 4 pi T / rho, with the rho = 0 limit 4 pi int s^2 phi ds
+    from nlwlab.diagnostics import _radial_integral
+
+    phi = gauss(GAUSS_GRID.r)
+    T = sine_transform(phi, GAUSS_GRID)
+    rho = np.arange(GAUSS_GRID.n + 1) * (np.pi / GAUSS_GRID.R)
     peak = (2.0 * math.pi) ** 1.5
-    assert rho[0] == 0.0
-    assert abs(phi_hat[0] - peak) <= 1e-6 * peak
-    sel = rho <= 4.0
+    assert abs(_radial_integral(phi, GAUSS_GRID.r, GAUSS_GRID.h) - peak) <= 1e-6 * peak
+    sel = (rho > 0.0) & (rho <= 4.0)
+    phi_hat = 4.0 * math.pi * T[sel] / rho[sel]
     exact = peak * np.exp(-(rho[sel] ** 2) / 2.0)
-    assert np.max(np.abs(phi_hat[sel] - exact)) <= 1e-6 * peak
+    assert np.max(np.abs(phi_hat - exact)) <= 1e-6 * peak
 
 
 def test_radial_fourier_warns_on_slow_decay():
+    # the frequency-side norm transforms phi only after checking its decay
     short = RadialGrid(h=0.02, n=200)  # R = 4, gaussian still ~3e-4 there
     with pytest.warns(UserWarning, match="outer boundary"):
-        radial_fourier(gauss(short.r), short)
+        sobolev_norm(gauss(short.r), short, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -225,72 +228,29 @@ def test_norm_amplitude_homogeneity(c, beta):
 
 
 # ---------------------------------------------------------------------------
-# weighted embeddings
-
-
-def test_embedding_low_family_single_pair():
-    # beta = 1/2 - 1/m with m = 4
-    pairs = embedding_check(gauss(GAUSS_GRID.r), GAUSS_GRID, 0.25, 4.0)
-    assert len(pairs) == 1
-    label, lhs, rhs = pairs[0]
-    assert label == "weighted_Lm_of_phi"
-    assert 0.0 < lhs <= rhs
-
-
-def test_embedding_high_family_two_pairs():
-    # beta = 3/2 - 1/m with m = 3
-    pairs = embedding_check(gauss(GAUSS_GRID.r), GAUSS_GRID, 7.0 / 6.0, 3.0)
-    assert [p[0] for p in pairs] == ["weighted_Lm_of_drphi", "weighted_Linf_of_phi"]
-    for _, lhs, rhs in pairs:
-        assert 0.0 < lhs <= rhs
-
-
-def test_embedding_rejects_mismatched_exponents():
-    phi = gauss(GAUSS_GRID.r)
-    for beta, m in ((0.7, 4.0), (1.25, 3.0), (0.5, 2.0)):
-        with pytest.raises(ValueError):
-            embedding_check(phi, GAUSS_GRID, beta, m)
-
-
-def test_embedding_sides_are_homogeneous():
-    phi = gauss(GAUSS_GRID.r)
-    base = embedding_check(phi, GAUSS_GRID, 0.25, 4.0)
-    tripled = embedding_check(3.0 * phi, GAUSS_GRID, 0.25, 4.0)
-    for (_, l0, r0), (_, l1, r1) in zip(base, tripled):
-        assert abs(l1 - 3.0 * l0) <= 1e-12 * l1
-        assert abs(r1 - 3.0 * r0) <= 1e-12 * r1
-
-
-# ---------------------------------------------------------------------------
-# decay moduli g1, g2, g3 on the static ground-state profile
+# decay modulus g1 on the static ground-state profile
 
 
 def test_g_moduli_ground_state_analytic(w_state):
-    g1, g2, g3 = g_moduli(w_state, [2.0, 4.0])
+    g1 = norms._g1(w_state, [2.0, 4.0])
     # r^{1/2} W is decreasing past sqrt(3), so the sup sits at the left edge
     assert abs(g1[0] - math.sqrt(6.0 / 7.0)) <= 1e-12
     assert abs(g1[1] - math.sqrt(12.0 / 19.0)) <= 1e-12
-    # z1 = d_r(rW) = (1 + r^2/3)^{-3/2}; L^2 over [r, 4r] via quadrature
-    for i, rad in enumerate((2.0, 4.0)):
-        exact = quad(lambda s: (1.0 + s * s / 3.0) ** -3, rad, 4.0 * rad)[0] ** 0.5
-        assert abs(g2[i] - exact) <= 1e-4 * exact
-    # static profile: v = 0 makes z1 and z2 coincide
-    assert np.array_equal(g2, g3)
 
 
 def test_g_moduli_trajectory_matches_state(w_state, w_rest_trajectory):
-    a = np.stack(g_moduli(w_state, [1.0, 3.0]))
-    b = np.stack(g_moduli(w_rest_trajectory, [1.0, 3.0]))
+    a = norms._g1(w_state, [1.0, 3.0])
+    b = norms._g1(w_rest_trajectory, [1.0, 3.0])
     assert np.array_equal(a, b)
 
 
 def test_g_moduli_validation(w_state):
-    with pytest.raises(ValueError):
-        g_moduli(w_state, [])
-    with pytest.raises(ValueError):
-        g_moduli(w_state, [-1.0])
-    with pytest.raises(ValueError):
-        g_moduli(w_state, [13.0])  # 4 * 13 > R = 50
+    with pytest.raises(ValueError, match="at least one radius"):
+        norms._g1(w_state, [])
+    with pytest.raises(ValueError, match="nonnegative"):
+        norms._g1(w_state, [-1.0])
+    with pytest.raises(ValueError, match="exceeds the grid"):
+        norms._g1(w_state, [13.0])  # 4 * 13 > R = 50
 
 
 # ---------------------------------------------------------------------------
@@ -414,11 +374,6 @@ def test_norm_report_fields_and_json():
     assert payload["g1"]["2.0"] == report.g1[2.0]
 
 
-def test_norm_report_sp_requires_trajectory(w_state):
-    with pytest.raises(ValueError, match="trajectory"):
-        norm_report(w_state, sp_interval=(0.0, 1.0))
-
-
 def test_norm_report_with_evolved_trajectory():
     grid = RadialGrid(h=1.0 / 64.0, n=320)
     params = make_params(7.0, 1)
@@ -429,9 +384,8 @@ def test_norm_report_with_evolved_trajectory():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         traj = evolve(cfg, state)
-        report = norm_report(traj.states[-1], traj=traj,
-                             g1_radii=(0.5,), sp_interval=(0.0, 0.5))
-    assert report.sp is not None and report.sp > 0.0
+        report = norm_report(traj.states[-1], traj=traj, g1_radii=(0.5,))
+    assert report.sp is None  # the caller sets sp from sp_norm
     assert math.isfinite(report.g1[0.5])
 
 
@@ -494,10 +448,21 @@ def _moving_trajectory():
     return evolve(cfg, state)
 
 
+def _seed_g_moduli(obj, radii):
+    """g1 as the former ``norms.g_moduli`` computed it: the max of r^a |u|
+    from the node at or past each radius outward, maxed over the states."""
+    states = obj.states if isinstance(obj, Trajectory) else (obj,)
+    values = []
+    for s in states:
+        ra_u = s.grid.r ** s.params.a * np.abs(s.u)
+        values.append([ra_u[int(np.ceil(rad / s.grid.h - 1e-9)):].max() for rad in radii])
+    return np.max(values, axis=0)
+
+
 def test_norm_report_g1_equals_g_moduli_bitwise(w_state):
     radii = (0.0, 0.5, 1.0, 2.0, 4.0, 12.5)
     report = norm_report(w_state, g1_radii=radii)
-    g1 = g_moduli(w_state, radii)[0]
+    g1 = _seed_g_moduli(w_state, radii)
     assert [repr(report.g1[r]) for r in radii] == [repr(float(x)) for x in g1]
 
     traj = _moving_trajectory()
@@ -506,19 +471,10 @@ def test_norm_report_g1_equals_g_moduli_bitwise(w_state):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         report = norm_report(traj.states[-1], traj=traj, g1_radii=radii)
-    g1 = g_moduli(traj, radii)[0]
+    g1 = _seed_g_moduli(traj, radii)
     assert [repr(report.g1[r]) for r in radii] == [repr(float(x)) for x in g1]
     # the sup over stored times, not the last layer's value
     assert np.any(g1 > norms._g1(traj.states[-1], radii))
-
-
-def test_g1_validation_matches_g_moduli(w_state):
-    for radii in ([], [-1.0], [13.0]):
-        with pytest.raises(ValueError) as e_g1:
-            norms._g1(w_state, radii)
-        with pytest.raises(ValueError) as e_all:
-            g_moduli(w_state, radii)
-        assert str(e_g1.value) == str(e_all.value)
 
 
 def _seed_sp_norm(traj, interval):

@@ -16,7 +16,6 @@ from nlwlab.solver import (
     characteristic_transport_residual,
     characteristics,
     evolve,
-    representation_residual,
     step,
 )
 from conftest import bump
@@ -640,29 +639,6 @@ def test_transport_residual_requires_dense_snapshots():
     traj = _gauss_run(h=1.0 / 64.0, stride=4)
     with pytest.raises(KeyError, match="snapshot_stride"):
         characteristic_transport_residual(traj, r0=0.5, t0=1.0, tau_max=0.5)
-
-
-# --- interior representation -------------------------------------------------------
-
-
-def test_representation_exact_for_lattice_hat():
-    n, steps = 512, 128
-    grid = RadialGrid(h=1.0, n=n)
-    params = make_params(5.0, 1)
-    s0 = _state_from_w(grid, params, _hat_w(n, center=64, half=16))
-    cfg = SolverConfig(grid=grid, params=params, t_final=float(steps),
-                       linear=True, snapshot_stride=1, cone_floor=None)
-    traj = evolve(cfg, s0)
-    assert representation_residual(traj, r0=100.0, t0=96.0, dt=32.0) <= 1e-12
-
-
-def test_representation_second_order_on_smooth_fields():
-    res = {}
-    for h in (1.0 / 64.0, 1.0 / 128.0):
-        traj = _gauss_run(h=h)
-        res[h] = representation_residual(traj, r0=1.5, t0=1.5, dt=1.0)
-    order = np.log2(res[1.0 / 64.0] / res[1.0 / 128.0])
-    assert order >= 1.9
 
 
 # --- guards ------------------------------------------------------------------------
