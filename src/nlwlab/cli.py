@@ -377,8 +377,9 @@ def _ode_match_steps(T: float, h: float) -> int:
 
 def _initial_fields(desc: dict) -> dict:
     """An initial-data descriptor read against ``_INITIAL``: its kind and
-    that kind's fields, defaults filled in.  Numbers must be finite, and the
-    gaussian width, the bump radius and the ode_flat amplitude positive."""
+    that kind's fields, defaults filled in.  Numbers must be finite, the
+    gaussian width, the bump radius and the ode_flat amplitude positive, and
+    the gaussian's 2 width^2 too."""
     init = {"initial": desc}  # fields are read, and reported, under initial.<key>
     kind = _field(init, "initial.kind", str)
     if kind not in _INITIAL:
@@ -390,6 +391,10 @@ def _initial_fields(desc: dict) -> dict:
     size = {"gaussian": "width", "bump": "radius", "ode_flat": "amplitude"}.get(kind)
     if size is not None and values[size] <= 0:
         raise ConfigError(f"initial.{size}: must be positive")
+    if kind == "gaussian" and not 2.0 * values["width"] * values["width"] > 0.0:
+        # r^2 / (2 width^2) would be 0/0 = NaN at r = 0
+        raise ConfigError(f"initial.width: {values['width']!r} makes 2 width^2 "
+                          "underflow to 0")
     return values
 
 

@@ -71,7 +71,9 @@ def make_params(p: float, mu: int) -> EquationParams:
     """Validate (p, mu) and derive the scaling exponents.
 
     The derived values satisfy a * m = 1 and m * (2 - a * p) = -1 up to
-    rounding; s_p lies in [7/6, 3/2) for p in [5, inf).
+    rounding; s_p lies in [7/6, 3/2).  A p above about 1.8e16 puts 2/(p - 1)
+    below half a unit in the last place of 3/2, so s_p would round to 3/2:
+    it is rejected.
     """
     p = float(p)
     if not np.isfinite(p) or p < 5.0:
@@ -81,6 +83,8 @@ def make_params(p: float, mu: int) -> EquationParams:
     a = 2.0 / (p - 1.0)
     m = (p - 1.0) / 2.0
     s_p = 1.5 - a
+    if not s_p < 1.5:
+        raise ValueError(f"p = {p!r} is too large: s_p = 3/2 - 2/(p - 1) rounds to 3/2")
     return EquationParams(p=p, mu=int(mu), a=a, m=m, s_p=s_p, alpha_p=s_p - 0.5)
 
 
@@ -263,14 +267,6 @@ class StepLog:
             self.t, self.energy, self.virial, self.max_abs_u, self.support_radius)]
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_csv(cls, text: str) -> "StepLog":
-        lines = [ln for ln in text.strip().splitlines() if ln]
-        if not lines or lines[0] != "t,E,z,max_abs_u,support_radius":
-            raise ValueError("unrecognized step log header")
-        rows = [[float(tok) for tok in ln.split(",")] for ln in lines[1:]]
-        return cls(*np.array(rows, dtype=float).reshape(len(rows), 5).T)
-
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -300,10 +296,6 @@ class Trajectory:
                 raise ValueError("snapshot grid differs from trajectory grid")
             if s.params != self.params:
                 raise ValueError("snapshot parameters differ from trajectory parameters")
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.states])
 
     @cached_property
     def _layers(self) -> dict:

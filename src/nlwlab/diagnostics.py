@@ -150,7 +150,9 @@ class _RowBuffers:
 
 def _energy_virial(u: np.ndarray, v: np.ndarray, r: np.ndarray, h: float,
                    p: float, mu: int, buffers: _RowBuffers | None = None):
-    """Lists (E, z), one value per row of the field stacks u, v of shape (k, W).
+    """Lists (E, z, max |u|), one value per row of the field stacks u, v of
+    shape (k, W); max |u| comes from the |u| that the potential term raises
+    to the power p + 1.
 
     Each row is one layer on the grid prefix r[:W], +0.0 past its own last
     nonzero; the quadrature sums over the whole grid r, so a row gives the
@@ -175,6 +177,7 @@ def _energy_virial(u: np.ndarray, v: np.ndarray, r: np.ndarray, h: float,
     s *= v
     e += s
     np.abs(u, out=s)
+    top = np.maximum.reduce(s, axis=1)
     np.power(s, p + 1.0, out=s)
     s /= p + 1.0
     # mu = -1 negates the term, and IEEE a + (-x) is a - x bit for bit
@@ -186,14 +189,15 @@ def _energy_virial(u: np.ndarray, v: np.ndarray, r: np.ndarray, h: float,
     np.multiply(rt, du, out=z)
     z += u
     z *= v
-    return [x.tolist() for x in _radial_quadrature((e, z), rt, h, terms)]
+    return [x.tolist() for x in (*_radial_quadrature((e, z), rt, h, terms), top)]
 
 
-def _last_above_floor(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Per row, the last column with max(|u|, |v|) > SUPPORT_FLOOR, or -1."""
+def _outermost_live(u: np.ndarray, v: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Per row of u, v (k, W) on the nodes r (W,): the largest r_j with
+    max(|u_j|, |v_j|) > SUPPORT_FLOOR, or 0.0.  r increases along a row, so
+    that is the max of r over the live columns."""
     live = np.maximum(np.abs(u), np.abs(v)) > SUPPORT_FLOOR
-    last = u.shape[-1] - 1 - live[:, ::-1].argmax(axis=1)
-    return np.where(live[np.arange(len(last)), last], last, -1)
+    return np.where(live, r, 0.0).max(axis=1)
 
 
 def _support_radii(u: np.ndarray, v: np.ndarray, r: np.ndarray) -> list:
@@ -203,28 +207,31 @@ def _support_radii(u: np.ndarray, v: np.ndarray, r: np.ndarray) -> list:
     The search looks at the last SUPPORT_WINDOW columns first, where a
     solver layer's support ends (its prefix runs past the support by the
     few nodes where a compact tail is below the floor), and at whole rows
-    only for those it finds nothing there.
+    only for those it finds nothing there (r > 0 in such a window).
     """
     W = u.shape[-1]
     start = max(W - SUPPORT_WINDOW, 0)
-    last = _last_above_floor(u[:, start:], v[:, start:]) + start
-    rows = np.flatnonzero(last < start)
-    if start and rows.size:
-        last[rows] = _last_above_floor(u[rows], v[rows])
-    return np.where(last >= 0, r[last], 0.0).tolist()
+    radii = _outermost_live(u[:, start:], v[:, start:], r[start:W])
+    if start:
+        rows = np.flatnonzero(radii == 0.0)
+        if rows.size:
+            radii[rows] = _outermost_live(u[rows], v[rows], r[:W])
+    return radii.tolist()
 
 
 def step_log_rows(u: np.ndarray, v: np.ndarray, r: np.ndarray, h: float, p: float,
                   mu: int, buffers: _RowBuffers | None = None):
-    """Lists (E, z, support radius), one value per row of the field stacks u, v.
+    """Lists (E, z, max |u|, support radius), one value per row of the field
+    stacks u, v: the step log's columns after t.
 
-    The solver's step log calls this once per block of layers (see
-    :func:`_energy_virial` for the row layout); each value equals
-    :func:`energy`, :func:`virial` or :func:`support_radius` of the row's
-    full-grid field bit for bit.
+    The solver calls this once per block of layers (see :func:`_energy_virial`
+    for the row layout), reads the rows' max |u| for its blowup guard, and
+    builds its snapshots from the same rows.  Each value equals
+    :func:`energy`, :func:`virial`, the max of |u| or :func:`support_radius`
+    of the row's full-grid field bit for bit.
     """
-    E, z = _energy_virial(u, v, r, h, p, mu, buffers)
-    return E, z, _support_radii(u, v, r)
+    E, z, top = _energy_virial(u, v, r, h, p, mu, buffers)
+    return E, z, top, _support_radii(u, v, r)
 
 
 def energy(state: RadialState) -> float:
@@ -246,8 +253,8 @@ def virial(state: RadialState) -> float:
 
 def _state_energy_virial(state: RadialState):
     """(E, z) of one state from one :func:`_energy_virial` row."""
-    (E,), (z,) = _energy_virial(state.u[None], state.v[None], state.grid.r,
-                                state.grid.h, state.params.p, state.params.mu)
+    (E,), (z,), _ = _energy_virial(state.u[None], state.v[None], state.grid.r,
+                                   state.grid.h, state.params.p, state.params.mu)
     return E, z
 
 

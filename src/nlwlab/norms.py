@@ -184,14 +184,14 @@ def _g1_suffix(state: RadialState) -> np.ndarray:
 
 def _check_radii(radii, R: float) -> list:
     """g1's radius rules on a grid of outer radius R: at least one radius,
-    each nonnegative, 4 max(radii) <= R.  Returns them as floats."""
+    each in [0, R].  Returns them as floats."""
     radii = [float(x) for x in radii]
     if not radii:
         raise ValueError("need at least one radius")
     if any(not rad >= 0.0 for rad in radii):
         raise ValueError("radii must be nonnegative")
-    if 4.0 * max(radii) > R * (1.0 + 1e-12):
-        raise ValueError(f"window [r, 4r] exceeds the grid for max radius {max(radii)}")
+    if max(radii) > R * (1.0 + 1e-12):
+        raise ValueError(f"radius {max(radii)} exceeds the grid's outer radius R = {R}")
     return radii
 
 

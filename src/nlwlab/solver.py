@@ -22,6 +22,8 @@ data is outside the validated envelope.
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,7 +155,7 @@ class _Views:
     """Views of one node buffer that the kernel reads and writes on the prefix
     [0, mk): the origin band [1, b), the tail [b, mk), the interior [1, mk),
     and the shifted neighbours [2, hi + 1), [0, hi - 1) of the nodes [1, hi),
-    hi = min(mk, n).  A step reads about thirty of them, a noticeable cost
+    hi = min(mk, n).  A step reads about twenty of them, a noticeable cost
     next to its ufunc calls on a short prefix, so :func:`evolve` builds them
     only when mk moves.
     """
@@ -173,27 +175,31 @@ def _prefix_views(buffers, mk: int, origin_band: int) -> list:
     return [_Views(x, mk, origin_band) for x in buffers]
 
 
-def _source_term(w: _Views, u: _Views, r: _Views, rp: _Views, out: _Views,
-                 tmp: _Views, p: float, h: float, linear: bool) -> None:
+def _source_term(w: _Views, u: np.ndarray, r: np.ndarray, rp: _Views, out: _Views,
+                 p: float, h: float, linear: bool) -> None:
     """h^2 |w|^{p-1} w / r^{p-1} on nodes [1, mk): the update term h^2 F without
     its factor -mu, which :func:`_source_op` applies where the term is used.
 
-    rp holds r^{p-1}.  Inside the origin band the term is evaluated in the
-    u-form r |u|^{p-1} u, which avoids 0/0; its product passes through the
-    scratch ``tmp``, since numpy multiplies a one-node view in place about
-    three times slower.  Node 0 is not computed, and the linear term is left
-    as ``out`` holds it (+0.0 throughout).
+    rp holds r^{p-1}.  Inside the origin band [1, b) the term is evaluated in
+    the u-form r |u|^{p-1} u from the node values u and r, which avoids 0/0.
+    The band's |u| and products are taken in Python floats, around the one
+    np.power over [1, mk): the same IEEE operations as numpy's, so the same
+    bits, without three ufunc calls on a node or two.  Node 0 is not
+    computed, and the linear term is left as ``out`` holds it (+0.0
+    throughout).
     """
     if linear:
         return
-    head, tail = out.band, out.tail
-    np.abs(u.band, out=head)
-    np.abs(w.tail, out=tail)
+    x = out.whole
+    band = range(1, len(out.band) + 1)
+    for j in band:
+        x[j] = abs(u.item(j))
+    np.abs(w.tail, out=out.tail)
     np.power(out.live, p - 1.0, out=out.live)
-    np.multiply(r.band, head, out=tmp.band)
-    np.multiply(tmp.band, u.band, out=head)
-    np.multiply(tail, w.tail, out=tail)
-    np.divide(tail, rp.tail, out=tail)
+    for j in band:
+        x[j] = r.item(j) * x.item(j) * u.item(j)
+    np.multiply(out.tail, w.tail, out=out.tail)
+    np.divide(out.tail, rp.tail, out=out.tail)
     np.multiply(out.live, h * h, out=out.live)
 
 
@@ -222,17 +228,21 @@ def _advance(w_prev: _Views, w_cur: _Views, src: _Views, op, out: _Views) -> Non
         x[n] = d - s if op is np.subtract else d + s
 
 
-def _u_from_w(w: _Views, r: _Views, out: _Views) -> None:
-    np.divide(w.live, r.live, out=out.live)
+def _u_from_w(w: np.ndarray, r: np.ndarray, out: np.ndarray, live: np.ndarray) -> None:
+    """u = w / r into ``live``, the nodes [1, len(out)) of ``out``, from w and r
+    on the same nodes; out[0] is the even extrapolation."""
+    np.divide(w, r, out=live)
     # Python floats take the same IEEE operations as numpy scalars, faster
-    out.whole[0] = even_origin_value(*out.whole[1:3].tolist())
+    out[0] = even_origin_value(out.item(1), out.item(2))
 
 
-def _v_from_layers(w_hi: _Views, w_lo: _Views, two_h_r: _Views, out: _Views) -> None:
-    """Centered time derivative v = (w^{n+1} - w^{n-1}) / (2 h r) on nodes [0, mk)."""
-    np.subtract(w_hi.live, w_lo.live, out=out.live)
-    np.divide(out.live, two_h_r.live, out=out.live)
-    out.whole[0] = even_origin_value(*out.whole[1:3].tolist())
+def _v_from_layers(w_hi: np.ndarray, w_lo: np.ndarray, two_h_r: np.ndarray,
+                   out: np.ndarray, live: np.ndarray) -> None:
+    """Centered time derivative v = (w^{n+1} - w^{n-1}) / (2 h r), written as
+    :func:`_u_from_w` writes u."""
+    np.subtract(w_hi, w_lo, out=live)
+    np.divide(live, two_h_r, out=live)
+    out[0] = even_origin_value(out.item(1), out.item(2))
 
 
 def _active_length(*layers: np.ndarray) -> int:
@@ -265,17 +275,40 @@ def step(prev: RadialState, curr: RadialState, *, origin_band: int = 2,
         raise ValueError("layers must be one grid spacing apart in time (unit CFL)")
     r, p, n = curr.grid.r, curr.params.p, curr.grid.n
     w_prev, w_cur = prev.w, curr.w
-    wp, wc, wn, uc, un, rv, rpv, src, tmp = _prefix_views(
-        [w_prev, w_cur, np.empty(n + 1), curr.u, np.empty(n + 1), r, r ** (p - 1.0),
-         np.zeros(n + 1), np.empty(n + 1)], n + 1, origin_band)
-    _source_term(wc, uc, rv, rpv, src, tmp, p, h, linear)
+    wp, wc, wn, rpv, src = _prefix_views(
+        [w_prev, w_cur, np.empty(n + 1), r ** (p - 1.0), np.zeros(n + 1)], n + 1, origin_band)
+    _source_term(wc, curr.u, r, rpv, src, p, h, linear)
     _advance(wp, wc, src, _source_op(curr.params.mu, linear), wn)
-    _u_from_w(wn, rv, un)
-    w_nxt, u_nxt = wn.whole, un.whole
+    w_nxt, u_nxt = wn.whole, np.empty(n + 1)
+    _u_from_w(w_nxt[1:], r[1:], u_nxt, u_nxt[1:])
     v_nxt = np.empty_like(w_nxt)
     v_nxt[1:] = (3.0 * w_nxt[1:] - 4.0 * w_cur[1:] + w_prev[1:]) / (2.0 * dt * r[1:])
     v_nxt[0] = even_origin_value(v_nxt[1], v_nxt[2])
     return RadialState(grid=curr.grid, params=curr.params, t=curr.t + dt, u=u_nxt, v=v_nxt)
+
+
+class _ErrorLog:
+    """numpy's error callback in its "log" mode: keeps each floating-point
+    error of the kernel that the caller's numpy settings (``np.geterr()``)
+    do not ignore, as the message numpy warns with and the step it came
+    from, until :meth:`warn` gives those of the steps that a check after
+    every step would have reached."""
+
+    KINDS = {"overflow": "over", "invalid": "invalid", "divide": "divide"}
+
+    def __init__(self, settings: dict):
+        self.settings, self.step, self.lines = settings, 0, []
+
+    def write(self, line: str) -> None:  # "Warning: <kind> ... encountered in <ufunc>\n"
+        message = line.removeprefix("Warning: ").rstrip()
+        if self.settings[self.KINDS[message.split()[0]]] != "ignore":
+            self.lines.append((self.step, message))
+
+    def warn(self, through: int) -> None:
+        for step, message in self.lines:
+            if step <= through:
+                warnings.warn(message, RuntimeWarning, stacklevel=2)
+        self.lines.clear()
 
 
 def step_count(t0: float, t_final: float, h: float) -> int:
@@ -323,28 +356,43 @@ def evolve(config: SolverConfig, initial: RadialState,
         Nontrivial field at the outermost two nodes (see SolverConfig.cone_floor).
     BlowupDetected
         max |u| exceeded config.blowup_threshold or became non-finite.
+    ValueError
+        A stored layer's v is not finite (the check of RadialState).
 
     Notes
     -----
     Work is confined to the light-cone prefix: the nodes up to the last one
     where either starting layer is nonzero (exactly), growing by one node per
     step up to the full grid.  The kernel steps it rounded up to whole
-    chunks of PREFIX_CHUNK nodes, on views of its buffers rebuilt once per
+    chunks of PREFIX_CHUNK nodes, on views of its w buffers rebuilt once per
     chunk.  Beyond the prefix the stencil yields exact zeros, so the result
-    is the same bit for bit as stepping the whole grid.  The
-    layers live in a fixed set of buffers; a RadialState is built only for
-    the stored snapshots.
+    is the same bit for bit as stepping the whole grid.
 
-    The log's t and max |u| are written at every step.  E, z and the
-    support radius are computed for LOG_BLOCK layers at a time, from copies
-    of their (u, v) prefixes, by :func:`diagnostics.step_log_rows`, the
-    row-wise code behind :func:`diagnostics.energy`, :func:`diagnostics.virial`
-    and :func:`diagnostics.support_radius`; the arithmetic per row is theirs, so
-    a logged E or z equals the value recomputed from a stored snapshot bit
-    for bit.  The copies form C-contiguous (k, W) blocks, W fixed when a
-    block starts and covering every row's prefix, so each pass of the log
-    runs over contiguous memory.  On a SolverError the whole log is
-    dropped, pending rows included.
+    The u and v of a layer live only in the step log's block: LOG_BLOCK
+    rows of a fixed width, C-contiguous, from which
+    :func:`diagnostics.step_log_rows` computes E, z, max |u| and the support
+    radius of every row at once, and the stored snapshots are built.  The
+    kernel writes u^{k+1} and v^k straight into their rows; v^k is written
+    and a full block flushed before u^{k+1} goes into the next row, so one
+    block serves the whole run.  A block's width is fixed when it starts and
+    covers every row's prefix plus two +0.0 columns; the row-wise code is
+    the one behind :func:`diagnostics.energy`, :func:`diagnostics.virial`
+    and :func:`diagnostics.support_radius`, so a logged value equals the one
+    recomputed from a stored snapshot bit for bit.
+
+    The guards run when a block is flushed, layer by layer in order, on the
+    max |u| the log forms, so the first failing layer raises with the time
+    and message of a check after every step; a stored layer whose v is not
+    finite raises RadialState's ValueError in its turn, after the next
+    layer's guards.  The at most LOG_BLOCK - 1 layers stepped past a failure
+    are discarded, so the kernel's overflow, invalid and divide-by-zero
+    errors are logged, not warned of: a finished run, or one that a stored
+    layer's ValueError ends, then gives them as RuntimeWarnings up to that
+    layer, unless numpy's settings ignore them; a run that a guard ends
+    drops them.  A block whose E or z is not finite is logged once more,
+    after the guards of its layers and of the next one, with numpy's
+    settings, for the log's own warnings.  On a SolverError the whole log
+    is dropped.
     """
     grid, params = config.grid, config.params
     if initial.grid != grid:
@@ -356,18 +404,15 @@ def evolve(config: SolverConfig, initial: RadialState,
     n_steps = step_count(t0, config.t_final, h)
 
     p, mu = params.p, params.mu
-    band, linear = config.origin_band, config.linear
+    band, linear, stride = config.origin_band, config.linear, config.snapshot_stride
     op = _source_op(mu, linear)
     w_cur = initial.w.copy()
-    u_cur = initial.u.copy()
-    # every buffer is +0.0 beyond the prefix, as the full-grid stencil would
-    # leave it; the views start on the full grid for layer 0 and the back
-    # layer.  They are w at layers k - 1, k, k + 1, u at k and k + 1, v, the
-    # source term, |u| (also the source's scratch), r, r^{p-1} and 2 h r
+    # the w buffers are +0.0 beyond the prefix, as the full-grid stencil would
+    # leave them; the views start on the full grid for the back layer.  They
+    # are w at layers k - 1, k and k + 1, the source term and r^{p-1}
     w_prev = np.zeros(n + 1)
-    wp, wc, wn, uc, un, vv, sv, av, rv, rpv, trv = _prefix_views(
-        [w_prev, w_cur, np.zeros(n + 1), u_cur, np.zeros(n + 1), np.zeros(n + 1),
-         np.zeros(n + 1), np.empty(n + 1), r, r ** (p - 1.0), 2.0 * h * r], n + 1, band)
+    wp, wc, wn, sv, rpv = _prefix_views(
+        [w_prev, w_cur, np.zeros(n + 1), np.zeros(n + 1), r ** (p - 1.0)], n + 1, band)
     if initial_prev is not None:
         if initial_prev.grid != grid or initial_prev.params != params:
             raise ValueError("initial_prev does not match the configuration")
@@ -375,9 +420,9 @@ def evolve(config: SolverConfig, initial: RadialState,
             raise ValueError("initial_prev must sit one step before the initial state")
         w_prev[:] = initial_prev.w
     else:
-        # the term stays in src on the live nodes of w_cur and u_cur, all
+        # the term stays in src on the live nodes of w_cur and initial.u, all
         # inside the first step's prefix, which overwrites it
-        _source_term(wc, uc, rv, rpv, sv, av, p, h, linear)
+        _source_term(wc, initial.u, r, rpv, sv, p, h, linear)
         d2 = np.zeros_like(w_cur)
         d2[1:-1] = w_cur[2:] - 2.0 * w_cur[1:-1] + w_cur[:-2]
         d2[-1] = w_cur[-2] - 2.0 * w_cur[-1]  # zero ghost
@@ -386,99 +431,140 @@ def evolve(config: SolverConfig, initial: RadialState,
 
     # one comparison catches NaN, +inf and the threshold; the cap keeps +inf
     # caught when the threshold is inf
-    limit = min(config.blowup_threshold, np.finfo(float).max)
+    limit = float(min(config.blowup_threshold, np.finfo(float).max))
+    floor = config.cone_floor
+    two_h_r = 2.0 * h * r
+    settings = np.geterr()  # numpy's floating-point error settings of the caller
+    errors = _ErrorLog(settings)
 
-    def check_layer(u: _Views, abs_u: _Views, m: int, t: float) -> float:
-        mx = np.maximum.reduce(np.abs(u.prefix, out=abs_u.prefix))
+    def check(j: int, mx: float, u: np.ndarray) -> None:
+        # the guards of layer j, whose row u holds its prefix at least
+        t = t0 + j * h if j else t0
         if not mx <= limit:
-            raise BlowupDetected(f"field magnitude {float(mx)!r} at t = {t!r}", t)
+            raise BlowupDetected(f"field magnitude {mx!r} at t = {t!r}", t)
         # the outer two nodes hold +0.0 until the prefix reaches node n - 1
-        if (config.cone_floor is not None and m >= n
-                and np.abs(u.whole[-2:]).max() > config.cone_floor):
+        if floor is not None and len(u) >= n and max(map(abs, u[n - 1:].tolist())) > floor:
             raise ConeViolation(
                 f"field reached the outer boundary at t = {t!r}; "
                 "enlarge the grid or disable the cone guard", t)
-        return float(mx)
 
-    # one row per layer: t, E, z, max |u|, support radius.  t and max |u|
-    # are filled per step; E, z and the support radius of LOG_BLOCK
-    # consecutive layers at a time, from copies of their (u, v) prefixes
-    log = np.empty((n_steps + 1, 5))
+    # the log's rows: t, E, z, max |u| and the support radius of every layer
+    log = np.empty((5, n_steps + 1))
+    log[0] = t0 + np.arange(n_steps + 1) * h
+    log[0, 0] = t0
     rows = min(LOG_BLOCK, n_steps + 1)
-    # the block's u and v stacks are C-contiguous (k, width) views of these
+    # the block's u and v are C-contiguous (rows, width) views of these
     flat_u, flat_v = np.zeros(rows * (n + 1)), np.zeros(rows * (n + 1))
     buffers = diagnostics._RowBuffers(rows, n + 1)
-    width = 0
-
-    def log_row(k: int, t: float, u: np.ndarray, v: np.ndarray, e: int,
-                max_abs_u: float) -> None:
-        # layer k goes to row i = k % rows; u and v are +0.0 from node e on.
-        # The width is set when a block starts and never shrinks: layer k + j
-        # is logged with e = m + j + 2 at most, m being the active prefix
-        # when layer k is logged (m + j + 3 from layer 0, whose m comes one
-        # step early).  Each row is copied over the full width, and the +0.0
-        # columns past a row's prefix leave its values' bits unchanged
-        nonlocal width
-        log[k, 0], log[k, 3] = t, max_abs_u
-        i = k % rows
-        if i == 0:
-            width = max(width, e, min(m + rows + 2, n + 1))
-        assert e <= width
-        flat_u[i * width:(i + 1) * width] = u[:width]
-        flat_v[i * width:(i + 1) * width] = v[:width]
-        if i == rows - 1 or k == n_steps:
-            size = (i + 1) * width
-            us = flat_u[:size].reshape(i + 1, width)
-            vs = flat_v[:size].reshape(i + 1, width)
-            block = slice(k - i, k + 1)
-            (log[block, 1], log[block, 2],
-             log[block, 4]) = diagnostics.step_log_rows(us, vs, r, h, p, mu, buffers)
-
-    # u_cur's buffer is recycled as well, so its nonzeros count too
-    m = _active_length(w_cur, w_prev, u_cur)
-    max_u = check_layer(uc, av, n + 1, t0)
+    pad = np.zeros(n + 1)
     states = [initial]
-    log_row(0, t0, initial.u, initial.v,
-            min(max(_live_length(initial.u, initial.v) + 2, 3), n + 1), max_u)
+    first = 0
+
+    def block_views():
+        # the (rows, width) blocks of u and v, their rows and the rows' nodes
+        # [1, width), then w at layers k - 1, k, k + 1, r and 2 h r on those
+        U, V = (x[:rows * width].reshape(rows, width) for x in (flat_u, flat_v))
+        return (U, V, list(U), list(U[:, 1:]), list(V), list(V[:, 1:]),
+                *(x[1:width] for x in (wp.whole, wc.whole, wn.whole, r, two_h_r)))
+
+    def stored(j: int, u: np.ndarray, v: np.ndarray) -> RadialState:
+        if width <= n:
+            u, v = np.concatenate((u, pad[width:])), np.concatenate((v, pad[width:]))
+        return RadialState(grid=grid, params=params, t=t0 + j * h, u=u, v=v)
+
+    def fail(j: int, exc: ValueError) -> None:
+        # stored layer j's v is not finite: the full-grid loop stopped there
+        errors.warn(j)
+        raise exc
+
+    def flush(count: int, ahead: bool) -> None:
+        # the block's first count rows, complete: the guards and the snapshots
+        # layer by layer, as the full-grid loop takes them, then the log.
+        # ahead: wn holds the next layer, which that loop checked before it
+        # logged and stored these
+        us, vs = U[:count], V[:count]
+        mark = len(errors.lines)
+        E, z, top, support = diagnostics.step_log_rows(us, vs, r, h, p, mu, buffers)
+        del errors.lines[mark:]  # the log's own warnings come below
+        # no guard can fail below the limit and short of the outer nodes
+        guarded = floor is not None and width >= n or not all(map(limit.__ge__, top))
+        failed = None
+        for i in range(count):
+            j = first + i
+            if guarded:
+                check(j, top[i], u_rows[i])
+            if failed:  # raised in its turn
+                fail(*failed)
+            if j and (j % stride == 0 or j == n_steps):
+                try:
+                    states.append(stored(j, u_rows[i], v_rows[i]))
+                except ValueError as exc:
+                    failed = j, exc
+        if failed or not math.isfinite(sum(E) + sum(z)):
+            if ahead:
+                u = np.zeros(n + 1)
+                _u_from_w(wn.whole[1:], r[1:], u, u[1:])
+                del errors.lines[mark:]  # the next step logs them
+                check(first + count, float(np.maximum.reduce(np.abs(u))), u)
+            with np.errstate(**settings):  # the log's own warnings, once more
+                diagnostics.step_log_rows(us, vs, r, h, p, mu, buffers)
+            if failed:
+                fail(*failed)
+        log[1:, first:first + count] = E, z, top, support
+
+    # initial.u counts: it is layer 0's row, which the first source term reads.
+    # Layer first + i of a block is live on at most m + i + 1 nodes, m taken
+    # when the block starts (m + i + 2 in the first block, whose m comes one
+    # step early); each row reaches two +0.0 columns past that, and the
+    # origin band that the source reads from it
+    m = _active_length(w_cur, w_prev, initial.u)
+    width = min(max(_live_length(initial.u, initial.v) + 2, m + rows + 2, band), n + 1)
+    U, V, u_rows, u_lives, v_rows, v_lives, lp, lc, ln, r_w, t_w = block_views()
+    u_rows[0][:], v_rows[0][:] = initial.u[:width], initial.v[:width]
 
     # the kernel steps the prefix [0, mk), m rounded up to whole chunks of
     # PREFIX_CHUNK nodes (at most n + 1), on views rebuilt only when mk moves.
     # Past m every buffer holds +0.0, which every operation of the stencil
-    # maps to +0.0, so the extra nodes change no bit; the log and the cone
-    # test keep the true m.  The last pass (when there is a step at all) is
-    # one auxiliary interior step past t_final that feeds the same centered
-    # stencil as every other layer; the extra layer is neither stored,
-    # logged, nor run through the guards (a one-sided endpoint stencil would
-    # amplify grid-scale wavefront oscillation several-fold)
+    # maps to +0.0, so the extra nodes change no bit; the rows keep to the
+    # true m.  The last pass (when there is a step at all) is one auxiliary
+    # interior step past t_final that feeds the same centered stencil as
+    # every other layer; the extra layer is neither stored, logged, nor run
+    # through the guards (a one-sided endpoint stencil would amplify
+    # grid-scale wavefront oscillation several-fold)
     mk = 0
-    for k in range(n_steps + 1 if n_steps else 0):
-        m = min(m + 1, n + 1)
-        if m > mk:
-            mk = min(-(-m // PREFIX_CHUNK) * PREFIX_CHUNK, n + 1)
-            wp, wc, wn, uc, un, vv, sv, av, rv, rpv, trv = _prefix_views(
-                [x.whole for x in (wp, wc, wn, uc, un, vv, sv, av, rv, rpv, trv)],
-                mk, band)
-        _source_term(wc, uc, rv, rpv, sv, av, p, h, linear)
-        _advance(wp, wc, sv, op, wn)
-        if k < n_steps:
-            _u_from_w(wn, rv, un)
-            max_nxt = check_layer(un, av, m, t0 + (k + 1) * h)
-        if k >= 1:
-            # layer k gets its centered v now that layer k+1 exists; u and v
-            # are +0.0 past the prefix, so the row equals energy/virial of
-            # the full state
-            _v_from_layers(wn, wp, trv, vv)
-            t_k = t0 + k * h
-            log_row(k, t_k, uc.whole, vv.whole, min(m + 2, n + 1), max_u)
-            if k % config.snapshot_stride == 0 or k == n_steps:
-                states.append(RadialState(grid=grid, params=params, t=t_k,
-                                          u=uc.whole, v=vv.whole))
-        wp, wc, wn = wc, wn, wp
-        uc, un = un, uc
-        max_u = max_nxt
+    with np.errstate(over="log", invalid="log", divide="log", call=errors):
+        if rows == 1:
+            flush(1, False)
+        for k in range(n_steps + 1 if n_steps else 0):
+            errors.step = k
+            if m <= n:
+                m += 1
+                if m > mk:
+                    mk = min(-(-m // PREFIX_CHUNK) * PREFIX_CHUNK, n + 1)
+                    wp, wc, wn, sv, rpv = _prefix_views(
+                        [x.whole for x in (wp, wc, wn, sv, rpv)], mk, band)
+            i = k - first  # layer k's row
+            _source_term(wc, u_rows[i], r, rpv, sv, p, h, linear)
+            _advance(wp, wc, sv, op, wn)
+            if k >= 1:
+                # layer k gets its centered v now that layer k+1 exists
+                _v_from_layers(ln, lp, t_w, v_rows[i], v_lives[i])
+                if i == rows - 1 or k == n_steps:
+                    flush(i + 1, k < n_steps)
+            if k < n_steps:
+                if i == rows - 1:
+                    first, i = k + 1, -1
+                    if min(m + rows + 2, n + 1) > width:
+                        width = min(m + rows + 2, n + 1)
+                        U, V, u_rows, u_lives, v_rows, v_lives, lp, lc, ln, r_w, t_w = (
+                            block_views())
+                _u_from_w(ln, r_w, u_rows[i + 1], u_lives[i + 1])
+            wp, wc, wn = wc, wn, wp
+            lp, lc, ln = lc, ln, lp
+    errors.warn(n_steps)
 
     return Trajectory(grid=grid, params=params, states=tuple(states),
-                      log=StepLog(*log.T), linear=config.linear)
+                      log=StepLog(*log), linear=config.linear)
 
 
 def _source_of_state(s: RadialState, linear: bool) -> np.ndarray:

@@ -865,7 +865,7 @@ def test_library_value_error_removes_the_empty_directory(tmp_path, capsys):
     # the norms values meet the library's own rules while parsing (R = 20)
     ("norms", "betas", [0.0, 2.0], "beta must lie in [0, 3/2), got 2.0"),
     ("norms", "tail_radii", [2.0, 25.0], "tail radius must lie in [0, R - 2h], got 25.0"),
-    ("norms", "g1_radii", [10.0], "window [r, 4r] exceeds the grid for max radius 10.0"),
+    ("norms", "g1_radii", [25.0], "radius 25.0 exceeds the grid's outer radius R = 20.0"),
     ("norms", "sp_interval", [0.1, 0.0], "interval must be ordered"),
     ("norms", "sp_interval", [0.0], "expected [t0, t1]"),
     ("bootstrap", "p_values", [], "needs at least one value"),
@@ -882,6 +882,17 @@ def test_section_fields_report_their_path(tmp_path, capsys, scenario, field, val
     assert main([scenario, "--config", _write_config(tmp_path, raw)]) == 2
     assert capsys.readouterr().err == f"config: {scenario}.{field}: {message}\n"
     assert not out.exists()
+
+
+def test_g1_radii_up_to_the_outer_radius_pass(tmp_path):
+    # g1 is defined up to R = 20; radii in (R/4, R] failed the window [r, 4r]
+    # of the g2 and g3 moduli, which are gone
+    out = tmp_path / "out"
+    raw = _quick("norms", out, {})
+    raw["norms"]["g1_radii"] = [6.0, 20.0]
+    assert main(["norms", "--config", _write_config(tmp_path, raw)]) == 0
+    g1 = json.loads((out / "normreport.json").read_text())["g1"]
+    assert sorted(g1) == ["20.0", "6.0"]
 
 
 @pytest.mark.parametrize("edit, field", [
@@ -1018,6 +1029,22 @@ def test_ode_flat_amplitude_that_overflows_exits_2_before_output(tmp_path, capsy
     assert not out.exists()
     with pytest.raises(ConfigError, match="^initial.amplitude: "):
         build_initial(raw["initial"], RadialGrid(h=1.0 / 64.0, n=160), make_params(5.0, -1))
+
+
+@pytest.mark.parametrize("edit, message", [
+    # 2 width^2 underflowed to 0, so u(0) = exp(-0/0) was NaN (exit 1)
+    ({"initial": {"kind": "gaussian", "width": 1e-300}},
+     "initial.width: 1e-300 makes 2 width^2 underflow to 0"),
+    # s_p rounded to 3/2, which the norms' beta rule rejected (exit 1)
+    ({"equation": {"p": 1e300, "mu": 1}},
+     "equation: p = 1e+300 is too large: s_p = 3/2 - 2/(p - 1) rounds to 3/2"),
+])
+def test_values_that_round_away_exit_2_before_output(tmp_path, capsys, edit, message):
+    out = tmp_path / "out"
+    raw = {**_quick("norms", out, {}), **edit}
+    assert main(["norms", "--config", _write_config(tmp_path, raw)]) == 2
+    assert capsys.readouterr().err == f"config: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("edit, unmeasured", [

@@ -74,6 +74,14 @@ def test_params_rejects_bad_p(bad_p):
         make_params(bad_p, 1)
 
 
+def test_params_keep_s_p_below_three_halves():
+    # 2/(p - 1) under half a unit in the last place of 3/2 rounds s_p to 3/2
+    assert make_params(1e16, 1).s_p < 1.5
+    for p in (1e17, 1e300):
+        with pytest.raises(ValueError, match="s_p = 3/2 - 2/\\(p - 1\\) rounds to 3/2"):
+            make_params(p, 1)
+
+
 @pytest.mark.parametrize("bad_mu", [0, 2, -2])
 def test_params_rejects_bad_mu(bad_mu):
     with pytest.raises(ValueError):
@@ -561,14 +569,23 @@ def test_loaded_states_share_one_grid_per_h_n():
     assert len({id(g) for g in grids}) == 3
 
 
+def _step_log_from_csv(text: str) -> StepLog:
+    """The step-log CSV oracle: the header StepLog.to_csv writes, then one
+    row of five floats per layer."""
+    lines = [ln for ln in text.strip().splitlines() if ln]
+    assert lines and lines[0] == "t,E,z,max_abs_u,support_radius"
+    rows = [[float(tok) for tok in ln.split(",")] for ln in lines[1:]]
+    return StepLog(*np.array(rows, dtype=float).reshape(len(rows), 5).T)
+
+
 def test_step_log_csv_round_trip():
     log = StepLog(t=np.array([0.0, 0.1]), energy=np.array([1.0, 1.0 + 1e-15]),
                   virial=np.array([-0.5, -0.6]), max_abs_u=np.array([1.0, 0.9]),
                   support_radius=np.array([2.0, 2.1]))
-    back = StepLog.from_csv(log.to_csv())
-    assert np.array_equal(back.t, log.t)
-    assert np.array_equal(back.energy, log.energy)  # repr survives round trip
-    assert np.array_equal(back.virial, log.virial)
+    back = _step_log_from_csv(log.to_csv())
+    for name in ("t", "energy", "virial", "max_abs_u", "support_radius"):
+        # repr survives the round trip
+        assert np.array_equal(getattr(back, name), getattr(log, name))
 
 
 # --- trajectory container -----------------------------------------------------------
@@ -588,7 +605,7 @@ def _tiny_traj():
 
 def test_trajectory_state_lookup():
     traj = _tiny_traj()
-    assert np.array_equal(traj.times, [0.0, 1.0, 2.0])
+    assert np.array_equal([s.t for s in traj.states], [0.0, 1.0, 2.0])
     assert traj.state_at(1.0).t == 1.0
     with pytest.raises(KeyError):
         traj.state_at(0.5)

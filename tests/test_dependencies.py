@@ -98,22 +98,29 @@ def test_runners_read_no_config_field():
 
 def test_public_names_have_a_caller():
     # a public name that only tests reach is not part of the package: every
-    # name in an __all__ is read somewhere in src/nlwlab outside its own
-    # definition (imports and the __all__ strings do not count), except the
-    # entry points of tests/test_acceptance.py
-    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
-             for path in sorted((ROOT / "src" / "nlwlab").glob("*.py"))}
+    # name in an __all__, and every public method or property of a class
+    # there, is read somewhere in src/nlwlab outside its own definition
+    # (imports and the __all__ strings do not count), except the entry
+    # points of tests/test_acceptance.py
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in sorted((ROOT / "src" / "nlwlab").glob("*.py"))]
+
+    def read(name, definition):
+        skip = set(ast.walk(definition))
+        return any(isinstance(getattr(node, "ctx", None), ast.Load) and node not in skip
+                   and name in (getattr(node, "id", None), getattr(node, "attr", None))
+                   for tree in trees for node in ast.walk(tree))
+
     uncalled = set()
-    for module, tree in trees.items():
+    for tree in trees:
         public = next(ast.literal_eval(top.value) for top in tree.body
                       if isinstance(top, ast.Assign)
                       and [getattr(t, "id", None) for t in top.targets] == ["__all__"])
-        for name in public:
-            reads = [node for other, other_tree in trees.items() for top in other_tree.body
-                     if not (other == module and getattr(top, "name", None) == name)
-                     for node in ast.walk(top)
-                     if isinstance(getattr(node, "ctx", None), ast.Load)
-                     and name in (getattr(node, "id", None), getattr(node, "attr", None))]
-            if not reads:
-                uncalled.add(name)
+        for top in tree.body:
+            if getattr(top, "name", None) in public:
+                if not read(top.name, top):
+                    uncalled.add(top.name)
+                uncalled.update(f"{top.name}.{m.name}" for m in getattr(top, "body", [])
+                                if isinstance(m, ast.FunctionDef)
+                                and not m.name.startswith("_") and not read(m.name, m))
     assert uncalled == {"scale_state", "tail_norms", "sobolev_norm_1d", "contraction_constant"}

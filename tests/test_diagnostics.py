@@ -283,7 +283,7 @@ def test_radial_integral_in_scratch_matches_fresh_terms():
 def test_step_log_rows_match_one_row_calls(w_grid):
     # rows whose support ends near the block's last column, far inside it,
     # and nowhere: the windowed support search falls back per row, and every
-    # value equals the one-row call on that row's full-grid field
+    # value equals the one-row call (or max |u|) on that row's full-grid field
     from nlwlab.diagnostics import SUPPORT_WINDOW, _RowBuffers, step_log_rows
     r, h = w_grid.r, w_grid.h
     width = 400
@@ -305,9 +305,10 @@ def test_step_log_rows_match_one_row_calls(w_grid):
         state = RadialState(grid=w_grid, params=params, t=0.0, u=full_u, v=full_v)
         assert got[0][i] == energy(state)
         assert got[1][i] == virial(state)
-        assert got[2][i] == support_radius(full_u, full_v, r)
-    assert got[2][0] > r[width - SUPPORT_WINDOW] and got[2][1] < 1.0
-    assert got[2][2:] == [0.0, 0.0]
+        assert got[2][i] == float(np.max(np.abs(full_u)))
+        assert got[3][i] == support_radius(full_u, full_v, r)
+    assert got[3][0] > r[width - SUPPORT_WINDOW] and got[3][1] < 1.0
+    assert got[3][2:] == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("k", [1, 2, 8])

@@ -249,8 +249,15 @@ def test_g_moduli_validation(w_state):
         norms._g1(w_state, [])
     with pytest.raises(ValueError, match="nonnegative"):
         norms._g1(w_state, [-1.0])
-    with pytest.raises(ValueError, match="exceeds the grid"):
-        norms._g1(w_state, [13.0])  # 4 * 13 > R = 50
+    with pytest.raises(ValueError, match="radius 51.0 exceeds the grid's outer radius R = 50.0"):
+        norms._g1(w_state, [51.0])
+
+
+def test_g1_is_defined_up_to_the_outer_radius(w_state):
+    # g1 needs no window [r, 4r]: every radius up to R is a suffix of the grid
+    suffix = norms._g1_suffix(w_state)
+    n = w_state.grid.n
+    assert norms._g1(w_state, [13.0, 50.0]).tolist() == [suffix[1300], suffix[n]]
 
 
 # ---------------------------------------------------------------------------

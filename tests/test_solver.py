@@ -1,3 +1,7 @@
+import json
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +9,7 @@ from hypothesis import strategies as st
 
 from nlwlab import (EquationParams, RadialGrid, RadialState, StepLog, Trajectory,
                     diagnostics, make_params, scale_state, solver)
-from nlwlab.cli import ode_flat_blowup_time, profile_ode_flat
+from nlwlab.cli import build_initial, ode_flat_blowup_time, parse_config, profile_ode_flat
 from nlwlab.core import _live_length, even_origin_value
 from nlwlab.solver import (
     LOG_BLOCK,
@@ -19,6 +23,8 @@ from nlwlab.solver import (
     step,
 )
 from conftest import bump
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _hat_w(n, center=24, half=16):
@@ -328,6 +334,48 @@ def _oracle_case(name):
         return (SolverConfig(grid=grid, params=params, t_final=1.0, cone_floor=None,
                              blowup_threshold=np.inf),
                 _state_from_w(grid, params, w), prev, BlowupDetected)
+    if name in _GUARD_CASES:
+        # focusing plateau data on R = 1.625: max |u| grows from 1.86 at layer 0
+        # (2.48 at 7, 3.03 at 10, 3.70 at 12, 5.15 at 14, 6.92 at 15) to NaN at
+        # layer 21, and the front reaches node n - 1 at layer 8, where
+        # max |u[n-1:]| grows (0.014 at 11, 0.025 at 12, 0.056 at 14); the log
+        # block holds layers 8 .. 15
+        floor, threshold, steps, expected, _ = _GUARD_CASES[name]
+        params = make_params(5.0, -1)
+        grid = RadialGrid(h=1.0 / 64.0, n=104)
+        amp = 1.8612097182041992
+        u0 = profile_ode_flat(grid.r, amp)
+        s0 = RadialState(grid=grid, params=params, t=0.0, u=u0,
+                         v=(params.a / ode_flat_blowup_time(params, amp)) * u0)
+        return SolverConfig(grid=grid, params=params, t_final=steps * grid.h,
+                            cone_floor=floor, blowup_threshold=threshold), s0, None, expected
+    if name == "linear_log_overflows":
+        # a free wave of height 1e200: the kernel stays finite, the log's
+        # |u|^(p+1) overflows, and no logged E is finite
+        params = make_params(5.0, 1)
+        grid = RadialGrid(h=1.0 / 64.0, n=128)
+        s0 = RadialState(grid=grid, params=params, t=0.0, u=bump(grid.r, amp=1e200),
+                         v=np.zeros(grid.n + 1))
+        return SolverConfig(grid=grid, params=params, t_final=0.5, snapshot_stride=5,
+                            linear=True, blowup_threshold=1e300), s0, None, None
+    if name == "linear_v_overflows":
+        # fronts of height 1e307 on nodes 64..72 moving out and 80..88 moving
+        # in, one node per step: u stays at most 1e307 until they meet, but
+        # v = (w^{k+1} - w^{k-1}) / (2 h r) overflows at layer 1, whose
+        # snapshot is rejected once layer 2 has passed the guards; the sum
+        # where the fronts meet passes the threshold from layer 4 on
+        params = make_params(5.0, 1)
+        grid = RadialGrid(h=1.0 / 64.0, n=128)
+        j = np.arange(grid.n + 1)
+        out, inward = (j >= 64) & (j <= 72), (j >= 80) & (j <= 88)
+        w = np.where(out | inward, 1e307, 0.0)
+        back = np.zeros_like(w)
+        back[:-1] = np.where(out[1:], w[1:], 0.0)
+        back[1:] += np.where(inward[:-1], w[:-1], 0.0)
+        return (SolverConfig(grid=grid, params=params, t_final=1.0, linear=True,
+                             cone_floor=None, blowup_threshold=1.2e307),
+                _state_from_w(grid, params, w), _state_from_w(grid, params, back, t=-grid.h),
+                ValueError)
     if name.startswith("steps_"):
         # focusing bump over a step count around the log block edges; the
         # stride does not divide the block
@@ -341,18 +389,125 @@ def _oracle_case(name):
     raise KeyError(name)
 
 
+# (cone_floor, blowup_threshold, steps, outcome, failing layer) of the
+# plateau data: the first failing layer decides, its blowup check first
+_GUARD_CASES = {
+    "blowup_on_layer_0": (None, 1.5, 18, BlowupDetected, 0),
+    "blowup_on_block_last_row": (None, 6.0, 18, BlowupDetected, 15),
+    "cone_then_blowup_in_block": (0.02, 5.0, 18, ConeViolation, 12),  # blowup at 14
+    "blowup_then_cone_in_block": (0.05, 3.5, 18, BlowupDetected, 12),  # cone at 14
+    "blowup_and_cone_on_one_layer": (0.02, 3.5, 18, BlowupDetected, 12),
+    "overflow_at_infinite_threshold": (None, np.inf, 40, BlowupDetected, 21),  # NaN
+    # the auxiliary step overflows: the final layer's v is not finite
+    "overflow_in_final_v": (None, np.inf, 20, ValueError, None),
+}
 _BLOCK_EDGE_CASES = ["steps_0", "steps_1", "steps_7", "steps_8", "steps_9", "steps_17",
                      "gaussian_reaches_grid_end", "initial_prev_wider"]
 _ORACLE_CASES = ["bump_prefix_grows", "gaussian_full_grid", "bump_cone_violation",
                  "cone_sharp_front", "ode_flat_blowup", "linear", "initial_prev",
                  "overflow_to_inf", "overflow_to_nan", *_BLOCK_EDGE_CASES,
-                 "gaussian_underflow", "bump_crosses_chunks", "band_wider_than_prefix"]
+                 "gaussian_underflow", "bump_crosses_chunks", "band_wider_than_prefix",
+                 *_GUARD_CASES, "linear_v_overflows", "linear_log_overflows"]
+
+
+@pytest.mark.parametrize("case", _GUARD_CASES)
+def test_guard_cases_fail_where_named(case):
+    cfg, s0, prev, expected = _oracle_case(case)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = _run_or_error(_seed_evolve, cfg, s0, prev)
+    layer = _GUARD_CASES[case][-1]
+    assert type(ref) is expected
+    if layer is not None:
+        assert ref.t == layer * cfg.grid.h
+    if case == "blowup_on_block_last_row":
+        assert layer % LOG_BLOCK == LOG_BLOCK - 1
+    if case.startswith("overflow"):
+        assert cfg.blowup_threshold == np.inf
+        assert str(ref).startswith("field magnitude nan") or expected is ValueError
+
+
+@pytest.mark.parametrize("case", [*_GUARD_CASES, "linear_v_overflows", "ode_flat_blowup",
+                                  "bump_cone_violation", "overflow_to_inf"])
+def test_guards_do_not_depend_on_the_block_size(case, monkeypatch):
+    # the failing layer may start a block, end one or sit inside one, with
+    # the layer that fails and the snapshot whose v is not finite in one
+    # block or in two
+    cfg, s0, prev, expected = _oracle_case(case)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = _run_or_error(_seed_evolve, cfg, s0, prev)
+        for rows in (1, 2, 3, 5):
+            monkeypatch.setattr(solver, "LOG_BLOCK", rows)
+            _assert_same_outcome(_run_or_error(evolve, cfg, s0, prev), ref, expected)
+
+
+def test_log_warnings_of_a_finished_run_are_kept():
+    # the log's own overflow warnings, computed with warnings off, are given
+    # once more when the run goes on past the block
+    cfg, s0, prev, _ = _oracle_case("linear_log_overflows")
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        traj = evolve(cfg, s0, prev)
+    assert "overflow encountered in power" in {str(w.message) for w in seen}
+    assert not np.any(np.isfinite(traj.log.energy))
+
+
+@pytest.mark.parametrize("case, message", [
+    ("overflow_in_final_v", "overflow encountered in power"),
+    ("linear_v_overflows", "overflow encountered in divide")])
+def test_kernel_warnings_of_a_run_a_snapshot_ends(case, message):
+    # the kernel's floating-point errors up to the layer whose snapshot
+    # fails are warned of as numpy warns, unless the caller ignores them
+    cfg, s0, prev, _ = _oracle_case(case)
+    for setting, warned in (("warn", True), ("ignore", False)):
+        with np.errstate(over=setting), warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="v contains non-finite entries"):
+                evolve(cfg, s0, prev)
+        kernel = {str(w.message) for w in seen if Path(w.filename).name == "solver.py"}
+        assert (message in kernel) is warned
+
+
+def test_kernel_warnings_of_a_finished_run():
+    # a front of height 1e307 moving out from r in [1, 1.5]: v = (w^{k+1} -
+    # w^{k-1}) / (2 h r) overflows at its edges until they pass r = 1.78, on
+    # layers that are not stored, and the run finishes
+    params = make_params(5.0, 1)
+    grid = RadialGrid(h=1.0 / 64.0, n=256)
+    w = np.where((grid.r >= 1.0) & (grid.r <= 1.5), 1e307, 0.0)
+    back = np.zeros_like(w)
+    back[:-1] = w[1:]
+    cfg = SolverConfig(grid=grid, params=params, t_final=100 * grid.h, snapshot_stride=1000,
+                       linear=True, cone_floor=None, blowup_threshold=np.inf)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        traj = evolve(cfg, _state_from_w(grid, params, w),
+                      _state_from_w(grid, params, back, t=-grid.h))
+    kernel = {str(w.message) for w in seen if Path(w.filename).name == "solver.py"}
+    assert kernel == {"overflow encountered in divide"}
+    assert not np.isfinite(traj.log.energy[1]) and traj.states[-1].t == cfg.t_final
+
+
+def test_linear_case_overflows_v_only():
+    # layer 1's v overflows while u stays at most 1e307 on layers 0 to 3, so
+    # the layer-1 snapshot fails after layer 2 has passed the guards; a
+    # later layer of the same log block fails the blowup guard
+    cfg, s0, prev, _ = _oracle_case("linear_v_overflows")
+    r, h, zero = cfg.grid.r, cfg.grid.h, np.zeros(cfg.grid.n + 1)
+    w = [prev.w, s0.w]
+    for _ in range(6):
+        w.append(_seed_advance(w[-2], w[-1], zero, h))
+    top = [np.max(np.abs(_seed_u_from_w(x, r))) for x in w[1:]]
+    assert max(top[:4]) <= 1e307 and max(top[4:]) > cfg.blowup_threshold
+    with np.errstate(over="ignore"):
+        assert not np.all(np.isfinite(_seed_v_from_layers(w[3], w[1], r, h)))
+    assert cfg.snapshot_stride == 1
 
 
 def _run_or_error(run, cfg, s0, prev):
+    # a guard, or a snapshot whose v is not finite
     try:
         return run(cfg, s0, prev)
-    except SolverError as exc:
+    except (SolverError, ValueError) as exc:
         return exc
 
 
@@ -369,7 +524,8 @@ def _assert_same_bits(got, ref):
 def _assert_same_outcome(got, ref, expected):
     if expected is not None:
         assert type(ref) is expected
-        assert type(got) is expected and got.t == ref.t and str(got) == str(ref)
+        assert type(got) is expected and str(got) == str(ref)
+        assert getattr(got, "t", None) == getattr(ref, "t", None)
         # the message prints Python floats, not numpy scalar reprs
         assert "np.float64" not in str(got)
         return
@@ -533,6 +689,90 @@ def test_evolve_logs_in_blocks(case, monkeypatch):
     assert calls["support_radius"] == []
 
 
+class _CountingNumpy:
+    """numpy as a module sees it through its ``np``, counting every call made
+    through it (ufunc methods included)."""
+
+    def __init__(self):
+        self.calls = 0
+        self._seen = {}
+
+    def __getattr__(self, name):
+        if name not in self._seen:
+            self._seen[name] = _Counted(getattr(np, name), self)
+        return self._seen[name]
+
+
+class _Counted:
+    def __init__(self, f, owner):
+        self.f, self.owner = f, owner
+
+    def __call__(self, *args, **kwargs):
+        self.owner.calls += 1
+        return self.f(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return _Counted(getattr(self.f, name), self.owner)
+
+
+@pytest.mark.parametrize("case", ["bump_prefix_grows", "gaussian_full_grid"])
+def test_solver_makes_eleven_numpy_calls_per_step(case, monkeypatch):
+    # source 5, advance 3, u 1, v 2; the guards and the log's t, E, z, max |u|
+    # and support radius add none per step, and no layer is copied
+    cfg, s0, prev, _ = _oracle_case(case)
+    counted = _CountingNumpy()
+    monkeypatch.setattr(solver, "np", counted)
+    calls = {}
+    for steps in (16, 48):
+        run = SolverConfig(grid=cfg.grid, params=cfg.params, t_final=s0.t + steps * cfg.grid.h,
+                           snapshot_stride=1000, origin_band=cfg.origin_band,
+                           cone_floor=cfg.cone_floor)
+        counted.calls = 0
+        evolve(run, s0, prev)
+        calls[steps] = counted.calls
+    assert calls[48] - calls[16] <= 11 * 32
+
+
+def test_one_block_buffer_holds_every_layer(monkeypatch):
+    # the kernel writes u and v straight into the rows that the log reads:
+    # every row and block is a view of one u buffer and one v buffer of
+    # LOG_BLOCK full-grid rows, so no layer is copied
+    cfg, s0, prev, _ = _oracle_case("bump_prefix_grows")
+    bases, written = [], {"_u_from_w": [], "_v_from_layers": []}
+
+    def spy(u, v, *args, _f=diagnostics.step_log_rows, **kwargs):
+        bases.append((u.base, v.base))
+        return _f(u, v, *args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "step_log_rows", spy)
+    for name, outs in written.items():
+        def kernel(*args, _f=getattr(solver, name), _outs=outs):
+            _outs.append(args[-2])  # the row written
+            return _f(*args)
+        monkeypatch.setattr(solver, name, kernel)
+    evolve(cfg, s0, prev)
+    u_base, v_base = bases[0]
+    assert u_base is not v_base and u_base.shape == (LOG_BLOCK * (cfg.grid.n + 1),)
+    assert all(u is u_base and v is v_base for u, v in bases)
+    assert len(bases) == -(-int(round(cfg.t_final / cfg.grid.h + 1)) // LOG_BLOCK)
+    assert all(row.base is u_base for row in written["_u_from_w"])
+    assert all(row.base is v_base for row in written["_v_from_layers"])
+    steps = int(round(cfg.t_final / cfg.grid.h))
+    assert len(written["_u_from_w"]) == len(written["_v_from_layers"]) == steps
+
+
+def test_blowup_config_emits_no_runtime_warning(tmp_path):
+    # the layers stepped past the failing one, up to the end of its log
+    # block, run with the kernel's warnings off
+    raw = json.loads((ROOT / "configs" / "evolve_ode_blowup.json").read_text())
+    cfg = parse_config(raw, out_override=str(tmp_path))
+    s0 = build_initial(cfg.initial, cfg.grid, cfg.params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowupDetected):
+            evolve(cfg.run, s0)
+
+
 def test_evolve_builds_states_only_for_snapshots(monkeypatch):
     cfg, s0, _, _ = _oracle_case("bump_prefix_grows")
     built = []
@@ -693,7 +933,7 @@ def test_finite_speed_of_support():
 def test_snapshot_stride_and_log_shape():
     traj = _gauss_run(h=1.0 / 32.0, t_final=12.0 / 32.0, stride=5)
     # layers 0, 5, 10 plus the always-stored final layer 12
-    assert np.allclose(traj.times, np.array([0, 5, 10, 12]) / 32.0)
+    assert np.allclose([s.t for s in traj.states], np.array([0, 5, 10, 12]) / 32.0)
     assert len(traj.log.t) == 13
 
 
