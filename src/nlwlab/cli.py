@@ -266,8 +266,8 @@ def parse_config(raw: dict, scenario: str | None = None,
             solver.step_count(0.0, t_final, h)
         except ValueError:
             raise ConfigError(
-                f"run.t_final: {t_final!r} is not a whole, nonnegative number of "
-                f"steps of h = {h!r} from t = 0") from None
+                f"run.t_final: {t_final!r} is not a whole, nonnegative number, at "
+                f"most 2^53, of steps of h = {h!r} from t = 0") from None
     if "blowup_detection" in checks and "ode_match" in checks:
         T = ode_flat_blowup_time(params, initial["amplitude"])
         if _ode_match_steps(T, h) < 1:

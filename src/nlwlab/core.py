@@ -101,6 +101,8 @@ class RadialGrid:
             raise ValueError(f"grid spacing must be positive, got {self.h}")
         if self.n < 2:
             raise ValueError(f"need at least 3 nodes, got n = {self.n}")
+        if not np.isfinite(self.h * self.h) or not np.isfinite(self.n * self.h):
+            raise ValueError(f"h = {self.h!r}, n = {self.n} make h^2 or R = n h overflow")
         r = np.arange(self.n + 1, dtype=float) * self.h
         r.setflags(write=False)
         object.__setattr__(self, "_r", r)
@@ -168,9 +170,10 @@ def _nonneg_power(x: np.ndarray, e: float) -> np.ndarray:
 
 def _lattice_steps(x: float, h: float, name: str | None = None) -> int | None:
     """The whole k with x = k h to a relative tolerance of 1e-9 max(h, |x|):
-    the one test of the unit-CFL lattice.  Off it (a non-finite x included)
+    the one test of the unit-CFL lattice.  Off it (a non-finite x included,
+    and |x / h| past 2^53, where a float no longer tells whole numbers apart)
     None, or a ValueError naming ``name`` when one is given."""
-    k = int(round(x / h)) if np.isfinite(x / h) else None
+    k = int(round(x / h)) if abs(x / h) <= 2.0 ** 53 else None
     if k is not None and abs(x - k * h) <= 1e-9 * max(h, abs(x)):
         return k
     if name is not None:

@@ -36,8 +36,12 @@ __all__ = [
 ]
 
 SUPPORT_FLOOR = 1e-12
-# trailing columns where the support search starts (see _support_radii)
-SUPPORT_WINDOW = 64
+# trailing columns where the support search starts (see _support_radii).  A
+# solver row runs past its layer's light-cone prefix by up to
+# solver.PREFIX_CHUNK + solver.LOG_BLOCK + 2 columns, and its support ends a
+# few nodes short of that prefix, where a compact tail is below the floor;
+# the window covers both, so such a row is never searched whole
+SUPPORT_WINDOW = 128
 
 
 def smooth_cutoff(r, Rc: float):
@@ -205,9 +209,8 @@ def _support_radii(u: np.ndarray, v: np.ndarray, r: np.ndarray) -> list:
     max(|u_j|, |v_j|) > SUPPORT_FLOOR, or 0 for a tiny field.
 
     The search looks at the last SUPPORT_WINDOW columns first, where a
-    solver layer's support ends (its prefix runs past the support by the
-    few nodes where a compact tail is below the floor), and at whole rows
-    only for those it finds nothing there (r > 0 in such a window).
+    solver layer's support ends, and at whole rows only for those it finds
+    nothing there (r > 0 in such a window).
     """
     W = u.shape[-1]
     start = max(W - SUPPORT_WINDOW, 0)

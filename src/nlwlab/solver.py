@@ -157,7 +157,7 @@ class _Views:
     and the shifted neighbours [2, hi + 1), [0, hi - 1) of the nodes [1, hi),
     hi = min(mk, n).  A step reads about twenty of them, a noticeable cost
     next to its ufunc calls on a short prefix, so :func:`evolve` builds them
-    only when mk moves.
+    only when its prefix grows.
     """
 
     __slots__ = ("band", "tail", "live", "right", "left", "inner", "prefix", "whole")
@@ -173,6 +173,13 @@ class _Views:
 def _prefix_views(buffers, mk: int, origin_band: int) -> list:
     """:class:`_Views` of each buffer on the prefix [0, mk)."""
     return [_Views(x, mk, origin_band) for x in buffers]
+
+
+def _row_views(buffers, rows: int, width: int) -> list:
+    """Per flat buffer: its head as a C-contiguous (rows, width) block, the
+    block's rows and the rows' nodes [1, width)."""
+    blocks = [x[:rows * width].reshape(rows, width) for x in buffers]
+    return [(b, list(b), list(b[:, 1:])) for b in blocks]
 
 
 def _source_term(w: _Views, u: np.ndarray, r: np.ndarray, rp: _Views, out: _Views,
@@ -361,24 +368,26 @@ def evolve(config: SolverConfig, initial: RadialState,
 
     Notes
     -----
-    Work is confined to the light-cone prefix: the nodes up to the last one
-    where either starting layer is nonzero (exactly), growing by one node per
-    step up to the full grid.  The kernel steps it rounded up to whole
-    chunks of PREFIX_CHUNK nodes, on views of its w buffers rebuilt once per
-    chunk.  Beyond the prefix the stencil yields exact zeros, so the result
-    is the same bit for bit as stepping the whole grid.
+    The run goes block by block, a block being LOG_BLOCK consecutive layers.
+    Their u and v live only in the rows of one (rows, P) block, C-contiguous,
+    from which :func:`diagnostics.step_log_rows` computes E, z, max |u| and
+    the support radius of every row at once, and the stored snapshots are
+    built.  The kernel writes u^k and v^k straight into layer k's row; a
+    block is flushed before the next one's first u is written, so one block
+    buffer serves the whole run.
 
-    The u and v of a layer live only in the step log's block: LOG_BLOCK
-    rows of a fixed width, C-contiguous, from which
-    :func:`diagnostics.step_log_rows` computes E, z, max |u| and the support
-    radius of every row at once, and the stored snapshots are built.  The
-    kernel writes u^{k+1} and v^k straight into their rows; v^k is written
-    and a full block flushed before u^{k+1} goes into the next row, so one
-    block serves the whole run.  A block's width is fixed when it starts and
-    covers every row's prefix plus two +0.0 columns; the row-wise code is
-    the one behind :func:`diagnostics.energy`, :func:`diagnostics.virial`
-    and :func:`diagnostics.support_radius`, so a logged value equals the one
-    recomputed from a stored snapshot bit for bit.
+    P is the block's prefix, fixed when it starts: the nodes up to the last
+    one where either starting layer is nonzero (exactly), one more per step
+    up to the block's last layer, and two +0.0 columns past that, rounded up
+    to whole chunks of PREFIX_CHUNK nodes and capped at the grid.  The
+    kernel steps every layer of the block on [0, P), and the rows span the
+    same nodes; all their views are rebuilt only when P grows, once per
+    chunk.  Beyond the light cone the stencil yields exact zeros, so the
+    result is the same bit for bit as stepping the whole grid; the row-wise
+    code is the one behind :func:`diagnostics.energy`,
+    :func:`diagnostics.virial` and :func:`diagnostics.support_radius`, so a
+    logged value equals the one recomputed from a stored snapshot bit for
+    bit.
 
     The guards run when a block is flushed, layer by layer in order, on the
     max |u| the log forms, so the first failing layer raises with the time
@@ -409,10 +418,11 @@ def evolve(config: SolverConfig, initial: RadialState,
     w_cur = initial.w.copy()
     # the w buffers are +0.0 beyond the prefix, as the full-grid stencil would
     # leave them; the views start on the full grid for the back layer.  They
-    # are w at layers k - 1, k and k + 1, the source term and r^{p-1}
+    # are w at layers k - 1, k and k + 1, the source term, r^{p-1}, r and 2 h r
     w_prev = np.zeros(n + 1)
-    wp, wc, wn, sv, rpv = _prefix_views(
-        [w_prev, w_cur, np.zeros(n + 1), np.zeros(n + 1), r ** (p - 1.0)], n + 1, band)
+    wp, wc, wn, sv, rpv, rv, tv = _prefix_views(
+        [w_prev, w_cur, np.zeros(n + 1), np.zeros(n + 1), r ** (p - 1.0), r, 2.0 * h * r],
+        n + 1, band)
     if initial_prev is not None:
         if initial_prev.grid != grid or initial_prev.params != params:
             raise ValueError("initial_prev does not match the configuration")
@@ -433,7 +443,6 @@ def evolve(config: SolverConfig, initial: RadialState,
     # caught when the threshold is inf
     limit = float(min(config.blowup_threshold, np.finfo(float).max))
     floor = config.cone_floor
-    two_h_r = 2.0 * h * r
     settings = np.geterr()  # numpy's floating-point error settings of the caller
     errors = _ErrorLog(settings)
 
@@ -453,23 +462,15 @@ def evolve(config: SolverConfig, initial: RadialState,
     log[0] = t0 + np.arange(n_steps + 1) * h
     log[0, 0] = t0
     rows = min(LOG_BLOCK, n_steps + 1)
-    # the block's u and v are C-contiguous (rows, width) views of these
+    # the block's u and v are C-contiguous (rows, P) views of these
     flat_u, flat_v = np.zeros(rows * (n + 1)), np.zeros(rows * (n + 1))
     buffers = diagnostics._RowBuffers(rows, n + 1)
     pad = np.zeros(n + 1)
     states = [initial]
-    first = 0
-
-    def block_views():
-        # the (rows, width) blocks of u and v, their rows and the rows' nodes
-        # [1, width), then w at layers k - 1, k, k + 1, r and 2 h r on those
-        U, V = (x[:rows * width].reshape(rows, width) for x in (flat_u, flat_v))
-        return (U, V, list(U), list(U[:, 1:]), list(V), list(V[:, 1:]),
-                *(x[1:width] for x in (wp.whole, wc.whole, wn.whole, r, two_h_r)))
 
     def stored(j: int, u: np.ndarray, v: np.ndarray) -> RadialState:
-        if width <= n:
-            u, v = np.concatenate((u, pad[width:])), np.concatenate((v, pad[width:]))
+        if P <= n:
+            u, v = np.concatenate((u, pad[P:])), np.concatenate((v, pad[P:]))
         return RadialState(grid=grid, params=params, t=t0 + j * h, u=u, v=v)
 
     def fail(j: int, exc: ValueError) -> None:
@@ -477,17 +478,17 @@ def evolve(config: SolverConfig, initial: RadialState,
         errors.warn(j)
         raise exc
 
-    def flush(count: int, ahead: bool) -> None:
+    def flush(count: int, w_next: np.ndarray | None) -> None:
         # the block's first count rows, complete: the guards and the snapshots
         # layer by layer, as the full-grid loop takes them, then the log.
-        # ahead: wn holds the next layer, which that loop checked before it
-        # logged and stored these
+        # w_next is w of the next layer, which that loop checked before it
+        # logged and stored these (None past the last layer)
         us, vs = U[:count], V[:count]
         mark = len(errors.lines)
         E, z, top, support = diagnostics.step_log_rows(us, vs, r, h, p, mu, buffers)
         del errors.lines[mark:]  # the log's own warnings come below
         # no guard can fail below the limit and short of the outer nodes
-        guarded = floor is not None and width >= n or not all(map(limit.__ge__, top))
+        guarded = floor is not None and P >= n or not all(map(limit.__ge__, top))
         failed = None
         for i in range(count):
             j = first + i
@@ -501,9 +502,9 @@ def evolve(config: SolverConfig, initial: RadialState,
                 except ValueError as exc:
                     failed = j, exc
         if failed or not math.isfinite(sum(E) + sum(z)):
-            if ahead:
+            if w_next is not None:
                 u = np.zeros(n + 1)
-                _u_from_w(wn.whole[1:], r[1:], u, u[1:])
+                _u_from_w(w_next[1:], r[1:], u, u[1:])
                 del errors.lines[mark:]  # the next step logs them
                 check(first + count, float(np.maximum.reduce(np.abs(u))), u)
             with np.errstate(**settings):  # the log's own warnings, once more
@@ -513,54 +514,43 @@ def evolve(config: SolverConfig, initial: RadialState,
         log[1:, first:first + count] = E, z, top, support
 
     # initial.u counts: it is layer 0's row, which the first source term reads.
-    # Layer first + i of a block is live on at most m + i + 1 nodes, m taken
-    # when the block starts (m + i + 2 in the first block, whose m comes one
-    # step early); each row reaches two +0.0 columns past that, and the
-    # origin band that the source reads from it
+    # Layer k is live on at most m + k + 1 nodes (layer 0 on its own live
+    # length), and its row reaches two +0.0 columns past that.  Past them
+    # every buffer holds +0.0, which every operation of the stencil maps to
+    # +0.0, so the nodes that the chunks add change no bit
     m = _active_length(w_cur, w_prev, initial.u)
-    width = min(max(_live_length(initial.u, initial.v) + 2, m + rows + 2, band), n + 1)
-    U, V, u_rows, u_lives, v_rows, v_lives, lp, lc, ln, r_w, t_w = block_views()
-    u_rows[0][:], v_rows[0][:] = initial.u[:width], initial.v[:width]
-
-    # the kernel steps the prefix [0, mk), m rounded up to whole chunks of
-    # PREFIX_CHUNK nodes (at most n + 1), on views rebuilt only when mk moves.
-    # Past m every buffer holds +0.0, which every operation of the stencil
-    # maps to +0.0, so the extra nodes change no bit; the rows keep to the
-    # true m.  The last pass (when there is a step at all) is one auxiliary
-    # interior step past t_final that feeds the same centered stencil as
-    # every other layer; the extra layer is neither stored, logged, nor run
-    # through the guards (a one-sided endpoint stencil would amplify
-    # grid-scale wavefront oscillation several-fold)
-    mk = 0
+    live0 = _live_length(initial.u, initial.v)
+    P = 0
     with np.errstate(over="log", invalid="log", divide="log", call=errors):
-        if rows == 1:
-            flush(1, False)
-        for k in range(n_steps + 1 if n_steps else 0):
-            errors.step = k
-            if m <= n:
-                m += 1
-                if m > mk:
-                    mk = min(-(-m // PREFIX_CHUNK) * PREFIX_CHUNK, n + 1)
-                    wp, wc, wn, sv, rpv = _prefix_views(
-                        [x.whole for x in (wp, wc, wn, sv, rpv)], mk, band)
-            i = k - first  # layer k's row
-            _source_term(wc, u_rows[i], r, rpv, sv, p, h, linear)
-            _advance(wp, wc, sv, op, wn)
-            if k >= 1:
-                # layer k gets its centered v now that layer k+1 exists
-                _v_from_layers(ln, lp, t_w, v_rows[i], v_lives[i])
-                if i == rows - 1 or k == n_steps:
-                    flush(i + 1, k < n_steps)
-            if k < n_steps:
-                if i == rows - 1:
-                    first, i = k + 1, -1
-                    if min(m + rows + 2, n + 1) > width:
-                        width = min(m + rows + 2, n + 1)
-                        U, V, u_rows, u_lives, v_rows, v_lives, lp, lc, ln, r_w, t_w = (
-                            block_views())
-                _u_from_w(ln, r_w, u_rows[i + 1], u_lives[i + 1])
-            wp, wc, wn = wc, wn, wp
-            lp, lc, ln = lc, ln, lp
+        for first in range(0, n_steps + 1, rows):
+            count = min(rows, n_steps + 1 - first)
+            need = max(m + first + rows + 2, 0 if first else live0 + 2)
+            need = min(-(-need // PREFIX_CHUNK) * PREFIX_CHUNK, n + 1)
+            if need > P:
+                P = need
+                wp, wc, wn, sv, rpv, rv, tv = _prefix_views(
+                    [x.whole for x in (wp, wc, wn, sv, rpv, rv, tv)], P, band)
+                (U, u_rows, u_lives), (V, v_rows, v_lives) = _row_views(
+                    [flat_u, flat_v], rows, P)
+            if not first:
+                u_rows[0][:], v_rows[0][:] = initial.u[:P], initial.v[:P]
+            # the last pass (when there is a step at all) is one auxiliary
+            # interior step past t_final that feeds the same centered stencil
+            # as every other layer; the extra layer is neither stored, logged,
+            # nor run through the guards (a one-sided endpoint stencil would
+            # amplify grid-scale wavefront oscillation several-fold)
+            for k in range(first, first + count if n_steps else 0):
+                i = k - first
+                if k:  # u^k, which step k - 1 made
+                    _u_from_w(wc.live, rv.live, u_rows[i], u_lives[i])
+                errors.step = k
+                _source_term(wc, u_rows[i], r, rpv, sv, p, h, linear)
+                _advance(wp, wc, sv, op, wn)
+                if k:
+                    # layer k gets its centered v now that layer k+1 exists
+                    _v_from_layers(wn.live, wp.live, tv.live, v_rows[i], v_lives[i])
+                wp, wc, wn = wc, wn, wp
+            flush(count, wc.whole if first + count <= n_steps else None)
     errors.warn(n_steps)
 
     return Trajectory(grid=grid, params=params, states=tuple(states),

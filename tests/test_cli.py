@@ -1047,6 +1047,27 @@ def test_values_that_round_away_exit_2_before_output(tmp_path, capsys, edit, mes
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config, section, field, value, message", [
+    # the step count overflowed np.empty's dimension (exit 1)
+    ("evolve_bump.json", "run", "t_final", 1e300, "run.t_final: 1e+300 is not a whole"),
+    ("verify_w.json", "run", "t_final", 1e300, "run.t_final: 1e+300 is not a whole"),
+    ("linear_check.json", "run", "t_final", 1e300, "run.t_final: 1e+300 is not a whole"),
+    ("evolve_bump.json", "grid", "h", 1e-300, "run.t_final: 10.0 is not a whole"),
+    # grid.h ** 2 raised OverflowError in the Parseval norm (exit 1)
+    ("norms_gaussian.json", "grid", "h", 1e300, "grid: h = 1e+300, n = 3000 make h^2 "),
+])
+def test_step_counts_and_grids_that_overflow_exit_2_before_output(
+        tmp_path, capsys, config, section, field, value, message):
+    raw = json.loads((Path(__file__).resolve().parents[1] / "configs" / config).read_text())
+    raw[section] = {**raw.get(section, {}), field: value}
+    out = tmp_path / "out"
+    raw["output"] = {"dir": str(out)}
+    assert main([raw["scenario"], "--config", _write_config(tmp_path, raw)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config: {message}") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("edit, unmeasured", [
     ({"initial": {"kind": "gaussian", "amplitude": 0.0}},
      ["virial_consistency_order", "identity_order"]),

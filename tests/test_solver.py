@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 from pathlib import Path
@@ -578,9 +579,16 @@ def _spy_views(monkeypatch):
     ("band_wider_than_prefix", 64), ("initial_prev_wider", 7), ("steps_0", 64)])
 def test_views_are_rebuilt_once_per_chunk(case, chunk, monkeypatch):
     # full-grid views for layer 0 and the back layer, then one set of views
-    # per chunk edge the prefix crosses, never one per step
+    # per chunk edge the prefix crosses, never one per step or per block; the
+    # log rows are rebuilt with the kernel's views, on the same prefix
     monkeypatch.setattr(solver, "PREFIX_CHUNK", chunk)
-    widths = _spy_views(monkeypatch)
+    widths, row_widths = _spy_views(monkeypatch), []
+
+    def rows_spy(buffers, rows, width, _f=solver._row_views):
+        row_widths.append(width)
+        return _f(buffers, rows, width)
+
+    monkeypatch.setattr(solver, "_row_views", rows_spy)
     cfg, s0, prev, _ = _oracle_case(case)
     evolve(cfg, s0, prev)
     n = cfg.grid.n
@@ -588,6 +596,7 @@ def test_views_are_rebuilt_once_per_chunk(case, chunk, monkeypatch):
     assert widths[0] == n + 1
     assert widths[1:] == sorted(set(widths[1:]))
     assert all(mk % chunk == 0 or mk == n + 1 for mk in widths[1:])
+    assert row_widths == widths[1:]
 
 
 def test_chunk_case_reaches_grid_end_mid_chunk(monkeypatch):
@@ -639,8 +648,10 @@ def test_blowup_guard_catches_inf_and_nan_at_infinite_threshold(case):
 def test_log_blocks_are_contiguous_and_widen(monkeypatch):
     # every block reaches _energy_virial as C-contiguous (k, W) stacks; W
     # grows between blocks up to the grid and covers the solver's prefix
-    # from the first block on (the back layer is wider than layer 0 here)
+    # from the first block on (the back layer is wider than layer 0 here).
+    # 8-node chunks let W take several values on this 65-node grid
     cfg, s0, prev, _ = _oracle_case("initial_prev_wider")
+    monkeypatch.setattr(solver, "PREFIX_CHUNK", 8)
     seen = []
 
     def spy(u, v, *args, _f=diagnostics._energy_virial, **kwargs):
@@ -771,6 +782,25 @@ def test_blowup_config_emits_no_runtime_warning(tmp_path):
         warnings.simplefilter("error")
         with pytest.raises(BlowupDetected):
             evolve(cfg.run, s0)
+
+
+@pytest.mark.parametrize("case", ["bump_prefix_grows", "bump_crosses_chunks"])
+def test_support_search_stays_in_its_window(case, monkeypatch):
+    # a growing compact bump: one windowed search per log block, and no
+    # block falls back to whole rows, although each row runs up to a chunk
+    # and a block past its layer's prefix
+    assert diagnostics.SUPPORT_WINDOW >= solver.PREFIX_CHUNK + LOG_BLOCK + 2
+    cfg, s0, prev, _ = _oracle_case(case)
+    widths = []
+
+    def spy(u, v, r, _f=diagnostics._outermost_live):
+        widths.append(u.shape[1])
+        return _f(u, v, r)
+
+    monkeypatch.setattr(diagnostics, "_outermost_live", spy)
+    traj = evolve(cfg, s0, prev)
+    assert len(widths) == -(-len(traj.log.t) // LOG_BLOCK)
+    assert max(widths) == diagnostics.SUPPORT_WINDOW < cfg.grid.n + 1
 
 
 def test_evolve_builds_states_only_for_snapshots(monkeypatch):
@@ -935,6 +965,20 @@ def test_snapshot_stride_and_log_shape():
     # layers 0, 5, 10 plus the always-stored final layer 12
     assert np.allclose([s.t for s in traj.states], np.array([0, 5, 10, 12]) / 32.0)
     assert len(traj.log.t) == 13
+
+
+def test_zero_step_run_makes_no_kernel_step():
+    # the back layer's |w|^(p-1) and the log's |u|^(p+1) overflow; a run of
+    # no steps makes no auxiliary step either, so nothing else warns
+    cfg, s0, _, _ = _oracle_case("overflow_to_nan")
+    cfg = dataclasses.replace(cfg, t_final=s0.t)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        traj = evolve(cfg, s0)
+    assert sorted((str(w.message), Path(w.filename).name) for w in seen) == [
+        ("overflow encountered in power", "diagnostics.py"),
+        ("overflow encountered in power", "solver.py")]
+    assert traj.states == (s0,) and not np.isfinite(traj.log.energy[0])
 
 
 def test_zero_step_run_returns_initial_only():
