@@ -503,7 +503,7 @@ def _run_evolve(cfg: ExperimentConfig, out: Path):
         T_star = ode_flat_blowup_time(cfg.params, cfg.initial["amplitude"])
         extra["expected_blowup_time"] = T_star
         try:
-            solver.evolve(cfg.run, initial)
+            solver.evolve(cfg.run, initial, step_log=False)
             metrics["blowup_detection"] = float("inf")
         except solver.BlowupDetected as e:
             extra["detected_blowup_time"] = e.t
@@ -545,7 +545,7 @@ def _run_norms(cfg: ExperimentConfig, out: Path):
 
     traj = sp = None
     if sp_interval is not None:
-        traj = solver.evolve(cfg.run, state)
+        traj = solver.evolve(cfg.run, state, step_log=False)
         # whether the stored layers cover the interval is known only now
         with _reported_as("norms.sp_interval"):
             sp = norms.sp_norm(traj, sp_interval)
@@ -775,7 +775,7 @@ def _run_linear_check(cfg: ExperimentConfig, out: Path):
 
     hat = _hat_state(grid, params)
     traj = solver.evolve(replace(cfg.run, linear=True, snapshot_stride=max(1, n_steps)),
-                         hat)
+                         hat, step_log=False)
     w_exact = _dalembert_final(hat.w, n_steps)
     err = float(np.max(np.abs(traj.states[-1].w - w_exact)))
 
@@ -785,7 +785,8 @@ def _run_linear_check(cfg: ExperimentConfig, out: Path):
     hat_s = _hat_state(small, params)
     fwd = solver.evolve(
         solver.SolverConfig(grid=small, params=params, t_final=rev_steps * small.h,
-                            snapshot_stride=1, linear=True, cone_floor=None), hat_s)
+                            snapshot_stride=1, linear=True, cone_floor=None), hat_s,
+        step_log=False)
     lo, hi = fwd.states[-2], fwd.states[-1]
     cur, prev = lo, hi
     for _ in range(rev_steps - 1):
@@ -801,7 +802,7 @@ def _run_linear_check(cfg: ExperimentConfig, out: Path):
     twave = solver.evolve(
         solver.SolverConfig(grid=small, params=params, t_final=128.0 * small.h,
                             snapshot_stride=1, linear=True, cone_floor=None),
-        state0, initial_prev=state_back)
+        state0, initial_prev=state_back, step_log=False)
     resid = solver.characteristic_transport_residual(
         twave, r0=40.0 * small.h, t0=64.0 * small.h, tau_max=32.0 * small.h)
     metrics = {"dalembert_error": err, "reversibility": rev_err, "traveling_wave": resid}

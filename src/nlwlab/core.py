@@ -273,7 +273,8 @@ class StepLog:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """An evolution run: snapshot states plus the per-step scalar log.
+    """An evolution run: snapshot states plus the per-step scalar log, None
+    for a run that was asked for none.
 
     Snapshot times are strictly increasing and all states share one grid and
     one parameter set.  ``linear`` records whether the nonlinearity was
@@ -284,7 +285,7 @@ class Trajectory:
     grid: RadialGrid
     params: EquationParams
     states: tuple
-    log: StepLog
+    log: StepLog | None
     linear: bool = False
 
     def __post_init__(self) -> None:

@@ -334,7 +334,7 @@ def step_count(t0: float, t_final: float, h: float) -> int:
 
 
 def evolve(config: SolverConfig, initial: RadialState,
-           initial_prev: RadialState | None = None) -> Trajectory:
+           initial_prev: RadialState | None = None, *, step_log: bool = True) -> Trajectory:
     """Run the scheme from an initial state up to config.t_final.
 
     Parameters
@@ -346,13 +346,18 @@ def evolve(config: SolverConfig, initial: RadialState,
         Field one step before the starting time.  When omitted, the back
         layer is synthesized by a second-order Taylor expansion
         w^{-1} = w - h r v + (h^2/2)(d_r^2 w + F), which reproduces v exactly
-        in the stored initial layer.
+        in the stored initial layer (a run of no steps makes none).
+    step_log : bool
+        Compute the per-step scalar log.  Without it a flush forms only what
+        the guards read, each row's max |u| (the log's own bits) and outer
+        two nodes; snapshots, guards and kernel warnings are the same.
 
     Returns
     -------
     Trajectory
         Snapshots every ``snapshot_stride`` layers (the initial and final
-        layers always included) and the per-step scalar log.  Snapshot v
+        layers always included) and the per-step scalar log, None when
+        ``step_log`` is False.  Snapshot v
         fields are centered time differences at every layer (the final one
         fed by an unstored auxiliary step), the given (u, v) verbatim at
         layer 0.
@@ -401,7 +406,8 @@ def evolve(config: SolverConfig, initial: RadialState,
     drops them.  A block whose E or z is not finite is logged once more,
     after the guards of its layers and of the next one, with numpy's
     settings, for the log's own warnings.  On a SolverError the whole log
-    is dropped.
+    is dropped.  A run without the log gives none of the log's own
+    warnings.
     """
     grid, params = config.grid, config.params
     if initial.grid != grid:
@@ -429,7 +435,7 @@ def evolve(config: SolverConfig, initial: RadialState,
         if _lattice_steps(t0 - initial_prev.t, h) != 1:
             raise ValueError("initial_prev must sit one step before the initial state")
         w_prev[:] = initial_prev.w
-    else:
+    elif n_steps:
         # the term stays in src on the live nodes of w_cur and initial.u, all
         # inside the first step's prefix, which overwrites it
         _source_term(wc, initial.u, r, rpv, sv, p, h, linear)
@@ -457,14 +463,15 @@ def evolve(config: SolverConfig, initial: RadialState,
                 f"field reached the outer boundary at t = {t!r}; "
                 "enlarge the grid or disable the cone guard", t)
 
-    # the log's rows: t, E, z, max |u| and the support radius of every layer
-    log = np.empty((5, n_steps + 1))
-    log[0] = t0 + np.arange(n_steps + 1) * h
-    log[0, 0] = t0
     rows = min(LOG_BLOCK, n_steps + 1)
+    if step_log:
+        # the log's rows: t, E, z, max |u| and the support radius of every layer
+        log = np.empty((5, n_steps + 1))
+        log[0] = t0 + np.arange(n_steps + 1) * h
+        log[0, 0] = t0
+        buffers = diagnostics._RowBuffers(rows, n + 1)
     # the block's u and v are C-contiguous (rows, P) views of these
     flat_u, flat_v = np.zeros(rows * (n + 1)), np.zeros(rows * (n + 1))
-    buffers = diagnostics._RowBuffers(rows, n + 1)
     pad = np.zeros(n + 1)
     states = [initial]
 
@@ -485,8 +492,11 @@ def evolve(config: SolverConfig, initial: RadialState,
         # logged and stored these (None past the last layer)
         us, vs = U[:count], V[:count]
         mark = len(errors.lines)
-        E, z, top, support = diagnostics.step_log_rows(us, vs, r, h, p, mu, buffers)
-        del errors.lines[mark:]  # the log's own warnings come below
+        if step_log:
+            E, z, top, support = diagnostics.step_log_rows(us, vs, r, h, p, mu, buffers)
+            del errors.lines[mark:]  # the log's own warnings come below
+        else:  # the log's max |u|, bit for bit
+            top = np.maximum.reduce(np.abs(us), axis=1).tolist()
         # no guard can fail below the limit and short of the outer nodes
         guarded = floor is not None and P >= n or not all(map(limit.__ge__, top))
         failed = None
@@ -501,17 +511,19 @@ def evolve(config: SolverConfig, initial: RadialState,
                     states.append(stored(j, u_rows[i], v_rows[i]))
                 except ValueError as exc:
                     failed = j, exc
-        if failed or not math.isfinite(sum(E) + sum(z)):
+        if failed or step_log and not math.isfinite(sum(E) + sum(z)):
             if w_next is not None:
                 u = np.zeros(n + 1)
                 _u_from_w(w_next[1:], r[1:], u, u[1:])
                 del errors.lines[mark:]  # the next step logs them
                 check(first + count, float(np.maximum.reduce(np.abs(u))), u)
-            with np.errstate(**settings):  # the log's own warnings, once more
-                diagnostics.step_log_rows(us, vs, r, h, p, mu, buffers)
+            if step_log:
+                with np.errstate(**settings):  # the log's own warnings, once more
+                    diagnostics.step_log_rows(us, vs, r, h, p, mu, buffers)
             if failed:
                 fail(*failed)
-        log[1:, first:first + count] = E, z, top, support
+        if step_log:
+            log[1:, first:first + count] = E, z, top, support
 
     # initial.u counts: it is layer 0's row, which the first source term reads.
     # Layer k is live on at most m + k + 1 nodes (layer 0 on its own live
@@ -554,7 +566,7 @@ def evolve(config: SolverConfig, initial: RadialState,
     errors.warn(n_steps)
 
     return Trajectory(grid=grid, params=params, states=tuple(states),
-                      log=StepLog(*log), linear=config.linear)
+                      log=StepLog(*log) if step_log else None, linear=config.linear)
 
 
 def _source_of_state(s: RadialState, linear: bool) -> np.ndarray:

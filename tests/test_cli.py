@@ -1159,6 +1159,43 @@ def test_sp_interval_coverage_is_reported_under_its_path(tmp_path, capsys):
     assert not out.exists()
 
 
+def _norms_over_an_interval(out):
+    raw = _quick("norms", out, {"tail_monotone": 0.0})
+    raw["run"] = {"t_final": 1.6}  # 33 stored layers
+    raw["norms"]["sp_interval"] = [0.0, 1.6]
+    return raw
+
+
+def _ode_blowup(out):
+    raw = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                      / "evolve_ode_blowup.json").read_text())
+    raw["output"]["dir"] = str(out)
+    return raw
+
+
+@pytest.mark.parametrize("config, logs, files", [
+    (_norms_over_an_interval, [False], {"normreport.json", "tails.csv"}),
+    (lambda out: _quick("linear-check", out, {}), [False] * 3, {"report.json"}),
+    # the blowup-detection run has no log; the ode_match run keeps its own
+    (_ode_blowup, [False, True], {"step_log.csv"})])
+def test_runs_that_read_no_step_log_compute_and_write_none(tmp_path, monkeypatch, config,
+                                                           logs, files):
+    from nlwlab.cli import solver
+    seen = []
+
+    def spy(*args, step_log=True, _f=solver.evolve, **kwargs):
+        seen.append(step_log)
+        traj = _f(*args, step_log=step_log, **kwargs)
+        assert (traj.log is None) is not step_log
+        return traj
+
+    monkeypatch.setattr(solver, "evolve", spy)
+    out = tmp_path / "out"
+    assert run(parse_config(config(out))) == 0
+    assert seen == logs
+    assert {p.name for p in out.iterdir()} == {"manifest.json", *files}
+
+
 def test_linear_check_runs_on_a_grid_shorter_than_its_traveling_wave(tmp_path):
     # the reversibility and traveling-wave runs take a 512-node grid of their
     # own; on the config's 64 nodes the wave's segment left the grid

@@ -512,12 +512,16 @@ def _run_or_error(run, cfg, s0, prev):
         return exc
 
 
-def _assert_same_bits(got, ref):
+def _assert_same_states(got, ref):
     assert len(got.states) == len(ref.states)
     for a, b in zip(got.states, ref.states):
         assert a.t == b.t
         assert np.array_equal(_bits(a.u), _bits(b.u))
         assert np.array_equal(_bits(a.v), _bits(b.v))
+
+
+def _assert_same_bits(got, ref):
+    _assert_same_states(got, ref)
     for col in ("t", "energy", "virial", "max_abs_u", "support_radius"):
         assert np.array_equal(_bits(getattr(got.log, col)), _bits(getattr(ref.log, col)))
 
@@ -548,6 +552,36 @@ def test_evolve_matches_full_grid_loop(case):
         for s in got.states[:2]:
             w = np.abs(s.w)
             assert np.any((w > 0.0) & (w < theta))
+
+
+def _kernel_run(cfg, s0, prev, **kwargs):
+    # the outcome, and the warnings given from solver.py in their order
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        got = _run_or_error(lambda *a: evolve(*a, **kwargs), cfg, s0, prev)
+    return got, [(str(w.message), w.lineno) for w in seen
+                 if Path(w.filename).name == "solver.py"]
+
+
+@pytest.mark.parametrize("case", _ORACLE_CASES)  # the _GUARD_CASES among them
+def test_run_without_step_log_keeps_states_guards_and_kernel_warnings(case, monkeypatch):
+    cfg, s0, prev, expected = _oracle_case(case)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = _run_or_error(_seed_evolve, cfg, s0, prev)
+    _, logged_warnings = _kernel_run(cfg, s0, prev)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("step log computed by a run without one")
+
+    for name in ("step_log_rows", "_RowBuffers"):
+        monkeypatch.setattr(diagnostics, name, forbidden)
+    got, got_warnings = _kernel_run(cfg, s0, prev, step_log=False)
+    if expected is not None:
+        _assert_same_outcome(got, ref, expected)
+    else:
+        _assert_same_states(got, ref)
+        assert got.log is None
+    assert got_warnings == logged_warnings
 
 
 @pytest.mark.parametrize("case", _ORACLE_CASES)
@@ -968,16 +1002,16 @@ def test_snapshot_stride_and_log_shape():
 
 
 def test_zero_step_run_makes_no_kernel_step():
-    # the back layer's |w|^(p-1) and the log's |u|^(p+1) overflow; a run of
-    # no steps makes no auxiliary step either, so nothing else warns
+    # the log's |u|^(p+1) overflows; a run of no steps synthesizes no back
+    # layer, whose |w|^(p-1) would overflow too, and makes no auxiliary step,
+    # so nothing else warns
     cfg, s0, _, _ = _oracle_case("overflow_to_nan")
     cfg = dataclasses.replace(cfg, t_final=s0.t)
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
         traj = evolve(cfg, s0)
     assert sorted((str(w.message), Path(w.filename).name) for w in seen) == [
-        ("overflow encountered in power", "diagnostics.py"),
-        ("overflow encountered in power", "solver.py")]
+        ("overflow encountered in power", "diagnostics.py")]
     assert traj.states == (s0,) and not np.isfinite(traj.log.energy[0])
 
 
@@ -1025,9 +1059,10 @@ def test_initial_prev_time_gap_checked():
     grid = RadialGrid(h=0.1, n=10)
     mk = lambda t: RadialState(grid=grid, params=params, t=t,
                                u=np.zeros(11), v=np.zeros(11))
-    cfg = SolverConfig(grid=grid, params=params, t_final=0.5)
-    with pytest.raises(ValueError):
-        evolve(cfg, mk(0.0), initial_prev=mk(-0.25))
+    for t_final in (0.5, 0.0):  # a run of no steps checks it too
+        cfg = SolverConfig(grid=grid, params=params, t_final=t_final)
+        with pytest.raises(ValueError, match="one step before"):
+            evolve(cfg, mk(0.0), initial_prev=mk(-0.25))
 
 
 def test_solver_config_validation():
