@@ -13,7 +13,7 @@ from nlwlab.core import (
     save_state,
     scale_state,
 )
-from nlwlab.solver import SolverConfig, evolve, step
+from nlwlab.solver import SolverConfig, evolve
 
 __version__ = "0.1.0"
 
@@ -31,6 +31,5 @@ __all__ = [
     "reference_ode_blowup",
     "save_state",
     "scale_state",
-    "step",
     "__version__",
 ]

@@ -259,15 +259,18 @@ def parse_config(raw: dict, scenario: str | None = None,
         raise ConfigError("checks.blowup_detection: requires ode_flat initial data")
     if "tail_monotone" in checks and len(o["tail_radii"]) < 2:
         raise ConfigError("checks.tail_monotone: needs at least two tail radii")
-    if name in ("evolve", "norms", "diagnose"):  # the scenarios that build initial data
+    builds = name in ("evolve", "norms", "diagnose")  # the scenarios that build initial data
+    if builds:
         _initial_equation_rule(initial, params)
-    if _evolves(cfg) and kind != "file":
+    if _evolves(cfg) and not (builds and kind == "file"):  # a read file sets t0
         try:
             solver.step_count(0.0, t_final, h)
         except ValueError:
             raise ConfigError(
                 f"run.t_final: {t_final!r} is not a whole, nonnegative number, at "
                 f"most 2^53, of steps of h = {h!r} from t = 0") from None
+    if _evolves(cfg) and not h * h > 0.0:  # h^2 scales the source, 2 h r divides v
+        raise ConfigError(f"grid.h: {h!r} makes h^2 underflow to 0")
     if "blowup_detection" in checks and "ode_match" in checks:
         T = ode_flat_blowup_time(params, initial["amplitude"])
         if _ode_match_steps(T, h) < 1:
@@ -326,6 +329,10 @@ def parse_config(raw: dict, scenario: str | None = None,
     if name == "verify-W":
         with _reported_as("verify-W.decay_r_min"):
             bootstrap._fit_window(grid, o["decay_r_min"])
+        # static_drift reads r <= R - t - 2h, which must hold node 0 up to t_final
+        if not grid.R - solver.step_count(0.0, t_final, h) * h - 2.0 * h >= 0.0:
+            raise ConfigError(f"run.t_final: {t_final!r} leaves no drift region "
+                              f"r <= R - t - 2h (R = {grid.R!r}, h = {h!r})")
     if name == "linear-check" and o["reversal_steps"] < 1:
         raise ConfigError("linear-check.reversal_steps: must be >= 1")
     return cfg
@@ -779,30 +786,26 @@ def _run_linear_check(cfg: ExperimentConfig, out: Path):
     w_exact = _dalembert_final(hat.w, n_steps)
     err = float(np.max(np.abs(traj.states[-1].w - w_exact)))
 
-    # reversibility on a grid of its own, 512 nodes whatever the config's n
-    # (the traveling wave below needs 72): forward then backward through step()
+    # reversibility on 512 nodes whatever the config's n (the traveling wave
+    # below needs 72): forward, then back from the last two layers swapped, v negated
     small = RadialGrid(h=grid.h, n=512)
+    small_run = solver.SolverConfig(grid=small, params=params, t_final=0.0, linear=True,
+                                    cone_floor=None, snapshot_stride=max(1, rev_steps - 1))
     hat_s = _hat_state(small, params)
-    fwd = solver.evolve(
-        solver.SolverConfig(grid=small, params=params, t_final=rev_steps * small.h,
-                            snapshot_stride=1, linear=True, cone_floor=None), hat_s,
-        step_log=False)
+    fwd = solver.evolve(replace(small_run, t_final=rev_steps * small.h), hat_s, step_log=False)
     lo, hi = fwd.states[-2], fwd.states[-1]
-    cur, prev = lo, hi
-    for _ in range(rev_steps - 1):
-        cur, prev = solver.step(prev, cur, linear=True), cur
-    rev_err = float(np.max(np.abs(cur.u - hat_s.u)))
+    rev = solver.evolve(replace(small_run, t_final=(rev_steps - 1) * small.h),
+                        replace(lo, t=0.0, v=-lo.v),
+                        initial_prev=replace(hi, t=-small.h, v=-hi.v), step_log=False)
+    rev_err = float(np.max(np.abs(rev.states[-1].u - hat_s.u)))
 
     # lattice traveling wave: exact transport means zero characteristic defect
     prof = np.maximum(0.0, 1.0 - np.abs(np.arange(small.n + 1) - 100.0) / 40.0)
-    back = np.zeros(small.n + 1)
-    back[:-1] = prof[1:]  # f(r + h): the wave one step earlier
+    back = np.append(prof[1:], 0.0)  # f(r + h): the wave one step earlier
     state0 = _state_from_w(small, params, prof)
     state_back = _state_from_w(small, params, back, t=-small.h)
-    twave = solver.evolve(
-        solver.SolverConfig(grid=small, params=params, t_final=128.0 * small.h,
-                            snapshot_stride=1, linear=True, cone_floor=None),
-        state0, initial_prev=state_back, step_log=False)
+    twave = solver.evolve(replace(small_run, t_final=128.0 * small.h, snapshot_stride=1),
+                          state0, initial_prev=state_back, step_log=False)
     resid = solver.characteristic_transport_residual(
         twave, r0=40.0 * small.h, t0=64.0 * small.h, tau_max=32.0 * small.h)
     metrics = {"dalembert_error": err, "reversibility": rev_err, "traveling_wave": resid}

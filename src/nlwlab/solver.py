@@ -42,14 +42,11 @@ from nlwlab import diagnostics
 
 __all__ = [
     "BlowupDetected",
-    "CharacteristicFields",
     "ConeViolation",
     "SolverConfig",
     "SolverError",
     "characteristic_transport_residual",
-    "characteristics",
     "evolve",
-    "step",
     "step_count",
 ]
 
@@ -126,21 +123,7 @@ class SolverConfig:
             raise ValueError("blowup_threshold must be positive")
 
 
-@dataclass(frozen=True, eq=False)
-class CharacteristicFields:
-    """Characteristic combinations z1 = d_r w + d_t w and z2 = d_r w - d_t w."""
-
-    z1: np.ndarray
-    z2: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("z1", "z2"):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-
-def characteristics(state: RadialState) -> CharacteristicFields:
+def _characteristics(state: RadialState) -> tuple[np.ndarray, np.ndarray]:
     """Characteristic fields of a state: z1 = d_r w + r v, z2 = d_r w - r v.
 
     d_r w is :func:`diagnostics._radial_derivative`, the centered difference
@@ -148,7 +131,7 @@ def characteristics(state: RadialState) -> CharacteristicFields:
     """
     dw = diagnostics._radial_derivative(state.w, state.grid.h)
     rv = state.grid.r * state.v
-    return CharacteristicFields(z1=dw + rv, z2=dw - rv)
+    return dw + rv, dw - rv
 
 
 class _Views:
@@ -262,38 +245,6 @@ def _active_length(*layers: np.ndarray) -> int:
     return min(len(layers[0]), max(_live_length(*layers), 3))
 
 
-def step(prev: RadialState, curr: RadialState, *, origin_band: int = 2,
-         linear: bool = False) -> RadialState:
-    """One leapfrog step from two consecutive layers.
-
-    Returns the layer at curr.t + (curr.t - prev.t); only the w fields of the
-    inputs enter, so feeding layers in reverse order steps backward (the
-    stencil is time-symmetric and the scheme is exactly reversible).  The
-    returned v is the one-sided second-order estimate, since no forward layer
-    exists yet; :func:`evolve` stores centered values instead.
-    """
-    if prev.grid != curr.grid:
-        raise ValueError("layers live on different grids")
-    if prev.params != curr.params:
-        raise ValueError("layers carry different equation parameters")
-    h = curr.grid.h
-    dt = curr.t - prev.t
-    if _lattice_steps(dt, h) not in (1, -1):
-        raise ValueError("layers must be one grid spacing apart in time (unit CFL)")
-    r, p, n = curr.grid.r, curr.params.p, curr.grid.n
-    w_prev, w_cur = prev.w, curr.w
-    wp, wc, wn, rpv, src = _prefix_views(
-        [w_prev, w_cur, np.empty(n + 1), r ** (p - 1.0), np.zeros(n + 1)], n + 1, origin_band)
-    _source_term(wc, curr.u, r, rpv, src, p, h, linear)
-    _advance(wp, wc, src, _source_op(curr.params.mu, linear), wn)
-    w_nxt, u_nxt = wn.whole, np.empty(n + 1)
-    _u_from_w(w_nxt[1:], r[1:], u_nxt, u_nxt[1:])
-    v_nxt = np.empty_like(w_nxt)
-    v_nxt[1:] = (3.0 * w_nxt[1:] - 4.0 * w_cur[1:] + w_prev[1:]) / (2.0 * dt * r[1:])
-    v_nxt[0] = even_origin_value(v_nxt[1], v_nxt[2])
-    return RadialState(grid=curr.grid, params=curr.params, t=curr.t + dt, u=u_nxt, v=v_nxt)
-
-
 class _ErrorLog:
     """numpy's error callback in its "log" mode: keeps each floating-point
     error of the kernel that the caller's numpy settings (``np.geterr()``)
@@ -346,7 +297,9 @@ def evolve(config: SolverConfig, initial: RadialState,
         Field one step before the starting time.  When omitted, the back
         layer is synthesized by a second-order Taylor expansion
         w^{-1} = w - h r v + (h^2/2)(d_r^2 w + F), which reproduces v exactly
-        in the stored initial layer (a run of no steps makes none).
+        in the stored initial layer (a run of no steps makes none).  The
+        stencil is time-symmetric: a run's last two layers swapped, the last
+        one as initial_prev, both with v negated, step backward.
     step_log : bool
         Compute the per-step scalar log.  Without it a flush forms only what
         the guards read, each row's max |u| (the log's own bits) and outer
@@ -601,13 +554,12 @@ def characteristic_transport_residual(traj: Trajectory, r0: float, t0: float,
     n0 = _lattice_steps(t0 - traj.states[0].t, h, "t0")
 
     worst = 0.0
-    for sign, pick in ((-1, "z1"), (+1, "z2")):
+    for sign, pick in ((-1, 0), (+1, 1)):  # z1 leftward, z2 rightward
         vals = np.empty(S + 1)
         rhs = np.empty(S + 1)
         for s in range(S + 1):
             st = traj._layer(n0 + sign * s)
-            z = getattr(characteristics(st), pick)
-            vals[s] = z[j0 + s]
+            vals[s] = _characteristics(st)[pick][j0 + s]
             rhs[s] = -_source_of_state(st, traj.linear)[j0 + s]
         fd = (vals[1:] - vals[:-1]) / h
         mid = 0.5 * (rhs[1:] + rhs[:-1])

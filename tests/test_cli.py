@@ -1,16 +1,21 @@
 """Tests for config parsing, initial-data construction, and the CLI driver."""
 
+import contextlib
 import copy
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import MISSING
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nlwlab
 from nlwlab import (
@@ -30,8 +35,11 @@ from nlwlab.cli import (
     profile_gaussian,
     profile_ode_flat,
     run,
+    SCENARIOS,
     _CHECKS,
+    _INITIAL,
     _OPTIONS,
+    _RUN,
     _check,
 )
 
@@ -945,6 +953,21 @@ def test_verify_w_fit_window_checked_before_the_run(tmp_path, capsys, monkeypatc
     assert parse_config(raw).options["decay_r_min"] == 4.95
 
 
+def test_verify_w_drift_region_kept_to_the_final_layer(tmp_path, capsys):
+    # R = 20, h = 1: static_drift reads r <= R - t - 2h, which at t = 19 held
+    # no node, and np.max over it left main with a traceback and no manifest
+    raw = {"scenario": "verify-W", "grid": {"h": 1.0, "n": 20},
+           "run": {"t_final": 19.0, "linear": True}, "output": {"dir": str(tmp_path / "a")}}
+    assert main(["verify-W", "--config", _write_config(tmp_path, raw)]) == 2
+    assert capsys.readouterr().err == ("config: run.t_final: 19.0 leaves no drift region "
+                                       "r <= R - t - 2h (R = 20.0, h = 1.0)\n")
+    assert not (tmp_path / "a").exists()
+    # at t = 18 node 0 is left
+    raw["run"]["t_final"], raw["output"]["dir"] = 18.0, str(tmp_path / "b")
+    assert main(["verify-W", "--config", _write_config(tmp_path, raw)]) in (0, 1)
+    assert json.loads((tmp_path / "b" / "manifest.json").read_text())["status"] != "aborted"
+
+
 @pytest.mark.parametrize("edit, message", [
     ({"p_values": [5.0, 4.0]}, "bootstrap.p_values: p must be a finite real >= 5"),
     ({"beta0_values": [0.1, 0.9]}, "bootstrap.beta0_values: beta0 must lie in "),
@@ -1047,6 +1070,19 @@ def test_values_that_round_away_exit_2_before_output(tmp_path, capsys, edit, mes
     assert not out.exists()
 
 
+def test_grid_whose_h_squared_underflows_exits_2_before_output(tmp_path, capsys):
+    # 2 h r underflowed to 0, so a linear run's first stored v was not finite
+    # and RadialState's ValueError left main; one step of h keeps the step rule
+    out = tmp_path / "out"
+    raw = _quick("evolve", out, {})
+    h = 2.0 ** -600
+    raw["grid"] = {"h": h, "n": 64}
+    raw["run"] = {"t_final": h, "linear": True, "cone_floor": None}
+    assert main(["evolve", "--config", _write_config(tmp_path, raw)]) == 2
+    assert capsys.readouterr().err == f"config: grid.h: {h!r} makes h^2 underflow to 0\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("config, section, field, value, message", [
     # the step count overflowed np.empty's dimension (exit 1)
     ("evolve_bump.json", "run", "t_final", 1e300, "run.t_final: 1e+300 is not a whole"),
@@ -1065,6 +1101,21 @@ def test_step_counts_and_grids_that_overflow_exit_2_before_output(
     assert main([raw["scenario"], "--config", _write_config(tmp_path, raw)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config: {message}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config", ["verify_w.json", "linear_check.json"])
+def test_state_file_kind_keeps_the_lattice_rule_where_it_is_not_read(tmp_path, capsys,
+                                                                      config):
+    # these scenarios start at t = 0 whatever the initial section names; a
+    # file kind skipped the rule, and the runner's ValueError left main (exit 1)
+    raw = json.loads((Path(__file__).resolve().parents[1] / "configs" / config).read_text())
+    raw["initial"] = {"kind": "file", "path": str(tmp_path / "unread.txt")}
+    raw["run"] = {**raw.get("run", {}), "t_final": 0.5 * raw["grid"]["h"]}
+    out = tmp_path / "out"
+    raw["output"] = {"dir": str(out)}
+    assert main([raw["scenario"], "--config", _write_config(tmp_path, raw)]) == 2
+    assert capsys.readouterr().err.startswith("config: run.t_final: ")
     assert not out.exists()
 
 
@@ -1175,7 +1226,7 @@ def _ode_blowup(out):
 
 @pytest.mark.parametrize("config, logs, files", [
     (_norms_over_an_interval, [False], {"normreport.json", "tails.csv"}),
-    (lambda out: _quick("linear-check", out, {}), [False] * 3, {"report.json"}),
+    (lambda out: _quick("linear-check", out, {}), [False] * 4, {"report.json"}),
     # the blowup-detection run has no log; the ode_match run keeps its own
     (_ode_blowup, [False, True], {"step_log.csv"})])
 def test_runs_that_read_no_step_log_compute_and_write_none(tmp_path, monkeypatch, config,
@@ -1250,3 +1301,93 @@ def test_readme_options_match_the_code():
     assert table == _OPTIONS
     assert [list(t) for t in table.values() if t] == [list(t) for t in _OPTIONS.values()
                                                        if t]
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract
+
+
+_EDGES = [0.0, -1.0, 1e-300, 1e300, math.nan, math.inf, -math.inf, 0.5, 3.0]
+_UNUSUAL = (st.sampled_from(_EDGES) | st.floats(-10.0, 10.0) | st.integers(-3, 3)
+            | st.sampled_from(["x", None, [], True]))
+# typical values per field kind, and for the fields whose range is narrower;
+# the integer fields (strides, origin bands, bootstrap's n_max and
+# dense_sample, reversal_steps) set the work of a run
+_TYPICAL = {bool: st.booleans(), int: st.integers(1, 300),
+            float: st.floats(0.0, 4.0), float | None: st.none() | st.floats(0.0, 4.0),
+            list[float]: st.lists(st.floats(0.0, 4.0), max_size=4)}
+_TYPICAL_FIELDS = {
+    "p_values": st.lists(st.floats(5.0, 13.0), min_size=1, max_size=3),
+    "beta0_values": st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+    "sp_interval": st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(sorted),
+    "Rc": st.floats(0.1, 2.0), "cutoffs": st.lists(st.floats(0.1, 2.0), max_size=3),
+    "times": st.lists(st.sampled_from([0.25, 0.5]), max_size=2)}
+
+
+def _mostly(typical, unusual=_UNUSUAL):
+    """``typical``, or one draw in twelve ``unusual``: edge values and wrong types."""
+    return st.integers(0, 11).flatmap(lambda k: unusual if k == 0 else typical)
+
+
+@st.composite
+def _schema_configs(draw, state_path):
+    """A config drawn from the schema tables: a grid of at most 256 nodes and
+    at most 64 steps to t_final, every other field at random or left out."""
+    scenario = draw(st.sampled_from(SCENARIOS))
+    h = draw(_mostly(st.sampled_from([1.0 / 64.0, 1.0 / 32.0, 0.05, 0.25, 1.0])))
+    steps = draw(st.integers(0, 64))
+    raw = {"scenario": scenario,
+           "grid": {"h": h, "n": draw(_mostly(st.just(64) | st.integers(16, 256)))},
+           "checks": {name: draw(_mostly(st.floats(-1.0, 1.0)))
+                      for name in _CHECKS[scenario] if draw(st.booleans())}}
+    if draw(st.booleans()):  # else the scenario's default
+        raw["equation"] = {"p": draw(_mostly(st.just(5.0) | st.floats(5.0, 9.0))),
+                           "mu": draw(_mostly(st.sampled_from([-1, 1])))}
+    kind = draw(st.sampled_from(list(_INITIAL)))
+    raw["initial"] = {"kind": kind}
+    for key, (field_kind, default) in _INITIAL[kind].items():
+        if field_kind is str:
+            raw["initial"][key] = draw(st.sampled_from([state_path, state_path + ".missing"]))
+        elif default is MISSING or draw(st.booleans()):
+            raw["initial"][key] = draw(_mostly(_TYPICAL[field_kind]))
+    # t_final is always given, on or off the lattice: its defaults are long runs
+    dt = h if type(h) in (int, float) else 1.0
+    raw["run"] = {"t_final": draw(_mostly(st.just(steps * dt), st.just((steps + 0.5) * dt)))}
+    for key, (field_kind, _) in _RUN.items():
+        if key != "t_final" and draw(st.booleans()):
+            raw["run"][key] = draw(_mostly(_TYPICAL[field_kind]))
+    raw[scenario] = {
+        key: draw(_mostly(_TYPICAL_FIELDS.get(key, _TYPICAL[field_kind])))
+        for key, (field_kind, default) in _OPTIONS[scenario].items()
+        if default is MISSING or draw(st.booleans())}
+    return raw
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_every_config_ends_in_one_of_the_three_documented_outcomes(data):
+    # a config error exits 2 and leaves nothing; a finished run exits 0 or 1
+    # with its manifest; a solver guard exits 1 with an aborted manifest.
+    # Anything else, an exception out of main included, is a fault
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        state = tmp / "state.txt"
+        grid = RadialGrid(h=1.0 / 32.0, n=64)
+        save_state(nlwlab.RadialState(grid=grid, params=make_params(5.0, 1), t=0.0,
+                                      u=profile_gaussian(grid.r, 0.5, 1.0),
+                                      v=np.zeros(grid.n + 1)), state)
+        raw = data.draw(_schema_configs(str(state)))
+        out = tmp / "out"
+        raw["output"] = {"dir": str(out)}
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([raw["scenario"], "--config", _write_config(tmp, raw)])
+        err = err.getvalue()
+        if code == 2:
+            assert err.startswith("config: ") and not out.exists()
+            return
+        manifest = json.loads((out / "manifest.json").read_text())
+        if manifest["status"] == "aborted":
+            assert code == 1 and err.startswith("solver: ")
+        else:
+            assert code == (0 if manifest["status"] == "pass" else 1)

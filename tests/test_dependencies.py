@@ -89,6 +89,16 @@ def test_one_lattice_rule():
         ("core", "_lattice_steps"): 1})
 
 
+def test_evolve_is_the_only_kernel_driver():
+    # the leapfrog kernel and its prefix views are driven from solver.evolve
+    # alone: a second driver would be a second copy of the prefix, the guards
+    # and the warning log
+    for kernel in ("_source_term", "_advance", "_u_from_w", "_v_from_layers",
+                   "_prefix_views"):
+        callers = _calls(lambda f: isinstance(f, ast.Name) and f.id == kernel)
+        assert set(callers) == {("solver", "evolve")}, kernel
+
+
 def test_runners_read_no_config_field():
     # parse_config reads every field; a runner takes the typed values
     readers = _calls(lambda f: isinstance(f, ast.Name) and f.id == "_field")

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from nlwlab import (EquationParams, RadialGrid, RadialState, StepLog, Trajectory,
                     diagnostics, make_params, scale_state, solver)
-from nlwlab.cli import build_initial, ode_flat_blowup_time, parse_config, profile_ode_flat
+from nlwlab.cli import (build_initial, ode_flat_blowup_time, parse_config,
+                        profile_gaussian, profile_ode_flat)
 from nlwlab.core import _live_length, even_origin_value
 from nlwlab.solver import (
     LOG_BLOCK,
@@ -18,10 +19,9 @@ from nlwlab.solver import (
     ConeViolation,
     SolverConfig,
     SolverError,
+    _characteristics,
     characteristic_transport_residual,
-    characteristics,
     evolve,
-    step,
 )
 from conftest import bump
 
@@ -879,6 +879,15 @@ def test_hat_matches_dalembert():
     assert np.max(np.abs(traj.states[-1].w - w_exact)) <= 1e-12
 
 
+def _reversed(config, fwd):
+    # the time-symmetric stencil run backward: the last two layers in swapped
+    # roles under t -> -t, v -> -v, stepped back to t = 0
+    lo, hi = fwd.states[-2], fwd.states[-1]
+    return evolve(dataclasses.replace(config, t_final=0.0),
+                  dataclasses.replace(lo, t=-lo.t, v=-lo.v),
+                  initial_prev=dataclasses.replace(hi, t=-hi.t, v=-hi.v))
+
+
 def test_reversible_to_rounding():
     params = make_params(5.0, -1)
     grid = RadialGrid(h=1.0 / 128.0, n=512)
@@ -886,11 +895,8 @@ def test_reversible_to_rounding():
     v0 = 0.3 * bump(grid.r, radius=0.8)
     s0 = RadialState(grid=grid, params=params, t=0.0, u=u0, v=v0)
     steps = 128
-    fwd = evolve(SolverConfig(grid=grid, params=params, t_final=steps * grid.h,
-                              snapshot_stride=1), s0)
-    cur, prev = fwd.states[-2], fwd.states[-1]
-    for _ in range(steps - 1):
-        cur, prev = step(prev, cur), cur
+    cfg = SolverConfig(grid=grid, params=params, t_final=steps * grid.h, snapshot_stride=1)
+    cur = _reversed(cfg, evolve(cfg, s0)).states[-1]
     assert cur.t == pytest.approx(0.0, abs=1e-12)
     # node 0 is the even extrapolation, not evolved data; compare the rest
     assert np.max(np.abs(cur.u[1:] - u0[1:])) <= 1e-10
@@ -914,7 +920,7 @@ def test_traveling_wave_has_null_z1():
                        linear=True, snapshot_stride=1, cone_floor=None)
     traj = evolve(cfg, s0, initial_prev=s_back)
     worst = max(
-        float(np.max(np.abs(characteristics(s).z1[1:-1]))) for s in traj.states[1:-1])
+        float(np.max(np.abs(_characteristics(s)[0][1:-1]))) for s in traj.states[1:-1])
     assert worst <= 1e-12
     assert characteristic_transport_residual(traj, r0=40.0, t0=64.0,
                                              tau_max=32.0) <= 1e-10
@@ -1031,17 +1037,25 @@ def test_initial_layer_stored_verbatim():
     assert np.max(np.abs(traj.states[0].v)) == 0.0
 
 
+def _restart(traj, **settings):
+    # one step from stored layers 10 and 11, the first as initial_prev
+    prev, cur = traj.states[10], traj.states[11]
+    cfg = SolverConfig(grid=traj.grid, params=traj.params, t_final=cur.t + traj.grid.h,
+                       cone_floor=None, **settings)
+    return evolve(cfg, cur, initial_prev=prev).states[-1]
+
+
 def test_step_matches_evolve_layers():
     traj = _gauss_run(h=1.0 / 64.0, t_final=0.5)
-    nxt = step(traj.states[10], traj.states[11])
+    nxt = _restart(traj)
     assert nxt.t == pytest.approx(traj.states[12].t, abs=1e-12)
     assert np.max(np.abs(nxt.u - traj.states[12].u)) <= 1e-13
 
 
 def test_origin_band_variants_agree():
     traj = _gauss_run(h=1.0 / 64.0, t_final=0.5)
-    a = step(traj.states[10], traj.states[11], origin_band=2)
-    b = step(traj.states[10], traj.states[11], origin_band=6)
+    a = _restart(traj, origin_band=2)
+    b = _restart(traj, origin_band=6)
     assert np.max(np.abs(a.u - b.u)) <= 1e-12
 
 
@@ -1104,22 +1118,41 @@ def test_scaling_equivariance(p, mu, lam):
         assert np.max(np.abs(b.v - ref.v)) <= 1e-10 * np.max(np.abs(ref.v))
 
 
+@pytest.mark.parametrize("p", [5.0, 6.5, 7.0])
+@pytest.mark.parametrize("mu", [1, -1])
+def test_three_grid_self_convergence_is_second_order(p, mu):
+    # u(T) of gaussian data on h = 1/16, 1/32, 1/64 compared on the coarse
+    # nodes: log2 of the ratio of successive differences is the order
+    # (measured 2.005 to 2.053 over these six cases)
+    params = make_params(p, mu)
+    finals = []
+    for k in (16, 32, 64):
+        grid = RadialGrid(h=1.0 / k, n=8 * k)  # R = 8
+        s0 = RadialState(grid=grid, params=params, t=0.0,
+                         u=profile_gaussian(grid.r, 1.0, 1.0), v=np.zeros(grid.n + 1))
+        cfg = SolverConfig(grid=grid, params=params, t_final=1.0, snapshot_stride=k,
+                           cone_floor=None)
+        finals.append(evolve(cfg, s0, step_log=False).states[-1].u)
+    coarse, mid, fine = finals[0], finals[1][::2], finals[2][::4]
+    order = np.log2(np.max(np.abs(coarse - mid)) / np.max(np.abs(mid - fine)))
+    assert abs(order - 2.0) <= 0.1
+
+
 @pytest.mark.parametrize("p, mu", [(5.0, -1), (6.5, 1), (7.0, -1), (9.0, 1)])
 def test_nonlinear_time_reversal(p, mu):
-    # N forward steps with evolve, then step() back from the last two layers
+    # N forward steps with evolve, then evolve back from the last two layers
     # to t = 0, matching every stored forward layer on the way (measured:
-    # 3.1e-14 of max |w| after 256 steps)
+    # 2.6e-14 of max |w| after 256 steps)
     params = make_params(p, mu)
     grid = RadialGrid(h=1.0 / 128.0, n=512)
     s0 = RadialState(grid=grid, params=params, t=0.0, u=bump(grid.r),
                      v=0.3 * bump(grid.r, radius=0.8))
     steps = 256
-    fwd = evolve(SolverConfig(grid=grid, params=params, t_final=steps * grid.h), s0)
+    cfg = SolverConfig(grid=grid, params=params, t_final=steps * grid.h)
+    fwd = evolve(cfg, s0)
     scale = max(np.max(np.abs(s.w)) for s in fwd.states)
-    cur, prev = fwd.states[-2], fwd.states[-1]
-    worst = 0.0
-    for k in range(steps - 1):
-        cur, prev = step(prev, cur), cur
-        worst = max(worst, np.max(np.abs(cur.w - fwd.states[steps - 2 - k].w)))
-    assert cur.t == pytest.approx(0.0, abs=1e-12)
+    back = _reversed(cfg, fwd).states
+    assert len(back) == steps and back[-1].t == pytest.approx(0.0, abs=1e-12)
+    # back[k] is the layer at t = -(steps - 1 - k) h, forward layer steps - 1 - k
+    worst = max(np.max(np.abs(b.w - f.w)) for b, f in zip(back[1:], fwd.states[-3::-1]))
     assert worst <= 1e-12 * scale
