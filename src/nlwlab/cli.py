@@ -33,6 +33,7 @@ from nlwlab.core import (
     EquationParams,
     RadialGrid,
     RadialState,
+    StepLog,
     _csv_text,
     _lattice_steps,
     _ode_blowup_constant,
@@ -271,6 +272,11 @@ def parse_config(raw: dict, scenario: str | None = None,
                 f"most 2^53, of steps of h = {h!r} from t = 0") from None
     if _evolves(cfg) and not h * h > 0.0:  # h^2 scales the source, 2 h r divides v
         raise ConfigError(f"grid.h: {h!r} makes h^2 underflow to 0")
+    band = run_settings.origin_band  # the source divides by r^(p-1) from this node on
+    if (_evolves(cfg) and name != "linear-check" and not run_settings.linear
+            and band <= grid.n and not (grid.r ** (params.p - 1.0))[band] > 0.0):
+        raise ConfigError(f"grid.h: {h!r} makes r^(p-1) underflow to 0 at node origin_band "
+                          f"= {band} (r = {float(grid.r[band])!r}, p = {params.p!r})")
     if "blowup_detection" in checks and "ode_match" in checks:
         T = ode_flat_blowup_time(params, initial["amplitude"])
         if _ode_match_steps(T, h) < 1:
@@ -329,8 +335,7 @@ def parse_config(raw: dict, scenario: str | None = None,
     if name == "verify-W":
         with _reported_as("verify-W.decay_r_min"):
             bootstrap._fit_window(grid, o["decay_r_min"])
-        # static_drift reads r <= R - t - 2h, which must hold node 0 up to t_final
-        if not grid.R - solver.step_count(0.0, t_final, h) * h - 2.0 * h >= 0.0:
+        if not _drift_bound(grid, solver.step_count(0.0, t_final, h) * h) >= 0.0:
             raise ConfigError(f"run.t_final: {t_final!r} leaves no drift region "
                               f"r <= R - t - 2h (R = {grid.R!r}, h = {h!r})")
     if name == "linear-check" and o["reversal_steps"] < 1:
@@ -380,6 +385,12 @@ def ode_flat_blowup_time(params: EquationParams, amplitude: float) -> float:
 def _ode_match_steps(T: float, h: float) -> int:
     """Whole steps of h before T - 10h: ode_match compares while T - t >= 10 h."""
     return int(np.floor((T - 10.0 * h) / h))
+
+
+def _drift_bound(grid: RadialGrid, elapsed: float) -> float:
+    """R - elapsed - 2h: verify-W's static_drift reads r <= R - (t - t0) - 2h,
+    out of the outer truncation's reach, which must keep node 0 to t_final."""
+    return grid.R - elapsed - 2.0 * grid.h
 
 
 def _initial_fields(desc: dict) -> dict:
@@ -507,25 +518,29 @@ def _run_evolve(cfg: ExperimentConfig, out: Path):
         notes.append("energy: non-coercive (focusing sign)")
 
     if "blowup_detection" in cfg.checks:
+        h, match = cfg.grid.h, "ode_match" in cfg.checks
         T_star = ode_flat_blowup_time(cfg.params, cfg.initial["amplitude"])
         extra["expected_blowup_time"] = T_star
+        n_cmp = _ode_match_steps(T_star, h) if match else 0  # >= 1 with ode_match
+        run_cfg = replace(cfg.run, t_final=max(cfg.run.t_final, n_cmp * h),
+                          snapshot_stride=1) if match else cfg.run
         try:
-            solver.evolve(cfg.run, initial, step_log=False)
+            traj = solver.evolve(run_cfg, initial, step_log=match)
             metrics["blowup_detection"] = float("inf")
         except solver.BlowupDetected as e:
+            traj = e.trajectory
+            if len(traj.states) <= n_cmp:  # the guard fired on a compared layer
+                raise
             extra["detected_blowup_time"] = e.t
-            metrics["blowup_detection"] = abs(e.t - T_star) / cfg.grid.h
-        if "ode_match" in cfg.checks:
-            h = cfg.grid.h
-            n_cmp = _ode_match_steps(T_star, h)  # >= 1, checked while parsing
-            traj = solver.evolve(
-                replace(cfg.run, t_final=n_cmp * h, snapshot_stride=1), initial)
+            metrics["blowup_detection"] = abs(e.t - T_star) / h
+        if match:
             worst = 0.0
-            for s in traj.states:
+            for s in traj.states[:n_cmp + 1]:
                 exact = reference_ode_blowup(cfg.params, T_star, s.t)
                 worst = max(worst, abs(s.u[0] - exact) / exact)
             metrics["ode_match"] = worst
-            _write(out, "step_log.csv", traj.log.to_csv())
+            head = StepLog(*(getattr(traj.log, f.name)[:n_cmp + 1] for f in fields(StepLog)))
+            _write(out, "step_log.csv", head.to_csv())
         return metrics, notes, extra
 
     traj = solver.evolve(cfg.run, initial)
@@ -717,7 +732,7 @@ def _run_verify_w(cfg: ExperimentConfig, out: Path):
     r = cfg.grid.r
     drift = 0.0
     for s in traj.states:
-        clean = r <= cfg.grid.R - (s.t - initial.t) - 2.0 * cfg.grid.h
+        clean = r <= _drift_bound(cfg.grid, s.t - initial.t)
         drift = max(drift, float(np.max(np.abs(s.u[clean] - W[clean]))))
     C0, _ = bootstrap.decay_fit(traj, r_min=r_min)
     # the slope is fitted to the evolved layers only: sup_t |u| over all of

@@ -22,7 +22,6 @@ from nlwlab.core import RadialState, Trajectory, _csv_text
 __all__ = [
     "DiagnosticRecord",
     "diagnostic_record",
-    "energy",
     "localized_identity_residuals",
     "records_to_csv",
     "residual_sweep_to_json",
@@ -163,7 +162,7 @@ def _energy_virial(u: np.ndarray, v: np.ndarray, r: np.ndarray, h: float,
     value of its full-grid field bit for bit.  The arithmetic of a row does
     not depend on the others, nor on the stacks' memory layout: strided
     stacks are copied to C-contiguous ones, on which every elementwise pass
-    runs over the whole block.  :func:`energy`, :func:`virial` (one row) and
+    runs over the whole block.  :func:`_state_energy_virial` (one row) and
     the solver's per-step log (:func:`step_log_rows`, a block of rows) all
     go through here, so the logged and recomputed values agree bit for bit.
     u and v are only read.
@@ -230,23 +229,11 @@ def step_log_rows(u: np.ndarray, v: np.ndarray, r: np.ndarray, h: float, p: floa
     The solver calls this once per block of layers (see :func:`_energy_virial`
     for the row layout), reads the rows' max |u| for its blowup guard, and
     builds its snapshots from the same rows.  Each value equals
-    :func:`energy`, :func:`virial`, the max of |u| or :func:`support_radius`
-    of the row's full-grid field bit for bit.
+    E or z of :func:`_state_energy_virial`, the max of |u| or
+    :func:`support_radius` of the row's full-grid field bit for bit.
     """
     E, z, top = _energy_virial(u, v, r, h, p, mu, buffers)
     return E, z, top, _support_radii(u, v, r)
-
-
-def energy(state: RadialState) -> float:
-    """Conserved energy of the flow.
-
-    E = 4 pi * int [ (d_r u)^2 / 2 + v^2 / 2 + mu |u|^{p+1} / (p+1) ] r^2 dr.
-
-    For the focusing sign (mu = -1) the potential term enters negatively and
-    E is not coercive; conservation still holds and downstream reports label
-    the value "non-coercive" so drift checks are not misread as positivity.
-    """
-    return _state_energy_virial(state)[0]
 
 
 def virial(state: RadialState) -> float:

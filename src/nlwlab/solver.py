@@ -57,11 +57,12 @@ PREFIX_CHUNK = 64
 
 
 class SolverError(RuntimeError):
-    """Run aborted; ``t`` is the time of the offending layer."""
+    """Run aborted; ``t`` is the time of the offending layer and
+    ``trajectory`` the run before it, None unless :func:`evolve` raised."""
 
-    def __init__(self, message: str, t: float):
+    def __init__(self, message: str, t: float, trajectory: Trajectory | None = None):
         super().__init__(message)
-        self.t = t
+        self.t, self.trajectory = t, trajectory
 
 
 class ConeViolation(SolverError):
@@ -342,10 +343,9 @@ def evolve(config: SolverConfig, initial: RadialState,
     same nodes; all their views are rebuilt only when P grows, once per
     chunk.  Beyond the light cone the stencil yields exact zeros, so the
     result is the same bit for bit as stepping the whole grid; the row-wise
-    code is the one behind :func:`diagnostics.energy`,
-    :func:`diagnostics.virial` and :func:`diagnostics.support_radius`, so a
-    logged value equals the one recomputed from a stored snapshot bit for
-    bit.
+    code is the one behind :func:`diagnostics.virial` and
+    :func:`diagnostics.support_radius`, so a logged value equals the one
+    recomputed from a stored snapshot bit for bit.
 
     The guards run when a block is flushed, layer by layer in order, on the
     max |u| the log forms, so the first failing layer raises with the time
@@ -358,9 +358,10 @@ def evolve(config: SolverConfig, initial: RadialState,
     layer, unless numpy's settings ignore them; a run that a guard ends
     drops them.  A block whose E or z is not finite is logged once more,
     after the guards of its layers and of the next one, with numpy's
-    settings, for the log's own warnings.  On a SolverError the whole log
-    is dropped.  A run without the log gives none of the log's own
-    warnings.
+    settings, for the log's own warnings.  A run without the log gives none
+    of the log's own warnings.  A guard's error keeps the run before its
+    layer j as ``trajectory``: the states stored so far and the log's rows
+    [0, j), which a block writes before its guards run.
     """
     grid, params = config.grid, config.params
     if initial.grid != grid:
@@ -409,12 +410,12 @@ def evolve(config: SolverConfig, initial: RadialState,
         # the guards of layer j, whose row u holds its prefix at least
         t = t0 + j * h if j else t0
         if not mx <= limit:
-            raise BlowupDetected(f"field magnitude {mx!r} at t = {t!r}", t)
+            raise BlowupDetected(f"field magnitude {mx!r} at t = {t!r}", t, trajectory(j))
         # the outer two nodes hold +0.0 until the prefix reaches node n - 1
         if floor is not None and len(u) >= n and max(map(abs, u[n - 1:].tolist())) > floor:
             raise ConeViolation(
                 f"field reached the outer boundary at t = {t!r}; "
-                "enlarge the grid or disable the cone guard", t)
+                "enlarge the grid or disable the cone guard", t, trajectory(j))
 
     rows = min(LOG_BLOCK, n_steps + 1)
     if step_log:
@@ -428,6 +429,11 @@ def evolve(config: SolverConfig, initial: RadialState,
     pad = np.zeros(n + 1)
     states = [initial]
 
+    def trajectory(j: int) -> Trajectory:
+        # the states stored so far and the log's rows [0, j)
+        return Trajectory(grid=grid, params=params, states=tuple(states),
+                          log=StepLog(*log[:, :j]) if step_log else None, linear=linear)
+
     def stored(j: int, u: np.ndarray, v: np.ndarray) -> RadialState:
         if P <= n:
             u, v = np.concatenate((u, pad[P:])), np.concatenate((v, pad[P:]))
@@ -439,8 +445,8 @@ def evolve(config: SolverConfig, initial: RadialState,
         raise exc
 
     def flush(count: int, w_next: np.ndarray | None) -> None:
-        # the block's first count rows, complete: the guards and the snapshots
-        # layer by layer, as the full-grid loop takes them, then the log.
+        # the block's first count rows, complete: the log, then the guards
+        # and the snapshots layer by layer, as the full-grid loop takes them.
         # w_next is w of the next layer, which that loop checked before it
         # logged and stored these (None past the last layer)
         us, vs = U[:count], V[:count]
@@ -448,6 +454,7 @@ def evolve(config: SolverConfig, initial: RadialState,
         if step_log:
             E, z, top, support = diagnostics.step_log_rows(us, vs, r, h, p, mu, buffers)
             del errors.lines[mark:]  # the log's own warnings come below
+            log[1:, first:first + count] = E, z, top, support
         else:  # the log's max |u|, bit for bit
             top = np.maximum.reduce(np.abs(us), axis=1).tolist()
         # no guard can fail below the limit and short of the outer nodes
@@ -475,8 +482,6 @@ def evolve(config: SolverConfig, initial: RadialState,
                     diagnostics.step_log_rows(us, vs, r, h, p, mu, buffers)
             if failed:
                 fail(*failed)
-        if step_log:
-            log[1:, first:first + count] = E, z, top, support
 
     # initial.u counts: it is layer 0's row, which the first source term reads.
     # Layer k is live on at most m + k + 1 nodes (layer 0 on its own live
@@ -517,9 +522,7 @@ def evolve(config: SolverConfig, initial: RadialState,
                 wp, wc, wn = wc, wn, wp
             flush(count, wc.whole if first + count <= n_steps else None)
     errors.warn(n_steps)
-
-    return Trajectory(grid=grid, params=params, states=tuple(states),
-                      log=StepLog(*log) if step_log else None, linear=config.linear)
+    return trajectory(n_steps + 1)
 
 
 def _source_of_state(s: RadialState, linear: bool) -> np.ndarray:

@@ -9,7 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import MISSING
+from dataclasses import MISSING, replace
 from pathlib import Path
 
 import numpy as np
@@ -1227,8 +1227,8 @@ def _ode_blowup(out):
 @pytest.mark.parametrize("config, logs, files", [
     (_norms_over_an_interval, [False], {"normreport.json", "tails.csv"}),
     (lambda out: _quick("linear-check", out, {}), [False] * 4, {"report.json"}),
-    # the blowup-detection run has no log; the ode_match run keeps its own
-    (_ode_blowup, [False, True], {"step_log.csv"})])
+    # one logged run, ended by the guard: step_log.csv is its first rows
+    (_ode_blowup, [True], {"step_log.csv"})])
 def test_runs_that_read_no_step_log_compute_and_write_none(tmp_path, monkeypatch, config,
                                                            logs, files):
     from nlwlab.cli import solver
@@ -1245,6 +1245,116 @@ def test_runs_that_read_no_step_log_compute_and_write_none(tmp_path, monkeypatch
     assert run(parse_config(config(out))) == 0
     assert seen == logs
     assert {p.name for p in out.iterdir()} == {"manifest.json", *files}
+
+
+def _two_run_blowup(cfg, out):
+    # the blowup branch of the evolve runner as two runs: the detection run
+    # without a log, then the ode_match run from layer 0 to n_cmp h
+    from nlwlab import cli
+    metrics, extra = {}, {}
+    initial = build_initial(cfg.initial, cfg.grid, cfg.params)
+    T_star = ode_flat_blowup_time(cfg.params, cfg.initial["amplitude"])
+    extra["expected_blowup_time"] = T_star
+    try:
+        cli.solver.evolve(cfg.run, initial, step_log=False)
+        metrics["blowup_detection"] = float("inf")
+    except cli.solver.BlowupDetected as e:
+        extra["detected_blowup_time"] = e.t
+        metrics["blowup_detection"] = abs(e.t - T_star) / cfg.grid.h
+    if "ode_match" in cfg.checks:
+        h = cfg.grid.h
+        n_cmp = cli._ode_match_steps(T_star, h)
+        traj = cli.solver.evolve(
+            replace(cfg.run, t_final=n_cmp * h, snapshot_stride=1), initial)
+        worst = 0.0
+        for s in traj.states:
+            exact = reference_ode_blowup(cfg.params, T_star, s.t)
+            worst = max(worst, abs(s.u[0] - exact) / exact)
+        metrics["ode_match"] = worst
+        (out / "step_log.csv").write_text(traj.log.to_csv())
+    return metrics, ["energy: non-coercive (focusing sign)"], extra
+
+
+def _outcome(tmp_path, capsys, raw):
+    # exit code, last stderr line, and every file, the manifest without walltime_s
+    out = Path(raw["output"]["dir"])
+    code = main(["evolve", "--config", _write_config(tmp_path, raw)])
+    last = capsys.readouterr().err.splitlines()[-1:]
+    files = {f.name: f.read_text() for f in sorted(out.iterdir())}
+    manifest = json.loads(files.pop("manifest.json"))
+    del manifest["walltime_s"]
+    for f in out.iterdir():
+        f.unlink()
+    return code, last, list(manifest.items()), files
+
+
+_BLOWUP_EDGES = {
+    "exemplar": (lambda raw: None, 0),
+    # the guard fires on layer 79, which ode_match compares: aborted at 0.154296875
+    "threshold_on_a_compared_layer": (
+        lambda raw: raw["run"].update(blowup_threshold=3.0), 1),
+    # the run to t_final detects nothing (inf fails the check); the compared
+    # layers go on past it
+    "t_final_below_the_compared_layers": (lambda raw: raw["run"].update(t_final=0.125), 1),
+    "stride_5": (lambda raw: raw["run"].update(snapshot_stride=5), 0),
+    "detection_alone": (lambda raw: raw["checks"].pop("ode_match"), 0),
+    # the plateau reaches the outer nodes of 600 at once: ConeViolation at t = 0
+    "cone_guard_on": (lambda raw: (raw["grid"].update(n=600), raw["run"].pop("cone_floor")),
+                      1),
+}
+
+
+@pytest.mark.parametrize("edge", _BLOWUP_EDGES)
+def test_blowup_scenario_runs_once_with_the_outcome_of_two_runs(tmp_path, capsys,
+                                                                 monkeypatch, edge):
+    from nlwlab import cli
+    from nlwlab.cli import solver
+    edit, code = _BLOWUP_EDGES[edge]
+    raw = _ode_blowup(tmp_path / "out")
+    edit(raw)
+    calls = []
+
+    def counted(*args, _f=solver.evolve, **kwargs):
+        calls.append(1)
+        return _f(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "evolve", counted)
+    got = _outcome(tmp_path, capsys, raw)
+    assert len(calls) == 1
+    monkeypatch.setitem(cli._RUNNERS, "evolve", _two_run_blowup)
+    assert got == _outcome(tmp_path, capsys, raw)
+    assert got[0] == code
+    manifest = dict(got[2])
+    if edge == "threshold_on_a_compared_layer":
+        assert manifest["error"]["t"] == 0.154296875
+        assert manifest["error"]["type"] == "BlowupDetected"
+    if edge == "t_final_below_the_compared_layers":
+        assert manifest["checks"][0]["value"] == math.inf
+        assert [c["name"] for c in manifest["checks"]] == ["blowup_detection", "ode_match"]
+    if edge == "cone_guard_on":
+        assert manifest["error"]["type"] == "ConeViolation" and manifest["error"]["t"] == 0.0
+    if edge in ("exemplar", "stride_5"):  # a header and layers 0..n_cmp = 118
+        assert got[3]["step_log.csv"].count("\n") == 1 + 119
+
+
+@pytest.mark.parametrize("p, h", [(7.0, 1e-100), (200.0, 0.01)])
+def test_source_whose_r_power_underflows_exits_2_before_output(tmp_path, capsys, p, h):
+    # r^(p-1) at node origin_band underflowed to 0, so the source divided by
+    # zero and the run aborted one step in on "field magnitude nan" (exit 1)
+    out = tmp_path / "out"
+    raw = _quick("evolve", out, {})
+    raw["equation"]["p"] = p
+    raw["grid"] = {"h": h, "n": 64}
+    raw["run"] = {"t_final": h, "cone_floor": None}
+    assert main(["evolve", "--config", _write_config(tmp_path, raw)]) == 2
+    assert capsys.readouterr().err == (
+        f"config: grid.h: {h!r} makes r^(p-1) underflow to 0 at node origin_band = 2 "
+        f"(r = {2.0 * h!r}, p = {p!r})\n")
+    assert not out.exists()
+    # a linear run divides by no power of r
+    raw["run"]["linear"] = True
+    assert main(["evolve", "--config", _write_config(tmp_path, raw)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["status"] == "pass"
 
 
 def test_linear_check_runs_on_a_grid_shorter_than_its_traveling_wave(tmp_path):

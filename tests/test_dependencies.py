@@ -111,24 +111,39 @@ def test_public_names_have_a_caller():
     # name in an __all__, and every public method or property of a class
     # there, is read somewhere in src/nlwlab outside its own definition
     # (imports and the __all__ strings do not count), except the entry
-    # points of tests/test_acceptance.py
-    trees = [ast.parse(path.read_text(), filename=str(path))
-             for path in sorted((ROOT / "src" / "nlwlab").glob("*.py"))]
+    # points of tests/test_acceptance.py.  A module-level name is read as a
+    # bare name in its own module or in one that imports it from there, or
+    # as <module>.<name>; a method or property by its name alone
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted((ROOT / "src" / "nlwlab").glob("*.py"))}
 
-    def read(name, definition):
+    def imports(tree, module, name):
+        return any(isinstance(node, ast.ImportFrom) and node.module == f"nlwlab.{module}"
+                   and name in [a.name for a in node.names]
+                   for node in ast.walk(tree))
+
+    def read(name, definition, module=None):
         skip = set(ast.walk(definition))
-        return any(isinstance(getattr(node, "ctx", None), ast.Load) and node not in skip
-                   and name in (getattr(node, "id", None), getattr(node, "attr", None))
-                   for tree in trees for node in ast.walk(tree))
+        for stem, tree in trees.items():
+            bare = module is None or stem == module or imports(tree, module, name)
+            for node in ast.walk(tree):
+                if not isinstance(getattr(node, "ctx", None), ast.Load) or node in skip:
+                    continue
+                if isinstance(node, ast.Name) and bare and node.id == name:
+                    return True
+                if isinstance(node, ast.Attribute) and node.attr == name and (
+                        module is None or getattr(node.value, "id", None) == module):
+                    return True
+        return False
 
     uncalled = set()
-    for tree in trees:
+    for module, tree in trees.items():
         public = next(ast.literal_eval(top.value) for top in tree.body
                       if isinstance(top, ast.Assign)
                       and [getattr(t, "id", None) for t in top.targets] == ["__all__"])
         for top in tree.body:
             if getattr(top, "name", None) in public:
-                if not read(top.name, top):
+                if not read(top.name, top, module):
                     uncalled.add(top.name)
                 uncalled.update(f"{top.name}.{m.name}" for m in getattr(top, "body", [])
                                 if isinstance(m, ast.FunctionDef)

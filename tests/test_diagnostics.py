@@ -19,8 +19,8 @@ from nlwlab import (
 )
 from nlwlab.diagnostics import (
     DiagnosticRecord,
+    _state_energy_virial,
     diagnostic_record,
-    energy,
     localized_identity_residuals,
     records_to_csv,
     residual_sweep_to_json,
@@ -107,17 +107,23 @@ def test_cutoff_range_bounded(rc):
 # energy and virial functionals
 
 
+def _energy(state):
+    # E = 4 pi int [(d_r u)^2 / 2 + v^2 / 2 + mu |u|^(p+1) / (p+1)] r^2 dr,
+    # the step log's E of one row
+    return _state_energy_virial(state)[0]
+
+
 def test_energy_gaussian_analytic():
     # u = exp(-2 r^2), v = 0, p = 7 defocusing:
     # E = pi^{3/2} (3/8 + 1/512); centered-difference d_r u costs O(h^2)
     st7 = _gauss_state()
     exact = math.pi ** 1.5 * (3.0 / 8.0 + 1.0 / 512.0)
-    assert abs(energy(st7) - exact) <= 1e-3 * exact
+    assert abs(_energy(st7) - exact) <= 1e-3 * exact
 
 
 def test_energy_velocity_term():
-    base = energy(_gauss_state(v_scale=0.0))
-    with_v = energy(_gauss_state(v_scale=1.0))
+    base = _energy(_gauss_state(v_scale=0.0))
+    with_v = _energy(_gauss_state(v_scale=1.0))
     grid = RadialGrid(h=0.02, n=3000)
     u = np.exp(-2.0 * grid.r ** 2)
     vterm = 2.0 * math.pi * np.trapezoid(u * u * grid.r ** 2, dx=grid.h)
@@ -126,8 +132,8 @@ def test_energy_velocity_term():
 
 def test_energy_sign_split_matches_potential_term():
     # defocusing minus focusing energy = twice the potential integral
-    e_plus = energy(_gauss_state(mu=1))
-    e_minus = energy(_gauss_state(mu=-1))
+    e_plus = _energy(_gauss_state(mu=1))
+    e_minus = _energy(_gauss_state(mu=-1))
     grid = RadialGrid(h=0.02, n=3000)
     u = np.exp(-2.0 * grid.r ** 2)
     pot = 4.0 * math.pi * np.trapezoid(u ** 8 / 8.0 * grid.r ** 2, dx=grid.h)
@@ -139,7 +145,7 @@ def test_zero_state_functionals_vanish():
     grid = RadialGrid(h=0.1, n=100)
     z = np.zeros(grid.n + 1)
     state = RadialState(grid=grid, params=make_params(5.0, 1), t=0.0, u=z, v=z)
-    assert energy(state) == 0.0
+    assert _energy(state) == 0.0
     assert virial(state) == 0.0
     assert virial_rate(state) == 0.0
 
@@ -303,7 +309,7 @@ def test_step_log_rows_match_one_row_calls(w_grid):
         full_v = np.zeros(w_grid.n + 1)
         full_v[:width] = v[i]
         state = RadialState(grid=w_grid, params=params, t=0.0, u=full_u, v=full_v)
-        assert got[0][i] == energy(state)
+        assert got[0][i] == _energy(state)
         assert got[1][i] == virial(state)
         assert got[2][i] == float(np.max(np.abs(full_u)))
         assert got[3][i] == support_radius(full_u, full_v, r)
@@ -383,7 +389,7 @@ def test_diagnostic_record_consistency():
     rec = diagnostic_record(traj, t, 1.5)
     state = traj.state_at(t)
     assert rec.t == t
-    assert rec.energy == energy(state)
+    assert rec.energy == _energy(state)
     assert rec.virial == virial(state)
     assert rec.z_rate_rhs == virial_rate(state)
     assert abs(rec.z_rate_lhs - rec.z_rate_rhs) <= 1e-3
@@ -408,7 +414,7 @@ def test_diagnostic_record_takes_energy_and_virial_from_one_call(monkeypatch):
     assert rows == [1, 1, 1]
     monkeypatch.undo()
     state = traj.state_at(0.25)
-    assert (rec.energy, rec.virial) == (energy(state), virial(state))
+    assert (rec.energy, rec.virial) == (_energy(state), virial(state))
 
 
 def test_log_matches_diagnostics_recompute():
@@ -416,7 +422,7 @@ def test_log_matches_diagnostics_recompute():
     idx = {float(t): k for k, t in enumerate(traj.log.t)}
     for state in traj.states:
         k = idx[state.t]
-        assert traj.log.energy[k] == energy(state)
+        assert traj.log.energy[k] == _energy(state)
         assert traj.log.virial[k] == virial(state)
 
 

@@ -982,6 +982,55 @@ def test_blowup_detected_with_time():
     assert abs(exc.value.t - 0.25) <= 5.0 * grid.h
 
 
+# the plateau blowup and a bump reaching R with the guard on, and two guard
+# cases: a blowup on a log block's last row and a cone violation inside one
+_ENDED_BY_A_GUARD = ["ode_flat_blowup", "bump_cone_violation", "blowup_on_block_last_row",
+                     "cone_then_blowup_in_block"]
+
+
+@pytest.mark.parametrize("step_log", [True, False])
+@pytest.mark.parametrize("case", _ENDED_BY_A_GUARD)
+def test_guard_error_keeps_the_run_before_its_layer(case, step_log):
+    # at stride 1 the error's trajectory is the run ended one step before the
+    # failing layer, bit for bit in every state and every log row
+    cfg, s0, prev, expected = _oracle_case(case)
+    cfg = dataclasses.replace(cfg, snapshot_stride=1)
+    with pytest.raises(expected) as err:
+        evolve(cfg, s0, prev, step_log=step_log)
+    got = err.value.trajectory
+    ref = evolve(dataclasses.replace(cfg, t_final=err.value.t - cfg.grid.h), s0, prev,
+                 step_log=step_log)
+    assert (got.grid, got.params, got.linear) == (ref.grid, ref.params, ref.linear)
+    assert len(got.states) == round((err.value.t - s0.t) / cfg.grid.h) > 1
+    if step_log:
+        _assert_same_bits(got, ref)
+    else:
+        _assert_same_states(got, ref)
+        assert got.log is None
+
+
+@pytest.mark.parametrize("step_log", [True, False])
+@pytest.mark.parametrize("case", _ENDED_BY_A_GUARD)
+def test_guard_error_keeps_the_stored_layers_below_its_layer(case, step_log):
+    cfg, s0, prev, expected = _oracle_case(case)
+    cfg = dataclasses.replace(cfg, snapshot_stride=3)
+    with pytest.raises(expected) as err:
+        evolve(cfg, s0, prev, step_log=step_log)
+    got, h = err.value.trajectory, cfg.grid.h
+    j = round((err.value.t - s0.t) / h)
+    assert [s.t for s in got.states] == [s0.t + k * h if k else s0.t
+                                         for k in range(0, j, 3)]
+    if step_log:
+        assert len(got.log.t) == j
+    else:
+        assert got.log is None
+
+
+def test_solver_error_made_directly_keeps_no_trajectory():
+    assert SolverError("stopped", 0.5).trajectory is None
+    assert BlowupDetected("field magnitude nan at t = 0.5", 0.5).trajectory is None
+
+
 def test_finite_speed_of_support():
     params = make_params(7.0, 1)
     grid = RadialGrid(h=1.0 / 64.0, n=256)  # R = 4
