@@ -322,8 +322,9 @@ def evolve(config: SolverConfig, initial: RadialState,
         Nontrivial field at the outermost two nodes (see SolverConfig.cone_floor).
     BlowupDetected
         max |u| exceeded config.blowup_threshold or became non-finite.
-    ValueError
-        A stored layer's v is not finite (the check of RadialState).
+    SolverError
+        A stored layer's v is not finite: RadialState's message, at the
+        layer's time.
 
     Notes
     -----
@@ -350,18 +351,19 @@ def evolve(config: SolverConfig, initial: RadialState,
     The guards run when a block is flushed, layer by layer in order, on the
     max |u| the log forms, so the first failing layer raises with the time
     and message of a check after every step; a stored layer whose v is not
-    finite raises RadialState's ValueError in its turn, after the next
-    layer's guards.  The at most LOG_BLOCK - 1 layers stepped past a failure
-    are discarded, so the kernel's overflow, invalid and divide-by-zero
-    errors are logged, not warned of: a finished run, or one that a stored
-    layer's ValueError ends, then gives them as RuntimeWarnings up to that
-    layer, unless numpy's settings ignore them; a run that a guard ends
-    drops them.  A block whose E or z is not finite is logged once more,
-    after the guards of its layers and of the next one, with numpy's
-    settings, for the log's own warnings.  A run without the log gives none
-    of the log's own warnings.  A guard's error keeps the run before its
-    layer j as ``trajectory``: the states stored so far and the log's rows
-    [0, j), which a block writes before its guards run.
+    finite raises a plain SolverError in its turn, after the next layer's
+    guards.  The at most LOG_BLOCK - 1 layers stepped past a failure are
+    discarded, so the kernel's overflow, invalid and divide-by-zero errors,
+    those of the back layer as step 0's, are logged, not warned of: a
+    finished run, or one that a stored layer's v ends, then gives them as
+    RuntimeWarnings up to that layer, unless numpy's settings ignore them;
+    a run that a guard ends drops them.  A block whose E or z is not finite
+    is logged once more, after the guards of its layers and of the next
+    one, with numpy's settings, for the log's own warnings.  A run without
+    the log gives none of the log's own warnings.  The error of a guard or
+    of a stored layer j keeps the run before that layer as ``trajectory``:
+    the states stored so far and the log's rows [0, j), which a block
+    writes before its guards run.
     """
     grid, params = config.grid, config.params
     if initial.grid != grid:
@@ -389,15 +391,6 @@ def evolve(config: SolverConfig, initial: RadialState,
         if _lattice_steps(t0 - initial_prev.t, h) != 1:
             raise ValueError("initial_prev must sit one step before the initial state")
         w_prev[:] = initial_prev.w
-    elif n_steps:
-        # the term stays in src on the live nodes of w_cur and initial.u, all
-        # inside the first step's prefix, which overwrites it
-        _source_term(wc, initial.u, r, rpv, sv, p, h, linear)
-        d2 = np.zeros_like(w_cur)
-        d2[1:-1] = w_cur[2:] - 2.0 * w_cur[1:-1] + w_cur[:-2]
-        d2[-1] = w_cur[-2] - 2.0 * w_cur[-1]  # zero ghost
-        w_prev[:] = w_cur - h * (r * initial.v) + 0.5 * op(d2, sv.whole)
-        w_prev[0] = 0.0
 
     # one comparison catches NaN, +inf and the threshold; the cap keeps +inf
     # caught when the threshold is inf
@@ -442,7 +435,8 @@ def evolve(config: SolverConfig, initial: RadialState,
     def fail(j: int, exc: ValueError) -> None:
         # stored layer j's v is not finite: the full-grid loop stopped there
         errors.warn(j)
-        raise exc
+        t = t0 + j * h
+        raise SolverError(f"{exc} at t = {t!r}", t, trajectory(j)) from None
 
     def flush(count: int, w_next: np.ndarray | None) -> None:
         # the block's first count rows, complete: the log, then the guards
@@ -483,15 +477,24 @@ def evolve(config: SolverConfig, initial: RadialState,
             if failed:
                 fail(*failed)
 
-    # initial.u counts: it is layer 0's row, which the first source term reads.
-    # Layer k is live on at most m + k + 1 nodes (layer 0 on its own live
-    # length), and its row reaches two +0.0 columns past that.  Past them
-    # every buffer holds +0.0, which every operation of the stencil maps to
-    # +0.0, so the nodes that the chunks add change no bit
-    m = _active_length(w_cur, w_prev, initial.u)
-    live0 = _live_length(initial.u, initial.v)
-    P = 0
     with np.errstate(over="log", invalid="log", divide="log", call=errors):
+        if initial_prev is None and n_steps:  # the back layer, as step 0
+            # the term stays in src on the live nodes of w_cur and initial.u,
+            # all inside the first step's prefix, which overwrites it
+            _source_term(wc, initial.u, r, rpv, sv, p, h, linear)
+            d2 = np.zeros_like(w_cur)
+            d2[1:-1] = w_cur[2:] - 2.0 * w_cur[1:-1] + w_cur[:-2]
+            d2[-1] = w_cur[-2] - 2.0 * w_cur[-1]  # zero ghost
+            w_prev[:] = w_cur - h * (r * initial.v) + 0.5 * op(d2, sv.whole)
+            w_prev[0] = 0.0
+        # initial.u counts: it is layer 0's row, which the first source term
+        # reads.  Layer k is live on at most m + k + 1 nodes (layer 0 on its
+        # own live length), and its row reaches two +0.0 columns past that.
+        # Past them every buffer holds +0.0, which every operation of the
+        # stencil maps to +0.0, so the nodes that the chunks add change no bit
+        m = _active_length(w_cur, w_prev, initial.u)
+        live0 = _live_length(initial.u, initial.v)
+        P = 0
         for first in range(0, n_steps + 1, rows):
             count = min(rows, n_steps + 1 - first)
             need = max(m + first + rows + 2, 0 if first else live0 + 2)

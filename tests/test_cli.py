@@ -389,6 +389,26 @@ def test_main_solver_abort_writes_manifest(tmp_path, capsys):
     assert err == f"solver: {error['message']} (t = {error['t']!r})\n"
 
 
+def test_main_non_finite_v_writes_manifest(tmp_path, capsys):
+    # at an infinite blowup threshold the plateau's v overflows at the final
+    # layer while u is still finite; the run aborts as on a guard
+    out = tmp_path / "out"
+    raw = {"scenario": "evolve", "equation": {"p": 5.0, "mu": -1},
+           "grid": {"h": 0.015625, "n": 256},
+           "initial": {"kind": "ode_flat", "amplitude": 1.5},
+           "run": {"t_final": 0.453125, "blowup_threshold": math.inf},
+           "checks": {"blowup_detection": 5.0}, "output": {"dir": str(out)}}
+    with np.errstate(over="ignore"):
+        assert main(["evolve", "--config", _write_config(tmp_path, raw)]) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [f.name for f in out.iterdir()] == ["manifest.json"]
+    assert (manifest["status"], manifest["checks"]) == ("aborted", [])
+    assert manifest["error"] == {"type": "SolverError", "t": 0.453125,
+                                 "message": "v contains non-finite entries at t = 0.453125"}
+    assert capsys.readouterr().err == (
+        "solver: v contains non-finite entries at t = 0.453125 (t = 0.453125)\n")
+
+
 def test_main_off_lattice_time_exits_2(tmp_path, capsys):
     # rejected while parsing: no output directory is created
     raw = {
@@ -442,10 +462,12 @@ def test_parse_config_lattice_rule_skips_unevolved_and_file_data(tmp_path):
     assert main(["evolve", "--config", _write_config(tmp_path, raw)]) == 2
 
 
-def _python(code: str, cwd) -> subprocess.CompletedProcess:
+def _python(code: str, cwd, *args: str) -> subprocess.CompletedProcess:
+    """``python -c code`` (or, for code None, ``python args``) on this nlwlab."""
     src = str(Path(nlwlab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code], cwd=cwd, capture_output=True,
+    argv = [sys.executable, *(["-c", code] if code is not None else []), *args]
+    return subprocess.run(argv, cwd=cwd, capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path})
 
 
@@ -987,6 +1009,19 @@ def test_bootstrap_rejected_values_leave_no_output(tmp_path, capsys, edit, messa
         parse_config(raw)
     assert main(["bootstrap", "--config", _write_config(tmp_path, raw)]) == 2
     assert capsys.readouterr().err.startswith(f"config: {message}")
+    assert not out.exists()
+
+
+def test_module_run_reports_a_runner_config_error(tmp_path):
+    # python -m nlwlab.cli runs cli as __main__; a ConfigError raised in
+    # nlwlab.scenarios still ends as "config: ..." and exit 2
+    out = tmp_path / "out"
+    raw = {"scenario": "bootstrap", "bootstrap": {"p_values": [5.0, 4.0]},
+           "checks": {"contraction_subunit": 1.0}, "output": {"dir": str(out)}}
+    proc = _python(None, tmp_path, "-m", "nlwlab.cli", "bootstrap",
+                   "--config", _write_config(tmp_path, raw))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config: bootstrap.p_values: p must be a finite real >= 5")
     assert not out.exists()
 
 

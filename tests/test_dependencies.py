@@ -1,6 +1,7 @@
 """Dependency audit: the runtime imports are exactly the declared dependencies."""
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -35,15 +36,39 @@ def test_runtime_imports_match_declared_dependencies():
     assert _imported_top_levels() == _declared_dependencies() == {"numpy"}
 
 
+def _python(code: str, *args: str) -> str:
+    """stdout of ``code`` run with ``args`` in a fresh interpreter on src/."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_importing_the_cli_skips_command_line_and_pool_modules():
     # argparse is needed only by main; no runner uses a thread pool
     code = ("import sys, nlwlab.cli\n"
             "print(sorted(m for m in ('argparse', 'concurrent.futures') if m in sys.modules))")
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert _python(code) == "[]\n"
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in (ROOT / "configs").glob("*.json")))
+def test_parsing_loads_the_runner_module_and_running_loads_none(config, tmp_path):
+    # nlwlab.scenarios is compiled while a config of one of its scenarios is
+    # parsed, in set-up, and never for an evolve config; run then loads no
+    # nlwlab module, so none compiles inside a timed run
+    code = ("import json, sys\n"
+            "from nlwlab import cli\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m.startswith('nlwlab'))\n"
+            "cfg = cli.parse_config(json.load(open(sys.argv[1])), out_override=sys.argv[2])\n"
+            "parsed = loaded()\n"
+            "cli.run(cfg)\n"
+            "print(json.dumps([cfg.scenario, parsed, loaded()]))")
+    scenario, parsed, ran = json.loads(_python(code, str(ROOT / "configs" / config),
+                                               str(tmp_path / "out")))
+    assert ("nlwlab.scenarios" in parsed) is (scenario != "evolve")
+    assert {"nlwlab.norms", "nlwlab.bootstrap"} <= set(parsed)
+    assert ran == parsed
 
 
 def _calls(callee) -> Counter:
@@ -100,10 +125,14 @@ def test_evolve_is_the_only_kernel_driver():
 
 
 def test_runners_read_no_config_field():
-    # parse_config reads every field; a runner takes the typed values
+    # parse_config reads every field; a runner takes the typed values.  The
+    # scan sees all six runners, so a runner moved out of it fails here
     readers = _calls(lambda f: isinstance(f, ast.Name) and f.id == "_field")
     assert readers and all(module == "cli" for module, _ in readers)
     assert [name for _, name in readers if name.startswith("_run")] == []
+    runners = {name for _, name in _calls(lambda f: True) if name and name.startswith("_run_")}
+    assert runners == {"_run_evolve", "_run_norms", "_run_diagnose", "_run_bootstrap",
+                       "_run_verify_w", "_run_linear_check"}
 
 
 def test_public_names_have_a_caller():

@@ -172,6 +172,13 @@ def _seed_evolve(config, initial, initial_prev=None):
                 f"field reached the outer boundary at t = {t!r}; "
                 "enlarge the grid or disable the cone guard", t)
 
+    def state(t: float, u: np.ndarray, v: np.ndarray) -> RadialState:
+        # a layer whose v is not finite ends the run
+        try:
+            return RadialState(grid=grid, params=params, t=t, u=u, v=v)
+        except ValueError as e:
+            raise SolverError(f"{e} at t = {t!r}", t) from None
+
     check_layer(u_cur, t0)
 
     states = [initial]
@@ -184,8 +191,7 @@ def _seed_evolve(config, initial, initial_prev=None):
         check_layer(u_nxt, t0 + (k + 1) * h)
         if k >= 1:
             # layer k gets its centered v now that layer k+1 exists
-            state_k = RadialState(grid=grid, params=params, t=t0 + k * h,
-                                  u=u_cur, v=_seed_v_from_layers(w_nxt, w_prev, r, h))
+            state_k = state(t0 + k * h, u_cur, _seed_v_from_layers(w_nxt, w_prev, r, h))
             log_rows.append(_seed_log_row(state_k))
             if k % config.snapshot_stride == 0:
                 states.append(state_k)
@@ -199,7 +205,7 @@ def _seed_evolve(config, initial, initial_prev=None):
         F = _seed_source(w_cur, u_cur, r, params, config.origin_band, config.linear)
         w_aux = _seed_advance(w_prev, w_cur, F, h)
         v_fin = _seed_v_from_layers(w_aux, w_prev, r, h)
-        final = RadialState(grid=grid, params=params, t=t0 + n_steps * h, u=u_cur, v=v_fin)
+        final = state(t0 + n_steps * h, u_cur, v_fin)
         log_rows.append(_seed_log_row(final))
         states.append(final)
 
@@ -376,7 +382,7 @@ def _oracle_case(name):
         return (SolverConfig(grid=grid, params=params, t_final=1.0, linear=True,
                              cone_floor=None, blowup_threshold=1.2e307),
                 _state_from_w(grid, params, w), _state_from_w(grid, params, back, t=-grid.h),
-                ValueError)
+                SolverError)
     if name.startswith("steps_"):
         # focusing bump over a step count around the log block edges; the
         # stride does not divide the block
@@ -400,7 +406,7 @@ _GUARD_CASES = {
     "blowup_and_cone_on_one_layer": (0.02, 3.5, 18, BlowupDetected, 12),
     "overflow_at_infinite_threshold": (None, np.inf, 40, BlowupDetected, 21),  # NaN
     # the auxiliary step overflows: the final layer's v is not finite
-    "overflow_in_final_v": (None, np.inf, 20, ValueError, None),
+    "overflow_in_final_v": (None, np.inf, 20, SolverError, 20),
 }
 _BLOCK_EDGE_CASES = ["steps_0", "steps_1", "steps_7", "steps_8", "steps_9", "steps_17",
                      "gaussian_reaches_grid_end", "initial_prev_wider"]
@@ -418,13 +424,13 @@ def test_guard_cases_fail_where_named(case):
         ref = _run_or_error(_seed_evolve, cfg, s0, prev)
     layer = _GUARD_CASES[case][-1]
     assert type(ref) is expected
-    if layer is not None:
-        assert ref.t == layer * cfg.grid.h
+    assert ref.t == layer * cfg.grid.h
     if case == "blowup_on_block_last_row":
         assert layer % LOG_BLOCK == LOG_BLOCK - 1
     if case.startswith("overflow"):
         assert cfg.blowup_threshold == np.inf
-        assert str(ref).startswith("field magnitude nan") or expected is ValueError
+        assert str(ref) == (f"field magnitude nan at t = {ref.t!r}" if expected is BlowupDetected
+                            else f"v contains non-finite entries at t = {ref.t!r}")
 
 
 @pytest.mark.parametrize("case", [*_GUARD_CASES, "linear_v_overflows", "ode_flat_blowup",
@@ -462,7 +468,7 @@ def test_kernel_warnings_of_a_run_a_snapshot_ends(case, message):
     for setting, warned in (("warn", True), ("ignore", False)):
         with np.errstate(over=setting), warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
-            with pytest.raises(ValueError, match="v contains non-finite entries"):
+            with pytest.raises(SolverError, match="v contains non-finite entries at t = "):
                 evolve(cfg, s0, prev)
         kernel = {str(w.message) for w in seen if Path(w.filename).name == "solver.py"}
         assert (message in kernel) is warned
@@ -508,7 +514,7 @@ def _run_or_error(run, cfg, s0, prev):
     # a guard, or a snapshot whose v is not finite
     try:
         return run(cfg, s0, prev)
-    except (SolverError, ValueError) as exc:
+    except SolverError as exc:
         return exc
 
 
@@ -1068,6 +1074,19 @@ def test_zero_step_run_makes_no_kernel_step():
     assert sorted((str(w.message), Path(w.filename).name) for w in seen) == [
         ("overflow encountered in power", "diagnostics.py")]
     assert traj.states == (s0,) and not np.isfinite(traj.log.energy[0])
+
+
+def test_back_layer_errors_are_dropped_with_the_run_a_guard_ends():
+    # the synthesized back layer's |w|^(p-1) overflows, as step 0's source
+    # term does; the guard stops layer 1, and no kernel error is warned of
+    cfg, s0, _, _ = _oracle_case("overflow_to_nan")
+    cfg = dataclasses.replace(cfg, blowup_threshold=1e300)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(BlowupDetected) as err:
+            evolve(cfg, s0)
+    assert err.value.t == cfg.grid.h
+    assert [str(w.message) for w in seen] == []
 
 
 def test_zero_step_run_returns_initial_only():
