@@ -299,18 +299,10 @@ def parse_config(raw: dict, scenario: str | None = None,
             with _reported_as("norms.sp_interval"):
                 norms._check_interval(o["sp_interval"])
     if name == "diagnose":
-        # the refinement checks rerun the scenario at 2h on n / 2 nodes, and
-        # identity_order looks each time t up there too, with t - 2h and t + 2h
+        # the refinement checks rerun the scenario at 2h on n / 2 nodes
         refine = "virial_consistency_order" in checks or "identity_order" in checks
-        steps = [(h, "h"), (2.0 * h, "2h")] if "identity_order" in checks else [(h, "h")]
-        for t in o["times"]:
-            for step, what in steps:
-                if _lattice_steps(t, step) is None:
-                    raise ConfigError(
-                        f"diagnose.times: {t} is not on the time lattice of step {what}")
-                if not (step - 1e-12 <= t <= t_final - step + 1e-12):
-                    raise ConfigError(f"diagnose.times: {t} needs both t - {what} and "
-                                      f"t + {what} inside the run")
+        if kind != "file":  # a read file sets t0
+            _times_rule(cfg, 0.0)
         for key, c in [("Rc", o["Rc"])] + [("cutoffs", c) for c in o["cutoffs"]]:
             if not (c > 0.0 and 2.0 * c <= grid.R):
                 raise ConfigError(
@@ -345,6 +337,22 @@ def parse_config(raw: dict, scenario: str | None = None,
     if name not in _RUNNERS:  # see nlwlab.scenarios' docstring
         import nlwlab.scenarios
     return cfg
+
+
+def _times_rule(cfg: ExperimentConfig, t0: float) -> None:
+    """diagnose.times for a run from t0: each time t on the lattice of h from
+    t0, with t - h and t + h inside the run.  identity_order looks t up on
+    the 2h rerun too, with t - 2h and t + 2h."""
+    h = cfg.grid.h
+    steps = [(h, "h"), (2.0 * h, "2h")] if "identity_order" in cfg.checks else [(h, "h")]
+    for t in cfg.options["times"]:
+        for step, what in steps:
+            if _lattice_steps(t - t0, step) is None:
+                raise ConfigError(
+                    f"diagnose.times: {t} is not on the time lattice of step {what}")
+            if not (t0 + step - 1e-12 <= t <= cfg.run.t_final - step + 1e-12):
+                raise ConfigError(f"diagnose.times: {t} needs both t - {what} and "
+                                  f"t + {what} inside the run")
 
 
 def _evolves(cfg: ExperimentConfig) -> bool:
@@ -474,8 +482,9 @@ def build_initial(desc: dict, grid: RadialGrid, params: EquationParams) -> Radia
 
 def _initial_state(cfg: ExperimentConfig) -> RadialState:
     """The run's initial data.  File data starts at its stored time, so the
-    lattice rule that :func:`parse_config` applies from t = 0 is applied here,
-    from that time, before the first evolve."""
+    lattice rules that :func:`parse_config` applies from t = 0 (run.t_final,
+    diagnose.times) are applied here, from that time, before the first
+    evolve."""
     state = build_initial(cfg.initial, cfg.grid, cfg.params)
     if cfg.initial["kind"] == "file" and _evolves(cfg):
         try:
@@ -483,6 +492,8 @@ def _initial_state(cfg: ExperimentConfig) -> RadialState:
         except ValueError:
             raise ConfigError(f"initial.path: stored time t = {state.t!r} puts run.t_final "
                               f"= {cfg.run.t_final!r} off the lattice of h") from None
+        if cfg.scenario == "diagnose":
+            _times_rule(cfg, state.t)
     return state
 
 

@@ -1,36 +1,35 @@
 """Conserved energy, localized space-time identities, the virial functional,
 and support/Hardy quantities.
 
-Two formulas of the whole package live here.  d_r is :func:`_radial_derivative`,
-the centred difference (one-sided at the ends) with ``np.gradient``'s bits,
-on a row or a block of rows.  A 3D integral of a radial density f,
-4 pi * trapezoid(f r^2 dr) on the grid, is :func:`_radial_integral` on a row
-or a stack, and its engine :func:`_radial_quadrature` on the step log's
-blocks.  The localized identities use a fixed quintic smoothstep cutoff so
-residual numbers are reproducible across implementations.
+Three formulas of the whole package live here.  d_r is
+:func:`_radial_derivative`, the centred difference (one-sided at the ends)
+with ``np.gradient``'s bits, on a row or a block of rows.  A 3D integral of
+a radial density f, 4 pi * trapezoid(f r^2 dr) on the grid, is
+:func:`_radial_integral` on a row or a stack, and its engine
+:func:`_radial_quadrature` on the step log's blocks.  E, z, max |u| and the
+support radius of a layer are :func:`step_log_rows`, which the solver calls
+on every block of its run; a diagnostic record reads them from that log.
+The localized identities use a fixed quintic smoothstep cutoff so residual
+numbers are reproducible across implementations.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from nlwlab.core import RadialState, Trajectory, _csv_text
+from nlwlab.core import RadialState, Trajectory, _csv_text, _lattice_steps
 
 __all__ = [
     "DiagnosticRecord",
     "diagnostic_record",
+    "hardy_mass",
     "localized_identity_residuals",
     "records_to_csv",
-    "residual_sweep_to_json",
     "smooth_cutoff",
     "smooth_cutoff_gradient",
     "step_log_rows",
-    "support_and_hardy",
-    "support_radius",
-    "virial",
     "virial_rate",
 ]
 
@@ -127,7 +126,7 @@ def _radial_integral(density: np.ndarray, r: np.ndarray, h: float):
 
 
 class _RowBuffers:
-    """Scratch for :func:`_energy_virial` on up to ``rows`` rows of a grid
+    """Scratch for :func:`step_log_rows` on up to ``rows`` rows of a grid
     with ``n_nodes`` nodes.
 
     The solver allocates one set per run.  ``du``, ``e`` and ``s`` are flat;
@@ -149,50 +148,6 @@ class _RowBuffers:
         self._width = W
         du, e, s = (x[:k * W].reshape(k, W) for x in (self.du, self.e, self.s))
         return du, e, s, self.terms[:k]
-
-
-def _energy_virial(u: np.ndarray, v: np.ndarray, r: np.ndarray, h: float,
-                   p: float, mu: int, buffers: _RowBuffers | None = None):
-    """Lists (E, z, max |u|), one value per row of the field stacks u, v of
-    shape (k, W); max |u| comes from the |u| that the potential term raises
-    to the power p + 1.
-
-    Each row is one layer on the grid prefix r[:W], +0.0 past its own last
-    nonzero; the quadrature sums over the whole grid r, so a row gives the
-    value of its full-grid field bit for bit.  The arithmetic of a row does
-    not depend on the others, nor on the stacks' memory layout: strided
-    stacks are copied to C-contiguous ones, on which every elementwise pass
-    runs over the whole block.  :func:`_state_energy_virial` (one row) and
-    the solver's per-step log (:func:`step_log_rows`, a block of rows) all
-    go through here, so the logged and recomputed values agree bit for bit.
-    u and v are only read.
-    """
-    k, W = u.shape
-    if buffers is None:
-        buffers = _RowBuffers(k, len(r))
-    u, v = np.ascontiguousarray(u), np.ascontiguousarray(v)
-    du, e, s, terms = buffers.blocks(k, W)
-    _radial_derivative(u, h, out=du)
-    # energy density 0.5 du^2 + 0.5 v^2 + mu |u|^(p+1) / (p+1)
-    np.multiply(du, 0.5, out=e)
-    e *= du
-    np.multiply(v, 0.5, out=s)
-    s *= v
-    e += s
-    np.abs(u, out=s)
-    top = np.maximum.reduce(s, axis=1)
-    np.power(s, p + 1.0, out=s)
-    s /= p + 1.0
-    # mu = -1 negates the term, and IEEE a + (-x) is a - x bit for bit
-    (np.add if mu > 0 else np.subtract)(e, s, out=e)
-    # virial density (u + r du) v, in place of du; s now holds r tiled
-    rt = s
-    np.copyto(rt, r[:W])
-    z = du
-    np.multiply(rt, du, out=z)
-    z += u
-    z *= v
-    return [x.tolist() for x in (*_radial_quadrature((e, z), rt, h, terms), top)]
 
 
 def _outermost_live(u: np.ndarray, v: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -222,30 +177,51 @@ def _support_radii(u: np.ndarray, v: np.ndarray, r: np.ndarray) -> list:
 
 
 def step_log_rows(u: np.ndarray, v: np.ndarray, r: np.ndarray, h: float, p: float,
-                  mu: int, buffers: _RowBuffers | None = None):
+                  mu: int, buffers: _RowBuffers):
     """Lists (E, z, max |u|, support radius), one value per row of the field
-    stacks u, v: the step log's columns after t.
+    stacks u, v of shape (k, W): the step log's columns after t.
 
-    The solver calls this once per block of layers (see :func:`_energy_virial`
-    for the row layout), reads the rows' max |u| for its blowup guard, and
-    builds its snapshots from the same rows.  Each value equals
-    E or z of :func:`_state_energy_virial`, the max of |u| or
-    :func:`support_radius` of the row's full-grid field bit for bit.
+    E = 4 pi * int [(d_r u)^2/2 + v^2/2 + mu |u|^(p+1)/(p+1)] r^2 dr and the
+    virial functional z = 4 pi * int (u + r d_r u) v r^2 dr; max |u| comes
+    from the |u| that the potential term raises to the power p + 1, and the
+    support radius is that of :func:`_support_radii`.
+
+    Each row is one layer on the grid prefix r[:W], +0.0 past its own last
+    nonzero; the quadrature sums over the whole grid r, so a row gives the
+    value of its full-grid field bit for bit.  The arithmetic of a row does
+    not depend on the others, nor on the stacks' memory layout: strided
+    stacks are copied to C-contiguous ones, on which every elementwise pass
+    runs over the whole block.  The solver calls this once per block of
+    layers, reads the rows' max |u| for its blowup guard, and builds its
+    snapshots from the same rows; this is the one computation of these four
+    values, so a one-row call on a stored layer gives its logged values bit
+    for bit.  u and v are only read.
     """
-    E, z, top = _energy_virial(u, v, r, h, p, mu, buffers)
-    return E, z, top, _support_radii(u, v, r)
-
-
-def virial(state: RadialState) -> float:
-    """Virial functional z = 4 pi * int (u + r d_r u) v r^2 dr."""
-    return _state_energy_virial(state)[1]
-
-
-def _state_energy_virial(state: RadialState):
-    """(E, z) of one state from one :func:`_energy_virial` row."""
-    (E,), (z,), _ = _energy_virial(state.u[None], state.v[None], state.grid.r,
-                                   state.grid.h, state.params.p, state.params.mu)
-    return E, z
+    k, W = u.shape
+    u, v = np.ascontiguousarray(u), np.ascontiguousarray(v)
+    du, e, s, terms = buffers.blocks(k, W)
+    _radial_derivative(u, h, out=du)
+    # energy density 0.5 du^2 + 0.5 v^2 + mu |u|^(p+1) / (p+1)
+    np.multiply(du, 0.5, out=e)
+    e *= du
+    np.multiply(v, 0.5, out=s)
+    s *= v
+    e += s
+    np.abs(u, out=s)
+    top = np.maximum.reduce(s, axis=1)
+    np.power(s, p + 1.0, out=s)
+    s /= p + 1.0
+    # mu = -1 negates the term, and IEEE a + (-x) is a - x bit for bit
+    (np.add if mu > 0 else np.subtract)(e, s, out=e)
+    # virial density (u + r du) v, in place of du; s now holds r tiled
+    rt = s
+    np.copyto(rt, r[:W])
+    z = du
+    np.multiply(rt, du, out=z)
+    z += u
+    z *= v
+    E, z = _radial_quadrature((e, z), rt, h, terms)
+    return E.tolist(), z.tolist(), top.tolist(), _support_radii(u, v, r)
 
 
 def virial_rate(state: RadialState) -> float:
@@ -320,26 +296,11 @@ def localized_identity_residuals(traj: Trajectory, Rc: float, t: float):
     )
 
 
-def support_radius(u: np.ndarray, v: np.ndarray, r: np.ndarray) -> float:
-    """Largest r_j with max(|u_j|, |v_j|) > SUPPORT_FLOOR, or 0 for a tiny field.
-
-    u and v may be prefixes of the grid r.  One row of the solver's per-step
-    support column, which :func:`support_and_hardy` shares.
-    """
-    return _support_radii(u[None], v[None], r)[0]
-
-
-def support_and_hardy(state: RadialState):
-    """Support radius and the Hardy-weighted mass.
-
-    Returns (support_radius, hardy_value): the largest r_j where
-    max(|u_j|, |v_j|) > 1e-12 (0 for an identically small field), and
-    4 pi * int u^2 dr, the radial form of int u^2 / |x|^2.  The 1D Hardy
-    inequality bounds the latter by 4 * ||d_r u||_{L^2}^2.
-    """
-    support = support_radius(state.u, state.v, state.grid.r)
-    hardy = float(4.0 * np.pi * np.trapezoid(state.u * state.u, dx=state.grid.h))
-    return support, hardy
+def hardy_mass(state: RadialState) -> float:
+    """The Hardy-weighted mass 4 pi * int u^2 dr, the radial form of
+    int u^2 / |x|^2.  The 1D Hardy inequality bounds it by
+    4 * ||d_r u||_{L^2}^2."""
+    return float(4.0 * np.pi * np.trapezoid(state.u * state.u, dx=state.grid.h))
 
 
 @dataclass(frozen=True)
@@ -368,28 +329,27 @@ class DiagnosticRecord:
                 raise ValueError(f"diagnostic field {f.name} is not finite")
 
 
-def diagnostic_record(traj: Trajectory, t: float, Rc: float) -> DiagnosticRecord:
-    """Assemble the full diagnostic row at a stored time t (t +- h also stored)."""
-    h = traj.grid.h
+def diagnostic_record(traj: Trajectory, t: float, residuals) -> DiagnosticRecord:
+    """The diagnostic row at a stored time t of a run with a step log, t +- h
+    inside the run: E, z, the centred dz/dt and the support radius from the
+    log's rows, the closed-form rate and the Hardy mass from the state at t,
+    and the three identity residuals given."""
+    h, log = traj.grid.h, traj.log
     state = traj.state_at(t)
-    z_lo = virial(traj.state_at(t - h))
-    z_hi = virial(traj.state_at(t + h))
-    res = localized_identity_residuals(traj, Rc, t)
-    support, hardy = support_and_hardy(state)
-    if support > traj.grid.R:
-        raise ValueError("support radius exceeds the grid")
-    E, z = _state_energy_virial(state)
+    k = _lattice_steps(t - log.t[0], h)
+    if not 0 < k < len(log.t) - 1:
+        raise KeyError(f"t = {t} needs t - h and t + h inside the run")
     return DiagnosticRecord(
         t=float(t),
-        energy=E,
-        virial=z,
-        z_rate_lhs=float((z_hi - z_lo) / (2.0 * h)),
+        energy=float(log.energy[k]),
+        virial=float(log.virial[k]),
+        z_rate_lhs=float((log.virial[k + 1] - log.virial[k - 1]) / (2.0 * h)),
         z_rate_rhs=virial_rate(state),
-        res_i=res[0],
-        res_ii=res[1],
-        res_iii=res[2],
-        support_radius=support,
-        hardy_bound=hardy,
+        res_i=residuals[0],
+        res_ii=residuals[1],
+        res_iii=residuals[2],
+        support_radius=float(log.support_radius[k]),
+        hardy_bound=hardy_mass(state),
     )
 
 
@@ -399,13 +359,3 @@ def records_to_csv(records, mu: int | None = None) -> str:
         "t,E,z,z_rate_lhs,z_rate_rhs,res_i,res_ii,res_iii,support_radius,hardy_bound",
         map(astuple, records),
         "energy: non-coercive (focusing sign)" if mu is not None and mu < 0 else None)
-
-
-def residual_sweep_to_json(traj: Trajectory, cutoffs, times) -> str:
-    """Identity residuals over a (Rc, t) sweep, keyed by 'Rc=..,t=..'."""
-    sweep = {}
-    for Rc in cutoffs:
-        for t in times:
-            res = localized_identity_residuals(traj, Rc, t)
-            sweep[f"Rc={float(Rc)!r},t={float(t)!r}"] = list(res)
-    return json.dumps(sweep, indent=2) + "\n"

@@ -89,9 +89,8 @@ def _run_norms(cfg: ExperimentConfig, out: Path):
             for a, b in zip(recs, recs[1:])
             for f in ("lm_du", "lm_v", "l2_du", "l2_v"))
     if "hardy" in cfg.checks:
-        _, hardy = diagnostics.support_and_hardy(state)
         grad2 = report.energy_norms[0] ** 2
-        metrics["hardy"] = hardy / max(4.0 * grad2, 1e-300)
+        metrics["hardy"] = diagnostics.hardy_mass(state) / max(4.0 * grad2, 1e-300)
     return metrics, [], {}
 
 
@@ -123,10 +122,15 @@ def _run_diagnose(cfg: ExperimentConfig, out: Path):
 
     initial = _initial_state(cfg)
     fine = solver.evolve(replace(cfg.run, snapshot_stride=1), initial)
-    records = [diagnostics.diagnostic_record(fine, t, Rc) for t in times]
+    # the identity residuals of each distinct (cutoff, time), computed once
+    cutoffs = cfg.options["cutoffs"]
+    residuals = {(c, t): diagnostics.localized_identity_residuals(fine, c, t)
+                 for c in dict.fromkeys([Rc, *cutoffs]) for t in dict.fromkeys(times)}
+    records = [diagnostics.diagnostic_record(fine, t, residuals[Rc, t]) for t in times]
     _write(out, "records.csv", diagnostics.records_to_csv(records, mu=cfg.params.mu))
-    _write(out, "residuals.json",
-           diagnostics.residual_sweep_to_json(fine, cfg.options["cutoffs"], times))
+    _write(out, "residuals.json", json.dumps(
+        {f"Rc={c!r},t={t!r}": list(residuals[c, t]) for c in cutoffs for t in times},
+        indent=2) + "\n")
     _write(out, "step_log.csv", fine.log.to_csv())
 
     if "virial_consistency_order" in cfg.checks or "identity_order" in cfg.checks:
@@ -140,8 +144,7 @@ def _run_diagnose(cfg: ExperimentConfig, out: Path):
     if "identity_order" in cfg.checks:
         pairs["identity_order"] = [
             pair for t in times for pair in zip(
-                diagnostics.localized_identity_residuals(fine, Rc, t),
-                diagnostics.localized_identity_residuals(coarse, Rc, t))]
+                residuals[Rc, t], diagnostics.localized_identity_residuals(coarse, Rc, t))]
     for name, checked in pairs.items():
         metrics[name] = _refinement_order(checked)
         if metrics[name] == -math.inf:

@@ -343,10 +343,10 @@ def evolve(config: SolverConfig, initial: RadialState,
     kernel steps every layer of the block on [0, P), and the rows span the
     same nodes; all their views are rebuilt only when P grows, once per
     chunk.  Beyond the light cone the stencil yields exact zeros, so the
-    result is the same bit for bit as stepping the whole grid; the row-wise
-    code is the one behind :func:`diagnostics.virial` and
-    :func:`diagnostics.support_radius`, so a logged value equals the one
-    recomputed from a stored snapshot bit for bit.
+    result is the same bit for bit as stepping the whole grid.
+    :func:`diagnostics.step_log_rows` is the package's one computation of
+    these four values: diagnostic records read them from this log, and a
+    one-row call on a stored snapshot gives its logged values bit for bit.
 
     The guards run when a block is flushed, layer by layer in order, on the
     max |u| the log forms, so the first failing layer raises with the time

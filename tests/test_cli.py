@@ -682,6 +682,74 @@ def test_main_diagnose_artifacts(tmp_path):
     assert (out / "residuals.json").exists()
 
 
+def test_diagnose_computes_each_identity_residual_once(tmp_path, monkeypatch):
+    # the records, residuals.json and identity_order's fine side read one
+    # result per distinct (cutoff, time); the coarse rerun adds one per time
+    from nlwlab import diagnostics
+    real = diagnostics.localized_identity_residuals
+    calls = []
+
+    def spy(traj, Rc, t):
+        calls.append((traj, Rc, t))
+        return real(traj, Rc, t)
+
+    monkeypatch.setattr(diagnostics, "localized_identity_residuals", spy)
+    out = tmp_path / "out"
+    cutoffs, times = [1.0, 2.0, 1.0], [0.25, 0.5]
+    raw = {
+        "scenario": "diagnose",
+        "equation": {"p": 7.0, "mu": 1},
+        "grid": {"h": 1.0 / 32.0, "n": 160},
+        "initial": {"kind": "gaussian", "width": 0.5, "amplitude": 0.5},
+        "run": {"t_final": 1.0, "cone_floor": None},
+        "output": {"dir": str(out)},
+        "diagnose": {"Rc": 1.0, "times": times, "cutoffs": cutoffs},
+        "checks": {"identity_order": 1.5},
+    }
+    assert main(["diagnose", "--config", _write_config(tmp_path, raw)]) in (0, 1)
+    fine = [(Rc, t) for traj, Rc, t in calls if traj.grid.h == 1.0 / 32.0]
+    coarse = [(Rc, t) for traj, Rc, t in calls if traj.grid.h == 1.0 / 16.0]
+    assert sorted(fine) == [(1.0, 0.25), (1.0, 0.5), (2.0, 0.25), (2.0, 0.5)]
+    assert coarse == [(1.0, 0.25), (1.0, 0.5)]
+    assert len(calls) == 6
+    traj = calls[0][0]
+    sweep = json.loads((out / "residuals.json").read_text())
+    assert list(sweep.items()) == [(f"Rc={c!r},t={t!r}", list(real(traj, c, t)))
+                                   for c in (1.0, 2.0) for t in times]
+
+
+@pytest.mark.parametrize("t0, t_final, times", [
+    (0.5, 1.0, [0.25]),  # before the stored time
+    (0.5, 0.5, None),  # the default, t_final / 2
+    (0.3, 1.3, [0.5]),  # off the lattice from t0
+])
+def test_diagnose_times_from_a_state_file_exit_2_without_output(
+        tmp_path, capsys, t0, t_final, times):
+    # a state file starts the run at its stored time, so each time is checked
+    # from there, before any output exists
+    grid, params = RadialGrid(h=1.0 / 64.0, n=128), make_params(7.0, 1)
+    state = build_initial({"kind": "bump"}, grid, params)
+    save_state(replace(state, t=t0), tmp_path / "init.txt")
+    out = tmp_path / "out"
+    raw = {"scenario": "diagnose", "equation": {"p": 7.0, "mu": 1},
+           "grid": {"h": 1.0 / 64.0, "n": 128},
+           "initial": {"kind": "file", "path": str(tmp_path / "init.txt")},
+           "run": {"t_final": t_final, "cone_floor": None},
+           "output": {"dir": str(out)}, "diagnose": {"Rc": 0.5}}
+    if times is not None:
+        raw["diagnose"]["times"] = times
+    assert main(["diagnose", "--config", _write_config(tmp_path, raw)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config: diagnose.times: ") and err.count("\n") == 1
+    assert not out.exists()
+
+    # a time on the lattice from t0 runs (0.8 is off the lattice from 0)
+    raw["run"]["t_final"] = t0 + 1.0
+    raw["diagnose"]["times"] = [t0 + 0.5]
+    assert main(["diagnose", "--config", _write_config(tmp_path, raw)]) in (0, 1)
+    assert (out / "manifest.json").exists()
+    assert float((out / "records.csv").read_text().split("\n")[1].split(",")[0]) == t0 + 0.5
+
 def test_main_verify_w_exemplar_passes(tmp_path):
     # the exemplar checks the static profile's decay fit against the exact
     # window slope of W, so all four checks pass on the shipped config

@@ -103,7 +103,7 @@ def test_trapezoid_only_in_one_dimensional_integrals():
         ("norms", "_frequency_norm"): 1,  # the frequency-side norm, d rho
         ("norms", "sp_norm"): 1,  # the time integral
         ("norms", "_lm_norm"): 1,  # the 1D L^m norm
-        ("diagnostics", "support_and_hardy"): 1,  # Hardy: 4 pi int u^2 dr
+        ("diagnostics", "hardy_mass"): 1,  # Hardy: 4 pi int u^2 dr
     })
 
 
@@ -122,6 +122,19 @@ def test_evolve_is_the_only_kernel_driver():
                    "_prefix_views"):
         callers = _calls(lambda f: isinstance(f, ast.Name) and f.id == kernel)
         assert set(callers) == {("solver", "evolve")}, kernel
+
+
+def test_step_log_rows_is_the_one_engine_of_the_log_values():
+    # E, z, max |u| and the support radius are computed for the solver's
+    # blocks alone; a record reads them from the log, and a single-state
+    # path beside it would be a second copy of the formulas
+    def callers(name):
+        return set(_calls(lambda f: getattr(f, "id", getattr(f, "attr", None)) == name))
+
+    assert callers("_support_radii") == {("diagnostics", "step_log_rows")}
+    assert callers("_radial_quadrature") == {("diagnostics", "step_log_rows"),
+                                             ("diagnostics", "_radial_integral")}
+    assert callers("step_log_rows") == {("solver", "evolve")}
 
 
 def test_runners_read_no_config_field():

@@ -1,6 +1,5 @@
 """Tests for energy, virial, localized identities, and support/Hardy checks."""
 
-import json
 import math
 
 import numpy as np
@@ -19,16 +18,14 @@ from nlwlab import (
 )
 from nlwlab.diagnostics import (
     DiagnosticRecord,
-    _state_energy_virial,
+    _RowBuffers,
     diagnostic_record,
+    hardy_mass,
     localized_identity_residuals,
     records_to_csv,
-    residual_sweep_to_json,
     smooth_cutoff,
     smooth_cutoff_gradient,
-    support_and_hardy,
-    support_radius,
-    virial,
+    step_log_rows,
     virial_rate,
 )
 
@@ -107,10 +104,23 @@ def test_cutoff_range_bounded(rc):
 # energy and virial functionals
 
 
+def _log_row(state):
+    # the step log's (E, z, max |u|, support radius) of one state: a one-row
+    # step_log_rows call on its full-grid fields
+    (E,), (z,), (top,), (support,) = step_log_rows(
+        state.u[None], state.v[None], state.grid.r, state.grid.h, state.params.p,
+        state.params.mu, _RowBuffers(1, state.grid.n + 1))
+    return E, z, top, support
+
+
 def _energy(state):
-    # E = 4 pi int [(d_r u)^2 / 2 + v^2 / 2 + mu |u|^(p+1) / (p+1)] r^2 dr,
-    # the step log's E of one row
-    return _state_energy_virial(state)[0]
+    # E = 4 pi int [(d_r u)^2 / 2 + v^2 / 2 + mu |u|^(p+1) / (p+1)] r^2 dr
+    return _log_row(state)[0]
+
+
+def virial(state):
+    # z = 4 pi int (u + r d_r u) v r^2 dr
+    return _log_row(state)[1]
 
 
 def test_energy_gaussian_analytic():
@@ -223,11 +233,11 @@ def test_support_radius_compact_bump(w_grid):
     u = bump(w_grid.r, radius=2.0)
     state = RadialState(grid=w_grid, params=make_params(5.0, 1), t=0.0,
                         u=u, v=np.zeros(w_grid.n + 1))
-    support, hardy = support_and_hardy(state)
+    support = _log_row(state)[3]
     # last node where the bump still clears the 1e-12 floor sits just
     # inside r = 2
     assert 1.9 <= support < 2.0
-    assert hardy > 0.0
+    assert hardy_mass(state) > 0.0
 
 
 def test_support_radius_of_prefix_matches_full_grid(w_grid):
@@ -235,10 +245,11 @@ def test_support_radius_of_prefix_matches_full_grid(w_grid):
     u = bump(w_grid.r, radius=2.0)
     v = 0.5 * bump(w_grid.r, radius=2.3)
     state = RadialState(grid=w_grid, params=make_params(5.0, 1), t=0.0, u=u, v=v)
-    full = support_radius(u, v, w_grid.r)
-    assert full == support_and_hardy(state)[0]
+    full = _log_row(state)[3]
     assert 2.2 <= full < 2.3  # set by v, which reaches further than u
-    assert support_radius(u[:240], v[:240], w_grid.r) == full
+    prefix = step_log_rows(u[None, :240], v[None, :240], w_grid.r, w_grid.h, 5.0, 1,
+                           _RowBuffers(1, w_grid.n + 1))
+    assert prefix[3] == [full]
 
 
 @pytest.mark.parametrize("layout", ["row", "block", "strided", "three_nodes"])
@@ -290,7 +301,7 @@ def test_step_log_rows_match_one_row_calls(w_grid):
     # rows whose support ends near the block's last column, far inside it,
     # and nowhere: the windowed support search falls back per row, and every
     # value equals the one-row call (or max |u|) on that row's full-grid field
-    from nlwlab.diagnostics import SUPPORT_WINDOW, _RowBuffers, step_log_rows
+    from nlwlab.diagnostics import SUPPORT_WINDOW
     r, h = w_grid.r, w_grid.h
     width = 400
     assert width > SUPPORT_WINDOW
@@ -309,10 +320,9 @@ def test_step_log_rows_match_one_row_calls(w_grid):
         full_v = np.zeros(w_grid.n + 1)
         full_v[:width] = v[i]
         state = RadialState(grid=w_grid, params=params, t=0.0, u=full_u, v=full_v)
-        assert got[0][i] == _energy(state)
-        assert got[1][i] == virial(state)
+        E, z, _, support = _log_row(state)
+        assert (got[0][i], got[1][i], got[3][i]) == (E, z, support)
         assert got[2][i] == float(np.max(np.abs(full_u)))
-        assert got[3][i] == support_radius(full_u, full_v, r)
     assert got[3][0] > r[width - SUPPORT_WINDOW] and got[3][1] < 1.0
     assert got[3][2:] == [0.0, 0.0]
 
@@ -322,7 +332,6 @@ def test_step_log_rows_same_bits_in_every_layout(w_grid, k):
     # a contiguous block, strided views of a wider buffer and one-row calls
     # give the same bits; one buffer set serves every width, growing and
     # shrinking, so a wide call's terms must not leak into a narrow one
-    from nlwlab.diagnostics import _RowBuffers, step_log_rows
     r, h = w_grid.r, w_grid.h
     params = make_params(7.0, 1)
     rng = np.random.default_rng(k)
@@ -334,7 +343,7 @@ def test_step_log_rows_same_bits_in_every_layout(w_grid, k):
         u[:, :live] = rng.standard_normal((k, live)) * np.exp(-r[:live])
         v[:, :live] = rng.standard_normal((k, live))
         u[k - 1, live // 2:] = 0.0  # one row ends well inside the block
-        ref = step_log_rows(u, v, r, h, params.p, params.mu)
+        ref = step_log_rows(u, v, r, h, params.p, params.mu, _RowBuffers(k, len(r)))
         # every other row and column of a wider buffer, and the rows of one
         wide = np.zeros((2, 2 * k, 2 * W + 7))
         wide[0, ::2, :2 * W:2], wide[1, ::2, :2 * W:2] = u, v
@@ -363,8 +372,7 @@ def test_support_zero_for_tiny_field(w_grid):
     u = np.full(w_grid.n + 1, 1e-13)
     state = RadialState(grid=w_grid, params=make_params(5.0, 1), t=0.0,
                         u=u, v=np.zeros(w_grid.n + 1))
-    support, _ = support_and_hardy(state)
-    assert support == 0.0
+    assert _log_row(state)[3] == 0.0
 
 
 def test_hardy_inequality_on_smooth_profiles(w_grid):
@@ -372,7 +380,7 @@ def test_hardy_inequality_on_smooth_profiles(w_grid):
     for u in (np.exp(-2.0 * w_grid.r ** 2), bump(w_grid.r, radius=3.0)):
         state = RadialState(grid=w_grid, params=params, t=0.0,
                             u=u, v=np.zeros(w_grid.n + 1))
-        _, hardy = support_and_hardy(state)
+        hardy = hardy_mass(state)
         du = np.gradient(u, w_grid.h)
         grad_sq = 4.0 * math.pi * np.trapezoid(du * du * w_grid.r ** 2,
                                                dx=w_grid.h)
@@ -384,34 +392,41 @@ def test_hardy_inequality_on_smooth_profiles(w_grid):
 
 
 def test_diagnostic_record_consistency():
+    # the log's values equal a one-row recomputation from the stored states
     traj = _gauss_run(1.0 / 64.0)
-    t = 0.25
-    rec = diagnostic_record(traj, t, 1.5)
+    t, h = 0.25, traj.grid.h
+    res = localized_identity_residuals(traj, 1.5, t)
+    rec = diagnostic_record(traj, t, res)
     state = traj.state_at(t)
     assert rec.t == t
     assert rec.energy == _energy(state)
     assert rec.virial == virial(state)
+    assert rec.z_rate_lhs == (virial(traj.state_at(t + h))
+                              - virial(traj.state_at(t - h))) / (2.0 * h)
     assert rec.z_rate_rhs == virial_rate(state)
     assert abs(rec.z_rate_lhs - rec.z_rate_rhs) <= 1e-3
-    assert (rec.res_i, rec.res_ii, rec.res_iii) == \
-        localized_identity_residuals(traj, 1.5, t)
+    assert (rec.res_i, rec.res_ii, rec.res_iii) == res
+    assert rec.support_radius == _log_row(state)[3]
     assert 0.0 <= rec.support_radius <= traj.grid.R
+    assert rec.hardy_bound == hardy_mass(state)
+    # t - h and t + h must be layers of the run
+    for edge in (0.0, 0.5):
+        with pytest.raises(KeyError):
+            diagnostic_record(traj, edge, res)
 
 
-def test_diagnostic_record_takes_energy_and_virial_from_one_call(monkeypatch):
-    # one row for the record's state (E and z together), one each for z at t +- h
+def test_diagnostic_record_makes_no_step_log_call(monkeypatch):
+    # E, z, dz/dt and the support radius come from the run's log, not from a
+    # second computation on the stored states
     from nlwlab import diagnostics
     traj = _gauss_run(1.0 / 64.0)
-    rows = []
-    real = diagnostics._energy_virial
+    res = localized_identity_residuals(traj, 1.5, 0.25)
 
-    def spy(u, *args, **kwargs):
-        rows.append(len(u))
-        return real(u, *args, **kwargs)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("step log recomputed for a record")
 
-    monkeypatch.setattr(diagnostics, "_energy_virial", spy)
-    rec = diagnostic_record(traj, 0.25, 1.5)
-    assert rows == [1, 1, 1]
+    monkeypatch.setattr(diagnostics, "step_log_rows", forbidden)
+    rec = diagnostic_record(traj, 0.25, res)
     monkeypatch.undo()
     state = traj.state_at(0.25)
     assert (rec.energy, rec.virial) == (_energy(state), virial(state))
@@ -439,8 +454,10 @@ def test_diagnostic_record_rejects_non_finite():
 
 def test_records_to_csv_layout():
     traj = _gauss_run(1.0 / 64.0)
-    recs = [diagnostic_record(traj, t, 1.5) for t in (0.25, 0.375)]
+    recs = [diagnostic_record(traj, t, localized_identity_residuals(traj, 1.5, t))
+            for t in (0.25, 0.375)]
     plain = records_to_csv(recs, mu=1)
+    assert "np." not in plain  # every field a Python float, written in repr
     lines = plain.strip().split("\n")
     assert lines[0].startswith("t,E,z,")
     assert len(lines) == 3
@@ -450,12 +467,3 @@ def test_records_to_csv_layout():
     focusing = records_to_csv(recs, mu=-1)
     assert focusing.startswith("# energy: non-coercive (focusing sign)\n")
 
-
-def test_residual_sweep_json():
-    traj = _gauss_run(1.0 / 64.0)
-    text = residual_sweep_to_json(traj, [1.0, 1.5], [0.25])
-    sweep = json.loads(text)
-    assert set(sweep) == {"Rc=1.0,t=0.25", "Rc=1.5,t=0.25"}
-    for vals in sweep.values():
-        assert len(vals) == 3
-        assert all(isinstance(x, float) and x >= 0.0 for x in vals)

@@ -686,7 +686,7 @@ def test_blowup_guard_catches_inf_and_nan_at_infinite_threshold(case):
 
 
 def test_log_blocks_are_contiguous_and_widen(monkeypatch):
-    # every block reaches _energy_virial as C-contiguous (k, W) stacks; W
+    # every block reaches step_log_rows as C-contiguous (k, W) stacks; W
     # grows between blocks up to the grid and covers the solver's prefix
     # from the first block on (the back layer is wider than layer 0 here).
     # 8-node chunks let W take several values on this 65-node grid
@@ -694,11 +694,11 @@ def test_log_blocks_are_contiguous_and_widen(monkeypatch):
     monkeypatch.setattr(solver, "PREFIX_CHUNK", 8)
     seen = []
 
-    def spy(u, v, *args, _f=diagnostics._energy_virial, **kwargs):
+    def spy(u, v, *args, _f=diagnostics.step_log_rows, **kwargs):
         seen.append((u.shape, u.flags.c_contiguous, v.flags.c_contiguous))
         return _f(u, v, *args, **kwargs)
 
-    monkeypatch.setattr(diagnostics, "_energy_virial", spy)
+    monkeypatch.setattr(diagnostics, "step_log_rows", spy)
     traj = evolve(cfg, s0, prev)
     n = cfg.grid.n
     widths = [shape[1] for shape, _, _ in seen]
@@ -725,7 +725,7 @@ def test_evolve_logs_in_blocks(case, monkeypatch):
     # one row-wise log call per block of LOG_BLOCK layers, and none per layer;
     # a fall-back to per-layer rows fails here without any timing
     cfg, s0, prev, _ = _oracle_case(case)
-    calls = {"step_log_rows": [], "_energy_virial": [], "support_radius": []}
+    calls = {"step_log_rows": [], "_support_radii": []}
     for name, seen in calls.items():
         def counting(*args, _f=getattr(diagnostics, name), _seen=seen, **kwargs):
             _seen.append(len(args[0]))
@@ -735,9 +735,8 @@ def test_evolve_logs_in_blocks(case, monkeypatch):
     layers = len(traj.log.t)
     blocks = -(-layers // LOG_BLOCK)
     assert len(calls["step_log_rows"]) == blocks
-    assert calls["_energy_virial"] == calls["step_log_rows"]
+    assert calls["_support_radii"] == calls["step_log_rows"]
     assert sum(calls["step_log_rows"]) == layers
-    assert calls["support_radius"] == []
 
 
 class _CountingNumpy:
