@@ -9,14 +9,13 @@ alpha^a |u| through a convexity step
 and an exponent iteration beta_{n+1} = gamma_n beta_n p with
 gamma_n = (1-a) / (1-a + beta_n (p-1)), which climbs monotonically to the
 critical decay rate 1 - a.  This module evaluates kappa and the iteration
-exactly (optionally in extended precision, selected by NLWLAB_PRECISION),
-and fits the pointwise decay of simulated profiles.
+exactly, in float64 or in extended ``precision``, and fits the pointwise
+decay of simulated profiles.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,24 +33,23 @@ __all__ = [
 ]
 
 
-def working_dtype():
-    """Float type for the bootstrap arithmetic, from NLWLAB_PRECISION (f64 | extended)."""
-    choice = os.environ.get("NLWLAB_PRECISION", "f64")
-    if choice == "f64":
+def working_dtype(precision: str = "f64"):
+    """The arithmetic's float type: np.float64 for "f64", np.longdouble for "extended"."""
+    if precision == "f64":
         return np.float64
-    if choice == "extended":
+    if precision == "extended":
         return np.longdouble
-    raise ValueError(f"NLWLAB_PRECISION must be 'f64' or 'extended', got {choice!r}")
+    raise ValueError(f"precision must be 'f64' or 'extended', got {precision!r}")
 
 
-def _scalar_type():
+def _scalar_type(precision: str):
     """Scalar type the arithmetic runs in, resolved from :func:`working_dtype`.
 
     f64 runs in Python floats: the same IEEE double operations and the same
     libm pow as numpy float64 scalars, at a fraction of the per-operation
     cost.  extended runs in numpy longdouble scalars.
     """
-    dt = working_dtype()
+    dt = working_dtype(precision)
     return float if dt is np.float64 else dt
 
 
@@ -65,14 +63,14 @@ def contraction_constant(p: float):
 
     Returns (value, theta_p) with value = (1/2)[(3/2)^{1-a} + (1/2)^{1-a}]
     and theta_p = (1 - value)/2.  The value is strictly inside (0, 1) for
-    every p >= 5 and degenerates to 1 as p -> infinity.
+    every p >= 5 and degenerates to 1 as p -> infinity.  Computed in f64.
     """
     return contraction_table((p,))[0]
 
 
-def contraction_table(p_values) -> list:
-    """:func:`contraction_constant` at every p, with the working type resolved once."""
-    dt = _scalar_type()
+def contraction_table(p_values, precision: str = "f64") -> list:
+    """:func:`contraction_constant` at every p, in the working type of ``precision``."""
+    dt = _scalar_type(precision)
     one, two = dt(1.0), dt(2.0)
     table = []
     for p in p_values:
@@ -106,17 +104,17 @@ class ExponentSequence:
 
 
 def exponent_iteration(p: float, beta0: float, n_max: int = 100000,
-                       tol: float = 1e-12) -> ExponentSequence:
+                       tol: float = 1e-12, precision: str = "f64") -> ExponentSequence:
     """Run the exponent recursion from beta0 until within tol of 1 - a.
 
     Requires p >= 5, 0 < beta0 <= 1 - a (the upper endpoint is the fixed
     point; starting beyond it leaves the regime the recursion models) and
     n_max >= 1; the ValueError for a rejected argument starts with its name.
     Convergence is geometric near the fixed point, so the default cap is
-    generous.  Arithmetic runs in :func:`working_dtype`.
+    generous.  Arithmetic runs in the :func:`working_dtype` of ``precision``.
     """
     _check_p(p)
-    dt = _scalar_type()
+    dt = _scalar_type(precision)
     one = dt(1.0)
     pp = dt(p)
     a = dt(2.0) / (pp - one)

@@ -9,9 +9,9 @@ produce byte-identical artifacts except for the manifest's wall-time field.
 
 The config schema is README.md's "Config schema" section (configs/ has one
 exemplar per scenario).  :func:`parse_config` reads and checks every field
-of it, and reports a malformed config with the offending field path.  The
-environment variable NLWLAB_PRECISION (f64 | extended) selects the float
-type used by the bootstrap arithmetic.
+of it, and reports a malformed config with the offending field path.  Every
+input that changes an artifact is a config field, so the manifest's config
+echo names all of a run's inputs; no environment variable is read.
 
 This module holds the schema, the initial data, the evolve runner and the
 manifest; the runners of the other five scenarios are in
@@ -175,16 +175,17 @@ _CHECKS = {
 
 # field of the scenario's options section -> (kind, default), in README
 # order; MISSING marks a required field, and a default written as text is
-# filled in by parse_config from other fields
+# filled in from other fields (diagnose.times by _times_rule, from t0)
 _OPTIONS = {
     "evolve": {},
     "norms": {"betas": (list[float], [0.0, 0.5, 1.0]), "tail_radii": (list[float], []),
               "g1_radii": (list[float], []), "sp_interval": (list[float], None)},
-    "diagnose": {"Rc": (float, MISSING), "times": (list[float], "[t_final / 2]"),
+    "diagnose": {"Rc": (float, MISSING), "times": (list[float], "[t0 + (t_final - t0) / 2]"),
                  "cutoffs": (list[float], "[Rc]")},
     "bootstrap": {"p_values": (list[float], [5.0, 6.0, 7.0, 9.0, 13.0]),
                   "beta0_values": (list[float], [0.01, 0.1]), "tol": (float, 1e-12),
-                  "n_max": (int, 100000), "dense_sample": (int, 2000)},
+                  "n_max": (int, 100000), "dense_sample": (int, 2000),
+                  "precision": (str, "f64")},
     "verify-W": {"decay_r_min": (float, 4.0)},
     "linear-check": {"reversal_steps": (int, 256)},
 }
@@ -246,11 +247,8 @@ def parse_config(raw: dict, scenario: str | None = None,
     if out_dir is None:
         raise ConfigError("output.dir: required (or pass --out)")
     options = _section(raw, name, _OPTIONS[name])
-    if name == "diagnose":  # the defaults _OPTIONS gives as text
-        if isinstance(options["times"], str):
-            options["times"] = [run_settings.t_final / 2.0]
-        if isinstance(options["cutoffs"], str):
-            options["cutoffs"] = [options["Rc"]]
+    if name == "diagnose" and isinstance(options["cutoffs"], str):  # a default as text
+        options["cutoffs"] = [options["Rc"]]
     checks = {c: t for c, t in thresholds.items() if t is not None}
     cfg = ExperimentConfig(scenario=name, params=params, grid=grid, initial=initial,
                            run=run_settings, out_dir=out_dir, checks=checks,
@@ -301,8 +299,8 @@ def parse_config(raw: dict, scenario: str | None = None,
     if name == "diagnose":
         # the refinement checks rerun the scenario at 2h on n / 2 nodes
         refine = "virial_consistency_order" in checks or "identity_order" in checks
-        if kind != "file":  # a read file sets t0
-            _times_rule(cfg, 0.0)
+        if kind != "file":  # a read file sets t0, and the default times with it
+            o["times"] = _times_rule(cfg, 0.0)
         for key, c in [("Rc", o["Rc"])] + [("cutoffs", c) for c in o["cutoffs"]]:
             if not (c > 0.0 and 2.0 * c <= grid.R):
                 raise ConfigError(
@@ -322,10 +320,8 @@ def parse_config(raw: dict, scenario: str | None = None,
                 raise ConfigError(f"bootstrap.{key}: needs at least one value")
         if o["dense_sample"] < 1:
             raise ConfigError("bootstrap.dense_sample: must be positive")
-        try:
-            bootstrap.working_dtype()
-        except ValueError as e:  # NLWLAB_PRECISION, which the arithmetic reads
-            raise ConfigError(str(e)) from None
+        with _reported_as("bootstrap.precision"):
+            bootstrap.working_dtype(o["precision"])
     if name == "verify-W":
         with _reported_as("verify-W.decay_r_min"):
             bootstrap._fit_window(grid, o["decay_r_min"])
@@ -339,13 +335,16 @@ def parse_config(raw: dict, scenario: str | None = None,
     return cfg
 
 
-def _times_rule(cfg: ExperimentConfig, t0: float) -> None:
-    """diagnose.times for a run from t0: each time t on the lattice of h from
-    t0, with t - h and t + h inside the run.  identity_order looks t up on
-    the 2h rerun too, with t - 2h and t + 2h."""
-    h = cfg.grid.h
+def _times_rule(cfg: ExperimentConfig, t0: float) -> list:
+    """diagnose.times for a run from t0, the default [t0 + (t_final - t0) / 2]
+    filled in: each time t on the lattice of h from t0, with t - h and t + h
+    inside the run.  identity_order looks t up on the 2h rerun too, with
+    t - 2h and t + 2h."""
+    h, times = cfg.grid.h, cfg.options["times"]
+    if isinstance(times, str):
+        times = [t0 + (cfg.run.t_final - t0) / 2.0]
     steps = [(h, "h"), (2.0 * h, "2h")] if "identity_order" in cfg.checks else [(h, "h")]
-    for t in cfg.options["times"]:
+    for t in times:
         for step, what in steps:
             if _lattice_steps(t - t0, step) is None:
                 raise ConfigError(
@@ -353,6 +352,7 @@ def _times_rule(cfg: ExperimentConfig, t0: float) -> None:
             if not (t0 + step - 1e-12 <= t <= cfg.run.t_final - step + 1e-12):
                 raise ConfigError(f"diagnose.times: {t} needs both t - {what} and "
                                   f"t + {what} inside the run")
+    return times
 
 
 def _evolves(cfg: ExperimentConfig) -> bool:
@@ -482,9 +482,9 @@ def build_initial(desc: dict, grid: RadialGrid, params: EquationParams) -> Radia
 
 def _initial_state(cfg: ExperimentConfig) -> RadialState:
     """The run's initial data.  File data starts at its stored time, so the
-    lattice rules that :func:`parse_config` applies from t = 0 (run.t_final,
-    diagnose.times) are applied here, from that time, before the first
-    evolve."""
+    lattice rule of run.t_final that :func:`parse_config` applies from t = 0
+    is applied here, from that time, before the first evolve (diagnose's
+    runner applies :func:`_times_rule` from it)."""
     state = build_initial(cfg.initial, cfg.grid, cfg.params)
     if cfg.initial["kind"] == "file" and _evolves(cfg):
         try:
@@ -492,8 +492,6 @@ def _initial_state(cfg: ExperimentConfig) -> RadialState:
         except ValueError:
             raise ConfigError(f"initial.path: stored time t = {state.t!r} puts run.t_final "
                               f"= {cfg.run.t_final!r} off the lattice of h") from None
-        if cfg.scenario == "diagnose":
-            _times_rule(cfg, state.t)
     return state
 
 

@@ -195,8 +195,8 @@ def _readonly(x, n_nodes: int, name: str) -> np.ndarray:
 class RadialState:
     """Snapshot (u, v = d_t u) of the field at time t on a radial grid.
 
-    Arrays are defensively copied and read-only.  The reduced field
-    w = r * u always vanishes at the origin node.
+    Arrays are defensively copied, checked finite and read-only.  The
+    reduced field w = r * u always vanishes at the origin node.
     """
 
     grid: RadialGrid
@@ -211,6 +211,17 @@ class RadialState:
         n_nodes = self.grid.n + 1
         object.__setattr__(self, "u", _readonly(self.u, n_nodes, "u"))
         object.__setattr__(self, "v", _readonly(self.v, n_nodes, "v"))
+
+    @classmethod
+    def _wrap(cls, grid: RadialGrid, params: EquationParams, t: float, u, v) -> RadialState:
+        """A state around full-grid arrays that nothing else holds and that
+        are known finite: made read-only in place, neither copied nor checked."""
+        u.setflags(write=False)
+        v.setflags(write=False)
+        state = object.__new__(cls)
+        for name, x in (("grid", grid), ("params", params), ("t", t), ("u", u), ("v", v)):
+            object.__setattr__(state, name, x)
+        return state
 
     @property
     def w(self) -> np.ndarray:
@@ -308,17 +319,11 @@ class Trajectory:
         t0, h = self.states[0].t, self.grid.h
         return {k: s for s in self.states if (k := _lattice_steps(s.t - t0, h)) is not None}
 
-    def _layer(self, k: int) -> RadialState:
-        """The stored state k steps after the first one, or KeyError."""
-        if k not in self._layers:
-            raise KeyError(f"layer {k} not stored; run with snapshot_stride = 1")
-        return self._layers[k]
-
     def state_at(self, t: float) -> RadialState:
         """Snapshot at time t; KeyError unless t is a stored lattice time."""
         k = _lattice_steps(t - self.states[0].t, self.grid.h)
         if k not in self._layers:  # None, off the lattice, is no key
-            raise KeyError(f"no snapshot stored at t = {t}")
+            raise KeyError(f"no snapshot stored at t = {t}; snapshot_stride = 1 stores all")
         return self._layers[k]
 
 

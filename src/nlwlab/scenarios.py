@@ -28,6 +28,7 @@ from nlwlab.cli import (
     _energy_drift,
     _initial_state,
     _reported_as,
+    _times_rule,
     _write,
     build_initial,
 )
@@ -116,11 +117,12 @@ def _refinement_order(pairs) -> float:
 
 def _run_diagnose(cfg: ExperimentConfig, out: Path):
     metrics, notes = {}, []
-    Rc, times = cfg.options["Rc"], cfg.options["times"]
+    Rc = cfg.options["Rc"]
     if cfg.params.mu == -1:
         notes.append("energy: non-coercive (focusing sign)")
 
     initial = _initial_state(cfg)
+    times = _times_rule(cfg, initial.t)  # a state file's stored time starts the run
     fine = solver.evolve(replace(cfg.run, snapshot_stride=1), initial)
     # the identity residuals of each distinct (cutoff, time), computed once
     cutoffs = cfg.options["cutoffs"]
@@ -158,15 +160,15 @@ def _run_diagnose(cfg: ExperimentConfig, out: Path):
 def _run_bootstrap(cfg: ExperimentConfig, out: Path):
     metrics = {}
     o = cfg.options
-    p_values, beta0_values = o["p_values"], o["beta0_values"]
+    p_values, beta0_values, precision = o["p_values"], o["beta0_values"], o["precision"]
 
     # everything is computed before the first write, so a rejected value
     # leaves no partial output
     jobs = [(p, b0) for p in p_values for b0 in beta0_values]
     try:
-        table = bootstrap.contraction_table(p_values)
-        seqs = [bootstrap.exponent_iteration(p, b0, n_max=o["n_max"], tol=o["tol"])
-                for p, b0 in jobs]
+        table = bootstrap.contraction_table(p_values, precision)
+        seqs = [bootstrap.exponent_iteration(p, b0, n_max=o["n_max"], tol=o["tol"],
+                                             precision=precision) for p, b0 in jobs]
     except ValueError as e:  # the message starts with the rejected argument
         field = {"p": "p_values", "beta0": "beta0_values", "n_max": "n_max"}.get(
             str(e).split(" ", 1)[0])
@@ -177,7 +179,7 @@ def _run_bootstrap(cfg: ExperimentConfig, out: Path):
     if "contraction_subunit" in cfg.checks:
         sample = np.geomspace(5.0, 1e4, o["dense_sample"])
         metrics["contraction_subunit"] = max(
-            value for value, _ in bootstrap.contraction_table(sample))
+            value for value, _ in bootstrap.contraction_table(sample, precision))
     if "iteration_monotone" in cfg.checks:
         worst = -float("inf")
         for (p, b0), seq in zip(jobs, seqs):
@@ -190,11 +192,9 @@ def _run_bootstrap(cfg: ExperimentConfig, out: Path):
     if "limit_gap" in cfg.checks:
         metrics["limit_gap"] = max(seq.limit_gap for seq in seqs)
     if "fixed_point" in cfg.checks:
-        worst = 0.0
-        for p in p_values:
-            seq = bootstrap.exponent_iteration(p, 1.0 - 2.0 / (p - 1.0))
-            worst = max(worst, abs(seq.gamma[0] * p - 1.0))
-        metrics["fixed_point"] = worst
+        metrics["fixed_point"] = max(abs(bootstrap.exponent_iteration(
+            p, 1.0 - 2.0 / (p - 1.0), precision=precision).gamma[0] * p - 1.0)
+            for p in p_values)
 
     _write(out, "contraction.csv", _csv_text(
         "p,value,theta", ((p, value, theta) for p, (value, theta) in zip(p_values, table))))

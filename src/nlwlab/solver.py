@@ -323,18 +323,20 @@ def evolve(config: SolverConfig, initial: RadialState,
     BlowupDetected
         max |u| exceeded config.blowup_threshold or became non-finite.
     SolverError
-        A stored layer's v is not finite: RadialState's message, at the
-        layer's time.
+        A stored layer's v is not finite: "v contains non-finite entries
+        at t = ...", at the layer's time.
 
     Notes
     -----
     The run goes block by block, a block being LOG_BLOCK consecutive layers.
     Their u and v live only in the rows of one (rows, P) block, C-contiguous,
     from which :func:`diagnostics.step_log_rows` computes E, z, max |u| and
-    the support radius of every row at once, and the stored snapshots are
-    built.  The kernel writes u^k and v^k straight into layer k's row; a
-    block is flushed before the next one's first u is written, so one block
-    buffer serves the whole run.
+    the support radius of every row at once.  The kernel writes u^k and v^k
+    straight into layer k's row; a block is flushed before the next one's
+    first u is written, so one block buffer serves the whole run.  A stored
+    layer is its row written once into fresh full-grid arrays, wrapped
+    read-only without a second copy; only its v is checked finite, as its
+    u is once its guards pass.
 
     P is the block's prefix, fixed when it starts: the nodes up to the last
     one where either starting layer is nonzero (exactly), one more per step
@@ -419,7 +421,6 @@ def evolve(config: SolverConfig, initial: RadialState,
         buffers = diagnostics._RowBuffers(rows, n + 1)
     # the block's u and v are C-contiguous (rows, P) views of these
     flat_u, flat_v = np.zeros(rows * (n + 1)), np.zeros(rows * (n + 1))
-    pad = np.zeros(n + 1)
     states = [initial]
 
     def trajectory(j: int) -> Trajectory:
@@ -427,16 +428,11 @@ def evolve(config: SolverConfig, initial: RadialState,
         return Trajectory(grid=grid, params=params, states=tuple(states),
                           log=StepLog(*log[:, :j]) if step_log else None, linear=linear)
 
-    def stored(j: int, u: np.ndarray, v: np.ndarray) -> RadialState:
-        if P <= n:
-            u, v = np.concatenate((u, pad[P:])), np.concatenate((v, pad[P:]))
-        return RadialState(grid=grid, params=params, t=t0 + j * h, u=u, v=v)
-
-    def fail(j: int, exc: ValueError) -> None:
+    def fail(j: int) -> None:
         # stored layer j's v is not finite: the full-grid loop stopped there
         errors.warn(j)
         t = t0 + j * h
-        raise SolverError(f"{exc} at t = {t!r}", t, trajectory(j)) from None
+        raise SolverError(f"v contains non-finite entries at t = {t!r}", t, trajectory(j))
 
     def flush(count: int, w_next: np.ndarray | None) -> None:
         # the block's first count rows, complete: the log, then the guards
@@ -459,12 +455,14 @@ def evolve(config: SolverConfig, initial: RadialState,
             if guarded:
                 check(j, top[i], u_rows[i])
             if failed:  # raised in its turn
-                fail(*failed)
+                fail(failed)
             if j and (j % stride == 0 or j == n_steps):
-                try:
-                    states.append(stored(j, u_rows[i], v_rows[i]))
-                except ValueError as exc:
-                    failed = j, exc
+                if not np.isfinite(v_rows[i]).all():  # u is, past the guards
+                    failed = j
+                    continue
+                u, v = np.zeros(n + 1), np.zeros(n + 1)  # only the state holds them
+                u[:P], v[:P] = u_rows[i], v_rows[i]
+                states.append(RadialState._wrap(grid, params, t0 + j * h, u, v))
         if failed or step_log and not math.isfinite(sum(E) + sum(z)):
             if w_next is not None:
                 u = np.zeros(n + 1)
@@ -475,7 +473,7 @@ def evolve(config: SolverConfig, initial: RadialState,
                 with np.errstate(**settings):  # the log's own warnings, once more
                     diagnostics.step_log_rows(us, vs, r, h, p, mu, buffers)
             if failed:
-                fail(*failed)
+                fail(failed)
 
     with np.errstate(over="log", invalid="log", divide="log", call=errors):
         if initial_prev is None and n_steps:  # the back layer, as step 0
@@ -564,7 +562,7 @@ def characteristic_transport_residual(traj: Trajectory, r0: float, t0: float,
         vals = np.empty(S + 1)
         rhs = np.empty(S + 1)
         for s in range(S + 1):
-            st = traj._layer(n0 + sign * s)
+            st = traj.state_at(traj.states[0].t + (n0 + sign * s) * h)
             vals[s] = _characteristics(st)[pick][j0 + s]
             rhs[s] = -_source_of_state(st, traj.linear)[j0 + s]
         fd = (vals[1:] - vals[:-1]) / h

@@ -1,9 +1,6 @@
 """Tests for the contraction constant, exponent recursion, and decay fits."""
 
 import math
-import os
-from contextlib import contextmanager
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,19 +34,15 @@ EPS = np.finfo(float).eps
 # working dtype selection
 
 
-def test_working_dtype_default(monkeypatch):
-    monkeypatch.delenv("NLWLAB_PRECISION", raising=False)
+def test_working_dtype_default():
     assert working_dtype() is np.float64
 
 
-def test_working_dtype_choices(monkeypatch):
-    monkeypatch.setenv("NLWLAB_PRECISION", "f64")
-    assert working_dtype() is np.float64
-    monkeypatch.setenv("NLWLAB_PRECISION", "extended")
-    assert working_dtype() is np.longdouble
-    monkeypatch.setenv("NLWLAB_PRECISION", "quad")
-    with pytest.raises(ValueError, match="NLWLAB_PRECISION"):
-        working_dtype()
+def test_working_dtype_choices():
+    assert working_dtype("f64") is np.float64
+    assert working_dtype("extended") is np.longdouble
+    with pytest.raises(ValueError, match="precision"):
+        working_dtype("quad")
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +226,11 @@ def test_decay_fit_validation(w_rest_trajectory):
         decay_fit(traj)
 
 
-def test_exponent_iteration_fixed_point_extended(monkeypatch):
+def test_exponent_iteration_fixed_point_extended():
     # the fixed point computed in float64 lands an ulp above the extended
     # limit; the iteration must still read it as the fixed point
-    monkeypatch.setenv("NLWLAB_PRECISION", "extended")
     for p in (5.0, 7.0):
-        seq = exponent_iteration(p, 1.0 - 2.0 / (p - 1.0))
+        seq = exponent_iteration(p, 1.0 - 2.0 / (p - 1.0), precision="extended")
         assert seq.converged
         assert len(seq.beta) == 1
         assert abs(seq.gamma[0] * p - 1.0) <= 4.0 * EPS
@@ -246,13 +238,13 @@ def test_exponent_iteration_fixed_point_extended(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # bit-identity oracles: the arithmetic as it ran in numpy scalars of
-# working_dtype() at every operation, before f64 moved to Python floats
+# working_dtype(precision) at every operation, before f64 moved to Python floats
 
 
-def _seed_contraction_constant(p):
+def _seed_contraction_constant(p, precision="f64"):
     if not (np.isfinite(p) and p >= 5.0):
         raise ValueError(f"p must be a finite real >= 5, got {p}")
-    dt = working_dtype()
+    dt = working_dtype(precision)
     one = dt(1.0)
     a = dt(2.0) / (dt(p) - one)
     value = (dt(1.5) ** (one - a) + dt(0.5) ** (one - a)) / dt(2.0)
@@ -260,10 +252,10 @@ def _seed_contraction_constant(p):
     return float(value), float(theta)
 
 
-def _seed_exponent_iteration(p, beta0, n_max=100000, tol=1e-12):
+def _seed_exponent_iteration(p, beta0, n_max=100000, tol=1e-12, precision="f64"):
     if not (np.isfinite(p) and p >= 5.0):
         raise ValueError(f"p must be a finite real >= 5, got {p}")
-    dt = working_dtype()
+    dt = working_dtype(precision)
     one = dt(1.0)
     pp = dt(p)
     a = dt(2.0) / (pp - one)
@@ -298,57 +290,46 @@ def _seed_exponent_iteration(p, beta0, n_max=100000, tol=1e-12):
     )
 
 
-@contextmanager
-def _precision(choice):
-    """NLWLAB_PRECISION set to ``choice`` (None: unset) inside the block."""
-    env = {k: v for k, v in os.environ.items() if k != "NLWLAB_PRECISION"}
-    if choice is not None:
-        env["NLWLAB_PRECISION"] = choice
-    with mock.patch.dict(os.environ, env, clear=True):
-        yield
-
-
-PRECISIONS = (None, "extended")
+PRECISIONS = ("f64", "extended")
 P_RANGE = st.floats(min_value=5.0, max_value=1e6)
 
 
 @given(p=P_RANGE)
 def test_contraction_constant_matches_seed_bitwise(p):
+    assert repr(contraction_constant(p)) == repr(_seed_contraction_constant(p))
     for choice in PRECISIONS:
-        with _precision(choice):
-            got, want = contraction_constant(p), _seed_contraction_constant(p)
-            assert repr(got) == repr(want), choice
-            assert contraction_table([p, np.float64(p)]) == [want, want]
+        want = _seed_contraction_constant(p, choice)
+        assert contraction_table([p, np.float64(p)], choice) == [want, want], choice
 
 
 @given(p=P_RANGE, data=st.data())
 def test_exponent_iteration_matches_seed_bitwise(p, data):
     limit = 1.0 - 2.0 / (p - 1.0)
     beta0 = data.draw(st.floats(min_value=0.0, max_value=limit, exclude_min=True))
+    assert repr(exponent_iteration(p, beta0)) == repr(_seed_exponent_iteration(p, beta0))
     for choice in PRECISIONS:
-        with _precision(choice):
-            got = exponent_iteration(p, beta0)
-            want = _seed_exponent_iteration(p, beta0)
-            assert repr(got) == repr(want), choice
+        got = exponent_iteration(p, beta0, precision=choice)
+        want = _seed_exponent_iteration(p, beta0, precision=choice)
+        assert repr(got) == repr(want), choice
 
 
 def test_bootstrap_arithmetic_rejects_like_seed():
-    for choice in PRECISIONS:
-        with _precision(choice):
-            for bad in (4.9, -math.inf, math.nan, math.inf):
-                for new, seed in ((contraction_constant, _seed_contraction_constant),
-                                  (lambda q: exponent_iteration(q, 0.1),
-                                   lambda q: _seed_exponent_iteration(q, 0.1))):
-                    with pytest.raises(ValueError) as e_new:
-                        new(bad)
-                    with pytest.raises(ValueError) as e_seed:
-                        seed(bad)
-                    assert str(e_new.value) == str(e_seed.value)
-                with pytest.raises(ValueError, match="finite real"):
-                    contraction_table([5.0, bad])
-            for beta0 in (0.0, -0.1, 0.5 + 1e-9):
+    for c in PRECISIONS:
+        for bad in (4.9, -math.inf, math.nan, math.inf):
+            for new, seed in ((lambda q: contraction_table([q], c)[0],
+                               lambda q: _seed_contraction_constant(q, c)),
+                              (lambda q: exponent_iteration(q, 0.1, precision=c),
+                               lambda q: _seed_exponent_iteration(q, 0.1, precision=c))):
                 with pytest.raises(ValueError) as e_new:
-                    exponent_iteration(5.0, beta0)
+                    new(bad)
                 with pytest.raises(ValueError) as e_seed:
-                    _seed_exponent_iteration(5.0, beta0)
+                    seed(bad)
                 assert str(e_new.value) == str(e_seed.value)
+            with pytest.raises(ValueError, match="finite real"):
+                contraction_table([5.0, bad], c)
+        for beta0 in (0.0, -0.1, 0.5 + 1e-9):
+            with pytest.raises(ValueError) as e_new:
+                exponent_iteration(5.0, beta0, precision=c)
+            with pytest.raises(ValueError) as e_seed:
+                _seed_exponent_iteration(5.0, beta0, precision=c)
+            assert str(e_new.value) == str(e_seed.value)

@@ -533,7 +533,7 @@ def test_main_norms_artifacts(tmp_path):
     assert tails[0].startswith("r,") and len(tails) == 3
 
 
-def test_main_bootstrap_artifacts_and_precision(tmp_path, monkeypatch):
+def test_main_bootstrap_artifacts_and_precision(tmp_path):
     out = tmp_path / "out"
     raw = {
         "scenario": "bootstrap",
@@ -556,22 +556,24 @@ def test_main_bootstrap_artifacts_and_precision(tmp_path, monkeypatch):
     body = exp_files[0].read_text()
     assert body.startswith("# p=5.0 beta0=0.1\nn,beta,gamma\n")
 
-    # extended-precision pass reuses the same pipeline
-    monkeypatch.setenv("NLWLAB_PRECISION", "extended")
+    # extended-precision pass reuses the same pipeline, and the manifest's
+    # config echo says so
     out2 = tmp_path / "out-ext"
-    raw2 = dict(raw, output={"dir": str(out2)})
+    raw2 = dict(raw, output={"dir": str(out2)},
+                bootstrap=dict(raw["bootstrap"], precision="extended"))
     cfg2 = _write_config(tmp_path, raw2, "c2.json")
     assert main(["bootstrap", "--config", cfg2]) == 0
+    echo = json.loads((out2 / "manifest.json").read_text())["config"]
+    assert echo["bootstrap"]["precision"] == "extended"
 
-    monkeypatch.setenv("NLWLAB_PRECISION", "half")
     out3 = tmp_path / "out-bad"
-    raw3 = dict(raw, output={"dir": str(out3)})
+    raw3 = dict(raw, output={"dir": str(out3)},
+                bootstrap=dict(raw["bootstrap"], precision="half"))
     cfg3 = _write_config(tmp_path, raw3, "c3.json")
     assert main(["bootstrap", "--config", cfg3]) == 2
     assert not out3.exists()
 
     # files are numbered by position: a repeated p gets a file of its own
-    monkeypatch.delenv("NLWLAB_PRECISION")
     out4 = tmp_path / "out-repeat"
     raw4 = dict(raw, output={"dir": str(out4)},
                 bootstrap=dict(raw["bootstrap"], p_values=[5.0, 7.0, 5.0]))
@@ -720,7 +722,7 @@ def test_diagnose_computes_each_identity_residual_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("t0, t_final, times", [
     (0.5, 1.0, [0.25]),  # before the stored time
-    (0.5, 0.5, None),  # the default, t_final / 2
+    (0.5, 0.5, None),  # the default, the run's midpoint t0 + (t_final - t0) / 2
     (0.3, 1.3, [0.5]),  # off the lattice from t0
 ])
 def test_diagnose_times_from_a_state_file_exit_2_without_output(
@@ -749,6 +751,27 @@ def test_diagnose_times_from_a_state_file_exit_2_without_output(
     assert main(["diagnose", "--config", _write_config(tmp_path, raw)]) in (0, 1)
     assert (out / "manifest.json").exists()
     assert float((out / "records.csv").read_text().split("\n")[1].split(",")[0]) == t0 + 0.5
+
+
+def test_diagnose_default_time_is_the_midpoint_from_a_state_files_time(tmp_path, capsys):
+    # the default time is taken from the run's start, the stored time t0
+    grid, params = RadialGrid(h=1.0 / 64.0, n=128), make_params(7.0, 1)
+    save_state(replace(build_initial({"kind": "bump"}, grid, params), t=1.0),
+               tmp_path / "init.txt")
+    out = tmp_path / "out"
+    raw = {"scenario": "diagnose", "equation": {"p": 7.0, "mu": 1},
+           "grid": {"h": 1.0 / 64.0, "n": 128},
+           "initial": {"kind": "file", "path": str(tmp_path / "init.txt")},
+           "run": {"t_final": 1.5, "cone_floor": None},
+           "output": {"dir": str(out)}, "diagnose": {"Rc": 0.5}}
+    assert main(["diagnose", "--config", _write_config(tmp_path, raw)]) in (0, 1)
+    assert capsys.readouterr().err == ""
+    records = (out / "records.csv").read_text().splitlines()
+    assert len(records) == 2 and float(records[1].split(",")[0]) == 1.25
+    # generated data start at t = 0: the default is t_final / 2
+    cfg = parse_config(dict(raw, initial={"kind": "bump"}))
+    assert cfg.options["times"] == [0.75]
+
 
 def test_main_verify_w_exemplar_passes(tmp_path):
     # the exemplar checks the static profile's decay fit against the exact
@@ -1498,7 +1521,7 @@ def test_readme_options_match_the_code():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     header = "| section        | field            | kind    | default                     |"
     rows = readme.split(header + "\n", 1)[1].split("\n\n", 1)[0].splitlines()[1:]
-    kinds = {"number": float, "integer": int, "numbers": list[float]}
+    kinds = {"number": float, "integer": int, "numbers": list[float], "string": str}
     table = {scenario: {} for scenario, fields in _OPTIONS.items() if not fields}
     for row in rows:
         section, field, kind, default = (c.strip().strip("`")
@@ -1528,7 +1551,8 @@ _UNUSUAL = (st.sampled_from(_EDGES) | st.floats(-10.0, 10.0) | st.integers(-3, 3
 # dense_sample, reversal_steps) set the work of a run
 _TYPICAL = {bool: st.booleans(), int: st.integers(1, 300),
             float: st.floats(0.0, 4.0), float | None: st.none() | st.floats(0.0, 4.0),
-            list[float]: st.lists(st.floats(0.0, 4.0), max_size=4)}
+            list[float]: st.lists(st.floats(0.0, 4.0), max_size=4),
+            str: st.sampled_from(["f64", "extended"])}  # bootstrap.precision
 _TYPICAL_FIELDS = {
     "p_values": st.lists(st.floats(5.0, 13.0), min_size=1, max_size=3),
     "beta0_values": st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),

@@ -137,6 +137,20 @@ def test_step_log_rows_is_the_one_engine_of_the_log_values():
     assert callers("step_log_rows") == {("solver", "evolve")}
 
 
+def test_no_module_reads_the_environment():
+    # every input that changes an artifact is a config field, which the
+    # manifest echoes; an environment variable would escape the echo
+    names = {"environ", "environb", "getenv", "getenvb"}
+    reads = []
+    for path in sorted((ROOT / "src" / "nlwlab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in names:
+                reads.append((path.stem, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                reads += [(path.stem, a.name) for a in node.names if a.name in names | {"*"}]
+    assert reads == []
+
+
 def test_runners_read_no_config_field():
     # parse_config reads every field; a runner takes the typed values.  The
     # scan sees all six runners, so a runner moved out of it fails here

@@ -4,9 +4,10 @@ Every config under configs/ is run in-process into a temporary directory, and
 every number it writes is compared with tests/golden.json: each column of the
 CSV artifacts (step log, tails, records, contraction, exponents), every
 numeric leaf of the JSON artifacts (norm report, residuals, linear-check
-report), and the manifest's check values and pass flags plus its extras
-(verify-W report, blowup times).  The manifest's config echo and wall time
-are not pinned.
+report), the manifest's check values and pass flags plus its extras
+(verify-W report, blowup times), and of each stored state file its header
+time, u and v at every STATE_SAMPLE-th node and their max |.|.  The
+manifest's config echo and wall time are not pinned.
 
 Tolerance: 1e-12 relative to the largest |value| of the column (or of the
 field, for a scalar), so columns that cross zero, such as z, are compared
@@ -34,6 +35,7 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).with_name("golden.json")
 CONFIGS = sorted(p.stem for p in (ROOT / "configs").glob("*.json"))
 RTOL = 1e-12
+STATE_SAMPLE = 64
 
 
 def _csv_columns(text: str) -> dict:
@@ -52,6 +54,19 @@ def _leaves(node, path: str, out: dict) -> None:
             _leaves(val, f"{path}/{i}", out)
     elif node is None or isinstance(node, (bool, int, float)):
         out[path] = node
+
+
+def _state_numbers(text: str) -> dict:
+    """A state file's header time, and u and v sampled every STATE_SAMPLE-th
+    node with their max |.| over all nodes."""
+    header, _, body = text.partition("\n")
+    rows = [[float(tok) for tok in ln.split()] for ln in body.splitlines() if ln.strip()]
+    numbers = {"t": json.loads(header.lstrip("#"))["t"]}
+    for i, name in ((1, "u"), (2, "v")):
+        col = [row[i] for row in rows]
+        numbers[name] = col[::STATE_SAMPLE]
+        numbers[f"max_abs_{name}"] = max(map(abs, col))
+    return numbers
 
 
 def _manifest_numbers(manifest: dict) -> dict:
@@ -76,6 +91,9 @@ def run_exemplar(name: str, out: Path) -> dict:
             if path.name == "manifest.json":
                 doc = _manifest_numbers(doc)
             _leaves(doc, key, numbers)
+        elif path.suffix == ".txt":
+            for field, value in _state_numbers(path.read_text()).items():
+                numbers[f"{key}:{field}"] = value
     return numbers
 
 
