@@ -12,6 +12,9 @@ exemplar per scenario).  :func:`parse_config` reads and checks every field
 of it, and reports a malformed config with the offending field path.  Every
 input that changes an artifact is a config field, so the manifest's config
 echo names all of a run's inputs; no environment variable is read.
+Conversely, a config may set only what its scenario reads: a section or run
+field that changes none of the scenario's artifacts (``_UNREAD``) is
+rejected, so every value the echo holds is an input of the run.
 
 This module holds the schema, the initial data, the evolve runner and the
 manifest; the runners of the other five scenarios are in
@@ -140,6 +143,17 @@ _SCENARIO_DEFAULTS = {
     "bootstrap": (5.0, 1, 1.0, 2, 0.0, {"kind": "W"}),  # grid-free scenario
 }
 
+# scenario -> the sections and run fields whose values reach none of its
+# artifacts, which its config must not set
+_UNREAD = {
+    "diagnose": ("run.snapshot_stride",),  # both runs store every layer
+    "bootstrap": ("equation", "grid", "initial", "run"),  # grid-free arithmetic
+    "verify-W": ("initial", "run.cone_floor"),  # W's data, the cone guard off
+    # four linear runs on the runner's own data, at fixed strides
+    "linear-check": ("equation", "initial", "run.linear", "run.snapshot_stride",
+                     "run.origin_band"),
+}
+
 # initial-data kind -> field -> (kind, default)
 _INITIAL = {
     "W": {},
@@ -195,9 +209,10 @@ def parse_config(raw: dict, scenario: str | None = None,
                  out_override: str | None = None) -> ExperimentConfig:
     """Read and check a raw config dict against the schema (field-path errors).
 
-    Every field is read here, once, with its default filled in, and a key
-    the schema does not name is rejected; then the rules that depend on the
-    config alone are checked.  So a malformed config is reported before any
+    Every field is read here, once, with its default filled in; a key the
+    schema does not name is rejected, and so is one the scenario does not
+    read (``_UNREAD``); then the rules that depend on the config alone are
+    checked.  So a malformed config is reported before any
     output exists.
     """
     if not isinstance(raw, dict):
@@ -215,6 +230,11 @@ def parse_config(raw: dict, scenario: str | None = None,
         if key not in ("scenario", "equation", "grid", "initial", "run", "output",
                        "checks", name):
             raise ConfigError(f"{key}: unknown field")
+    for path in _UNREAD.get(name, ()):
+        section, _, key = path.partition(".")
+        if section in raw and (not key or isinstance(raw[section], dict)
+                               and key in raw[section]):
+            raise ConfigError(f"{path}: scenario {name} does not read it")
 
     dp, dmu, dh, dn, dt_final, dinit = _SCENARIO_DEFAULTS.get(
         name, (5.0, 1, MISSING, MISSING, MISSING, MISSING))
@@ -260,10 +280,9 @@ def parse_config(raw: dict, scenario: str | None = None,
         raise ConfigError("checks.blowup_detection: requires ode_flat initial data")
     if "tail_monotone" in checks and len(o["tail_radii"]) < 2:
         raise ConfigError("checks.tail_monotone: needs at least two tail radii")
-    builds = name in ("evolve", "norms", "diagnose")  # the scenarios that build initial data
-    if builds:
+    if name in ("evolve", "norms", "diagnose"):  # the scenarios that build initial data
         _initial_equation_rule(initial, params)
-    if _evolves(cfg) and not (builds and kind == "file"):  # a read file sets t0
+    if _evolves(cfg) and kind != "file":  # a read file sets t0
         try:
             solver.step_count(0.0, t_final, h)
         except ValueError:

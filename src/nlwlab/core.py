@@ -436,30 +436,21 @@ def _zero_tail(text: str, grid: RadialGrid) -> int:
 
     The block is the longest suffix of ``text`` equal to the grid's zero-row
     text from some node j on, with a newline just before it; n + 1 when
-    there is none.  j is found by a binary search that compares one row per
-    probe, then confirmed on the whole suffix.  Probes are exact only from
-    the block's start on: in front of it, a row may still match where an
-    earlier row kept the length of a zero row (``1.0`` for ``0.0``).  When
-    the confirmation fails, the rows are compared one by one from the end.
+    there is none.  j is found by one binary search.  It keeps ``hi``, a
+    node from which the text is known to end in the zero rows, and compares
+    a probe ``mid < hi`` on the rows mid .. hi - 1 only, so every probe is
+    exact and the search monotone.
     """
     zeros, offsets = grid._zero_rows
     shift = len(text) - len(zeros)  # row j would start at offsets[j] + shift
-
-    def matches(j):
-        start = offsets[j] + shift
-        return start > 0 and text.startswith(zeros[offsets[j]:offsets[j + 1]], start)
-
     lo, hi = 0, grid.n + 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if matches(mid):
+        start = offsets[mid] + shift
+        if start > 0 and text.startswith(zeros[offsets[mid]:offsets[hi]], start):
             hi = mid
         else:
             lo = mid + 1
-    if lo <= grid.n and not text.endswith(zeros[offsets[lo]:]):
-        lo = grid.n + 1
-        while lo > 0 and matches(lo - 1):
-            lo -= 1
     if lo <= grid.n and text[offsets[lo] + shift - 1] != "\n":
         lo += 1  # row lo is glued to the line before; the rows after it are not
     return lo

@@ -40,6 +40,7 @@ from nlwlab.cli import (
     _INITIAL,
     _OPTIONS,
     _RUN,
+    _UNREAD,
     _check,
 )
 
@@ -1233,15 +1234,17 @@ def test_step_counts_and_grids_that_overflow_exit_2_before_output(
 @pytest.mark.parametrize("config", ["verify_w.json", "linear_check.json"])
 def test_state_file_kind_keeps_the_lattice_rule_where_it_is_not_read(tmp_path, capsys,
                                                                       config):
-    # these scenarios start at t = 0 whatever the initial section names; a
-    # file kind skipped the rule, and the runner's ValueError left main (exit 1)
+    # these scenarios start at t = 0 on their own data; a file kind once
+    # skipped the lattice rule, and the runner's ValueError left main (exit
+    # 1).  The initial section they never read is now rejected itself
     raw = json.loads((Path(__file__).resolve().parents[1] / "configs" / config).read_text())
     raw["initial"] = {"kind": "file", "path": str(tmp_path / "unread.txt")}
     raw["run"] = {**raw.get("run", {}), "t_final": 0.5 * raw["grid"]["h"]}
     out = tmp_path / "out"
     raw["output"] = {"dir": str(out)}
     assert main([raw["scenario"], "--config", _write_config(tmp_path, raw)]) == 2
-    assert capsys.readouterr().err.startswith("config: run.t_final: ")
+    assert capsys.readouterr().err == (
+        f"config: initial: scenario {raw['scenario']} does not read it\n")
     assert not out.exists()
 
 
@@ -1301,6 +1304,29 @@ def test_unknown_fields_exit_2_before_output(tmp_path, capsys, monkeypatch, scen
     assert str(exc.value) == f"{path}: unknown field"
     assert main([scenario, "--config", _write_config(tmp_path, raw)]) == 2
     assert capsys.readouterr().err == f"config: {path}: unknown field\n"
+    assert not out.exists()
+
+
+# a value each section would accept; run fields take their defaults
+_UNREAD_VALUES = {"equation": {"p": 5.0, "mu": 1}, "grid": {"h": 1.0, "n": 64},
+                  "initial": {"kind": "W"}, "run": {"t_final": 0.0}}
+
+
+@pytest.mark.parametrize("scenario, path",
+                         [(s, path) for s, paths in _UNREAD.items() for path in paths])
+def test_unread_inputs_exit_2_before_output(tmp_path, capsys, scenario, path):
+    # a value that reaches no artifact would be echoed in the manifest as an
+    # input of the run; it is rejected, even at its default
+    out = tmp_path / "out"
+    raw = _quick(scenario, out, {})
+    parse_config(raw)
+    section, _, key = path.partition(".")
+    if key:
+        raw[section] = {**raw.get(section, {}), key: _RUN[key][1]}
+    else:
+        raw[section] = _UNREAD_VALUES[section]
+    assert main([scenario, "--config", _write_config(tmp_path, raw)]) == 2
+    assert capsys.readouterr().err == f"config: {path}: scenario {scenario} does not read it\n"
     assert not out.exists()
 
 
@@ -1539,6 +1565,17 @@ def test_readme_options_match_the_code():
                                                        if t]
 
 
+def test_readme_unread_inputs_match_the_code():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    header = "| scenario       | not read                                                 |"
+    rows = readme.split(header + "\n", 1)[1].split("\n\n", 1)[0].splitlines()[1:]
+    table = {}
+    for row in rows:
+        scenario, paths = (c.strip() for c in row.strip("|").split("|"))
+        table[scenario.strip("`")] = tuple(p.strip().strip("`") for p in paths.split(","))
+    assert table == _UNREAD and list(table) == list(_UNREAD)
+
+
 # ---------------------------------------------------------------------------
 # the exit-code contract
 
@@ -1556,9 +1593,7 @@ _TYPICAL = {bool: st.booleans(), int: st.integers(1, 300),
 _TYPICAL_FIELDS = {
     "p_values": st.lists(st.floats(5.0, 13.0), min_size=1, max_size=3),
     "beta0_values": st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
-    "sp_interval": st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(sorted),
-    "Rc": st.floats(0.1, 2.0), "cutoffs": st.lists(st.floats(0.1, 2.0), max_size=3),
-    "times": st.lists(st.sampled_from([0.25, 0.5]), max_size=2)}
+    "Rc": st.floats(0.1, 2.0), "cutoffs": st.lists(st.floats(0.1, 2.0), max_size=3)}
 
 
 def _mostly(typical, unusual=_UNUSUAL):
@@ -1566,35 +1601,58 @@ def _mostly(typical, unusual=_UNUSUAL):
     return st.integers(0, 11).flatmap(lambda k: unusual if k == 0 else typical)
 
 
+# stored times of the state file: on the lattice of its h = 1/32 and off it
+_STATE_TIMES = [0.0, 0.5, 3.0 / 32.0, 0.3, -1.0, 1e10]
+
+
 @st.composite
-def _schema_configs(draw, state_path):
+def _schema_configs(draw, state_path, t0):
     """A config drawn from the schema tables: a grid of at most 256 nodes and
-    at most 64 steps to t_final, every other field at random or left out."""
+    at most 64 steps to t_final, every field the scenario reads at random or
+    left out.  ``state_path`` holds a state stored at time ``t0`` on
+    h = 1/32, n = 64 with p = 5, mu = 1: file data mostly get that grid and
+    equation, and their run starts at t0."""
     scenario = draw(st.sampled_from(SCENARIOS))
-    h = draw(_mostly(st.sampled_from([1.0 / 64.0, 1.0 / 32.0, 0.05, 0.25, 1.0])))
-    steps = draw(st.integers(0, 64))
+    unread = _UNREAD.get(scenario, ())
     raw = {"scenario": scenario,
-           "grid": {"h": h, "n": draw(_mostly(st.just(64) | st.integers(16, 256)))},
            "checks": {name: draw(_mostly(st.floats(-1.0, 1.0)))
                       for name in _CHECKS[scenario] if draw(st.booleans())}}
-    if draw(st.booleans()):  # else the scenario's default
-        raw["equation"] = {"p": draw(_mostly(st.just(5.0) | st.floats(5.0, 9.0))),
-                           "mu": draw(_mostly(st.sampled_from([-1, 1])))}
-    kind = draw(st.sampled_from(list(_INITIAL)))
-    raw["initial"] = {"kind": kind}
-    for key, (field_kind, default) in _INITIAL[kind].items():
-        if field_kind is str:
-            raw["initial"][key] = draw(st.sampled_from([state_path, state_path + ".missing"]))
-        elif default is MISSING or draw(st.booleans()):
-            raw["initial"][key] = draw(_mostly(_TYPICAL[field_kind]))
-    # t_final is always given, on or off the lattice: its defaults are long runs
-    dt = h if type(h) in (int, float) else 1.0
-    raw["run"] = {"t_final": draw(_mostly(st.just(steps * dt), st.just((steps + 0.5) * dt)))}
-    for key, (field_kind, _) in _RUN.items():
-        if key != "t_final" and draw(st.booleans()):
-            raw["run"][key] = draw(_mostly(_TYPICAL[field_kind]))
+    kind = "W"  # the data of the scenarios that read no initial section
+    if "initial" not in unread:
+        kind = draw(st.sampled_from(list(_INITIAL)))
+        raw["initial"] = {"kind": kind}
+        for key, (field_kind, default) in _INITIAL[kind].items():
+            if field_kind is str:
+                raw["initial"][key] = draw(
+                    st.sampled_from([state_path, state_path + ".missing"]))
+            elif default is MISSING or draw(st.booleans()):
+                raw["initial"][key] = draw(_mostly(_TYPICAL[field_kind]))
+    on_file = kind == "file"
+    h = draw(_mostly(st.just(1.0 / 32.0) if on_file
+                     else st.sampled_from([1.0 / 64.0, 1.0 / 32.0, 0.05, 0.25, 1.0])))
+    steps = draw(st.integers(0, 64))
+    if "grid" not in unread:
+        n = st.just(64) if on_file else st.just(64) | st.integers(16, 256)
+        raw["grid"] = {"h": h, "n": draw(_mostly(n))}
+    if "equation" not in unread and draw(st.booleans()):  # else the scenario's default
+        p = st.just(5.0) if on_file else st.just(5.0) | st.floats(5.0, 9.0)
+        mu = st.just(1) if on_file else st.sampled_from([-1, 1])
+        raw["equation"] = {"p": draw(_mostly(p)), "mu": draw(_mostly(mu))}
+    start = t0 if on_file else 0.0  # the run's first time
+    if "run" not in unread:
+        # t_final is always given, on or off the lattice: its defaults are long runs
+        dt = h if type(h) in (int, float) else 1.0
+        raw["run"] = {"t_final": draw(_mostly(st.just(start + steps * dt),
+                                               st.just(start + (steps + 0.5) * dt)))}
+        for key, (field_kind, _) in _RUN.items():
+            if key != "t_final" and f"run.{key}" not in unread and draw(st.booleans()):
+                raw["run"][key] = draw(_mostly(_TYPICAL[field_kind]))
+    typical = {**_TYPICAL_FIELDS,  # the times a run reads, counted from its start
+               "sp_interval": st.lists(st.floats(start, start + 1.0), min_size=2,
+                                       max_size=2).map(sorted),
+               "times": st.lists(st.sampled_from([start + 0.25, start + 0.5]), max_size=2)}
     raw[scenario] = {
-        key: draw(_mostly(_TYPICAL_FIELDS.get(key, _TYPICAL[field_kind])))
+        key: draw(_mostly(typical.get(key, _TYPICAL[field_kind])))
         for key, (field_kind, default) in _OPTIONS[scenario].items()
         if default is MISSING or draw(st.booleans())}
     return raw
@@ -1610,10 +1668,11 @@ def test_every_config_ends_in_one_of_the_three_documented_outcomes(data):
         tmp = Path(tmp)
         state = tmp / "state.txt"
         grid = RadialGrid(h=1.0 / 32.0, n=64)
-        save_state(nlwlab.RadialState(grid=grid, params=make_params(5.0, 1), t=0.0,
+        t0 = data.draw(st.sampled_from(_STATE_TIMES))
+        save_state(nlwlab.RadialState(grid=grid, params=make_params(5.0, 1), t=t0,
                                       u=profile_gaussian(grid.r, 0.5, 1.0),
                                       v=np.zeros(grid.n + 1)), state)
-        raw = data.draw(_schema_configs(str(state)))
+        raw = data.draw(_schema_configs(str(state), t0))
         out = tmp / "out"
         raw["output"] = {"dir": str(out)}
         err = io.StringIO()

@@ -507,6 +507,13 @@ def test_state_from_text_matches_seed_reader(n, data):
     row = data.draw(st.integers(min_value=max(0, live - 2), max_value=n))
     token = data.draw(st.integers(min_value=1, max_value=2))
     mutated = _mutate(text, kind, row, token)
+    # brute force: the first node j from which the text ends in the zero rows,
+    # row j starting a line; n + 1 when there is none
+    zeros, offsets = s.grid._zero_rows
+    starts = [len(mutated) - len(zeros) + offsets[j] for j in range(n + 1)]
+    assert _zero_tail(mutated, s.grid) == next(
+        (j for j, start in enumerate(starts) if start > 0 and mutated[start - 1] == "\n"
+         and mutated[start:] == zeros[offsets[j]:]), n + 1)
     outcome = _read_outcome(state_from_text, mutated)
     assert outcome == _read_outcome(_seed_state_from_text, mutated)
     if kind == "none":
