@@ -13,8 +13,10 @@ of it, and reports a malformed config with the offending field path.  Every
 input that changes an artifact is a config field, so the manifest's config
 echo names all of a run's inputs; no environment variable is read.
 Conversely, a config may set only what its scenario reads: a section or run
-field that changes none of the scenario's artifacts (``_UNREAD``) is
-rejected, so every value the echo holds is an input of the run.
+field that changes none of the scenario's artifacts (``_UNREAD``), or a run
+field that the rest of the config leaves unread (``origin_band`` in a linear
+run, the stride of an ``ode_match`` run), is rejected, so every value the
+echo holds is an input of the run.
 
 This module holds the schema, the initial data, the evolve runner and the
 manifest; the runners of the other five scenarios are in
@@ -300,6 +302,12 @@ def parse_config(raw: dict, scenario: str | None = None,
         T = ode_flat_blowup_time(params, initial["amplitude"])
         if _ode_match_steps(T, h) < 1:
             raise ConfigError("checks.ode_match: no lattice times before T - 10h")
+    given = raw.get("run", {})  # run fields unread under a condition on the others
+    if run_settings.linear and "origin_band" in given:  # no source term to bound
+        raise ConfigError("run.origin_band: a linear run does not read it")
+    if "blowup_detection" in checks and "ode_match" in checks and "snapshot_stride" in given:
+        raise ConfigError("run.snapshot_stride: a run with ode_match stores every layer; "
+                          "it does not read it")
     if name == "norms":
         with _reported_as("norms.betas"):
             for beta in o["betas"]:
@@ -554,8 +562,8 @@ def _run_evolve(cfg: ExperimentConfig, out: Path):
         T_star = ode_flat_blowup_time(cfg.params, cfg.initial["amplitude"])
         extra["expected_blowup_time"] = T_star
         n_cmp = _ode_match_steps(T_star, h) if match else 0  # >= 1 with ode_match
-        run_cfg = replace(cfg.run, t_final=max(cfg.run.t_final, n_cmp * h),
-                          snapshot_stride=1) if match else cfg.run
+        # parse_config leaves the stride at its default 1 here: every layer is stored
+        run_cfg = replace(cfg.run, t_final=max(cfg.run.t_final, n_cmp * h)) if match else cfg.run
         try:
             traj = solver.evolve(run_cfg, initial, step_log=match)
             metrics["blowup_detection"] = float("inf")

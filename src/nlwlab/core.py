@@ -127,6 +127,14 @@ class RadialGrid:
         return tuple(f"{r!r} " for r in self._r.tolist())
 
     @cached_property
+    def _r_bytes(self) -> np.ndarray:
+        """``_r_text`` as ASCII bytes, node j's text down column j and NUL
+        bytes after it, shape (width, n + 1).  Held like ``_r_text``."""
+        width = max(map(len, self._r_text))
+        pad = "".join(rc.ljust(width, "\0") for rc in self._r_text)
+        return np.frombuffer(pad.encode("ascii"), np.uint8).reshape(-1, width).T
+
+    @cached_property
     def _zero_rows(self) -> tuple:
         """State text of every node's row with u = v = +0.0, and where each row starts.
 
@@ -231,14 +239,205 @@ class RadialState:
         return w
 
 
-def _float_rows(*cols: np.ndarray):
-    """Rows of equal-length columns as tuples of Python floats.
+# --- float64 text ---------------------------------------------------------------
+#
+# repr() of a float64 is its shortest round-trip decimal: the fewest
+# significant digits that read back as the same double, the candidate nearest
+# the double among several that short.  _float_text computes that text for a
+# whole array.  With |x| = m 2^q (m the integer significand, 2^q one unit in
+# the last place) and the exponent k of _float_tables, y = |x| / 10^k =
+# m S lies in [0, 2^53 100), and every decimal that reads back as x lies
+# within S / 2 of y (S / 4 below a power of two), S in [10, 100).  y is
+# formed in double-double arithmetic (error below 2^-40), split into a whole
+# part and a fraction, and the candidates are the integers of the interval:
+# a multiple of 100 if there is one (it is the only one, and its trailing
+# zeros give the shortest text), else the multiple of 10, else the integer,
+# nearest y.  Each comparison that decides the digits has a margin of 2^-32
+# or the element is undecided; undecided elements (a decimal within 2^-32 of
+# a rounding boundary or of a tie) and non-finite ones are written by repr()
+# itself.
 
-    Columns are converted 512 rows at a time, so the text writers pay no
-    per-element numpy scalar and hold no full-length float lists.
+
+@lru_cache(maxsize=1)
+def _float_tables() -> tuple:
+    """Tables of :func:`_float_text`, built on first use.
+
+    ``scale``, shape (5, 2047), per biased exponent e of a finite double
+    (2^q its unit in the last place, q = max(e, 1) - 1075): S = 2^q / 10^k
+    as the double-double S_hi + S_lo (error below 2^-104 S), S_hi's
+    Dekker halves S_1 + S_2 = S_hi of 26 bits each, and k = floor(q log10 2)
+    - 1, so that S lies in [10, 100).  ``quad``: the four ASCII digits of
+    0..9999 as one uint32 each.  ``power``: 10^0 .. 10^18 as int64.
+    ``exponent``: the digits of repr()'s exponents 0..324, two or three per
+    column, NUL after two.
     """
-    for k in range(0, len(cols[0]), 512):
-        yield from zip(*(c[k:k + 512].tolist() for c in cols))
+    q = np.maximum(np.arange(2047), 1) - 1075
+    k = ((q * 78913) >> 18) - 1  # floor(q log10 2) - 1 for |q| < 1650
+    first = np.flatnonzero(np.diff(k, prepend=k[0] - 1))  # k rises by 0 or 1 per q
+    scale = np.empty((5, 2047))
+    for i, kk, qq in zip(first.tolist(), k[first].tolist(), q[first].tolist()):
+        num = (1 << max(qq, 0)) * 10 ** max(-kk, 0)  # S = num / den exactly
+        den = (1 << max(-qq, 0)) * 10 ** max(kk, 0)
+        scale[0, i] = num / den  # int / int rounds correctly
+        a, b = scale[0, i].as_integer_ratio()
+        scale[1, i] = (num * b - a * den) / (den * b)
+    # the exponents of one k share S up to a power of two
+    start = first[k - k[0]]
+    scale[:2] = np.ldexp(scale[:2, start], q - q[start])
+    split = scale[0] * 134217729.0  # 2^27 + 1: Veltkamp's split
+    scale[2] = split - (split - scale[0])
+    scale[3] = scale[0] - scale[2]
+    scale[4] = k
+    pair = np.arange(100)[:, None] // [10, 1] % 10 + ord("0")
+    quad = np.empty((100, 100, 4), np.uint8)
+    quad[:, :, :2] = pair[:, None]
+    quad[:, :, 2:] = pair
+    e = np.arange(325)
+    exponent = np.zeros((3, 325), np.uint8)
+    exponent[0] = np.where(e >= 100, e // 100, e // 10) + ord("0")
+    exponent[1] = np.where(e >= 100, e // 10 % 10, e % 10) + ord("0")
+    exponent[2] = np.where(e >= 100, e % 10 + ord("0"), 0)
+    return scale, quad.view("<u4").reshape(10000), 10 ** np.arange(19, dtype=np.int64), exponent
+
+
+_MARGIN = 2.0 ** -32  # the computed y and bounds err by less than 2^-40
+
+
+def _shortest_digits(x: np.ndarray) -> tuple:
+    """repr()'s digits of a float64 array: (digits, count, point, sure).
+
+    |x| reads as 0.d_1 d_2 ... times 10^point, the d_i being the decimal
+    digits of the int64 ``digits`` (``count`` of them, trailing zeros
+    included); +-0.0 gives digits 0, count 1, point 1.  ``sure`` is False
+    where the element is not finite or its digits were not decided.
+    """
+    scale, _, power, _ = _float_tables()
+    bits = x.view(np.int64)
+    biased = (bits >> 52) & 0x7FF
+    frac = bits & 0xFFFFFFFFFFFFF
+    s_hi, s_lo, s_1, s_2, k = scale.take(np.minimum(biased, 2046), axis=1)
+    m = frac + (biased > 0) * (1 << 52)  # the significand
+    m_1 = (m >> 26 << 26).astype(float)  # Dekker halves of m, exact products
+    m_2 = (m & 0x3FFFFFF).astype(float)
+    m = m_1 + m_2
+    # y = m S as whole + frac_y, frac_y in [0, 1)
+    lead = m * s_hi
+    tail = ((m_1 * s_1 - lead) + m_1 * s_2 + m_2 * s_1) + m_2 * s_2 + m * s_lo
+    whole = np.floor(lead)
+    tail += lead - whole
+    carry = np.floor(tail)
+    frac_y = tail - carry
+    whole = whole.astype(np.int64) + carry.astype(np.int64)
+    # the integers in the interval are those in (low, high]
+    half = 0.5 * s_hi
+    up, down = frac_y + half, frac_y - np.where((frac == 0) & (biased > 1), 0.5 * half, half)
+    high, low = np.floor(up), np.floor(down)
+    sure = ((np.abs(up - high - 0.5) < 0.5 - _MARGIN)
+            & (np.abs(down - low - 0.5) < 0.5 - _MARGIN) & (biased < 2047))
+    high = whole + high.astype(np.int64)
+    low = whole + low.astype(np.int64)
+    width = high - low
+    high_10 = high // 10
+    high_100 = high_10 // 10
+    by_100 = high - 100 * high_100 < width  # a multiple of 100 lies in the interval
+    by_10 = high - 10 * high_10 < width
+    # else the multiple of unit nearest y; twice its rounding remainder decides
+    unit = np.where(by_10, 10, 1)
+    near = whole // unit
+    twice = (2 * (whole - near * unit) - unit).astype(float) + 2.0 * frac_y
+    first, last = low // unit + 1, high // unit
+    sure &= by_100 | (first == last) | (np.abs(twice) > 2.0 * _MARGIN)
+    digits = np.where(by_100, high_100, np.clip(near + (twice > 0.0), first, last))
+    one = np.maximum(digits, 1)
+    count = np.floor(np.log10(one.astype(float))).astype(np.intp) + 1
+    count += (one >= power[count]).view(np.int8) - (one < power[count - 1])
+    sure &= count <= 17
+    point = count + k.astype(np.intp) + by_100 + by_10
+    point[digits == 0] = 1
+    return digits, count, point, sure
+
+
+_ROWS = np.arange(26, dtype=np.int16)[:, None]
+_GROUPS = np.array([1e-8, 1e-4, 1.0])[:, None]  # a 12-digit half as three of 4 digits
+
+
+def _float_text(x: np.ndarray) -> np.ndarray:
+    """repr(float(v)) of each element of a float64 array, as ASCII bytes.
+
+    The result has shape (31, len(x)): column i holds element i's text with
+    NUL bytes in between and around it, which the caller removes.  It equals
+    repr() for every float64: fixed notation for a decimal point position in -3 .. 16
+    (1e-4 to below 1e16), ``.0`` on whole numbers, else ``d.ddde+XX``; ``-``
+    for a set sign bit, -0.0 included.  Elements whose digits are not
+    decided, and NaN and infinities, are written by repr() itself.
+    """
+    digits, count, point, sure = _shortest_digits(x)
+    _, quad, power, exponent = _float_tables()
+    n = len(x)
+    expo = (point < -3) | (point > 16)
+    zeros = np.where(expo | (point > 0), 0, 1 - point)  # the zeros of "0.000ddd"
+    dot = np.where(expo | (point <= 0), 1, point)  # places before the dot
+    # the 24 places: zeros, the digits, zeros after; as two halves of 12,
+    # then six groups of 4, each exact in a float64
+    e = 24 - count - zeros
+    cut = power[np.maximum(12 - e, 0)]
+    halves = np.empty((2, 1, n))
+    halves[0, 0] = high = digits // cut
+    halves[1, 0] = (digits - high * cut) * power[np.minimum(e, 18)]
+    halves[0, 0] *= power[np.maximum(e - 12, 0)]
+    halves += 0.5  # floor((v + 1/2) 10^-j) is v // 10^j for v < 10^12
+    quotients = np.floor(halves * _GROUPS)
+    groups = quotients.copy()
+    groups[:, 1:] -= 1e4 * quotients[:, :2]
+    places = quad[groups.reshape(6, n).astype(np.intp)]
+    places = places.view(np.uint8).reshape(6, n, 4).transpose(0, 2, 1).reshape(24, n)
+    last = ((places != ord("0")).view(np.uint8) * _ROWS[:24].astype(np.uint8)).max(axis=0)
+    last = last.astype(np.intp)
+    # row 0 holds the sign, rows 1..25 the places with the dot after place
+    # dot - 1, rows 26..30 the exponent: "e", its sign, two or three digits
+    chars = np.empty((31, n), np.uint8)
+    chars[0] = (x.view(np.int64) < 0) * ord("-")
+    chars[1] = places[0]
+    chars[2:26] = places
+    np.copyto(chars[1:25], places, where=_ROWS[:24] < dot.astype(np.int16))
+    chars.reshape(-1)[(dot + 1) * n + np.arange(n)] = ord(".")
+    # the text ends after the last nonzero place, or at "d.0"; "d.ddd" and
+    # "d" before an exponent
+    end = np.maximum(last, dot) + 3 - 2 * (expo & (last == 0))
+    chars[:26] *= _ROWS < end.astype(np.int16)
+    chars[26] = ord("e")
+    chars[27] = np.where(point > 0, ord("+"), ord("-"))
+    chars[28:] = exponent[:, np.minimum(np.abs(point - 1), 324)]
+    chars[26:] *= expo
+    slow = np.flatnonzero(~sure)
+    if slow.size:
+        pad = b"".join(repr(v).encode("ascii").ljust(31, b"\0") for v in x[slow].tolist())
+        chars[:, slow] = np.frombuffer(pad, np.uint8).reshape(-1, 31).T
+    return chars
+
+
+def _text_rows(cols, seps: str, lead: np.ndarray | None = None) -> str:
+    """Text of rows of float64 columns: row i is ``lead``'s column i (NUL
+    padded, like :func:`_float_text`'s result), then for each column j
+    repr() of its element i followed by ``seps[j]``.
+
+    Rows are formatted 2048 values at a time, so the arrays of a chunk stay
+    small whatever the column length.
+    """
+    k, n = len(cols), len(cols[0])
+    wide = 0 if lead is None else len(lead)
+    parts = []
+    for a in range(0, n, 2048 // k):
+        b = min(a + 2048 // k, n)
+        rows = np.empty((wide + 32 * k, b - a), np.uint8)
+        if lead is not None:
+            rows[:wide] = lead[:, a:b]
+        block = rows[wide:].reshape(k, 32, b - a)
+        block[:, :31] = _float_text(np.concatenate([c[a:b] for c in cols])).reshape(
+            31, k, b - a).swapaxes(0, 1)
+        block[:, 31] = np.frombuffer(seps.encode("ascii"), np.uint8)[:, None]
+        parts.append(np.ascontiguousarray(rows.T).tobytes())
+    return b"".join(parts).translate(None, b"\0").decode("ascii")
 
 
 def _csv_text(header: str, rows, comment: str | None = None) -> str:
@@ -275,11 +474,10 @@ class StepLog:
             object.__setattr__(self, f.name, arr)
 
     def to_csv(self) -> str:
-        """Serialize as CSV with shortest round-trip decimals."""
-        lines = ["t,E,z,max_abs_u,support_radius"]
-        lines += [f"{t!r},{e!r},{z!r},{m!r},{s!r}" for t, e, z, m, s in _float_rows(
-            self.t, self.energy, self.virial, self.max_abs_u, self.support_radius)]
-        return "\n".join(lines) + "\n"
+        """Serialize as CSV, each value as repr() writes it (shortest round-trip)."""
+        return "t,E,z,max_abs_u,support_radius\n" + _text_rows(
+            (self.t, self.energy, self.virial, self.max_abs_u, self.support_radius),
+            ",,,,\n")
 
 
 @dataclass(frozen=True, eq=False)
@@ -395,15 +593,19 @@ def reference_ode_blowup(params: EquationParams, T: float, t):
 # --- state serialization -----------------------------------------------------
 #
 # Text format: first line is a JSON header (p, mu, h, n, t), then one row per
-# node "r u v" with repr() decimals, so a write/read cycle is bit-exact.
+# node "r u v" with repr() decimals, so a write/read cycle is bit-exact.  The
+# live rows are formatted by _float_text, whose text equals repr()'s for every
+# float64, so the format is the one repr() gives row by row.
 
 
 def state_to_text(state: RadialState) -> str:
     """Format a state; only the live prefix of (u, v) is converted to text.
 
-    Rows beyond the prefix hold +0.0 in both columns; they are taken as one
-    slice of the grid's cached zero-row text, which is what repr() gives, so
-    the output is the same as formatting every row.
+    The live rows join the grid's cached coordinate bytes with u and v as
+    :func:`_float_text` writes them.  Rows beyond the prefix hold +0.0 in
+    both columns; they are taken as one slice of the grid's cached zero-row
+    text, which is what repr() gives, so the output is the same as formatting
+    every row with repr().
     """
     header = {
         "p": state.params.p,
@@ -414,12 +616,9 @@ def state_to_text(state: RadialState) -> str:
     }
     zeros, offsets = state.grid._zero_rows
     m = _live_length(state.u, state.v)
-    return "".join([
-        "# " + json.dumps(header) + "\n",
-        *[f"{rc}{u!r} {v!r}\n" for rc, u, v in
-          zip(state.grid._r_text, state.u[:m].tolist(), state.v[:m].tolist())],
-        zeros[offsets[m]:],
-    ])
+    return "".join(["# " + json.dumps(header) + "\n",
+                    _text_rows((state.u[:m], state.v[:m]), " \n", state.grid._r_bytes),
+                    zeros[offsets[m]:]])
 
 
 @lru_cache(maxsize=8)

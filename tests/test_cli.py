@@ -1330,6 +1330,34 @@ def test_unread_inputs_exit_2_before_output(tmp_path, capsys, scenario, path):
     assert not out.exists()
 
 
+_LINEAR_BAND = "a linear run does not read it"
+_MATCH_STRIDE = "a run with ode_match stores every layer; it does not read it"
+
+
+@pytest.mark.parametrize("scenario, run, path, message", [
+    ("evolve", {"linear": True, "origin_band": 2}, "run.origin_band", _LINEAR_BAND),
+    ("norms", {"linear": True, "origin_band": 9}, "run.origin_band", _LINEAR_BAND),
+    ("diagnose", {"linear": True, "origin_band": 3}, "run.origin_band", _LINEAR_BAND),
+    ("evolve", {"snapshot_stride": 1}, "run.snapshot_stride", _MATCH_STRIDE),
+    ("evolve", {"snapshot_stride": 7}, "run.snapshot_stride", _MATCH_STRIDE)])
+def test_conditionally_unread_run_fields_exit_2(tmp_path, capsys, scenario, run, path,
+                                                message):
+    # origin_band bounds a source term that a linear run does not compute;
+    # the ode_match run stores every layer whatever the stride
+    out = tmp_path / "out"
+    raw = (_ode_blowup(out) if path == "run.snapshot_stride"
+           else _quick(scenario, out, {}))
+    raw["run"] = {**raw.get("run", {}), **run}
+    assert main([scenario, "--config", _write_config(tmp_path, raw)]) == 2
+    assert capsys.readouterr().err == f"config: {path}: {message}\n"
+    assert not out.exists()
+    # either value alone is read
+    for key in run:
+        parse_config({**raw, "run": {k: v for k, v in raw["run"].items() if k != key}})
+    for check in ("ode_match", "blowup_detection") if "ode_match" in raw["checks"] else ():
+        parse_config({**raw, "checks": {k: v for k, v in raw["checks"].items() if k != check}})
+
+
 def test_internal_value_error_is_not_a_config_error(tmp_path):
     # only a ConfigError is reported as "config:" with exit 2; a ValueError
     # from inside the library is a fault of the program and keeps its traceback
@@ -1448,7 +1476,9 @@ _BLOWUP_EDGES = {
     # the run to t_final detects nothing (inf fails the check); the compared
     # layers go on past it
     "t_final_below_the_compared_layers": (lambda raw: raw["run"].update(t_final=0.125), 1),
-    "stride_5": (lambda raw: raw["run"].update(snapshot_stride=5), 0),
+    # without ode_match the detection run reads the stride
+    "stride_5": (lambda raw: (raw["run"].update(snapshot_stride=5),
+                              raw["checks"].pop("ode_match")), 0),
     "detection_alone": (lambda raw: raw["checks"].pop("ode_match"), 0),
     # the plateau reaches the outer nodes of 600 at once: ConeViolation at t = 0
     "cone_guard_on": (lambda raw: (raw["grid"].update(n=600), raw["run"].pop("cone_floor")),
@@ -1485,7 +1515,7 @@ def test_blowup_scenario_runs_once_with_the_outcome_of_two_runs(tmp_path, capsys
         assert [c["name"] for c in manifest["checks"]] == ["blowup_detection", "ode_match"]
     if edge == "cone_guard_on":
         assert manifest["error"]["type"] == "ConeViolation" and manifest["error"]["t"] == 0.0
-    if edge in ("exemplar", "stride_5"):  # a header and layers 0..n_cmp = 118
+    if edge == "exemplar":  # a header and layers 0..n_cmp = 118
         assert got[3]["step_log.csv"].count("\n") == 1 + 119
 
 
@@ -1573,7 +1603,12 @@ def test_readme_unread_inputs_match_the_code():
     for row in rows:
         scenario, paths = (c.strip() for c in row.strip("|").split("|"))
         table[scenario.strip("`")] = tuple(p.strip().strip("`") for p in paths.split(","))
+    conditional = {k: table.pop(k) for k in list(table) if ", if " in k}
     assert table == _UNREAD and list(table) == list(_UNREAD)
+    assert conditional == {  # the rows of test_conditionally_unread_run_fields_exit_2
+        "any, if `run.linear` is true": ("run.origin_band",),
+        "evolve`, if `checks` lists `blowup_detection` and `ode_match":
+            ("run.snapshot_stride",)}
 
 
 # ---------------------------------------------------------------------------

@@ -595,6 +595,44 @@ def test_step_log_csv_round_trip():
         assert np.array_equal(getattr(back, name), getattr(log, name))
 
 
+# The step-log writer as the seed had it, kept verbatim as the byte-level
+# oracle for StepLog.to_csv.
+
+
+def _seed_step_log_csv(log: StepLog) -> str:
+    lines = ["t,E,z,max_abs_u,support_radius"]
+    lines += [f"{t!r},{e!r},{z!r},{m!r},{s!r}" for t, e, z, m, s in _seed_float_rows(
+        log.t, log.energy, log.virial, log.max_abs_u, log.support_radius)]
+    return "\n".join(lines) + "\n"
+
+
+_CSV_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                     float("nan"), float("inf"), float("-inf")]))
+
+
+@given(st.integers(min_value=0, max_value=30), st.data())
+def test_step_log_csv_matches_seed_writer(n, data):
+    cols = [data.draw(st.lists(_CSV_FLOATS, min_size=n, max_size=n)) for _ in range(5)]
+    log = StepLog(*(np.array(c, dtype=float) for c in cols))
+    assert log.to_csv() == _seed_step_log_csv(log)
+
+
+def test_step_log_csv_matches_seed_writer_across_chunks():
+    # 1,300 rows of random bit patterns (every exponent, NaNs and infinities
+    # among them) next to evolve-like columns: rows on both sides of every
+    # chunk boundary
+    rng = np.random.default_rng(28)
+    n = 1300
+    bits = rng.integers(0, 2 ** 64, size=(2, n), dtype=np.uint64).view(float)
+    t = np.arange(n) / 512.0
+    log = StepLog(t=t, energy=bits[0], virial=bits[1],
+                  max_abs_u=np.abs(rng.standard_normal(n)) * 10.0 ** rng.integers(-20, 20, n),
+                  support_radius=np.round(rng.random(n) * 4096) / 512.0)
+    assert log.to_csv() == _seed_step_log_csv(log)
+
+
 # --- trajectory container -----------------------------------------------------------
 
 
@@ -653,3 +691,36 @@ def test_nonneg_power_matches_np_power_bitwise(p, data):
     for arr in (x, x[x >= theta], np.repeat(x, 9)):
         assert np.array_equal(_nonneg_power(arr, e).view(np.int64),
                               np.power(arr, e).view(np.int64))
+
+
+# --- float64 text ----------------------------------------------------------------
+
+
+def _texts(x):
+    from nlwlab.core import _float_text
+    chars = _float_text(np.asarray(x, dtype=float))
+    return [col.tobytes().replace(b"\0", b"").decode("ascii") for col in chars.T]
+
+
+@given(st.lists(st.floats(), max_size=60))
+def test_float_text_matches_repr(values):
+    x = np.array(values, dtype=float)
+    assert _texts(x) == [repr(float(v)) for v in x]
+
+
+def test_float_text_matches_repr_on_random_bit_patterns():
+    from nlwlab.core import _text_rows
+    x = np.random.default_rng(2018).integers(0, 2 ** 64, size=10 ** 6, dtype=np.uint64).view(float)
+    assert _text_rows((x,), "\n") == "".join(f"{v!r}\n" for v in x.tolist())
+
+
+def test_float_text_matches_repr_at_powers_and_edges():
+    two = np.ldexp(1.0, np.arange(-1074, 1024))
+    ten = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    edges = np.array([5e-324, 2.2250738585072014e-308, np.finfo(float).max, 1e-4, 1e16,
+                      1e-5, 1e15, 2.0 ** 53, 0.1, 0.0])
+    x = np.concatenate([two, ten, edges])
+    with np.errstate(over="ignore"):
+        x = np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)])
+    x = np.concatenate([x, -x])
+    assert _texts(x) == [repr(float(v)) for v in x]

@@ -52,6 +52,15 @@ def test_importing_the_cli_skips_command_line_and_pool_modules():
     assert _python(code) == "[]\n"
 
 
+def test_importing_the_cli_builds_no_float_text_table():
+    # the formatter's tables are built on first use, so set-up pays nothing
+    code = ("import numpy as np, nlwlab.cli, nlwlab.core as core\n"
+            "print(core._float_tables.cache_info().currsize)\n"
+            "core._float_text(np.zeros(1))\n"
+            "print(core._float_tables.cache_info().currsize)")
+    assert _python(code) == "0\n1\n"
+
+
 @pytest.mark.parametrize("config", sorted(p.name for p in (ROOT / "configs").glob("*.json")))
 def test_parsing_loads_the_runner_module_and_running_loads_none(config, tmp_path):
     # nlwlab.scenarios is compiled while a config of one of its scenarios is
