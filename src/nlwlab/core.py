@@ -118,21 +118,17 @@ class RadialGrid:
         return self.n * self.h
 
     @cached_property
-    def _r_text(self) -> tuple:
-        """Coordinate column of the state text, ``f"{r_j!r} "`` per node.
+    def _r_bytes(self) -> np.ndarray:
+        """Coordinate column of the state text: row j holds ``f"{r_j!r} "`` as
+        ASCII bytes, NUL padded as :func:`_float_text` writes it.
 
         Built on first use and held by this grid (not a field, so equality and
         hashing ignore it); every snapshot written on the grid shares it.
         """
-        return tuple(f"{r!r} " for r in self._r.tolist())
-
-    @cached_property
-    def _r_bytes(self) -> np.ndarray:
-        """``_r_text`` as ASCII bytes, node j's text down column j and NUL
-        bytes after it, shape (width, n + 1).  Held like ``_r_text``."""
-        width = max(map(len, self._r_text))
-        pad = "".join(rc.ljust(width, "\0") for rc in self._r_text)
-        return np.frombuffer(pad.encode("ascii"), np.uint8).reshape(-1, width).T
+        text = np.concatenate([_float_text(self._r[a:a + 2048])
+                               for a in range(0, len(self._r), 2048)])
+        text = text[:, text.any(axis=0)]  # drop the columns that are NUL in every row
+        return np.hstack([text, np.full((len(text), 1), ord(" "), np.uint8)])
 
     @cached_property
     def _zero_rows(self) -> tuple:
@@ -140,10 +136,12 @@ class RadialGrid:
 
         A pair (text, offsets): row j is ``text[offsets[j]:offsets[j + 1]]``,
         newline included, so ``text[offsets[m]:]`` is the +0.0 tail from node
-        m on.  Held like ``_r_text``.
+        m on.  Held like ``_r_bytes``.
         """
-        rows = [rc + "0.0 0.0\n" for rc in self._r_text]
-        return "".join(rows), array("q", accumulate(map(len, rows), initial=0))
+        tail = np.frombuffer(b"0.0 0.0\n", np.uint8)
+        rows = np.hstack([self._r_bytes, np.broadcast_to(tail, (len(self._r), len(tail)))])
+        text = rows.tobytes().translate(None, b"\0").decode("ascii")
+        return text, array("q", accumulate(map(len, text.splitlines(True)), initial=0))
 
 
 def _live_length(*cols: np.ndarray) -> int:
@@ -268,36 +266,37 @@ def _float_tables() -> tuple:
     Dekker halves S_1 + S_2 = S_hi of 26 bits each, and k = floor(q log10 2)
     - 1, so that S lies in [10, 100).  ``quad``: the four ASCII digits of
     0..9999 as one uint32 each.  ``power``: 10^0 .. 10^18 as int64.
-    ``exponent``: the digits of repr()'s exponents 0..324, two or three per
-    column, NUL after two.
+    ``exponent``, shape (633, 5): repr()'s exponent text "e-324" ..
+    "e+308", NUL padded.  ``keep``, shape (29, 7): per text end b, the
+    uint32 masks of a row of :func:`_float_text` that keep its bytes
+    0 .. b - 1 and clear the rest.
     """
     q = np.maximum(np.arange(2047), 1) - 1075
     k = ((q * 78913) >> 18) - 1  # floor(q log10 2) - 1 for |q| < 1650
     first = np.flatnonzero(np.diff(k, prepend=k[0] - 1))  # k rises by 0 or 1 per q
-    scale = np.empty((5, 2047))
-    for i, kk, qq in zip(first.tolist(), k[first].tolist(), q[first].tolist()):
-        num = (1 << max(qq, 0)) * 10 ** max(-kk, 0)  # S = num / den exactly
-        den = (1 << max(-qq, 0)) * 10 ** max(kk, 0)
-        scale[0, i] = num / den  # int / int rounds correctly
-        a, b = scale[0, i].as_integer_ratio()
-        scale[1, i] = (num * b - a * den) / (den * b)
+    parts = []
+    for kk, qq in zip(k[first].tolist(), q[first].tolist()):
+        # S = 2^(q - k) 5^-k: 5^-k is an integer for k <= 0; else
+        # floor(2^b / 5^k) 2^-b has 110 bits, error below 2^-110 S
+        b = 0 if kk <= 0 else (5 ** kk).bit_length() + 110
+        num = 5 ** -kk if kk <= 0 else (1 << b) // 5 ** kk
+        h = float(num)
+        parts.append((h, float(num - int(h)), qq - kk - b))
+    hi, lo, shift = np.array(parts).T
     # the exponents of one k share S up to a power of two
-    start = first[k - k[0]]
-    scale[:2] = np.ldexp(scale[:2, start], q - q[start])
+    j = k - k[0]
+    scale = np.empty((5, 2047))
+    scale[:2] = np.ldexp(np.array([hi, lo])[:, j], shift[j].astype(int) + q - q[first[j]])
     split = scale[0] * 134217729.0  # 2^27 + 1: Veltkamp's split
     scale[2] = split - (split - scale[0])
     scale[3] = scale[0] - scale[2]
     scale[4] = k
-    pair = np.arange(100)[:, None] // [10, 1] % 10 + ord("0")
-    quad = np.empty((100, 100, 4), np.uint8)
-    quad[:, :, :2] = pair[:, None]
-    quad[:, :, 2:] = pair
-    e = np.arange(325)
-    exponent = np.zeros((3, 325), np.uint8)
-    exponent[0] = np.where(e >= 100, e // 100, e // 10) + ord("0")
-    exponent[1] = np.where(e >= 100, e // 10 % 10, e % 10) + ord("0")
-    exponent[2] = np.where(e >= 100, e % 10 + ord("0"), 0)
-    return scale, quad.view("<u4").reshape(10000), 10 ** np.arange(19, dtype=np.int64), exponent
+    digit = np.arange(10000, dtype=np.int16)[:, None] // np.array([1000, 100, 10, 1], np.int16)
+    quad = (digit % 10 + ord("0")).astype(np.uint8).view("<u4").ravel()
+    exponent = np.array([f"e{e:+03d}".encode() for e in range(-324, 309)], "S5")
+    keep = (np.arange(28) < np.arange(29)[:, None]).astype(np.uint8) * 255
+    return (scale, quad, 10 ** np.arange(19, dtype=np.int64),
+            exponent.view(np.uint8).reshape(-1, 5), keep.view("<u4"))
 
 
 _MARGIN = 2.0 ** -32  # the computed y and bounds err by less than 2^-40
@@ -306,12 +305,12 @@ _MARGIN = 2.0 ** -32  # the computed y and bounds err by less than 2^-40
 def _shortest_digits(x: np.ndarray) -> tuple:
     """repr()'s digits of a float64 array: (digits, count, point, sure).
 
-    |x| reads as 0.d_1 d_2 ... times 10^point, the d_i being the decimal
-    digits of the int64 ``digits`` (``count`` of them, trailing zeros
-    included); +-0.0 gives digits 0, count 1, point 1.  ``sure`` is False
-    where the element is not finite or its digits were not decided.
+    |x| reads as 0.d_1 d_2 ... d_count times 10^point, the d_i being the
+    decimal digits of the int64 ``digits``, the last of them not 0; +-0.0
+    gives digits 0, count 1, point 1.  ``sure`` is False where the element
+    is not finite or its digits were not decided.
     """
-    scale, _, power, _ = _float_tables()
+    scale, _, power, _, _ = _float_tables()
     bits = x.view(np.int64)
     biased = (bits >> 52) & 0x7FF
     frac = bits & 0xFFFFFFFFFFFFF
@@ -343,81 +342,96 @@ def _shortest_digits(x: np.ndarray) -> tuple:
     by_10 = high - 10 * high_10 < width
     # else the multiple of unit nearest y; twice its rounding remainder decides
     unit = np.where(by_10, 10, 1)
-    near = whole // unit
+    near = np.where(by_10, whole // 10, whole)
     twice = (2 * (whole - near * unit) - unit).astype(float) + 2.0 * frac_y
-    first, last = low // unit + 1, high // unit
+    first = np.where(by_10, low // 10, low) + 1
+    last = np.where(by_10, high_10, high)
     sure &= by_100 | (first == last) | (np.abs(twice) > 2.0 * _MARGIN)
-    digits = np.where(by_100, high_100, np.clip(near + (twice > 0.0), first, last))
-    one = np.maximum(digits, 1)
-    count = np.floor(np.log10(one.astype(float))).astype(np.intp) + 1
-    count += (one >= power[count]).view(np.int8) - (one < power[count - 1])
+    digits = np.where(by_100, high_100, np.minimum(np.maximum(near + (twice > 0.0), first), last))
+    shift = k.astype(np.intp) + by_100 + by_10  # |x| reads as digits 10^shift
+    # only a multiple of 100 can end in 0: drop its zeros
+    ends = np.flatnonzero(by_100)
+    ends = ends[(digits[ends] % 10 == 0) & (digits[ends] != 0)]
+    while ends.size:
+        digits[ends] //= 10
+        shift[ends] += 1
+        ends = ends[digits[ends] % 10 == 0]
+    count = np.searchsorted(power, np.maximum(digits, 1), side="right")
     sure &= count <= 17
-    point = count + k.astype(np.intp) + by_100 + by_10
+    point = count + shift
     point[digits == 0] = 1
     return digits, count, point, sure
 
 
-_ROWS = np.arange(26, dtype=np.int16)[:, None]
-_GROUPS = np.array([1e-8, 1e-4, 1.0])[:, None]  # a 12-digit half as three of 4 digits
+_COLS = np.arange(28)
 
 
 def _float_text(x: np.ndarray) -> np.ndarray:
     """repr(float(v)) of each element of a float64 array, as ASCII bytes.
 
-    The result has shape (31, len(x)): column i holds element i's text with
-    NUL bytes in between and around it, which the caller removes.  It equals
-    repr() for every float64: fixed notation for a decimal point position in -3 .. 16
-    (1e-4 to below 1e16), ``.0`` on whole numbers, else ``d.ddde+XX``; ``-``
-    for a set sign bit, -0.0 included.  Elements whose digits are not
-    decided, and NaN and infinities, are written by repr() itself.
+    The result has shape (len(x), 28): row i holds element i's text with
+    NUL bytes in between and after it, which the caller removes.  It equals
+    repr() for every float64: fixed notation for a decimal point position in
+    -3 .. 16 (1e-4 to below 1e16), ``.0`` on whole numbers, else
+    ``d.ddde+XX``; ``-`` for a set sign bit, -0.0 included.  Elements whose
+    digits are not decided, and NaN and infinities, are written by repr()
+    itself.
     """
     digits, count, point, sure = _shortest_digits(x)
-    _, quad, power, exponent = _float_tables()
+    _, quad, power, exponent, keep = _float_tables()
     n = len(x)
     expo = (point < -3) | (point > 16)
     zeros = np.where(expo | (point > 0), 0, 1 - point)  # the zeros of "0.000ddd"
-    dot = np.where(expo | (point <= 0), 1, point)  # places before the dot
-    # the 24 places: zeros, the digits, zeros after; as two halves of 12,
-    # then six groups of 4, each exact in a float64
-    e = 24 - count - zeros
+    # the 25 places p_0 .. p_24: the zeros, the digits, zeros after them; in
+    # two parts, p_0 .. p_12 and p_13 .. p_24, each exact in an int64
+    e = 25 - count - zeros
     cut = power[np.maximum(12 - e, 0)]
-    halves = np.empty((2, 1, n))
-    halves[0, 0] = high = digits // cut
-    halves[1, 0] = (digits - high * cut) * power[np.minimum(e, 18)]
-    halves[0, 0] *= power[np.maximum(e - 12, 0)]
-    halves += 0.5  # floor((v + 1/2) 10^-j) is v // 10^j for v < 10^12
-    quotients = np.floor(halves * _GROUPS)
-    groups = quotients.copy()
-    groups[:, 1:] -= 1e4 * quotients[:, :2]
-    places = quad[groups.reshape(6, n).astype(np.intp)]
-    places = places.view(np.uint8).reshape(6, n, 4).transpose(0, 2, 1).reshape(24, n)
-    last = ((places != ord("0")).view(np.uint8) * _ROWS[:24].astype(np.uint8)).max(axis=0)
-    last = last.astype(np.intp)
-    # row 0 holds the sign, rows 1..25 the places with the dot after place
-    # dot - 1, rows 26..30 the exponent: "e", its sign, two or three digits
-    chars = np.empty((31, n), np.uint8)
-    chars[0] = (x.view(np.int64) < 0) * ord("-")
-    chars[1] = places[0]
-    chars[2:26] = places
-    np.copyto(chars[1:25], places, where=_ROWS[:24] < dot.astype(np.int16))
-    chars.reshape(-1)[(dot + 1) * n + np.arange(n)] = ord(".")
-    # the text ends after the last nonzero place, or at "d.0"; "d.ddd" and
-    # "d" before an exponent
-    end = np.maximum(last, dot) + 3 - 2 * (expo & (last == 0))
-    chars[:26] *= _ROWS < end.astype(np.int16)
-    chars[26] = ord("e")
-    chars[27] = np.where(point > 0, ord("+"), ord("-"))
-    chars[28:] = exponent[:, np.minimum(np.abs(point - 1), 324)]
-    chars[26:] *= expo
+    top = digits // cut
+    halves = np.empty((2, n), np.int64)
+    halves[1] = (digits - top * cut) * power[np.minimum(e, 18)]
+    top *= power[np.maximum(e - 12, 0)]
+    first = top // 10 ** 12  # p_0
+    halves[0] = top - first * 10 ** 12
+    # p_1 .. p_24 as six groups of four
+    groups = np.empty((2, 3, n), np.intp)
+    groups[:, 0] = halves // 10 ** 8
+    groups[:, 1] = halves // 10 ** 4
+    groups[:, 2] = halves - 10 ** 4 * groups[:, 1]
+    groups[:, 1] -= 10 ** 4 * groups[:, 0]
+    # four bytes per uint32: the sign, p_0 and the dot, then p_1 .. p_24 at
+    # bytes 4 .. 27
+    text = np.empty((n, 7), np.uint32)
+    text[:, 0] = (x.view(np.int64) < 0) * ord("-") + (first + ord("0") + 256 * ord(".")) * 256
+    text[:, 1:] = quad[groups.reshape(6, n).T]
+    chars = text.view(np.uint8)
+    # the dot follows p_(dot - 1); where dot > 1 the places from p_dot on
+    # move up one byte and the dot goes before them
+    dot = np.where(expo, 1, np.maximum(point, 1))
+    wide = np.flatnonzero(dot > 1)
+    if wide.size:
+        at = dot[wide, None] + 3  # the byte of p_dot
+        moved = chars[wide]
+        moved = np.where(_COLS > at, np.roll(moved, 1, axis=1), moved)
+        moved[:, 2] = 0
+        chars[wide] = np.where(_COLS == at, ord("."), moved)
+    # the text ends after the last nonzero place, or at "d.0"; "d" before an
+    # exponent drops the dot.  The exponent follows the digits.
+    last = zeros + count - 1
+    end = np.maximum(last, dot) + 4 + (dot > 1) - 3 * (expo & (last == 0))
+    text &= keep.take(end, axis=0)
+    ex = np.flatnonzero(expo)
+    if ex.size:
+        at = (28 * ex + end[ex])[:, None] + np.arange(5)
+        chars.reshape(-1)[at] = exponent[np.clip(point[ex] + 323, 0, 632)]
     slow = np.flatnonzero(~sure)
     if slow.size:
-        pad = b"".join(repr(v).encode("ascii").ljust(31, b"\0") for v in x[slow].tolist())
-        chars[:, slow] = np.frombuffer(pad, np.uint8).reshape(-1, 31).T
+        pad = b"".join(repr(v).encode("ascii").ljust(28, b"\0") for v in x[slow].tolist())
+        chars[slow] = np.frombuffer(pad, np.uint8).reshape(-1, 28)
     return chars
 
 
 def _text_rows(cols, seps: str, lead: np.ndarray | None = None) -> str:
-    """Text of rows of float64 columns: row i is ``lead``'s column i (NUL
+    """Text of rows of float64 columns: row i is ``lead``'s row i (NUL
     padded, like :func:`_float_text`'s result), then for each column j
     repr() of its element i followed by ``seps[j]``.
 
@@ -425,18 +439,19 @@ def _text_rows(cols, seps: str, lead: np.ndarray | None = None) -> str:
     small whatever the column length.
     """
     k, n = len(cols), len(cols[0])
-    wide = 0 if lead is None else len(lead)
+    wide = 0 if lead is None else lead.shape[1]
+    sep = np.frombuffer(seps.encode("ascii"), np.uint8)
     parts = []
     for a in range(0, n, 2048 // k):
         b = min(a + 2048 // k, n)
-        rows = np.empty((wide + 32 * k, b - a), np.uint8)
+        rows = np.empty((b - a, wide + 29 * k), np.uint8)
         if lead is not None:
-            rows[:wide] = lead[:, a:b]
-        block = rows[wide:].reshape(k, 32, b - a)
-        block[:, :31] = _float_text(np.concatenate([c[a:b] for c in cols])).reshape(
-            31, k, b - a).swapaxes(0, 1)
-        block[:, 31] = np.frombuffer(seps.encode("ascii"), np.uint8)[:, None]
-        parts.append(np.ascontiguousarray(rows.T).tobytes())
+            rows[:, :wide] = lead[a:b]
+        block = rows[:, wide:].reshape(b - a, k, 29)
+        block[:, :, :28] = _float_text(np.concatenate([c[a:b] for c in cols])).reshape(
+            k, b - a, 28).swapaxes(0, 1)
+        block[:, :, 28] = sep
+        parts.append(rows.tobytes())
     return b"".join(parts).translate(None, b"\0").decode("ascii")
 
 
@@ -594,8 +609,9 @@ def reference_ode_blowup(params: EquationParams, T: float, t):
 #
 # Text format: first line is a JSON header (p, mu, h, n, t), then one row per
 # node "r u v" with repr() decimals, so a write/read cycle is bit-exact.  The
-# live rows are formatted by _float_text, whose text equals repr()'s for every
-# float64, so the format is the one repr() gives row by row.
+# coordinates and the live values are formatted by _float_text, whose text
+# equals repr()'s for every float64, so the format is the one repr() gives
+# row by row.
 
 
 def state_to_text(state: RadialState) -> str:

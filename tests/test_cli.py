@@ -1682,6 +1682,12 @@ def _schema_configs(draw, state_path, t0):
         for key, (field_kind, _) in _RUN.items():
             if key != "t_final" and f"run.{key}" not in unread and draw(st.booleans()):
                 raw["run"][key] = draw(_mostly(_TYPICAL[field_kind]))
+        # nor the run fields the rest of the config leaves unread (the rows
+        # of test_conditionally_unread_run_fields_exit_2)
+        if raw["run"].get("linear") is True:
+            raw["run"].pop("origin_band", None)
+        if {"blowup_detection", "ode_match"} <= raw["checks"].keys():
+            raw["run"].pop("snapshot_stride", None)
     typical = {**_TYPICAL_FIELDS,  # the times a run reads, counted from its start
                "sp_interval": st.lists(st.floats(start, start + 1.0), min_size=2,
                                        max_size=2).map(sorted),

@@ -380,7 +380,7 @@ def test_state_text_cache_belongs_to_its_grid():
         s = RadialState(grid=g, params=p, t=0.1 * k, u=u, v=np.zeros(31))
         assert state_to_text(s) == _seed_state_to_text(s)
     for g in grids:
-        assert "_r_text" in vars(g)  # filled by the writes above
+        assert "_r_bytes" in vars(g)  # filled by the writes above
         fresh = RadialGrid(h=g.h, n=g.n)
         assert g == fresh and hash(g) == hash(fresh)
     assert grids[0] != grids[1]
@@ -699,7 +699,7 @@ def test_nonneg_power_matches_np_power_bitwise(p, data):
 def _texts(x):
     from nlwlab.core import _float_text
     chars = _float_text(np.asarray(x, dtype=float))
-    return [col.tobytes().replace(b"\0", b"").decode("ascii") for col in chars.T]
+    return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in chars]
 
 
 @given(st.lists(st.floats(), max_size=60))
@@ -711,7 +711,7 @@ def test_float_text_matches_repr(values):
 def test_float_text_matches_repr_on_random_bit_patterns():
     from nlwlab.core import _text_rows
     x = np.random.default_rng(2018).integers(0, 2 ** 64, size=10 ** 6, dtype=np.uint64).view(float)
-    assert _text_rows((x,), "\n") == "".join(f"{v!r}\n" for v in x.tolist())
+    assert _text_rows((x,), "\n") == "\n".join(map(repr, x.tolist())) + "\n"
 
 
 def test_float_text_matches_repr_at_powers_and_edges():
