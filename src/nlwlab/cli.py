@@ -14,9 +14,10 @@ input that changes an artifact is a config field, so the manifest's config
 echo names all of a run's inputs; no environment variable is read.
 Conversely, a config may set only what its scenario reads: a section or run
 field that changes none of the scenario's artifacts (``_UNREAD``), or a run
-field that the rest of the config leaves unread (``origin_band`` in a linear
-run, the stride of an ``ode_match`` run), is rejected, so every value the
-echo holds is an input of the run.
+field that the rest of the config leaves unread (the stride of an
+``ode_match`` run), is rejected, so every value the echo holds is an input
+of the run; so is a check that the run would not measure, so every listed
+check is judged.
 
 This module holds the schema, the initial data, the evolve runner and the
 manifest; the runners of the other five scenarios are in
@@ -152,8 +153,7 @@ _UNREAD = {
     "bootstrap": ("equation", "grid", "initial", "run"),  # grid-free arithmetic
     "verify-W": ("initial", "run.cone_floor"),  # W's data, the cone guard off
     # four linear runs on the runner's own data, at fixed strides
-    "linear-check": ("equation", "initial", "run.linear", "run.snapshot_stride",
-                     "run.origin_band"),
+    "linear-check": ("equation", "initial", "run.linear", "run.snapshot_stride"),
 }
 
 # initial-data kind -> field -> (kind, default)
@@ -280,6 +280,11 @@ def parse_config(raw: dict, scenario: str | None = None,
     h, o, t_final, kind = grid.h, options, run_settings.t_final, initial["kind"]
     if "blowup_detection" in checks and kind != "ode_flat":
         raise ConfigError("checks.blowup_detection: requires ode_flat initial data")
+    if "ode_match" in checks and "blowup_detection" not in checks:
+        raise ConfigError("checks.ode_match: requires blowup_detection")
+    for c in ("energy_drift", "finite_speed", "exterior_zero"):  # the plain run's metrics
+        if c in checks and "blowup_detection" in checks:
+            raise ConfigError(f"checks.{c}: a blowup_detection run does not measure it")
     if "tail_monotone" in checks and len(o["tail_radii"]) < 2:
         raise ConfigError("checks.tail_monotone: needs at least two tail radii")
     if name in ("evolve", "norms", "diagnose"):  # the scenarios that build initial data
@@ -293,21 +298,17 @@ def parse_config(raw: dict, scenario: str | None = None,
                 f"most 2^53, of steps of h = {h!r} from t = 0") from None
     if _evolves(cfg) and not h * h > 0.0:  # h^2 scales the source, 2 h r divides v
         raise ConfigError(f"grid.h: {h!r} makes h^2 underflow to 0")
-    band = run_settings.origin_band  # the source divides by r^(p-1) from this node on
-    if (_evolves(cfg) and name != "linear-check" and not run_settings.linear
-            and band <= grid.n and not (grid.r ** (params.p - 1.0))[band] > 0.0):
-        raise ConfigError(f"grid.h: {h!r} makes r^(p-1) underflow to 0 at node origin_band "
-                          f"= {band} (r = {float(grid.r[band])!r}, p = {params.p!r})")
-    if "blowup_detection" in checks and "ode_match" in checks:
+    if "ode_match" in checks:
         T = ode_flat_blowup_time(params, initial["amplitude"])
-        if _ode_match_steps(T, h) < 1:
+        n_cmp = _ode_match_steps(T, h)
+        if n_cmp < 1:
             raise ConfigError("checks.ode_match: no lattice times before T - 10h")
-    given = raw.get("run", {})  # run fields unread under a condition on the others
-    if run_settings.linear and "origin_band" in given:  # no source term to bound
-        raise ConfigError("run.origin_band: a linear run does not read it")
-    if "blowup_detection" in checks and "ode_match" in checks and "snapshot_stride" in given:
-        raise ConfigError("run.snapshot_stride: a run with ode_match stores every layer; "
-                          "it does not read it")
+        if _lattice_steps(n_cmp * h, h) is None:  # the run goes to n_cmp h at least
+            raise ConfigError(f"checks.ode_match: T - 10h (T = {T!r}) is more than "
+                              f"2^53 steps of h = {h!r}")
+        if "snapshot_stride" in raw.get("run", {}):  # unread under this condition
+            raise ConfigError("run.snapshot_stride: a run with ode_match stores every "
+                              "layer; it does not read it")
     if name == "norms":
         with _reported_as("norms.betas"):
             for beta in o["betas"]:
@@ -613,8 +614,9 @@ def _runner(scenario: str):
 def run(config: ExperimentConfig, threads: int = 1) -> int:
     """Execute a parsed config; write artifacts + manifest; 0 iff checks pass.
 
-    The scenario's runner measures; each configured check is judged here,
-    against its threshold with the op of ``_CHECKS``.  A solver guard the
+    The scenario's runner measures every configured check (:func:`parse_config`
+    rejects one it would not); each is judged here, against its threshold
+    with the op of ``_CHECKS``.  A solver guard the
     scenario does not handle (``solver.SolverError``) still leaves a
     manifest, with status "aborted" and the error's type, message and time;
     the error is then re-raised.  A ``ConfigError`` found as the run starts
@@ -642,8 +644,7 @@ def run(config: ExperimentConfig, threads: int = 1) -> int:
         extra = {"error": {"type": type(e).__name__, "message": str(e), "t": float(e.t)}}
     else:
         ops = _CHECKS[config.scenario]
-        checks = [_check(n, metrics[n], thr, ops[n][0])
-                  for n, thr in config.checks.items() if n in metrics]
+        checks = [_check(n, metrics[n], thr, ops[n][0]) for n, thr in config.checks.items()]
         status = "pass" if all(c["pass"] for c in checks) else "fail"
     walltime = time.perf_counter() - t0
     manifest = {

@@ -3,10 +3,11 @@
 The radial equation for u is equivalent, away from r = 0, to the 1D wave
 equation with a weighted source for w = r * u:
 
-    d_t^2 w - d_r^2 w = F(w),    F(w) = -mu |w|^{p-1} w / r^{p-1},
+    d_t^2 w - d_r^2 w = F,    F = -mu |w|^{p-1} w / r^{p-1} = -mu r |u|^{p-1} u,
 
-with the origin pinned at w(0, t) = 0 by radial symmetry.  The scheme is the
-leapfrog update at unit CFL (time step equal to the grid spacing h),
+taken in its u-form, which divides by no power of r, with the origin pinned
+at w(0, t) = 0 by radial symmetry.  The scheme is the leapfrog update at unit
+CFL (time step equal to the grid spacing h),
 
     w_j^{n+1} = w_{j+1}^n + w_{j-1}^n - w_j^{n-1} + h^2 F_j^n,
 
@@ -87,9 +88,6 @@ class SolverConfig:
     snapshot_stride : int
         Keep every stride-th layer as a full state (layer 0 and the final
         layer are always kept).
-    origin_band : int
-        Number of nodes near r = 0 where the source is evaluated through
-        u = w / r instead of dividing |w|^{p-1} w by r^{p-1}.  At least 2.
     linear : bool
         Drop the nonlinearity (evolve the free wave equation).
     cone_floor : float or None
@@ -106,7 +104,6 @@ class SolverConfig:
     params: EquationParams
     t_final: float
     snapshot_stride: int = 1
-    origin_band: int = 2
     linear: bool = False
     cone_floor: float | None = 1e-13
     blowup_threshold: float = 1e12
@@ -116,8 +113,6 @@ class SolverConfig:
             raise ValueError("t_final must be finite")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
-        if self.origin_band < 2:
-            raise ValueError("origin_band must be >= 2")
         if self.cone_floor is not None and not self.cone_floor > 0.0:
             raise ValueError("cone_floor must be positive (or None to disable)")
         if not self.blowup_threshold > 0.0:
@@ -137,26 +132,24 @@ def _characteristics(state: RadialState) -> tuple[np.ndarray, np.ndarray]:
 
 class _Views:
     """Views of one node buffer that the kernel reads and writes on the prefix
-    [0, mk): the origin band [1, b), the tail [b, mk), the interior [1, mk),
-    and the shifted neighbours [2, hi + 1), [0, hi - 1) of the nodes [1, hi),
-    hi = min(mk, n).  A step reads about twenty of them, a noticeable cost
-    next to its ufunc calls on a short prefix, so :func:`evolve` builds them
-    only when its prefix grows.
+    [0, mk): the interior [1, mk), and the shifted neighbours [2, hi + 1),
+    [0, hi - 1) of the nodes [1, hi), hi = min(mk, n).  A step reads over a
+    dozen of them, a noticeable cost next to its ufunc calls on a short
+    prefix, so :func:`evolve` builds them only when its prefix grows.
     """
 
-    __slots__ = ("band", "tail", "live", "right", "left", "inner", "prefix", "whole")
+    __slots__ = ("live", "right", "left", "inner", "prefix", "whole")
 
-    def __init__(self, x: np.ndarray, mk: int, origin_band: int):
-        n = len(x) - 1
-        b, hi = min(origin_band, n, mk), min(mk, n)
-        self.band, self.tail, self.live = x[1:b], x[b:mk], x[1:mk]
+    def __init__(self, x: np.ndarray, mk: int):
+        hi = min(mk, len(x) - 1)
+        self.live = x[1:mk]
         self.right, self.left, self.inner = x[2:hi + 1], x[:hi - 1], x[1:hi]
         self.prefix, self.whole = x[:mk], x
 
 
-def _prefix_views(buffers, mk: int, origin_band: int) -> list:
+def _prefix_views(buffers, mk: int) -> list:
     """:class:`_Views` of each buffer on the prefix [0, mk)."""
-    return [_Views(x, mk, origin_band) for x in buffers]
+    return [_Views(x, mk) for x in buffers]
 
 
 def _row_views(buffers, rows: int, width: int) -> list:
@@ -166,32 +159,23 @@ def _row_views(buffers, rows: int, width: int) -> list:
     return [(b, list(b), list(b[:, 1:])) for b in blocks]
 
 
-def _source_term(w: _Views, u: np.ndarray, r: np.ndarray, rp: _Views, out: _Views,
+def _source_term(u: np.ndarray, r: np.ndarray, out: np.ndarray,
                  p: float, h: float, linear: bool) -> None:
-    """h^2 |w|^{p-1} w / r^{p-1} on nodes [1, mk): the update term h^2 F without
-    its factor -mu, which :func:`_source_op` applies where the term is used.
+    """h^2 r |u|^{p-1} u into ``out`` from u and r on the same nodes, [1, mk):
+    the update term h^2 F without its factor -mu, which :func:`_source_op`
+    applies where the term is used.
 
-    rp holds r^{p-1}.  Inside the origin band [1, b) the term is evaluated in
-    the u-form r |u|^{p-1} u from the node values u and r, which avoids 0/0.
-    The band's |u| and products are taken in Python floats, around the one
-    np.power over [1, mk): the same IEEE operations as numpy's, so the same
-    bits, without three ufunc calls on a node or two.  Node 0 is not
-    computed, and the linear term is left as ``out`` holds it (+0.0
-    throughout).
+    This is the u-form of |w|^{p-1} w / r^{p-1}, which divides by no power
+    of r, so node 1 takes the formula of every other node.  The linear term
+    is left as ``out`` holds it (+0.0 throughout).
     """
     if linear:
         return
-    x = out.whole
-    band = range(1, len(out.band) + 1)
-    for j in band:
-        x[j] = abs(u.item(j))
-    np.abs(w.tail, out=out.tail)
-    np.power(out.live, p - 1.0, out=out.live)
-    for j in band:
-        x[j] = r.item(j) * x.item(j) * u.item(j)
-    np.multiply(out.tail, w.tail, out=out.tail)
-    np.divide(out.tail, rp.tail, out=out.tail)
-    np.multiply(out.live, h * h, out=out.live)
+    np.abs(u, out=out)
+    np.power(out, p - 1.0, out=out)
+    np.multiply(out, r, out=out)
+    np.multiply(out, u, out=out)
+    np.multiply(out, h * h, out=out)
 
 
 def _source_op(mu: int, linear: bool):
@@ -377,16 +361,15 @@ def evolve(config: SolverConfig, initial: RadialState,
     n_steps = step_count(t0, config.t_final, h)
 
     p, mu = params.p, params.mu
-    band, linear, stride = config.origin_band, config.linear, config.snapshot_stride
+    linear, stride = config.linear, config.snapshot_stride
     op = _source_op(mu, linear)
     w_cur = initial.w.copy()
     # the w buffers are +0.0 beyond the prefix, as the full-grid stencil would
     # leave them; the views start on the full grid for the back layer.  They
-    # are w at layers k - 1, k and k + 1, the source term, r^{p-1}, r and 2 h r
+    # are w at layers k - 1, k and k + 1, the source term, r and 2 h r
     w_prev = np.zeros(n + 1)
-    wp, wc, wn, sv, rpv, rv, tv = _prefix_views(
-        [w_prev, w_cur, np.zeros(n + 1), np.zeros(n + 1), r ** (p - 1.0), r, 2.0 * h * r],
-        n + 1, band)
+    wp, wc, wn, sv, rv, tv = _prefix_views(
+        [w_prev, w_cur, np.zeros(n + 1), np.zeros(n + 1), r, 2.0 * h * r], n + 1)
     if initial_prev is not None:
         if initial_prev.grid != grid or initial_prev.params != params:
             raise ValueError("initial_prev does not match the configuration")
@@ -477,9 +460,9 @@ def evolve(config: SolverConfig, initial: RadialState,
 
     with np.errstate(over="log", invalid="log", divide="log", call=errors):
         if initial_prev is None and n_steps:  # the back layer, as step 0
-            # the term stays in src on the live nodes of w_cur and initial.u,
-            # all inside the first step's prefix, which overwrites it
-            _source_term(wc, initial.u, r, rpv, sv, p, h, linear)
+            # the term stays in src on the live nodes of initial.u, all
+            # inside the first step's prefix, which overwrites it
+            _source_term(initial.u[1:], rv.live, sv.live, p, h, linear)
             d2 = np.zeros_like(w_cur)
             d2[1:-1] = w_cur[2:] - 2.0 * w_cur[1:-1] + w_cur[:-2]
             d2[-1] = w_cur[-2] - 2.0 * w_cur[-1]  # zero ghost
@@ -499,8 +482,8 @@ def evolve(config: SolverConfig, initial: RadialState,
             need = min(-(-need // PREFIX_CHUNK) * PREFIX_CHUNK, n + 1)
             if need > P:
                 P = need
-                wp, wc, wn, sv, rpv, rv, tv = _prefix_views(
-                    [x.whole for x in (wp, wc, wn, sv, rpv, rv, tv)], P, band)
+                wp, wc, wn, sv, rv, tv = _prefix_views(
+                    [x.whole for x in (wp, wc, wn, sv, rv, tv)], P)
                 (U, u_rows, u_lives), (V, v_rows, v_lives) = _row_views(
                     [flat_u, flat_v], rows, P)
             if not first:
@@ -515,7 +498,7 @@ def evolve(config: SolverConfig, initial: RadialState,
                 if k:  # u^k, which step k - 1 made
                     _u_from_w(wc.live, rv.live, u_rows[i], u_lives[i])
                 errors.step = k
-                _source_term(wc, u_rows[i], r, rpv, sv, p, h, linear)
+                _source_term(u_lives[i], rv.live, sv.live, p, h, linear)
                 _advance(wp, wc, sv, op, wn)
                 if k:
                     # layer k gets its centered v now that layer k+1 exists
@@ -527,8 +510,8 @@ def evolve(config: SolverConfig, initial: RadialState,
 
 
 def _source_of_state(s: RadialState, linear: bool) -> np.ndarray:
-    """Pointwise source F = -mu r |u|^{p-1} u reconstructed from a snapshot: the
-    u-form of F, whose w-form with the h^2 factor is :func:`_source_term`."""
+    """Pointwise source F = -mu r |u|^{p-1} u reconstructed from a snapshot:
+    h^2 F is -mu times :func:`_source_term` of the snapshot's u, bit for bit."""
     if linear:
         return np.zeros_like(s.u)
     p, mu = s.params.p, s.params.mu

@@ -924,6 +924,22 @@ def test_parse_config_resolves_thresholds_and_defaults():
                 "initial": {"kind": "ode_flat", "amplitude": 4.0},
                 "checks": {"blowup_detection": 5.0, "ode_match": 0.01}},
      "checks.ode_match: no lattice times before T - 10h"),
+    # every listed check is judged: ode_match is measured only with
+    # blowup_detection, which measures nothing else
+    ("evolve", {"checks": {"ode_match": 0.01}},
+     "checks.ode_match: requires blowup_detection"),
+    *[("evolve", {"equation": {"p": 5.0, "mu": -1},
+                  "initial": {"kind": "ode_flat", "amplitude": 1.0},
+                  "checks": {"blowup_detection": 5.0, name: 1.0}},
+       f"checks.{name}: a blowup_detection run does not measure it")
+      for name in ("energy_drift", "finite_speed", "exterior_zero")],
+    # the run to the last compared layer would exceed evolve's 2^53 steps,
+    # and ended in a ValueError traceback with exit 1
+    ("evolve", {"equation": {"p": 5.0, "mu": -1},
+                "initial": {"kind": "ode_flat", "amplitude": 1e-31},
+                "checks": {"blowup_detection": 0.0, "ode_match": 0.0}},
+     "checks.ode_match: T - 10h (T = 8.660254037844384e+61) is more than 2^53 steps "
+     "of h = 0.015625"),
 ])
 def test_check_preconditions_exit_2_before_output(tmp_path, capsys, scenario, edit,
                                                   message):
@@ -1121,7 +1137,6 @@ def test_module_run_reports_a_runner_config_error(tmp_path):
     ("evolve", "cone_floor", -1.0, "must be positive (or None to disable)"),
     ("evolve", "blowup_threshold", 0.0, "must be positive"),
     ("evolve", "snapshot_stride", 0, "must be >= 1"),
-    ("evolve", "origin_band", 1, "must be >= 2"),
     ("norms", "t_final", math.inf, "must be finite"),  # a run that never evolves
 ])
 def test_run_settings_checked_while_parsing(tmp_path, capsys, scenario, field, value,
@@ -1282,6 +1297,7 @@ def test_refinement_order_that_measures_nothing_fails(tmp_path, edit, unmeasured
     ("evolve", "run", {"snapshot_strid": 3}, "run.snapshot_strid"),
     ("evolve", "output", {"format": "csv"}, "output.format"),
     ("norms", "norms", {"tail_radiuss": [2.0, 4.0]}, "norms.tail_radiuss"),
+    ("evolve", "run", {"origin_band": 2}, "run.origin_band"),  # the u-form source has none
 ])
 def test_unknown_fields_exit_2_before_output(tmp_path, capsys, monkeypatch, scenario,
                                              section, extra, path):
@@ -1330,32 +1346,22 @@ def test_unread_inputs_exit_2_before_output(tmp_path, capsys, scenario, path):
     assert not out.exists()
 
 
-_LINEAR_BAND = "a linear run does not read it"
-_MATCH_STRIDE = "a run with ode_match stores every layer; it does not read it"
-
-
-@pytest.mark.parametrize("scenario, run, path, message", [
-    ("evolve", {"linear": True, "origin_band": 2}, "run.origin_band", _LINEAR_BAND),
-    ("norms", {"linear": True, "origin_band": 9}, "run.origin_band", _LINEAR_BAND),
-    ("diagnose", {"linear": True, "origin_band": 3}, "run.origin_band", _LINEAR_BAND),
-    ("evolve", {"snapshot_stride": 1}, "run.snapshot_stride", _MATCH_STRIDE),
-    ("evolve", {"snapshot_stride": 7}, "run.snapshot_stride", _MATCH_STRIDE)])
-def test_conditionally_unread_run_fields_exit_2(tmp_path, capsys, scenario, run, path,
-                                                message):
-    # origin_band bounds a source term that a linear run does not compute;
+@pytest.mark.parametrize("stride", [1, 7])
+def test_conditionally_unread_run_fields_exit_2(tmp_path, capsys, stride):
     # the ode_match run stores every layer whatever the stride
     out = tmp_path / "out"
-    raw = (_ode_blowup(out) if path == "run.snapshot_stride"
-           else _quick(scenario, out, {}))
-    raw["run"] = {**raw.get("run", {}), **run}
-    assert main([scenario, "--config", _write_config(tmp_path, raw)]) == 2
-    assert capsys.readouterr().err == f"config: {path}: {message}\n"
+    raw = _ode_blowup(out)
+    raw["run"] = {**raw.get("run", {}), "snapshot_stride": stride}
+    assert main(["evolve", "--config", _write_config(tmp_path, raw)]) == 2
+    assert capsys.readouterr().err == ("config: run.snapshot_stride: a run with ode_match "
+                                       "stores every layer; it does not read it\n")
     assert not out.exists()
-    # either value alone is read
-    for key in run:
-        parse_config({**raw, "run": {k: v for k, v in raw["run"].items() if k != key}})
-    for check in ("ode_match", "blowup_detection") if "ode_match" in raw["checks"] else ():
-        parse_config({**raw, "checks": {k: v for k, v in raw["checks"].items() if k != check}})
+    # the stride is read without ode_match, and ode_match without the stride
+    parse_config({**raw, "checks": {k: v for k, v in raw["checks"].items() if k != "ode_match"}})
+    parse_config({**raw, "run": {k: v for k, v in raw["run"].items() if k != "snapshot_stride"}})
+    # ode_match alone is rejected: it is measured only with blowup_detection
+    with pytest.raises(ConfigError, match="checks.ode_match: requires blowup_detection"):
+        parse_config({**raw, "checks": {"ode_match": raw["checks"]["ode_match"]}})
 
 
 def test_internal_value_error_is_not_a_config_error(tmp_path):
@@ -1520,23 +1526,20 @@ def test_blowup_scenario_runs_once_with_the_outcome_of_two_runs(tmp_path, capsys
 
 
 @pytest.mark.parametrize("p, h", [(7.0, 1e-100), (200.0, 0.01)])
-def test_source_whose_r_power_underflows_exits_2_before_output(tmp_path, capsys, p, h):
-    # r^(p-1) at node origin_band underflowed to 0, so the source divided by
-    # zero and the run aborted one step in on "field magnitude nan" (exit 1)
+def test_source_whose_r_power_underflows_runs(tmp_path, p, h):
+    # r^(p-1) underflows to 0 from node 2 on; the source, -mu r |u|^{p-1} u,
+    # divides by no power of r, so the run finishes with finite states (a
+    # w-form source divided by it and aborted on "field magnitude nan")
+    assert (2.0 * h) ** (p - 1.0) == 0.0
     out = tmp_path / "out"
     raw = _quick("evolve", out, {})
     raw["equation"]["p"] = p
     raw["grid"] = {"h": h, "n": 64}
     raw["run"] = {"t_final": h, "cone_floor": None}
-    assert main(["evolve", "--config", _write_config(tmp_path, raw)]) == 2
-    assert capsys.readouterr().err == (
-        f"config: grid.h: {h!r} makes r^(p-1) underflow to 0 at node origin_band = 2 "
-        f"(r = {2.0 * h!r}, p = {p!r})\n")
-    assert not out.exists()
-    # a linear run divides by no power of r
-    raw["run"]["linear"] = True
     assert main(["evolve", "--config", _write_config(tmp_path, raw)]) == 0
     assert json.loads((out / "manifest.json").read_text())["status"] == "pass"
+    final = load_state(out / "state_000001.txt")
+    assert np.isfinite(final.u).all() and np.isfinite(final.v).all() and final.u[1] != 0.0
 
 
 def test_linear_check_runs_on_a_grid_shorter_than_its_traveling_wave(tmp_path):
@@ -1606,7 +1609,6 @@ def test_readme_unread_inputs_match_the_code():
     conditional = {k: table.pop(k) for k in list(table) if ", if " in k}
     assert table == _UNREAD and list(table) == list(_UNREAD)
     assert conditional == {  # the rows of test_conditionally_unread_run_fields_exit_2
-        "any, if `run.linear` is true": ("run.origin_band",),
         "evolve`, if `checks` lists `blowup_detection` and `ode_match":
             ("run.snapshot_stride",)}
 
@@ -1619,7 +1621,7 @@ _EDGES = [0.0, -1.0, 1e-300, 1e300, math.nan, math.inf, -math.inf, 0.5, 3.0]
 _UNUSUAL = (st.sampled_from(_EDGES) | st.floats(-10.0, 10.0) | st.integers(-3, 3)
             | st.sampled_from(["x", None, [], True]))
 # typical values per field kind, and for the fields whose range is narrower;
-# the integer fields (strides, origin bands, bootstrap's n_max and
+# the integer fields (strides, bootstrap's n_max and
 # dense_sample, reversal_steps) set the work of a run
 _TYPICAL = {bool: st.booleans(), int: st.integers(1, 300),
             float: st.floats(0.0, 4.0), float | None: st.none() | st.floats(0.0, 4.0),
@@ -1652,6 +1654,11 @@ def _schema_configs(draw, state_path, t0):
     raw = {"scenario": scenario,
            "checks": {name: draw(_mostly(st.floats(-1.0, 1.0)))
                       for name in _CHECKS[scenario] if draw(st.booleans())}}
+    # nor the checks that the run would not measure (the last rows of
+    # test_check_preconditions_exit_2_before_output)
+    for name in (("energy_drift", "finite_speed", "exterior_zero")
+                 if "blowup_detection" in raw["checks"] else ("ode_match",)):
+        raw["checks"].pop(name, None)
     kind = "W"  # the data of the scenarios that read no initial section
     if "initial" not in unread:
         kind = draw(st.sampled_from(list(_INITIAL)))
@@ -1684,8 +1691,6 @@ def _schema_configs(draw, state_path, t0):
                 raw["run"][key] = draw(_mostly(_TYPICAL[field_kind]))
         # nor the run fields the rest of the config leaves unread (the rows
         # of test_conditionally_unread_run_fields_exit_2)
-        if raw["run"].get("linear") is True:
-            raw["run"].pop("origin_band", None)
         if {"blowup_detection", "ode_match"} <= raw["checks"].keys():
             raw["run"].pop("snapshot_stride", None)
     typical = {**_TYPICAL_FIELDS,  # the times a run reads, counted from its start
@@ -1728,3 +1733,5 @@ def test_every_config_ends_in_one_of_the_three_documented_outcomes(data):
             assert code == 1 and err.startswith("solver: ")
         else:
             assert code == (0 if manifest["status"] == "pass" else 1)
+            # every listed check is judged
+            assert [c["name"] for c in manifest["checks"]] == list(parse_config(raw).checks)

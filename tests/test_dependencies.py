@@ -123,6 +123,31 @@ def test_one_lattice_rule():
         ("core", "_lattice_steps"): 1})
 
 
+def test_one_source_formula():
+    # the source is -mu r |u|^{p-1} u, which divides by no power of r: a
+    # power of r with exponent p - 1 would be a second, w-form copy of it
+    def name(e):
+        return getattr(e, "id", getattr(e, "attr", None))
+
+    def is_p_minus_1(e):
+        return (isinstance(e, ast.BinOp) and isinstance(e.op, ast.Sub)
+                and name(e.left) == "p" and getattr(e.right, "value", None) == 1)
+
+    found = []
+    for path in sorted((ROOT / "src" / "nlwlab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+                base, exponent = node.left, node.right
+            elif (isinstance(node, ast.Call) and name(node.func) in ("power", "pow")
+                  and len(node.args) >= 2):
+                base, exponent = node.args[:2]
+            else:
+                continue
+            if is_p_minus_1(exponent) and "r" in map(name, ast.walk(base)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_evolve_is_the_only_kernel_driver():
     # the leapfrog kernel and its prefix views are driven from solver.evolve
     # alone: a second driver would be a second copy of the prefix, the guards

@@ -62,17 +62,14 @@ def _gauss_run(h, t_final=2.0, p=7.0, mu=1, R=4.5, stride=1):
 _SEED_SUPPORT_FLOOR = 1e-12
 
 
-def _seed_source(w: np.ndarray, u: np.ndarray, r: np.ndarray, params: EquationParams,
-                 origin_band: int, linear: bool) -> np.ndarray:
-    """Discrete source F = -mu |w|^{p-1} w / r^{p-1}, u-form inside origin_band."""
-    F = np.zeros_like(w)
+def _seed_source(u: np.ndarray, r: np.ndarray, params: EquationParams,
+                 linear: bool) -> np.ndarray:
+    """Discrete source F = -mu r |u|^{p-1} u, the u-form of -mu |w|^{p-1} w / r^{p-1}."""
+    F = np.zeros_like(u)
     if linear:
         return F
     p, mu = params.p, params.mu
-    b = min(origin_band, len(w) - 1)
-    # near the origin, |w|^{p-1} w / r^{p-1} = r |u|^{p-1} u avoids 0/0
-    F[1:b] = -mu * r[1:b] * np.abs(u[1:b]) ** (p - 1.0) * u[1:b]
-    F[b:] = -mu * np.abs(w[b:]) ** (p - 1.0) * w[b:] / r[b:] ** (p - 1.0)
+    F[1:] = -mu * r[1:] * np.abs(u[1:]) ** (p - 1.0) * u[1:]
     return F
 
 
@@ -156,7 +153,7 @@ def _seed_evolve(config, initial, initial_prev=None):
             raise ValueError("initial_prev must sit one step before the initial state")
         w_prev = initial_prev.w.copy()
     else:
-        F0 = _seed_source(w_cur, u_cur, r, params, config.origin_band, config.linear)
+        F0 = _seed_source(u_cur, r, params, config.linear)
         d2 = np.zeros_like(w_cur)
         d2[1:-1] = w_cur[2:] - 2.0 * w_cur[1:-1] + w_cur[:-2]
         d2[-1] = w_cur[-2] - 2.0 * w_cur[-1]  # zero ghost
@@ -185,7 +182,7 @@ def _seed_evolve(config, initial, initial_prev=None):
     log_rows = [_seed_log_row(initial)]
 
     for k in range(n_steps):
-        F = _seed_source(w_cur, u_cur, r, params, config.origin_band, config.linear)
+        F = _seed_source(u_cur, r, params, config.linear)
         w_nxt = _seed_advance(w_prev, w_cur, F, h)
         u_nxt = _seed_u_from_w(w_nxt, r)
         check_layer(u_nxt, t0 + (k + 1) * h)
@@ -202,7 +199,7 @@ def _seed_evolve(config, initial, initial_prev=None):
         # stencil as every other layer; the extra layer is neither stored,
         # logged, nor run through the guards (a one-sided endpoint stencil
         # would amplify grid-scale wavefront oscillation several-fold)
-        F = _seed_source(w_cur, u_cur, r, params, config.origin_band, config.linear)
+        F = _seed_source(u_cur, r, params, config.linear)
         w_aux = _seed_advance(w_prev, w_cur, F, h)
         v_fin = _seed_v_from_layers(w_aux, w_prev, r, h)
         final = state(t0 + n_steps * h, u_cur, v_fin)
@@ -235,7 +232,7 @@ def _oracle_case(name):
         s0 = RadialState(grid=grid, params=params, t=0.25,
                          u=0.8 * np.exp(-2.0 * grid.r ** 2), v=np.zeros(grid.n + 1))
         return SolverConfig(grid=grid, params=params, t_final=1.25, snapshot_stride=5,
-                            origin_band=5, cone_floor=None), s0, None, None
+                            cone_floor=None), s0, None, None
     if name == "bump_cone_violation":
         params = make_params(5.0, 1)
         grid = RadialGrid(h=1.0 / 64.0, n=128)
@@ -303,7 +300,7 @@ def _oracle_case(name):
                 None)
     if name == "gaussian_underflow":
         # exp(-2 r^2) out to R = 11 is live on the whole grid, and its outer
-        # nodes lie far below 2^(-1080/(p-1)), where |w|^(p-1) underflows
+        # nodes lie far below 2^(-1080/(p-1)), where |u|^(p-1) underflows
         params = make_params(5.0, 1)
         grid = RadialGrid(h=1.0 / 16.0, n=176)
         s0 = RadialState(grid=grid, params=params, t=0.0,
@@ -321,15 +318,15 @@ def _oracle_case(name):
         return SolverConfig(grid=grid, params=params, t_final=6.0, snapshot_stride=9,
                             cone_floor=None), s0, None, None
     if name == "band_wider_than_prefix":
-        # data on nodes 0 and 1 only: the prefix starts at 3 nodes, below
-        # origin_band = 5, so the first chunk's u-form band holds +0.0 nodes
+        # data on nodes 0 and 1 only: the prefix starts at 3 nodes, the
+        # clamp of _active_length
         params = make_params(5.0, -1)
         grid = RadialGrid(h=1.0 / 32.0, n=96)
         s0 = RadialState(grid=grid, params=params, t=0.0,
                          u=np.where(grid.r < 1.5 * grid.h, 0.5, 0.0),
                          v=np.where(grid.r < 1.5 * grid.h, 0.25, 0.0))
-        return SolverConfig(grid=grid, params=params, t_final=1.0, snapshot_stride=2,
-                            origin_band=5), s0, None, None
+        return SolverConfig(grid=grid, params=params, t_final=1.0,
+                            snapshot_stride=2), s0, None, None
     if name.startswith("overflow_to_"):
         # blowup_threshold = inf: |w|^(p-1) overflows in the first step.  With
         # the back layer equal to the initial one the new layer holds -inf; with
@@ -552,12 +549,36 @@ def test_evolve_matches_full_grid_loop(case):
         ref, got = (_run_or_error(run, cfg, s0, prev) for run in (_seed_evolve, evolve))
     _assert_same_outcome(got, ref, expected)
     if case == "gaussian_underflow":
-        # the case must keep reaching the band where |w|^(p-1) underflows
+        # the case must keep reaching the band where |u|^(p-1) underflows
         # (the outgoing wave fills it in later)
         theta = 2.0 ** (-1080.0 / (cfg.params.p - 1.0))
         for s in got.states[:2]:
-            w = np.abs(s.w)
-            assert np.any((w > 0.0) & (w < theta))
+            u = np.abs(s.u)
+            assert np.any((u > 0.0) & (u < theta))
+
+
+@pytest.mark.parametrize("mu", [1, -1])
+@pytest.mark.parametrize("p", [5.0, 7.0, 9.5])
+def test_source_of_state_is_the_kernel_term_over_h_squared(p, mu):
+    # one formula, F = -mu r |u|^{p-1} u: h^2 times the snapshot's F is -mu
+    # times the kernel's term, bit for bit on nodes [1, n], node 1, signed
+    # zeros and tails whose term is subnormal or 0 included
+    params = make_params(p, mu)
+    grid = RadialGrid(h=1.0 / 64.0, n=400)
+    r = grid.r
+    u = 0.9 * np.exp(-r * r) * np.cos(7.0 * r)  # both signs
+    u[1] = 1.3
+    u[40:44] = [0.0, -0.0, 0.0, -0.0]
+    u[100:] = np.geomspace(1e-20, 1e-200, 301) * (-1.0) ** np.arange(301)
+    state = RadialState(grid=grid, params=params, t=0.0, u=u, v=np.zeros(grid.n + 1))
+    term = np.full(grid.n, np.nan)
+    solver._source_term(state.u[1:], r[1:], term, p, grid.h, False)
+    h2F = grid.h * grid.h * solver._source_of_state(state, False)[1:]
+    assert _bits(h2F).tolist() == _bits(-mu * term).tolist()
+    assert np.signbit(term[39:43]).tolist() == [False, True, False, True]  # u[40:44]
+    tiny = np.finfo(float).tiny
+    assert np.any((term != 0.0) & (np.abs(term) < tiny))
+    assert np.any((term == 0.0) & (u[1:] != 0.0))
 
 
 def _kernel_run(cfg, s0, prev, **kwargs):
@@ -605,9 +626,9 @@ def test_prefix_chunk_does_not_change_bits(case, monkeypatch):
 def _spy_views(monkeypatch):
     widths = []
 
-    def spy(buffers, mk, origin_band, _f=solver._prefix_views):
+    def spy(buffers, mk, _f=solver._prefix_views):
         widths.append(mk)
-        return _f(buffers, mk, origin_band)
+        return _f(buffers, mk)
 
     monkeypatch.setattr(solver, "_prefix_views", spy)
     return widths
@@ -650,6 +671,8 @@ def test_chunk_case_reaches_grid_end_mid_chunk(monkeypatch):
 
 
 def test_band_case_starts_below_the_origin_band(monkeypatch):
+    # the case is named for a u-form band of nodes that the source once had;
+    # every node now takes that form, and the case keeps its short start
     starts = []
 
     def spy(*layers, _f=solver._active_length):
@@ -659,7 +682,7 @@ def test_band_case_starts_below_the_origin_band(monkeypatch):
     monkeypatch.setattr(solver, "_active_length", spy)
     cfg, s0, prev, _ = _oracle_case("band_wider_than_prefix")
     evolve(cfg, s0, prev)
-    assert starts == [3] and cfg.origin_band == 5
+    assert starts == [3]
 
 
 def test_gaussian_case_reaches_grid_end_mid_block():
@@ -775,8 +798,7 @@ def test_solver_makes_eleven_numpy_calls_per_step(case, monkeypatch):
     calls = {}
     for steps in (16, 48):
         run = SolverConfig(grid=cfg.grid, params=cfg.params, t_final=s0.t + steps * cfg.grid.h,
-                           snapshot_stride=1000, origin_band=cfg.origin_band,
-                           cone_floor=cfg.cone_floor)
+                           snapshot_stride=1000, cone_floor=cfg.cone_floor)
         counted.calls = 0
         evolve(run, s0, prev)
         calls[steps] = counted.calls
@@ -901,7 +923,7 @@ def test_stored_states_own_read_only_arrays_and_public_states_copy(monkeypatch):
 #     E_h^{k+1/2} = sum_{j=1..n} (w^{k+1}_j - w^k_j)^2
 #                 + sum_{j=0..n} (w^{k+1}_{j+1} - w^{k+1}_j)(w^k_{j+1} - w^k_j),
 # so E_h is conserved by linear runs.  Over 80 seeded runs (p in 5..13, both
-# signs, linear or not, compact or not, origin_band 2..8, h = 1/32..1/128,
+# signs, linear or not, compact or not, h = 1/32..1/128,
 # up to 1025 nodes) the largest residual relative to max |E_h| was 2.3e-15
 # (median 9.8e-16), while E_h itself moved by up to 1.7e-2 per step; the
 # bound is about four times that largest residual.
@@ -929,18 +951,20 @@ def _ledger(traj, linear, mu=None):
             float(np.max(np.abs(np.diff(E))) / scale))
 
 
-def _ledger_run(p, mu, linear, kind, band, amp, width=0.5, R=4.0, h=1.0 / 64.0):
+def _ledger_run(p, mu, linear, kind, amp, width=0.5, R=4.0, h=1.0 / 64.0):
     params = make_params(p, mu)
     grid = RadialGrid(h=h, n=int(round(R / h)))
     r = grid.r
     u0 = amp * np.exp(-r * r / (2.0 * width * width)) if kind == "gaussian" else bump(r, 1.0, amp)
     s0 = RadialState(grid=grid, params=params, t=0.0, u=u0, v=np.zeros(grid.n + 1))
     cfg = SolverConfig(grid=grid, params=params, t_final=1.5, snapshot_stride=1,
-                       origin_band=band, linear=linear,
+                       linear=linear,
                        cone_floor=None if kind == "gaussian" else 1e-13)
     return evolve(cfg, s0)
 
 
+# the fifth column is the origin band, a solver setting these runs once
+# took: the u-form source has none, and the column keeps the case ids
 @pytest.mark.parametrize("p, mu, linear, kind, band, amp", [
     (5.0, 1, True, "gaussian", 2, 1.0),  # E_h conserved
     (7.0, 1, False, "bump", 2, 1.0),
@@ -950,7 +974,7 @@ def _ledger_run(p, mu, linear, kind, band, amp, width=0.5, R=4.0, h=1.0 / 64.0):
     (13.0, -1, False, "bump", 4, 0.7),
 ])
 def test_discrete_energy_ledger_is_exact(p, mu, linear, kind, band, amp):
-    traj = _ledger_run(p, mu, linear, kind, band, amp)
+    traj = _ledger_run(p, mu, linear, kind, amp)
     residual, moved = _ledger(traj, linear)
     assert residual <= LEDGER_BOUND
     if not linear:  # E_h moves, and the ledger sees a wrong source sign
@@ -961,7 +985,7 @@ def test_discrete_energy_ledger_is_exact(p, mu, linear, kind, band, amp):
 def test_discrete_energy_ledger_is_exact_in_the_underflow_band():
     # a narrow gaussian on R = 8: |w|^{p-1} underflows to subnormals and 0
     # on the tail while w does not
-    traj = _ledger_run(7.0, 1, False, "gaussian", 2, 1.0, width=0.3, R=8.0)
+    traj = _ledger_run(7.0, 1, False, "gaussian", 1.0, width=0.3, R=8.0)
     w = traj.states[-1].w
     assert np.any((w != 0.0) & (np.abs(w) ** 6.0 < np.finfo(float).tiny))
     assert _ledger(traj, False)[0] <= LEDGER_BOUND
@@ -970,10 +994,9 @@ def test_discrete_energy_ledger_is_exact_in_the_underflow_band():
 @settings(max_examples=20)
 @given(p=st.sampled_from([5.0, 6.0, 7.0, 9.0]), mu=st.sampled_from([-1, 1]),
        linear=st.booleans(), kind=st.sampled_from(["gaussian", "bump"]),
-       band=st.integers(min_value=2, max_value=8),
        amp=st.floats(min_value=0.05, max_value=0.8))
-def test_discrete_energy_ledger_holds_for_any_data(p, mu, linear, kind, band, amp):
-    traj = _ledger_run(p, mu, linear, kind, band, amp, h=1.0 / 32.0)
+def test_discrete_energy_ledger_holds_for_any_data(p, mu, linear, kind, amp):
+    traj = _ledger_run(p, mu, linear, kind, amp, h=1.0 / 32.0)
     assert _ledger(traj, linear)[0] <= LEDGER_BOUND
 
 
@@ -1237,13 +1260,6 @@ def test_step_matches_evolve_layers():
     assert np.max(np.abs(nxt.u - traj.states[12].u)) <= 1e-13
 
 
-def test_origin_band_variants_agree():
-    traj = _gauss_run(h=1.0 / 64.0, t_final=0.5)
-    a = _restart(traj, origin_band=2)
-    b = _restart(traj, origin_band=6)
-    assert np.max(np.abs(a.u - b.u)) <= 1e-12
-
-
 def test_off_lattice_t_final_rejected():
     params = make_params(5.0, 1)
     grid = RadialGrid(h=0.1, n=10)
@@ -1269,8 +1285,6 @@ def test_solver_config_validation():
     grid = RadialGrid(h=0.1, n=10)
     with pytest.raises(ValueError):
         SolverConfig(grid=grid, params=params, t_final=1.0, snapshot_stride=0)
-    with pytest.raises(ValueError):
-        SolverConfig(grid=grid, params=params, t_final=1.0, origin_band=1)
     with pytest.raises(ValueError):
         SolverConfig(grid=grid, params=params, t_final=1.0, blowup_threshold=0.0)
 
