@@ -103,6 +103,24 @@ class ExponentSequence:
             (n, float(b), float(g)) for n, (b, g) in enumerate(zip(self.beta, self.gamma))))
 
 
+def _start(p: float, beta0: float, precision: str = "f64"):
+    """(p, 1 - a, beta0) in the working type of ``precision``, a beta0 an
+    ulp above the fixed point 1 - a read as it; ValueError unless
+    0 < beta0 <= 1 - a."""
+    dt = _scalar_type(precision)
+    one, pp = dt(1.0), dt(p)
+    limit = one - dt(2.0) / (pp - one)
+    b0 = dt(beta0)
+    # a caller computing 1 - a in coarser arithmetic can land an ulp above
+    # the fixed point; read that as the fixed point rather than rejecting it
+    slack = dt(4.0) * dt(np.finfo(np.float64).eps) * limit
+    if limit < b0 <= limit + slack:
+        b0 = limit
+    if not (b0 > 0.0 and b0 <= limit):
+        raise ValueError(f"beta0 must lie in (0, 1 - a] = (0, {float(limit)}], got {beta0}")
+    return pp, limit, b0
+
+
 def exponent_iteration(p: float, beta0: float, n_max: int = 100000,
                        tol: float = 1e-12, precision: str = "f64") -> ExponentSequence:
     """Run the exponent recursion from beta0 until within tol of 1 - a.
@@ -114,19 +132,7 @@ def exponent_iteration(p: float, beta0: float, n_max: int = 100000,
     generous.  Arithmetic runs in the :func:`working_dtype` of ``precision``.
     """
     _check_p(p)
-    dt = _scalar_type(precision)
-    one = dt(1.0)
-    pp = dt(p)
-    a = dt(2.0) / (pp - one)
-    limit = one - a
-    b0 = dt(beta0)
-    # a caller computing 1 - a in coarser arithmetic can land an ulp above
-    # the fixed point; read that as the fixed point rather than rejecting it
-    slack = dt(4.0) * dt(np.finfo(np.float64).eps) * limit
-    if limit < b0 <= limit + slack:
-        b0 = limit
-    if not (b0 > 0.0 and b0 <= limit):
-        raise ValueError(f"beta0 must lie in (0, 1 - a] = (0, {float(limit)}], got {beta0}")
+    pp, limit, b0 = _start(p, beta0, precision)
     if n_max < 1:
         raise ValueError("n_max must be positive")
     betas = [b0]
@@ -136,13 +142,13 @@ def exponent_iteration(p: float, beta0: float, n_max: int = 100000,
     for _ in range(n_max):
         if converged:
             break
-        g = limit / (limit + b * (pp - one))
+        g = limit / (limit + b * (pp - 1.0))
         gammas.append(g)
         b = g * b * pp
         betas.append(b)
         converged = abs(b - limit) < tol
     # gamma at the final iterate, so the two columns stay aligned
-    gammas.append(limit / (limit + betas[-1] * (pp - one)))
+    gammas.append(limit / (limit + betas[-1] * (pp - 1.0)))
     return ExponentSequence(
         p=float(p),
         beta=tuple(float(x) for x in betas),

@@ -8,16 +8,16 @@ process exits 0 only if every enabled check passed.  Identical configs
 produce byte-identical artifacts except for the manifest's wall-time field.
 
 The config schema is README.md's "Config schema" section (configs/ has one
-exemplar per scenario).  :func:`parse_config` reads and checks every field
-of it, and reports a malformed config with the offending field path.  Every
-input that changes an artifact is a config field, so the manifest's config
-echo names all of a run's inputs; no environment variable is read.
-Conversely, a config may set only what its scenario reads: a section or run
-field that changes none of the scenario's artifacts (``_UNREAD``), or a run
-field that the rest of the config leaves unread (the stride of an
-``ode_match`` run), is rejected, so every value the echo holds is an input
-of the run; so is a check that the run would not measure, so every listed
-check is judged.
+exemplar per scenario).  :func:`parse_config`, the one place a config is
+rejected, with the offending field path, reads and checks every field and
+builds the initial state.  Every input that changes an artifact is a config
+field, so the manifest's config echo names all of a run's inputs; no
+environment variable is read.  Conversely, a config may set only what its
+scenario reads: a section or run field that changes none of the scenario's
+artifacts (``_UNREAD``), or a run field that the rest of the config leaves
+unread (the stride of an ``ode_match`` run), is rejected, so every value
+the echo holds is an input of the run; so is a check that the run would
+not measure, so every listed check is judged.
 
 This module holds the schema, the initial data, the evolve runner and the
 manifest; the runners of the other five scenarios are in
@@ -126,7 +126,7 @@ def _reported_as(path: str):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A config as :func:`parse_config` read and checked it: every field
-    typed, every default filled in."""
+    typed, every default filled in, and the initial state built."""
 
     scenario: str
     params: EquationParams
@@ -137,6 +137,8 @@ class ExperimentConfig:
     checks: dict  # name -> threshold, in _CHECKS order
     options: dict  # the scenario's options section (_OPTIONS)
     raw: dict  # the config as given, echoed in the manifest
+    # the initial data of evolve, norms and diagnose, None for the others
+    state: RadialState | None = None
 
 
 _SCENARIO_DEFAULTS = {
@@ -151,7 +153,7 @@ _SCENARIO_DEFAULTS = {
 _UNREAD = {
     "diagnose": ("run.snapshot_stride",),  # both runs store every layer
     "bootstrap": ("equation", "grid", "initial", "run"),  # grid-free arithmetic
-    "verify-W": ("initial", "run.cone_floor"),  # W's data, the cone guard off
+    "verify-W": ("equation", "initial", "run.cone_floor"),  # W, p = 5, mu = -1, no guard
     # four linear runs on the runner's own data, at fixed strides
     "linear-check": ("equation", "initial", "run.linear", "run.snapshot_stride"),
 }
@@ -191,7 +193,7 @@ _CHECKS = {
 
 # field of the scenario's options section -> (kind, default), in README
 # order; MISSING marks a required field, and a default written as text is
-# filled in from other fields (diagnose.times by _times_rule, from t0)
+# filled in from other fields (diagnose.times by parse_config, from t0)
 _OPTIONS = {
     "evolve": {},
     "norms": {"betas": (list[float], [0.0, 0.5, 1.0]), "tail_radii": (list[float], []),
@@ -214,8 +216,10 @@ def parse_config(raw: dict, scenario: str | None = None,
     Every field is read here, once, with its default filled in; a key the
     schema does not name is rejected, and so is one the scenario does not
     read (``_UNREAD``); then the rules that depend on the config alone are
-    checked.  So a malformed config is reported before any
-    output exists.
+    checked.  Last, evolve, norms and diagnose build their initial state
+    (``ExperimentConfig.state``) and check what counts from its time t0: a
+    file's contents and stored t0, diagnose.times, the layers that cover
+    norms.sp_interval.  No config is rejected later, or after output exists.
     """
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected a JSON object")
@@ -241,8 +245,6 @@ def parse_config(raw: dict, scenario: str | None = None,
     dp, dmu, dh, dn, dt_final, dinit = _SCENARIO_DEFAULTS.get(
         name, (5.0, 1, MISSING, MISSING, MISSING, MISSING))
     equation = _section(raw, "equation", {"p": (float, dp), "mu": (int, dmu)})
-    if name == "verify-W" and (equation["p"] != 5.0 or equation["mu"] != -1):
-        raise ConfigError("equation: scenario verify-W requires p = 5, mu = -1")
     with _reported_as("equation"):
         params = make_params(equation["p"], equation["mu"])
     size = _section(raw, "grid", {"h": (float, dh), "n": (int, dn)})
@@ -319,16 +321,9 @@ def parse_config(raw: dict, scenario: str | None = None,
         if o["g1_radii"]:
             with _reported_as("norms.g1_radii"):
                 norms._check_radii(o["g1_radii"], grid.R)
-        if o["sp_interval"] is not None:
-            if len(o["sp_interval"]) != 2:
-                raise ConfigError("norms.sp_interval: expected [t0, t1]")
-            with _reported_as("norms.sp_interval"):
-                norms._check_interval(o["sp_interval"])
     if name == "diagnose":
         # the refinement checks rerun the scenario at 2h on n / 2 nodes
         refine = "virial_consistency_order" in checks or "identity_order" in checks
-        if kind != "file":  # a read file sets t0, and the default times with it
-            o["times"] = _times_rule(cfg, 0.0)
         for key, c in [("Rc", o["Rc"])] + [("cutoffs", c) for c in o["cutoffs"]]:
             if not (c > 0.0 and 2.0 * c <= grid.R):
                 raise ConfigError(
@@ -350,6 +345,16 @@ def parse_config(raw: dict, scenario: str | None = None,
             raise ConfigError("bootstrap.dense_sample: must be positive")
         with _reported_as("bootstrap.precision"):
             bootstrap.working_dtype(o["precision"])
+        # the library's rules, in the order the runner meets them
+        with _reported_as("bootstrap.p_values"):
+            for p in o["p_values"]:
+                bootstrap._check_p(p)
+        for p in o["p_values"]:
+            for b0 in o["beta0_values"]:
+                with _reported_as("bootstrap.beta0_values"):
+                    bootstrap._start(p, b0, o["precision"])
+                if o["n_max"] < 1:
+                    raise ConfigError("bootstrap.n_max: n_max must be positive")
     if name == "verify-W":
         with _reported_as("verify-W.decay_r_min"):
             bootstrap._fit_window(grid, o["decay_r_min"])
@@ -358,29 +363,40 @@ def parse_config(raw: dict, scenario: str | None = None,
                               f"r <= R - t - 2h (R = {grid.R!r}, h = {h!r})")
     if name == "linear-check" and o["reversal_steps"] < 1:
         raise ConfigError("linear-check.reversal_steps: must be >= 1")
+
+    # last, the rules that count from the initial state's time t0 (a file's)
+    state = (build_initial(initial, grid, params)
+             if name in ("evolve", "norms", "diagnose") else None)
+    if kind == "file" and _evolves(cfg):
+        try:
+            solver.step_count(state.t, t_final, h)
+        except ValueError:
+            raise ConfigError(f"initial.path: stored time t = {state.t!r} puts run.t_final "
+                              f"= {t_final!r} off the lattice of h") from None
+    if name == "diagnose":
+        # each time t on the lattice of h from t0, with t - h and t + h inside
+        # the run; identity_order looks t up on the 2h rerun too
+        t0 = state.t
+        if isinstance(o["times"], str):  # the default
+            o["times"] = [t0 + (t_final - t0) / 2.0]
+        steps = [(h, "h"), (2.0 * h, "2h")] if "identity_order" in checks else [(h, "h")]
+        for t in o["times"]:
+            for step, what in steps:
+                if _lattice_steps(t - t0, step) is None:
+                    raise ConfigError(
+                        f"diagnose.times: {t} is not on the time lattice of step {what}")
+                if not (t0 + step - 1e-12 <= t <= t_final - step + 1e-12):
+                    raise ConfigError(f"diagnose.times: {t} needs both t - {what} and "
+                                      f"t + {what} inside the run")
+    if name == "norms" and o["sp_interval"] is not None:
+        if len(o["sp_interval"]) != 2:
+            raise ConfigError("norms.sp_interval: expected [t0, t1]")
+        with _reported_as("norms.sp_interval"):
+            norms._interval_layers(solver._stored_times(run_settings, state.t),
+                                   o["sp_interval"], h)
     if name not in _RUNNERS:  # see nlwlab.scenarios' docstring
         import nlwlab.scenarios
-    return cfg
-
-
-def _times_rule(cfg: ExperimentConfig, t0: float) -> list:
-    """diagnose.times for a run from t0, the default [t0 + (t_final - t0) / 2]
-    filled in: each time t on the lattice of h from t0, with t - h and t + h
-    inside the run.  identity_order looks t up on the 2h rerun too, with
-    t - 2h and t + 2h."""
-    h, times = cfg.grid.h, cfg.options["times"]
-    if isinstance(times, str):
-        times = [t0 + (cfg.run.t_final - t0) / 2.0]
-    steps = [(h, "h"), (2.0 * h, "2h")] if "identity_order" in cfg.checks else [(h, "h")]
-    for t in times:
-        for step, what in steps:
-            if _lattice_steps(t - t0, step) is None:
-                raise ConfigError(
-                    f"diagnose.times: {t} is not on the time lattice of step {what}")
-            if not (t0 + step - 1e-12 <= t <= cfg.run.t_final - step + 1e-12):
-                raise ConfigError(f"diagnose.times: {t} needs both t - {what} and "
-                                  f"t + {what} inside the run")
-    return times
+    return replace(cfg, state=state)
 
 
 def _evolves(cfg: ExperimentConfig) -> bool:
@@ -508,21 +524,6 @@ def build_initial(desc: dict, grid: RadialGrid, params: EquationParams) -> Radia
     return state
 
 
-def _initial_state(cfg: ExperimentConfig) -> RadialState:
-    """The run's initial data.  File data starts at its stored time, so the
-    lattice rule of run.t_final that :func:`parse_config` applies from t = 0
-    is applied here, from that time, before the first evolve (diagnose's
-    runner applies :func:`_times_rule` from it)."""
-    state = build_initial(cfg.initial, cfg.grid, cfg.params)
-    if cfg.initial["kind"] == "file" and _evolves(cfg):
-        try:
-            solver.step_count(state.t, cfg.run.t_final, cfg.grid.h)
-        except ValueError:
-            raise ConfigError(f"initial.path: stored time t = {state.t!r} puts run.t_final "
-                              f"= {cfg.run.t_final!r} off the lattice of h") from None
-    return state
-
-
 # --- manifest plumbing --------------------------------------------------------
 
 
@@ -554,7 +555,6 @@ def _energy_drift(log) -> float:
 
 def _run_evolve(cfg: ExperimentConfig, out: Path):
     metrics, notes, extra = {}, [], {}
-    initial = _initial_state(cfg)
     if cfg.params.mu == -1:
         notes.append("energy: non-coercive (focusing sign)")
 
@@ -566,7 +566,7 @@ def _run_evolve(cfg: ExperimentConfig, out: Path):
         # parse_config leaves the stride at its default 1 here: every layer is stored
         run_cfg = replace(cfg.run, t_final=max(cfg.run.t_final, n_cmp * h)) if match else cfg.run
         try:
-            traj = solver.evolve(run_cfg, initial, step_log=match)
+            traj = solver.evolve(run_cfg, cfg.state, step_log=match)
             metrics["blowup_detection"] = float("inf")
         except solver.BlowupDetected as e:
             traj = e.trajectory
@@ -584,7 +584,7 @@ def _run_evolve(cfg: ExperimentConfig, out: Path):
             _write(out, "step_log.csv", head.to_csv())
         return metrics, notes, extra
 
-    traj = solver.evolve(cfg.run, initial)
+    traj = solver.evolve(cfg.run, cfg.state)
     _write(out, "step_log.csv", traj.log.to_csv())
     _write_states(out, traj)
     log, final = traj.log, traj.states[-1]
@@ -614,30 +614,22 @@ def _runner(scenario: str):
 def run(config: ExperimentConfig, threads: int = 1) -> int:
     """Execute a parsed config; write artifacts + manifest; 0 iff checks pass.
 
-    The scenario's runner measures every configured check (:func:`parse_config`
-    rejects one it would not); each is judged here, against its threshold
-    with the op of ``_CHECKS``.  A solver guard the
-    scenario does not handle (``solver.SolverError``) still leaves a
-    manifest, with status "aborted" and the error's type, message and time;
-    the error is then re-raised.  A ``ConfigError`` found as the run starts
-    (file contents, the bootstrap library rules, sp_interval coverage)
-    leaves no manifest; the output directory is removed if this call
-    created it and it is still empty.  Any other exception is a fault of
-    the program and propagates as it is.  ``threads`` is ignored: every
+    :func:`parse_config` checked every rule, so no config is rejected here.
+    The scenario's runner measures every configured check; each is judged
+    here, against its threshold with the op of ``_CHECKS``.  A solver
+    guard the scenario does not handle (``solver.SolverError``) still
+    leaves a manifest, with status "aborted" and the error's type, message
+    and time; the error is then re-raised.  Any other exception is a fault
+    of the program and propagates as it is.  ``threads`` is ignored: every
     scenario runs in one thread, and the keyword stays only because
     ``bench/worker.py`` still passes it.
     """
     out = Path(config.out_dir)
-    created = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     error = None
     try:
         metrics, notes, extra = _runner(config.scenario)(config, out)
-    except ConfigError:
-        if created and not any(out.iterdir()):
-            out.rmdir()
-        raise
     except solver.SolverError as e:
         error = e
         checks, notes, status = [], [], "aborted"
@@ -695,7 +687,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    # run the package's copy of this module: nlwlab.scenarios raises its
-    # ConfigError, which this __main__ copy's main would not catch
-    from nlwlab import cli
-    sys.exit(cli.main())
+    sys.exit(main())

@@ -264,32 +264,38 @@ def tails_to_csv(records) -> str:
     return _csv_text("r,lm_tail_du,lm_tail_v,l2_tail_du,l2_tail_v", map(astuple, records))
 
 
-def _check_interval(interval) -> tuple:
-    """sp_norm's interval rule: (t0, t1) as floats, t0 <= t1."""
+def _interval_layers(times, interval, h: float) -> list:
+    """The indices of the stored times inside [t0, t1], as :func:`sp_norm`
+    selects them ([] for t1 = t0); ValueError unless t0 <= t1 and, for
+    t0 < t1, 8 or more lie inside it, reaching both of its ends."""
     t0, t1 = float(interval[0]), float(interval[1])
     if t1 < t0:
         raise ValueError("interval must be ordered")
-    return t0, t1
+    if t1 == t0:
+        return []
+    tol = 1e-9 * max(h, 1.0)
+    inside = [k for k, t in enumerate(times) if t0 - tol <= t <= t1 + tol]
+    if len(inside) < 8:
+        raise ValueError(
+            f"only {len(inside)} snapshots inside [{t0}, {t1}]; snapshot stride too coarse")
+    if times[inside[0]] > t0 + tol or times[inside[-1]] < t1 - tol:
+        raise ValueError("snapshots do not cover the interval")
+    return inside
 
 
 def sp_norm(traj: Trajectory, interval) -> float:
     """Space-time norm ||u||_{L^{2(p-1)} in t and x} over a snapshot interval.
 
     ( int_I 4 pi int |u|^{2(p-1)} r^2 dr dt )^{1/(2(p-1))}, trapezoid in both
-    variables over the stored snapshots.  An interval of length zero gives 0;
-    fewer than 8 snapshots inside a nondegenerate interval is an error
-    (stride too coarse for a meaningful time quadrature).
+    variables over the stored snapshots that :func:`_interval_layers`
+    selects.  An interval of length zero gives 0; fewer than 8 snapshots
+    inside a nondegenerate interval is an error (stride too coarse for a
+    meaningful time quadrature).
     """
-    t0, t1 = _check_interval(interval)
-    if t1 == t0:
+    inside = _interval_layers([s.t for s in traj.states], interval, traj.grid.h)
+    if not inside:
         return 0.0
-    tol = 1e-9 * max(traj.grid.h, 1.0)
-    snaps = [s for s in traj.states if t0 - tol <= s.t <= t1 + tol]
-    if len(snaps) < 8:
-        raise ValueError(
-            f"only {len(snaps)} snapshots inside [{t0}, {t1}]; snapshot stride too coarse")
-    if snaps[0].t > t0 + tol or snaps[-1].t < t1 - tol:
-        raise ValueError("snapshots do not cover the interval")
+    snaps = [traj.states[k] for k in inside]
     q = 2.0 * (traj.params.p - 1.0)
     r, h = traj.grid.r, traj.grid.h
     times = np.array([s.t for s in snaps])

@@ -1,10 +1,11 @@
 """The analysis scenarios: norms, diagnose, bootstrap, verify-W, linear-check.
 
 Each runner takes a config that :func:`nlwlab.cli.parse_config` read and
-checked and the output directory, writes the scenario's artifacts there,
-and returns its metrics, notes and extra manifest entries, which
-:func:`nlwlab.cli.run` judges and records.  The evolve runner stays in
-``cli``, with the initial data and the helpers these runners share with it.
+checked (every rule: a runner rejects none), with its initial state, and
+the output directory, writes the scenario's artifacts there, and returns
+its metrics, notes and extra manifest entries, which :func:`nlwlab.cli.run`
+judges and records.  The evolve runner stays in ``cli``, with the initial
+data and the helpers these runners share with it.
 ``parse_config`` imports this module only for the scenarios here, so it
 compiles while their config is parsed, not inside ``run``, and a run of the
 evolve scenario never compiles it.
@@ -22,13 +23,9 @@ import numpy as np
 
 from nlwlab import bootstrap, diagnostics, norms, solver
 from nlwlab.cli import (
-    ConfigError,
     ExperimentConfig,
     _drift_bound,
     _energy_drift,
-    _initial_state,
-    _reported_as,
-    _times_rule,
     _write,
     build_initial,
 )
@@ -37,6 +34,7 @@ from nlwlab.core import (
     RadialGrid,
     RadialState,
     _csv_text,
+    _lattice_steps,
     reference_W,
     save_state,
 )
@@ -46,16 +44,14 @@ __all__ = ["RUNNERS"]
 
 def _run_norms(cfg: ExperimentConfig, out: Path):
     metrics = {}
-    state = _initial_state(cfg)
+    state = cfg.state
     o = cfg.options
     betas, tail_radii, sp_interval = o["betas"], o["tail_radii"], o["sp_interval"]
 
     traj = sp = None
     if sp_interval is not None:
         traj = solver.evolve(cfg.run, state, step_log=False)
-        # whether the stored layers cover the interval is known only now
-        with _reported_as("norms.sp_interval"):
-            sp = norms.sp_norm(traj, sp_interval)
+        sp = norms.sp_norm(traj, sp_interval)
     tails = norms.tail_table(state, tail_radii)
     hsp = None
     if "route_agreement" in cfg.checks or "l2_match" in cfg.checks:
@@ -121,9 +117,12 @@ def _run_diagnose(cfg: ExperimentConfig, out: Path):
     if cfg.params.mu == -1:
         notes.append("energy: non-coercive (focusing sign)")
 
-    initial = _initial_state(cfg)
-    times = _times_rule(cfg, initial.t)  # a state file's stored time starts the run
-    fine = solver.evolve(replace(cfg.run, snapshot_stride=1), initial)
+    times = cfg.options["times"]
+    fine = solver.evolve(replace(cfg.run, snapshot_stride=1), cfg.state)
+    for t in times:  # a record reads E and z from the log, which runs on past them
+        k = _lattice_steps(t - fine.log.t[0], cfg.grid.h)
+        if not np.isfinite([fine.log.energy[k], fine.log.virial[k]]).all():
+            raise solver.SolverError(f"logged E or z is not finite at t = {t!r}", t)
     # the identity residuals of each distinct (cutoff, time), computed once
     cutoffs = cfg.options["cutoffs"]
     residuals = {(c, t): diagnostics.localized_identity_residuals(fine, c, t)
@@ -162,19 +161,10 @@ def _run_bootstrap(cfg: ExperimentConfig, out: Path):
     o = cfg.options
     p_values, beta0_values, precision = o["p_values"], o["beta0_values"], o["precision"]
 
-    # everything is computed before the first write, so a rejected value
-    # leaves no partial output
     jobs = [(p, b0) for p in p_values for b0 in beta0_values]
-    try:
-        table = bootstrap.contraction_table(p_values, precision)
-        seqs = [bootstrap.exponent_iteration(p, b0, n_max=o["n_max"], tol=o["tol"],
-                                             precision=precision) for p, b0 in jobs]
-    except ValueError as e:  # the message starts with the rejected argument
-        field = {"p": "p_values", "beta0": "beta0_values", "n_max": "n_max"}.get(
-            str(e).split(" ", 1)[0])
-        if field is None:
-            raise
-        raise ConfigError(f"bootstrap.{field}: {e}") from None
+    table = bootstrap.contraction_table(p_values, precision)
+    seqs = [bootstrap.exponent_iteration(p, b0, n_max=o["n_max"], tol=o["tol"],
+                                         precision=precision) for p, b0 in jobs]
 
     if "contraction_subunit" in cfg.checks:
         sample = np.geomspace(5.0, 1e4, o["dense_sample"])

@@ -269,6 +269,14 @@ def step_count(t0: float, t_final: float, h: float) -> int:
     return n_steps
 
 
+def _stored_times(config: SolverConfig, t0: float) -> list:
+    """The times of the layers :func:`evolve` stores from t0, bit for bit:
+    t0, every ``snapshot_stride``-th step and the last one."""
+    h, n_steps = config.grid.h, step_count(t0, config.t_final, config.grid.h)
+    steps = [*range(config.snapshot_stride, n_steps, config.snapshot_stride), n_steps]
+    return [t0] + [t0 + j * h for j in steps if j]
+
+
 def evolve(config: SolverConfig, initial: RadialState,
            initial_prev: RadialState | None = None, *, step_log: bool = True) -> Trajectory:
     """Run the scheme from an initial state up to config.t_final.

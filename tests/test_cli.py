@@ -80,7 +80,7 @@ def test_parse_config_field_path_errors(tmp_path):
           "initial": {"kind": "bump"}, "run": {"t_final": 1.0},
           "checks": {"bogus": 1.0}}, None, "checks.bogus"),
         ({**_minimal("verify-W"), "equation": {"p": 7.0, "mu": -1}},
-         None, "verify-W requires"),
+         None, "^equation: scenario verify-W does not read it$"),
         ({**_minimal("evolve"), "equation": {"p": 2.0, "mu": 1},
           "grid": {"h": 0.1, "n": 10}, "initial": {"kind": "bump"},
           "run": {"t_final": 1.0}}, None, "equation"),
@@ -432,7 +432,7 @@ def test_main_off_lattice_time_exits_2(tmp_path, capsys):
     ("diagnose", {"initial": {"kind": "bump"}, "diagnose": {"Rc": 1.0, "times": [0.125]}}),
     ("verify-W", {"verify-W": {"decay_r_min": 1.0}}),  # R/4 = 2
     ("linear-check", {}),
-    ("norms", {"initial": {"kind": "bump"}, "norms": {"sp_interval": [0.0, 0.25]}}),
+    ("norms", {"initial": {"kind": "bump"}, "norms": {"sp_interval": [0.0, 0.875]}}),
 ])
 def test_parse_config_rejects_off_lattice_t_final(scenario, extra):
     raw = {"scenario": scenario, "grid": {"h": 0.125, "n": 64},
@@ -441,13 +441,15 @@ def test_parse_config_rejects_off_lattice_t_final(scenario, extra):
         raw["run"] = {"t_final": t_final}
         with pytest.raises(ConfigError, match=r"^run\.t_final: "):
             parse_config(raw)
-    raw["run"] = {"t_final": 0.375}
-    assert parse_config(raw).run.t_final == 0.375
+    # norms: the 8 stored layers that sp_interval needs inside it
+    accepted = 0.875 if scenario == "norms" else 0.375
+    raw["run"] = {"t_final": accepted}
+    assert parse_config(raw).run.t_final == accepted
 
 
 def test_parse_config_lattice_rule_skips_unevolved_and_file_data(tmp_path):
     # norms without sp_interval never evolves; file data starts at its stored
-    # time, so the solver keeps the check (exit 2 before any step is taken)
+    # time, so the rule is checked from there, under initial.path
     raw = {"scenario": "norms", "grid": {"h": 0.125, "n": 64},
            "initial": {"kind": "bump"}, "run": {"t_final": 0.3},
            "output": {"dir": str(tmp_path / "norms")}}
@@ -459,7 +461,8 @@ def test_parse_config_lattice_rule_skips_unevolved_and_file_data(tmp_path):
     raw = {"scenario": "evolve", "grid": {"h": 0.125, "n": 64},
            "initial": {"kind": "file", "path": str(tmp_path / "init.txt")},
            "run": {"t_final": 0.3}, "output": {"dir": str(tmp_path / "out")}}
-    assert parse_config(raw).run.t_final == 0.3
+    with pytest.raises(ConfigError, match=r"^initial\.path: stored time t = 0\.0 "):
+        parse_config(raw)
     assert main(["evolve", "--config", _write_config(tmp_path, raw)]) == 2
 
 
@@ -968,23 +971,6 @@ def test_unreadable_initial_file_exits_2_without_leftovers(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_library_value_error_removes_the_empty_directory(tmp_path, capsys):
-    # file data starts at its stored time, so the solver's lattice rule is
-    # checked from that time once the file is read, before the first evolve,
-    # and reported under initial.path
-    grid, params = RadialGrid(h=0.125, n=64), make_params(5.0, 1)
-    save_state(build_initial({"kind": "bump"}, grid, params), tmp_path / "init.txt")
-    out = tmp_path / "out"
-    raw = {"scenario": "evolve", "grid": {"h": 0.125, "n": 64},
-           "initial": {"kind": "file", "path": str(tmp_path / "init.txt")},
-           "run": {"t_final": 0.3}, "output": {"dir": str(out)}}
-    assert main(["evolve", "--config", _write_config(tmp_path, raw)]) == 2
-    assert capsys.readouterr().err == (
-        "config: initial.path: stored time t = 0.0 puts run.t_final = 0.3 off the "
-        "lattice of h\n")
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("scenario, field, value, message", [
     ("norms", "betas", ["x"], "expected a list of numbers"),
     ("norms", "tail_radii", [1.0, True], "expected a list of numbers"),
@@ -1105,32 +1091,89 @@ def test_verify_w_drift_region_kept_to_the_final_layer(tmp_path, capsys):
     ({"dense_sample": 0}, "bootstrap.dense_sample: must be positive"),
 ])
 def test_bootstrap_rejected_values_leave_no_output(tmp_path, capsys, edit, message):
-    # p = 5 puts the fixed point 1 - a at 0.5; contraction.csv used to be
-    # written before the exponent rules ran, and their errors had no path
+    # p = 5 puts the fixed point 1 - a at 0.5; the exponent rules are the
+    # bootstrap library's, checked while parsing under their field paths
     out = tmp_path / "out"
     raw = {"scenario": "bootstrap", "bootstrap": {"p_values": [5.0], **edit},
            "checks": {"contraction_subunit": 1.0}, "output": {"dir": str(out)}}
-    if "dense_sample" in edit:  # the one rule here that the config alone decides
-        with pytest.raises(ConfigError, match=f"^{message}"):
-            parse_config(raw)
-    else:  # the exponent rules are the bootstrap library's, met as the run starts
+    with pytest.raises(ConfigError, match=f"^{message}"):
         parse_config(raw)
     assert main(["bootstrap", "--config", _write_config(tmp_path, raw)]) == 2
     assert capsys.readouterr().err.startswith(f"config: {message}")
     assert not out.exists()
 
 
-def test_module_run_reports_a_runner_config_error(tmp_path):
-    # python -m nlwlab.cli runs cli as __main__; a ConfigError raised in
-    # nlwlab.scenarios still ends as "config: ..." and exit 2
+# the rules that read more than the config's fields: a state file, the
+# bootstrap library, the layers evolve will store; (edit of the config, message)
+_RULES_PAST_THE_FIELDS = {
+    "unreadable": ({"initial": {"kind": "file", "path": "missing.txt"}},
+                   "initial.path: [Errno 2] No such file or directory"),
+    "grid": ({"grid": {"h": 0.125, "n": 32}},
+             "initial.path: stored grid does not match config grid"),
+    "parameters": ({"equation": {"p": 7.0, "mu": 1}},
+                   "initial.path: stored parameters do not match config"),
+    "stored_time": ({"run": {"t_final": 0.3}}, "initial.path: stored time t = 0.0 puts "
+                    "run.t_final = 0.3 off the lattice of h"),
+    "p": ({"scenario": "bootstrap", "bootstrap": {"p_values": [5.0, 4.0]}},
+          "bootstrap.p_values: p must be a finite real >= 5, got 4.0"),
+    "beta0": ({"scenario": "bootstrap",
+               "bootstrap": {"p_values": [5.0], "beta0_values": [0.6]}},
+              "bootstrap.beta0_values: beta0 must lie in (0, 1 - a] = (0, 0.5], got 0.6"),
+    "n_max": ({"scenario": "bootstrap", "bootstrap": {"n_max": 0}},
+              "bootstrap.n_max: n_max must be positive"),
+    "sp_interval": ({"scenario": "norms", "norms": {"sp_interval": [0.0, 0.25]}},
+                    "norms.sp_interval: only 3 snapshots inside [0.0, 0.25]; "
+                    "snapshot stride too coarse"),
+}
+
+
+@pytest.mark.parametrize("rule", list(_RULES_PAST_THE_FIELDS))
+def test_rules_past_the_fields_reject_while_parsing(tmp_path, capsys, monkeypatch, rule):
+    # parse_config reads the state file, applies the library's rules and
+    # predicts the stored layers, so each of these exits 2 with no output
+    # directory, through main and through python -m nlwlab.cli (which runs
+    # cli as __main__) alike
+    monkeypatch.chdir(tmp_path)
+    grid, params = RadialGrid(h=0.125, n=64), make_params(5.0, 1)
+    save_state(build_initial({"kind": "bump"}, grid, params), tmp_path / "init.txt")
+    edit, message = _RULES_PAST_THE_FIELDS[rule]
     out = tmp_path / "out"
-    raw = {"scenario": "bootstrap", "bootstrap": {"p_values": [5.0, 4.0]},
-           "checks": {"contraction_subunit": 1.0}, "output": {"dir": str(out)}}
-    proc = _python(None, tmp_path, "-m", "nlwlab.cli", "bootstrap",
-                   "--config", _write_config(tmp_path, raw))
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("config: bootstrap.p_values: p must be a finite real >= 5")
+    raw = {"scenario": "evolve", "grid": {"h": 0.125, "n": 64},
+           "initial": {"kind": "file", "path": str(tmp_path / "init.txt")},
+           "run": {"t_final": 0.25}, "output": {"dir": str(out)}, **edit}
+    if raw["scenario"] == "bootstrap":
+        raw = {k: raw[k] for k in ("scenario", "bootstrap", "output")}
+    with pytest.raises(ConfigError) as exc:
+        parse_config(raw)
+    assert str(exc.value).startswith(message)
+    cfg_path = _write_config(tmp_path, raw)
+    assert main([raw["scenario"], "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config: {message}") and err.count("\n") == 1
+    proc = _python(None, tmp_path, "-m", "nlwlab.cli", raw["scenario"], "--config", cfg_path)
+    assert (proc.returncode, proc.stderr) == (2, err)
     assert not out.exists()
+
+
+def test_diagnose_log_whose_energy_is_not_finite_aborts_the_run(tmp_path, capsys):
+    # a linear run keeps u = 1e40 finite, but E's |u|^(p+1) overflows: the
+    # run aborts at the first record time, as on a solver guard
+    out = tmp_path / "out"
+    raw = {"scenario": "diagnose", "equation": {"p": 7.0, "mu": 1},
+           "grid": {"h": 0.0625, "n": 64},
+           "initial": {"kind": "gaussian", "width": 0.5, "amplitude": 1e40},
+           "run": {"t_final": 0.5, "cone_floor": None, "blowup_threshold": 1e300,
+                   "linear": True},
+           "diagnose": {"Rc": 1.0, "times": [0.25]}, "checks": {"z_monotone": 0.0},
+           "output": {"dir": str(out)}}
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["diagnose", "--config", _write_config(tmp_path, raw)]) == 1
+    assert [f.name for f in out.iterdir()] == ["manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["status"], manifest["checks"]) == ("aborted", [])
+    message = "logged E or z is not finite at t = 0.25"
+    assert manifest["error"] == {"type": "SolverError", "message": message, "t": 0.25}
+    assert capsys.readouterr().err == f"solver: {message} (t = 0.25)\n"
 
 
 @pytest.mark.parametrize("scenario, field, value, message", [
@@ -1383,8 +1426,8 @@ def test_internal_value_error_is_not_a_config_error(tmp_path):
 
 
 def test_sp_interval_coverage_is_reported_under_its_path(tmp_path, capsys):
-    # whether the stored layers cover the interval is known only after the
-    # evolve; the library's error is reported under norms.sp_interval
+    # the layers evolve will store are known from the config and t0, so
+    # sp_norm's selection rejects the interval while parsing, under its path
     out = tmp_path / "out"
     raw = _quick("norms", out, {})
     raw["run"] = {"t_final": 0.1}
@@ -1725,6 +1768,12 @@ def test_every_config_ends_in_one_of_the_three_documented_outcomes(data):
         with contextlib.redirect_stderr(err):
             code = main([raw["scenario"], "--config", _write_config(tmp, raw)])
         err = err.getvalue()
+        try:  # parse_config is the one place a config is rejected
+            parse_config(raw)
+            rejected = False
+        except ConfigError:
+            rejected = True
+        assert (code == 2) is rejected
         if code == 2:
             assert err.startswith("config: ") and not out.exists()
             return

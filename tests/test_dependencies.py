@@ -239,3 +239,29 @@ def test_public_names_have_a_caller():
                                 if isinstance(m, ast.FunctionDef)
                                 and not m.name.startswith("_") and not read(m.name, m))
     assert uncalled == {"scale_state", "tail_norms", "sobolev_norm_1d", "contraction_constant"}
+
+
+def test_only_parse_config_rejects_a_config():
+    # a config is rejected while it is parsed, before any output exists:
+    # ConfigError is raised, and a library rule reported under its field
+    # path, in cli alone; a runner imports neither, and run catches none
+    def named(name):
+        return lambda f: getattr(f, "id", getattr(f, "attr", None)) == name
+
+    raisers = set()
+    for path in sorted((ROOT / "src" / "nlwlab").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        raisers.update(path.stem for node in ast.walk(tree)
+                       if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                       and named("ConfigError")(node.exc.func))
+    assert raisers == {"cli"}
+    assert {module for module, _ in _calls(named("_reported_as"))} == {"cli"}
+    scenarios = ast.parse((ROOT / "src" / "nlwlab" / "scenarios.py").read_text())
+    imported = {alias.name for node in ast.walk(scenarios)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & {"ConfigError", "_reported_as"}
+    cli = ast.parse((ROOT / "src" / "nlwlab" / "cli.py").read_text())
+    run = next(top for top in cli.body if getattr(top, "name", None) == "run")
+    caught = [ast.unparse(node.type) for node in ast.walk(run)
+              if isinstance(node, ast.ExceptHandler) and node.type is not None]
+    assert caught == ["solver.SolverError"]

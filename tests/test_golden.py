@@ -14,7 +14,8 @@ field, for a scalar), so columns that cross zero, such as z, are compared
 on their own scale.  Flags, nulls and non-finite values must match exactly.
 
 Regenerate the file only for an intended behaviour change, and record the
-regeneration and its reason in CHANGES.md:
+regeneration and its reason in CHANGES.md.  A regeneration keeps every
+stored value still within tolerance, so its diff shows only what moved:
 
     PYTHONPATH=src python tests/test_golden.py --regenerate
 """
@@ -137,11 +138,29 @@ def test_exemplar_matches_golden(name, tmp_path, golden):
     assert not bad, bad
 
 
+def _merged(stored: dict, numbers: dict) -> dict:
+    """The regenerated lock: each stored value that :func:`_mismatch` still
+    accepts is kept as it is, a value that moved out of tolerance or a new
+    key takes the run's number, and a key no run writes any more is dropped."""
+    return {key: stored[key] if key in stored and _mismatch(got, stored[key]) is None
+            else got for key, got in numbers.items()}
+
+
+def test_regeneration_keeps_the_values_still_in_tolerance():
+    stored = {"a": [1.0, 2.0], "b": 3.0, "c": [True, None], "d": [1.0], "gone": 1.0}
+    numbers = {"a": [1.0 + 1e-13, 2.0], "b": 3.1, "c": [True, None], "d": [1.0, 2.0],
+               "new": [0.5]}
+    assert _merged(stored, numbers) == {"a": [1.0, 2.0], "b": 3.1, "c": [True, None],
+                                        "d": [1.0, 2.0], "new": [0.5]}
+
+
 def _write_golden() -> None:
     numbers = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in CONFIGS:
             numbers.update(run_exemplar(name, Path(tmp) / name))
+    if GOLDEN.exists():  # only what moved out of tolerance is rewritten
+        numbers = _merged(json.loads(GOLDEN.read_text()), numbers)
     # one entry per line: diffs of a regeneration stay readable
     body = ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in sorted(numbers.items()))
     GOLDEN.write_text("{\n" + body + "\n}\n")

@@ -888,6 +888,22 @@ def test_evolve_builds_states_only_for_snapshots(monkeypatch):
     assert len(traj.log.t) == int(round(cfg.t_final / cfg.grid.h)) + 1
 
 
+@pytest.mark.parametrize("t0", [0.0, 0.5, 3.0 / 32.0, -1.0, 1e10])
+@pytest.mark.parametrize("steps, stride", [(0, 1), (0, 5), (12, 1), (12, 4), (12, 5),
+                                           (13, 13), (7, 20)])
+def test_stored_times_are_the_times_of_the_stored_layers(t0, steps, stride):
+    # parse_config checks norms.sp_interval against these times before the
+    # run, so they are the stored layers' times bit for bit: the strides
+    # divide the step count or not, and a run of no steps stores layer 0
+    grid, params = RadialGrid(h=1.0 / 32.0, n=64), make_params(5.0, 1)
+    cfg = SolverConfig(grid=grid, params=params, t_final=t0 + steps * grid.h,
+                       snapshot_stride=stride)
+    s0 = RadialState(grid=grid, params=params, t=t0, u=bump(grid.r, 0.5),
+                     v=np.zeros(grid.n + 1))
+    stored = [s.t for s in evolve(cfg, s0, step_log=False).states]
+    assert list(map(repr, solver._stored_times(cfg, t0))) == list(map(repr, stored))
+
+
 def test_stored_states_own_read_only_arrays_and_public_states_copy(monkeypatch):
     cfg, s0, prev, _ = _oracle_case("bump_prefix_grows")
     bases = []
